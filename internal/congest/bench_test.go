@@ -84,6 +84,30 @@ func (p *benchPingPongNode) Round(ctx *Context, round int, inbox []Message) ([]M
 	return p.outbox, false
 }
 
+// benchWaveNode is a BFS wave from node 0: a node joins when its first
+// message arrives, broadcasts once from a prebuilt outbox, and is done. Only
+// the frontier sends, so a round's traffic is a thin band of the graph while
+// every node still steps.
+type benchWaveNode struct {
+	reached bool
+	sent    bool
+	outbox  []Message
+}
+
+func (f *benchWaveNode) Init(ctx *Context) {
+	f.reached = ctx.ID() == 0
+	f.outbox = BroadcastAllWords(ctx, 1, 0, 0, 8)
+}
+
+func (f *benchWaveNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
+	f.reached = f.reached || len(inbox) > 0
+	if !f.reached || f.sent {
+		return nil, f.sent
+	}
+	f.sent = true
+	return f.outbox, false
+}
+
 // runRoundLoopBench executes the workload b.N times and reports
 // node-rounds/sec and allocs/round (mallocs measured around the runs, so
 // node-program and simulator allocations both count — the node programs
@@ -150,6 +174,22 @@ func BenchmarkRoundLoopFloodWords(b *testing.B) {
 				})
 			})
 		}
+	}
+}
+
+// BenchmarkRoundLoopWave runs the sparse-traffic shape: a BFS wave across
+// the 320x320 grid, 640 rounds in which only the frontier sends. Every round
+// still steps all nodes, so the loop's per-round cost outside stepping must
+// follow the traffic, not the edge count.
+func BenchmarkRoundLoopWave(b *testing.B) {
+	const side = 320
+	topo := graph.Grid(side, side)
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("grid%d/workers=%d", side*side, workers), func(b *testing.B) {
+			runRoundLoopBench(b, topo, workers, 2*side, func(*Context) Node {
+				return &benchWaveNode{}
+			})
+		})
 	}
 }
 

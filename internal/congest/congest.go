@@ -17,8 +17,9 @@
 // same accounting (see DESIGN.md, substitution table).
 //
 // The simulator is engineered for scale: the round loop is steady-state
-// allocation-free (CSR edge index, double-buffered inboxes/outboxes, a
-// write-disjoint parallel merge behind Options.Workers), messages carry
+// allocation-free (CSR edge index, double-buffered inboxes/outboxes, and
+// behind Options.Workers a round partitioned by node-ID range, whose
+// workers exchange messages through per-pair queues), messages carry
 // small contents word-encoded in two inline uint64s instead of a boxed
 // Payload (see payload.go — Kind/W0/W1, with boxed `any` kept as the escape
 // hatch), and a topology implementing IndexedTopology (such as *graph.CSR,
@@ -33,7 +34,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 )
 
 // Default bandwidths used across benchmarks. CONGEST conventionally takes
@@ -361,20 +361,20 @@ type Options struct {
 	// order within a sender). It is used by the Simulation Theorem engine
 	// (internal/simulation) to re-account each message to the party that
 	// owns its sender, and by the Grover backend to measure stream volume.
-	// Tracing no longer forces the sequential merge: under Workers > 1 the
-	// validate phase records accepted messages into per-worker buffers and
-	// the round's barrier folds them back into sender-ID order before the
-	// callback runs, so the observed event stream is identical to a
-	// sequential run's (the callback itself always executes on one
-	// goroutine, after validation, never concurrently).
+	// Tracing works under any Workers value: each worker records the
+	// messages it accepts from its own ID range, and after the round's
+	// validation the buffers are replayed in worker order — ascending
+	// sender ID — so the event stream is identical to a sequential run's
+	// (the callback always executes on one goroutine, never concurrently).
 	Trace func(round int, msg Message)
 	// Workers selects how many goroutines step nodes and merge traffic
 	// within each round. Values <= 1 run sequentially. Any value produces
 	// bit-for-bit identical Results: nodes only interact through messages
 	// delivered at round boundaries, each node owns a private random
 	// stream, every per-round quantity is a sum or max folded in
-	// deterministic order, and messages are delivered at positions computed
-	// from the CSR edge index, independent of worker scheduling.
+	// deterministic order, and each worker owns a fixed range of node IDs
+	// and fills its receivers' inboxes from the other workers' queues in
+	// worker order, which is ascending sender ID whatever the scheduling.
 	Workers int
 	// Cancel, if non-nil, is polled once per round before the round's nodes
 	// step; when it returns true, Run stops and returns the partial result
@@ -429,20 +429,15 @@ type runState struct {
 
 	// The CSR edge index. Directed edge (v -> u) has slot
 	// offsets[v] + rank of u in v's sorted neighbour list; node v owns
-	// slots offsets[v]..offsets[v+1]. inSlot is the reverse view used by
-	// the parallel merge: in-edge i of receiver u (from its i-th smallest
-	// neighbour) is slot inSlot[offsets[u]+i].
+	// slots offsets[v]..offsets[v+1].
 	offsets []int32
-	inSlot  []int32
 
-	// Flat per-directed-edge tables, indexed by slot and reset via the
-	// touched lists so a quiet round costs O(traffic), not O(m). Bandwidths
+	// edgeBits holds the bits charged to each slot this round. Only the
+	// slots on a touched list are ever non-zero, and resetting through the
+	// lists makes a quiet round cost O(traffic), not O(m). Bandwidths
 	// beyond ~2^31 bits/round would overflow the int32 accumulation; the
 	// budget check itself runs in int, so violations are still caught.
-	edgeBits []int32 // bits charged this round
-	edgeMsgs []int32 // messages staged this round
-	basePos  []int32 // parallel merge: first inbox position of the slot
-	cursor   []int32 // parallel merge: next free offset within the slot
+	edgeBits []int32
 	touched  []int32 // slots charged this round (sequential merge)
 
 	// Per-round termination folds.
@@ -451,31 +446,14 @@ type runState struct {
 	anyMessage bool
 
 	// Parallel execution (Options.Workers > 1): a pool of goroutines that
-	// lives for the whole run, per-worker accounting scratch, and the
-	// phase closures built once so rounds allocate nothing.
-	pool        *workerPool
-	scratch     []mergeScratch
-	panics      []any
-	panicked    atomic.Bool
-	mergeFailed atomic.Bool
-	nextNode    atomic.Int64
-	stepJob     func(w int)
-	validateJob func(w int)
-	sizeJob     func(w int)
-	scatterJob  func(w int)
-	// The parallel round tracer (Options.Trace with Workers > 1): each
-	// worker appends the messages it accepts during the validate phase to
-	// its own reused buffer. A worker's successive claims have strictly
-	// increasing node ranges and every sender is claimed by exactly one
-	// worker, so each buffer is sorted by sender ID and the buffers
-	// partition the round's senders — emitTrace merges them back into the
-	// exact sequential callback order after the barrier.
-	traceBufs [][]Message
-	traceIdx  []int
-	// asymmetric marks a degenerate Topology whose neighbour lists are not
-	// symmetric; the reverse edge index is unusable then, so the merge
-	// stays on the sequential path.
-	asymmetric bool
+	// lives for the whole run, the vertex-range partition (worker w owns
+	// nodes starts[w]..starts[w+1]-1) with each worker's round state, and
+	// the phase closures built once so rounds allocate nothing.
+	pool       *workerPool
+	starts     []int
+	workers    []rangeWorker
+	stepJob    func(w int)
+	deliverJob func(w int)
 }
 
 func newRunState(nw *Network, factory NodeFactory, opts Options) (*runState, error) {
@@ -564,44 +542,18 @@ func newRunState(nw *Network, factory NodeFactory, opts Options) (*runState, err
 	for v := 0; v < n; v++ {
 		st.offsets[v+1] = st.offsets[v] + int32(len(st.ctxs[v].neighbors))
 	}
-	slots := st.offsets[n]
-	st.inSlot = make([]int32, slots)
-	for u := 0; u < n; u++ {
-		for i, v := range st.ctxs[u].neighbors {
-			r := st.ctxs[v].neighborRank(u)
-			if r < 0 {
-				st.asymmetric = true
-				continue
-			}
-			st.inSlot[st.offsets[u]+int32(i)] = st.offsets[v] + int32(r)
-		}
-	}
-	st.edgeBits = make([]int32, slots)
-	st.edgeMsgs = make([]int32, slots)
-	st.basePos = make([]int32, slots)
-	st.cursor = make([]int32, slots)
+	st.edgeBits = make([]int32, st.offsets[n])
 
 	st.inboxes = make([][]Message, n)
 	st.next = make([][]Message, n)
 	st.outboxes = make([][]Message, n)
 	st.done = make([]bool, n)
 
-	workers := opts.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers > 1 {
+	if workers := min(opts.Workers, n); workers > 1 {
 		st.pool = newWorkerPool(workers)
-		st.scratch = make([]mergeScratch, workers)
-		st.panics = make([]any, n)
+		st.partition(workers)
 		st.stepJob = st.stepWorker
-		st.validateJob = st.validateWorker
-		st.sizeJob = st.sizeWorker
-		st.scatterJob = st.scatterWorker
-		if opts.Trace != nil {
-			st.traceBufs = make([][]Message, workers)
-			st.traceIdx = make([]int, workers)
-		}
+		st.deliverJob = st.deliverWorker
 	}
 	return st, nil
 }
@@ -621,8 +573,14 @@ func (st *runState) run() (*Result, error) {
 			return res, fmt.Errorf("%w: before round %d", ErrCancelled, round)
 		}
 		res.Rounds = round
-		st.step(round)
-		if err := st.merge(round); err != nil {
+		st.round = round
+		var err error
+		if st.pool == nil {
+			err = st.roundSeq(round)
+		} else {
+			err = st.roundPar(round)
+		}
+		if err != nil {
 			st.collectOutputs()
 			return res, err
 		}
@@ -651,54 +609,33 @@ func (st *runState) collectOutputs() {
 	}
 }
 
-// step invokes every node's Round for the given round, filling outboxes
-// and done.
-func (st *runState) step(round int) {
-	st.round = round
-	if st.pool == nil {
-		for v := 0; v < st.n; v++ {
-			if p := st.stepOne(v); p != nil {
-				panic(panicText(v, round, p))
-			}
-		}
-		return
+// roundSeq runs one round on the calling goroutine: step every node, then
+// merge. A node panic is re-raised at once, naming the lowest panicking ID.
+func (st *runState) roundSeq(round int) error {
+	if v, p := st.stepRange(0, st.n); v < st.n {
+		panic(panicText(v, round, p))
 	}
-	st.panicked.Store(false)
-	st.nextNode.Store(0)
-	st.pool.run(st.stepJob)
-	if st.panicked.Load() {
-		// Re-raise the panic of the lowest-ID panicking node, so a failing
-		// run reports identically whatever the worker count or scheduling.
-		for v := 0; v < st.n; v++ {
-			if st.panics[v] != nil {
-				panic(panicText(v, round, st.panics[v]))
-			}
-		}
-	}
-}
-
-// stepOne runs one node's Round and returns its panic value, if any, so the
-// caller can surface it deterministically.
-func (st *runState) stepOne(v int) (panicked any) {
-	defer func() { panicked = recover() }()
-	st.outboxes[v], st.done[v] = st.nodes[v].Round(st.ctxs[v], st.round, st.inboxes[v])
-	return nil
-}
-
-// merge validates, accounts and delivers the round's traffic. The parallel
-// path requires the reverse edge index, so asymmetric topologies stay
-// sequential; tracing runs on either path (see the parallel round tracer in
-// parallel.go).
-func (st *runState) merge(round int) error {
 	st.allDone = true
 	st.anyMessage = false
-	if st.pool == nil || st.asymmetric {
-		for v := 0; v < st.n; v++ {
-			st.next[v] = st.next[v][:0]
-		}
-		return st.mergeSeq(round)
+	return st.mergeSeq(round)
+}
+
+// stepRange runs the Round of nodes lo..hi-1 in ID order, filling outboxes
+// and done, under one deferred recover. It stops at the first node that
+// panics and returns that node's ID and panic value; v is hi when no node
+// panicked.
+//
+// Each consumed inbox is length-reset as soon as its node returns. The
+// inbox buffers become the next round's delivery buffers at the round-end
+// swap, so every round's merge appends into empty inboxes without a pass
+// of its own over the nodes.
+func (st *runState) stepRange(lo, hi int) (v int, p any) {
+	defer func() { p = recover() }()
+	for v = lo; v < hi; v++ {
+		st.outboxes[v], st.done[v] = st.nodes[v].Round(st.ctxs[v], st.round, st.inboxes[v])
+		st.inboxes[v] = st.inboxes[v][:0]
 	}
-	return st.mergePar(round)
+	return hi, nil
 }
 
 // mergeSeq is the sequential merge: one pass over senders in ID order,
@@ -719,24 +656,23 @@ func (st *runState) mergeSeq(round int) error {
 			msg.From = v
 			r := ctx.neighborRank(msg.To)
 			if r < 0 {
-				st.resetEdgeTables()
+				st.touched = clearSlots(st.edgeBits, st.touched)
 				return fmt.Errorf("%w: node %d -> %d in round %d", ErrNotNeighbor, v, msg.To, round)
 			}
 			if msg.Bits < 0 {
 				msg.Bits = 0
 			}
 			slot := base + int32(r)
-			if st.edgeMsgs[slot] == 0 {
-				st.touched = append(st.touched, slot)
-			}
 			total := int(st.edgeBits[slot]) + msg.Bits
 			if total > bandwidth {
-				st.resetEdgeTables()
+				st.touched = clearSlots(st.edgeBits, st.touched)
 				return fmt.Errorf("%w: node %d -> %d sent %d bits in round %d (B=%d)",
 					ErrBandwidthExceeded, v, msg.To, total, round, bandwidth)
 			}
+			if st.edgeBits[slot] == 0 && total > 0 {
+				st.touched = append(st.touched, slot)
+			}
 			st.edgeBits[slot] = int32(total)
-			st.edgeMsgs[slot]++
 			st.next[msg.To] = append(st.next[msg.To], msg)
 			traffic.Messages++
 			res.TotalMessages++
@@ -759,16 +695,15 @@ func (st *runState) mergeSeq(round int) error {
 	if st.opts.PerRound {
 		res.PerRound = append(res.PerRound, traffic)
 	}
-	st.resetEdgeTables()
+	st.touched = clearSlots(st.edgeBits, st.touched)
 	return nil
 }
 
-// resetEdgeTables zeroes only the slots the round actually charged, so the
-// per-round cost tracks traffic rather than graph size.
-func (st *runState) resetEdgeTables() {
-	for _, slot := range st.touched {
-		st.edgeBits[slot] = 0
-		st.edgeMsgs[slot] = 0
+// clearSlots zeroes the listed edge slots and returns the emptied list, so
+// a reset costs the round's traffic rather than the graph's size.
+func clearSlots(edgeBits, touched []int32) []int32 {
+	for _, slot := range touched {
+		edgeBits[slot] = 0
 	}
-	st.touched = st.touched[:0]
+	return touched[:0]
 }

@@ -1,42 +1,75 @@
 package congest
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
-// The parallel execution path. With Options.Workers > 1 a run owns a pool of
-// goroutines that lives from round 1 to termination; each round dispatches
-// the same pre-built job closures to the pool, so the steady state allocates
-// nothing. Nodes are claimed from a shared counter in chunks to amortise the
-// atomic and keep neighbouring nodes' state on one worker's cache.
+// The parallel execution path. With Options.Workers > 1 a run splits the
+// node IDs into one contiguous range per worker, fixed at run start and
+// balanced by degree+1, and owns a pool of goroutines that lives from round
+// 1 to termination. Each round dispatches the same pre-built job closures to
+// the pool twice, so the steady state allocates nothing:
 //
-// The contract is bit-for-bit equality with the sequential path, argued in
-// DESIGN.md ("The congest hot path"): stepping is trivially order-free (a
-// node's Round touches only its own state and inbox), accounting folds
-// per-worker sums and maxes in worker-index order, and delivery writes every
-// message at the exact index the sequential append would have used, computed
-// from the CSR edge index. Error rounds leave the parallel path entirely:
-// the round is re-merged sequentially, so partial results and error text
-// match the sequential run down to the byte.
+//  1. step: every worker steps its range, then validates and accounts its
+//     senders' messages against their sender-private slots of the CSR edge
+//     index and queues each accepted message as a msgRef for the worker that
+//     owns the receiver.
+//  2. deliver: every worker drains the queues addressed to it in worker
+//     order into its receivers' inboxes, and zeroes the edge slots it
+//     charged in phase 1.
+//
+// A round therefore costs O(n/W + traffic/W) per worker behind two
+// barriers. The contract is bit-for-bit equality with the sequential path,
+// argued in DESIGN.md ("The congest hot path"): a node's Round touches only
+// its own state and inbox, accounting folds per-worker sums and maxes in
+// worker order, and ranges ascend with the worker index, so draining the
+// queues in worker order appends each receiver's messages in ascending
+// sender ID, outbox order within a sender — the sequential append order.
+// Error rounds leave the parallel path entirely: the round is re-merged
+// sequentially, so partial results and error text match the sequential run
+// down to the byte.
 
-// mergeChunk is the number of consecutive node IDs a worker claims per
-// shared-counter increment.
-const mergeChunk = 64
+// msgRef names one accepted message by its sender and its index in the
+// sender's outbox. Outboxes stay untouched until the next step, so a ref is
+// all the rest of the round needs to deliver or trace the message.
+type msgRef struct{ from, idx int32 }
 
-// mergeScratch is one worker's private accounting for a round, folded into
-// the shared Result between phases. Padded so adjacent workers' counters do
-// not share a cache line.
-type mergeScratch struct {
+// rangeWorker is everything one worker writes during a round. Padded so
+// adjacent workers' state does not share a cache line.
+type rangeWorker struct {
+	// queues[o] holds the round's accepted messages to receivers in worker
+	// o's range, in sender order.
+	queues [][]msgRef
+	// trace holds all of the round's accepted messages in sender order; it
+	// is filled only under Options.Trace.
+	trace []msgRef
+	// touched lists the edge slots charged this round.
+	touched []int32
+
+	// panicAt is the first node of the range that panicked this round, or
+	// -1; panicVal is its panic value.
+	panicAt  int
+	panicVal any
+	// failed reports that a message of the range failed validation.
+	failed bool
+
 	totalMessages int
 	totalBits     int64
 	quantumBits   int64
 	classicalBits int64
 	maxEdgeBits   int
 	notAllDone    bool
-	anyMessage    bool
 	_             [64]byte
 }
 
-func (sc *mergeScratch) reset() {
-	*sc = mergeScratch{}
+// reset clears the worker's per-round state; touched is already empty,
+// since deliver (or the cold path) zeroes the slots it lists.
+func (wk *rangeWorker) reset() {
+	for o := range wk.queues {
+		wk.queues[o] = wk.queues[o][:0]
+	}
+	*wk = rangeWorker{queues: wk.queues, trace: wk.trace[:0], touched: wk.touched, panicAt: -1}
 }
 
 // workerPool is a fixed set of goroutines that execute one job function at a
@@ -88,269 +121,186 @@ func panicText(v, round int, p any) string {
 	return fmt.Sprintf("congest: node %d panicked in round %d: %v", v, round, p)
 }
 
-// claim hands the worker the next chunk of node IDs, [lo, hi); ok is false
-// when the round's nodes are exhausted.
-func (st *runState) claim() (lo, hi int, ok bool) {
-	end := int(st.nextNode.Add(mergeChunk))
-	lo = end - mergeChunk
-	if lo >= st.n {
-		return 0, 0, false
+// partition splits the node IDs into one contiguous range per worker,
+// worker w owning starts[w]..starts[w+1]-1. The ranges balance Σ(degree+1):
+// a node costs one Round call plus one pass per incident edge to validate
+// and deliver. A node heavier than a worker's share leaves the ranges after
+// it empty.
+func (st *runState) partition(workers int) {
+	total := int64(st.offsets[st.n]) + int64(st.n)
+	st.starts = make([]int, workers+1)
+	for w := 1; w < workers; w++ {
+		share := total * int64(w) / int64(workers)
+		st.starts[w] = sort.Search(st.n, func(v int) bool {
+			return int64(st.offsets[v])+int64(v) >= share
+		})
 	}
-	if end > st.n {
-		end = st.n
+	st.starts[workers] = st.n
+	st.workers = make([]rangeWorker, workers)
+	for w := range st.workers {
+		st.workers[w].queues = make([][]msgRef, workers)
 	}
-	return lo, end, true
 }
 
-// stepWorker steps claimed nodes, recording panics per node so the caller
-// can re-raise the lowest ID deterministically.
-func (st *runState) stepWorker(int) {
-	for {
-		lo, hi, ok := st.claim()
-		if !ok {
-			return
+// owner returns the worker whose range holds node v: the last worker
+// starting at or before v, which skips the empty ranges sharing its start.
+func (st *runState) owner(v int) int {
+	lo, hi := 0, len(st.workers)-1
+	for lo < hi {
+		mid := int(uint(lo+hi+1) >> 1)
+		if st.starts[mid] <= v {
+			lo = mid
+		} else {
+			hi = mid - 1
 		}
-		for v := lo; v < hi; v++ {
-			if p := st.stepOne(v); p != nil {
-				st.panics[v] = p
-				st.panicked.Store(true)
+	}
+	return lo
+}
+
+// roundPar runs one round on the worker pool. A panic re-raises the
+// lowest-ID panicking node's; a validation failure replays the round's
+// merge sequentially.
+func (st *runState) roundPar(round int) error {
+	st.pool.run(st.stepJob)
+	// Ranges ascend with the worker index, so the first worker that saw a
+	// panic holds the lowest panicking ID, whatever the scheduling.
+	for w := range st.workers {
+		if wk := &st.workers[w]; wk.panicAt >= 0 {
+			panic(panicText(wk.panicAt, round, wk.panicVal))
+		}
+	}
+	st.allDone = true
+	st.anyMessage = false
+	for w := range st.workers {
+		if st.workers[w].failed {
+			// Cold path: drop the staged charges and re-run the round's
+			// merge sequentially for byte-identical partial results, trace
+			// stream and error.
+			for w := range st.workers {
+				st.workers[w].touched = clearSlots(st.edgeBits, st.workers[w].touched)
 			}
+			return st.mergeSeq(round)
 		}
-	}
-}
-
-// mergePar is the parallel merge: three barrier-separated phases over the
-// round's traffic.
-//
-//  1. validate: workers claim senders and charge each message against the
-//     sender-private slots of the CSR edge index (edgeBits/edgeMsgs), summing
-//     traffic into per-worker scratch. Slots of distinct senders are
-//     distinct, so no two workers touch the same table entry.
-//  2. size: workers claim receivers, turn each receiver's in-slot message
-//     counts into inbox positions (basePos), length-reset its inbox buffer,
-//     and zero the tables for the next round. Every slot is an in-slot of
-//     exactly one receiver, so this phase is also write-disjoint.
-//  3. scatter: workers claim senders again and write each message at
-//     basePos[slot]+cursor[slot]++ — the position the sequential merge's
-//     append would have chosen, since a receiver's in-slots are ordered by
-//     sender ID and cursors advance in outbox order.
-//
-// A validation failure abandons the round's staged state and replays the
-// whole merge sequentially (cold path), reproducing the sequential partial
-// accounting and error text exactly.
-func (st *runState) mergePar(round int) error {
-	for w := range st.scratch {
-		st.scratch[w].reset()
-	}
-	for w := range st.traceBufs {
-		st.traceBufs[w] = st.traceBufs[w][:0]
-	}
-	st.mergeFailed.Store(false)
-	st.nextNode.Store(0)
-	st.pool.run(st.validateJob)
-
-	if st.mergeFailed.Load() {
-		// Cold path: wipe all staged state — including any half-recorded
-		// trace buffers — and re-run the round's merge sequentially for
-		// byte-identical partial results, trace stream and error.
-		for i := range st.edgeBits {
-			st.edgeBits[i] = 0
-			st.edgeMsgs[i] = 0
-		}
-		st.touched = st.touched[:0]
-		for w := range st.traceBufs {
-			st.traceBufs[w] = st.traceBufs[w][:0]
-		}
-		for v := 0; v < st.n; v++ {
-			st.next[v] = st.next[v][:0]
-		}
-		st.allDone = true
-		st.anyMessage = false
-		return st.mergeSeq(round)
 	}
 
 	res := st.res
 	var traffic RoundTraffic
-	for w := range st.scratch {
-		sc := &st.scratch[w]
-		if sc.notAllDone {
+	for w := range st.workers {
+		wk := &st.workers[w]
+		if wk.notAllDone {
 			st.allDone = false
 		}
-		if sc.anyMessage {
+		if wk.totalMessages > 0 {
 			st.anyMessage = true
 		}
-		res.TotalMessages += sc.totalMessages
-		res.TotalBits += sc.totalBits
-		res.QuantumBits += sc.quantumBits
-		traffic.Messages += sc.totalMessages
-		traffic.QuantumBits += sc.quantumBits
-		traffic.ClassicalBits += sc.classicalBits
-		if sc.maxEdgeBits > res.MaxEdgeBitsPerRound {
-			res.MaxEdgeBitsPerRound = sc.maxEdgeBits
-		}
+		res.TotalMessages += wk.totalMessages
+		res.TotalBits += wk.totalBits
+		res.QuantumBits += wk.quantumBits
+		traffic.Messages += wk.totalMessages
+		traffic.QuantumBits += wk.quantumBits
+		traffic.ClassicalBits += wk.classicalBits
+		res.MaxEdgeBitsPerRound = max(res.MaxEdgeBitsPerRound, wk.maxEdgeBits)
 	}
 	if st.opts.PerRound {
 		res.PerRound = append(res.PerRound, traffic)
 	}
-	if st.traceBufs != nil {
-		st.emitTrace(round)
+	if trace := st.opts.Trace; trace != nil {
+		// Worker order is sender-ID order: the callback sees exactly the
+		// sequential stream, on this goroutine alone.
+		for w := range st.workers {
+			for _, ref := range st.workers[w].trace {
+				trace(round, st.message(ref))
+			}
+		}
 	}
-
-	st.nextNode.Store(0)
-	st.pool.run(st.sizeJob)
-	st.nextNode.Store(0)
-	st.pool.run(st.scatterJob)
+	st.pool.run(st.deliverJob)
 	return nil
 }
 
-// validateWorker is phase 1 of mergePar.
-func (st *runState) validateWorker(w int) {
-	sc := &st.scratch[w]
+// stepWorker is phase 1 of a parallel round for worker w. A panic is
+// recorded and stepping resumes after the panicking node; a validation
+// failure stops the worker, since the round is then replayed sequentially.
+func (st *runState) stepWorker(w int) {
+	wk := &st.workers[w]
+	wk.reset()
+	lo, hi := st.starts[w], st.starts[w+1]
+	for v := lo; v < hi; v++ {
+		// stepRange returns hi or a panicking node; stepping resumes after it.
+		var p any
+		if v, p = st.stepRange(v, hi); v < hi && wk.panicAt < 0 {
+			wk.panicAt, wk.panicVal = v, p
+		}
+	}
+	if wk.panicAt >= 0 {
+		return
+	}
+
 	bandwidth := st.nw.bandwidth
-	for {
-		if st.mergeFailed.Load() {
-			return
+	tracing := st.opts.Trace != nil
+	for v := lo; v < hi; v++ {
+		if !st.done[v] {
+			wk.notAllDone = true
 		}
-		lo, hi, ok := st.claim()
-		if !ok {
-			return
-		}
-		for v := lo; v < hi; v++ {
-			if !st.done[v] {
-				sc.notAllDone = true
+		ctx := st.ctxs[v]
+		base := st.offsets[v]
+		out := st.outboxes[v]
+		for i := range out {
+			to := out[i].To
+			r := ctx.neighborRank(to)
+			if r < 0 {
+				wk.failed = true
+				return
 			}
-			ctx := st.ctxs[v]
-			base := st.offsets[v]
-			out := st.outboxes[v]
-			for i := range out {
-				r := ctx.neighborRank(out[i].To)
-				if r < 0 {
-					st.mergeFailed.Store(true)
-					return
-				}
-				bits := out[i].Bits
-				if bits < 0 {
-					bits = 0
-				}
-				slot := base + int32(r)
-				total := int(st.edgeBits[slot]) + bits
-				if total > bandwidth {
-					st.mergeFailed.Store(true)
-					return
-				}
-				st.edgeBits[slot] = int32(total)
-				st.edgeMsgs[slot]++
-				if st.traceBufs != nil {
-					m := out[i]
-					m.From = v
-					m.Bits = bits
-					st.traceBufs[w] = append(st.traceBufs[w], m)
-				}
-				sc.totalMessages++
-				sc.totalBits += int64(bits)
-				if out[i].Quantum {
-					sc.quantumBits += int64(bits)
-				} else {
-					sc.classicalBits += int64(bits)
-				}
-				sc.anyMessage = true
-				if total > sc.maxEdgeBits {
-					sc.maxEdgeBits = total
-				}
+			bits := max(out[i].Bits, 0)
+			slot := base + int32(r)
+			total := int(st.edgeBits[slot]) + bits
+			if total > bandwidth {
+				wk.failed = true
+				return
 			}
-		}
-	}
-}
-
-// sizeWorker is phase 2 of mergePar.
-func (st *runState) sizeWorker(int) {
-	for {
-		lo, hi, ok := st.claim()
-		if !ok {
-			return
-		}
-		for u := lo; u < hi; u++ {
-			base := st.offsets[u]
-			deg := st.offsets[u+1] - base
-			var total int32
-			for i := int32(0); i < deg; i++ {
-				slot := st.inSlot[base+i]
-				st.basePos[slot] = total
-				st.cursor[slot] = 0
-				total += st.edgeMsgs[slot]
-				st.edgeMsgs[slot] = 0
-				st.edgeBits[slot] = 0
+			if st.edgeBits[slot] == 0 && total > 0 {
+				wk.touched = append(wk.touched, slot)
 			}
-			buf := st.next[u]
-			if cap(buf) < int(total) {
-				buf = make([]Message, total)
+			st.edgeBits[slot] = int32(total)
+			ref := msgRef{from: int32(v), idx: int32(i)}
+			o := w
+			if to < lo || to >= hi {
+				o = st.owner(to)
+			}
+			wk.queues[o] = append(wk.queues[o], ref)
+			if tracing {
+				wk.trace = append(wk.trace, ref)
+			}
+			wk.totalMessages++
+			wk.totalBits += int64(bits)
+			if out[i].Quantum {
+				wk.quantumBits += int64(bits)
 			} else {
-				buf = buf[:total]
+				wk.classicalBits += int64(bits)
 			}
-			st.next[u] = buf
+			wk.maxEdgeBits = max(wk.maxEdgeBits, total)
 		}
 	}
 }
 
-// emitTrace replays the round's accepted messages to Options.Trace in the
-// exact order the sequential merge emits them: ascending sender ID, outbox
-// order within a sender. Each per-worker buffer is sorted by sender ID and
-// the buffers partition the round's senders (claims hand each worker
-// strictly increasing, disjoint node ranges), so a k-way merge on the head
-// sender — draining each sender's contiguous run in one go — reproduces the
-// sequential stream exactly. It runs on one goroutine, after the validate
-// barrier, and allocates nothing.
-func (st *runState) emitTrace(round int) {
-	idx := st.traceIdx
-	for w := range idx {
-		idx[w] = 0
+// deliverWorker is phase 2 of a parallel round for worker o. Its
+// receivers' inboxes are already empty: stepRange reset them when their
+// previous contents were consumed.
+func (st *runState) deliverWorker(o int) {
+	for w := range st.workers {
+		for _, ref := range st.workers[w].queues[o] {
+			msg := st.message(ref)
+			st.next[msg.To] = append(st.next[msg.To], msg)
+		}
 	}
-	trace := st.opts.Trace
-	for {
-		best, bestFrom := -1, 0
-		for w := range st.traceBufs {
-			if idx[w] >= len(st.traceBufs[w]) {
-				continue
-			}
-			if from := st.traceBufs[w][idx[w]].From; best < 0 || from < bestFrom {
-				best, bestFrom = w, from
-			}
-		}
-		if best < 0 {
-			return
-		}
-		buf := st.traceBufs[best]
-		i := idx[best]
-		for i < len(buf) && buf[i].From == bestFrom {
-			trace(round, buf[i])
-			i++
-		}
-		idx[best] = i
-	}
+	st.workers[o].touched = clearSlots(st.edgeBits, st.workers[o].touched)
 }
 
-// scatterWorker is phase 3 of mergePar.
-func (st *runState) scatterWorker(int) {
-	for {
-		lo, hi, ok := st.claim()
-		if !ok {
-			return
-		}
-		for v := lo; v < hi; v++ {
-			ctx := st.ctxs[v]
-			base := st.offsets[v]
-			out := st.outboxes[v]
-			for i := range out {
-				msg := out[i]
-				msg.From = v
-				if msg.Bits < 0 {
-					msg.Bits = 0
-				}
-				slot := base + int32(ctx.neighborRank(msg.To))
-				pos := st.basePos[slot] + st.cursor[slot]
-				st.cursor[slot]++
-				st.next[msg.To][pos] = msg
-			}
-		}
-	}
+// message returns the accepted message ref names as the sequential merge
+// delivers it: From stamped, negative Bits clamped to zero.
+func (st *runState) message(ref msgRef) Message {
+	msg := st.outboxes[ref.from][ref.idx]
+	msg.From = int(ref.from)
+	msg.Bits = max(msg.Bits, 0)
+	return msg
 }

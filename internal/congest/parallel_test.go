@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"qdc/internal/graph"
 )
 
 // mixerNode sums everything it hears with a private random increment each
@@ -267,4 +269,133 @@ func TestWorkersDeterministicAcrossRepeats(t *testing.T) {
 			t.Fatalf("repeat %d produced different outputs", i)
 		}
 	}
+}
+
+// tracedRun runs factory on topo with per-round traffic and a recording
+// Trace, returning the result, the event stream and the run's error.
+func tracedRun(t *testing.T, topo Topology, workers int, factory NodeFactory) (*Result, []traceEvent, error) {
+	t.Helper()
+	nw, err := NewNetwork(topo, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.SetSeed(23)
+	var events []traceEvent
+	res, err := nw.Run(factory, Options{
+		Workers:  workers,
+		PerRound: true,
+		Trace: func(round int, msg Message) {
+			events = append(events, traceEvent{Round: round, Msg: msg})
+		},
+	})
+	return res, events, err
+}
+
+// requireSequentialRun checks a run at each worker count against the
+// sequential one: same Result, same event stream, same error text.
+func requireSequentialRun(t *testing.T, topo Topology, workerCounts []int, factory NodeFactory) {
+	t.Helper()
+	seqRes, seqEvents, seqErr := tracedRun(t, topo, 0, factory)
+	if len(seqEvents) == 0 {
+		t.Fatal("workload produced no trace events")
+	}
+	for _, workers := range workerCounts {
+		res, events, err := tracedRun(t, topo, workers, factory)
+		if (err == nil) != (seqErr == nil) || (err != nil && err.Error() != seqErr.Error()) {
+			t.Errorf("Workers=%d: error %v, want %v", workers, err, seqErr)
+		}
+		if !reflect.DeepEqual(seqRes, res) {
+			t.Errorf("Workers=%d: Result diverged:\nseq %+v\ngot %+v", workers, seqRes, res)
+		}
+		if !reflect.DeepEqual(seqEvents, events) {
+			t.Errorf("Workers=%d: event stream diverged (%d vs %d events)",
+				workers, len(seqEvents), len(events))
+		}
+	}
+}
+
+// TestPartitionStarUnevenWorkers runs the most lopsided partition: on a
+// star the hub's range receives nearly every message, and worker counts
+// that do not divide n give ranges of uneven size — at 8 workers the hub
+// outweighs a worker's share and leaves an empty range behind it. The mixed
+// workload's digests depend on inbox order, so the hub's output pins the
+// order of its 49 deliveries per round.
+func TestPartitionStarUnevenWorkers(t *testing.T) {
+	const n = 50
+	topo := graph.Star(n)
+	factory := func(*Context) Node { return &mixedPayloadNode{rounds: 12} }
+
+	nw, err := NewNetwork(topo, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := newRunState(nw, factory, Options{Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.close()
+	if st.starts[1] != 1 || st.starts[2] != 1 {
+		t.Fatalf("Workers=8 ranges start at %v: want the hub alone, then an empty range", st.starts)
+	}
+
+	requireSequentialRun(t, topo, []int{3, 4, 7, 8}, factory)
+}
+
+// skewRing is an asymmetric Topology: node v lists v+1 and v+3 (mod n) as
+// neighbours, and neither lists v back.
+type skewRing int
+
+func (r skewRing) N() int { return int(r) }
+
+func (r skewRing) Neighbors(v int) []int {
+	n := int(r)
+	return []int{(v + 1) % n, (v + 3) % n}
+}
+
+func (r skewRing) Weight(u, v int) (float64, bool) {
+	n := int(r)
+	if v == (u+1)%n || v == (u+3)%n {
+		return 1, true
+	}
+	return 0, false
+}
+
+// replyNode sends to every listed neighbour for four rounds. The rogue node
+// instead answers its first sender in round 3, a node it does not list on a
+// skewRing.
+type replyNode struct{ rogue bool }
+
+func (r *replyNode) Init(*Context) {}
+
+func (r *replyNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
+	if round == 1 {
+		ctx.SetOutput(ctx.ID())
+	}
+	if r.rogue && round == 3 {
+		return []Message{NewMessage(inbox[0].From, round, 4)}, false
+	}
+	if round > 4 {
+		return nil, true
+	}
+	return BroadcastAll(ctx, round, 3+ctx.ID()%4), false
+}
+
+// TestPartitionAsymmetricTopology runs a topology whose neighbour lists are
+// not symmetric on the partitioned path — delivery needs only the sender's
+// list and the receiver's owner — both to termination and into the error
+// of a node answering an in-neighbour it does not list.
+func TestPartitionAsymmetricTopology(t *testing.T) {
+	topo := skewRing(29)
+	workerCounts := []int{1, 2, 3, 4, 7}
+	t.Run("clean", func(t *testing.T) {
+		requireSequentialRun(t, topo, workerCounts, func(*Context) Node { return &hybridNode{rounds: 10} })
+	})
+	t.Run("reply-to-in-neighbour", func(t *testing.T) {
+		factory := func(ctx *Context) Node { return &replyNode{rogue: ctx.ID() == 9} }
+		_, _, err := tracedRun(t, topo, 0, factory)
+		if !errors.Is(err, ErrNotNeighbor) {
+			t.Fatalf("sequential run: error %v, want ErrNotNeighbor", err)
+		}
+		requireSequentialRun(t, topo, workerCounts, factory)
+	})
 }

@@ -68,9 +68,10 @@ func TestTraceIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestTraceDoesNotForceSequentialMerge is the white-box check that the old
-// restriction is really gone: a traced run with Workers > 1 arms the
-// per-worker trace buffers and keeps the pooled merge path.
+// TestTraceDoesNotForceSequentialMerge is the white-box check that tracing
+// keeps the partitioned path: a traced round with Workers > 1 runs on the
+// worker pool and records every accepted message in the workers' trace
+// buffers.
 func TestTraceDoesNotForceSequentialMerge(t *testing.T) {
 	nw, err := NewNetwork(ring(16), 16)
 	if err != nil {
@@ -82,47 +83,19 @@ func TestTraceDoesNotForceSequentialMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.close()
-	if st.pool == nil {
-		t.Fatal("Workers=4 did not build a worker pool")
+	if st.pool == nil || len(st.workers) != 4 {
+		t.Fatalf("Workers=4 built pool %v with %d range workers", st.pool != nil, len(st.workers))
 	}
-	if st.asymmetric {
-		t.Fatal("ring topology flagged asymmetric")
+	st.round = 1
+	if err := st.roundPar(1); err != nil {
+		t.Fatal(err)
 	}
-	if len(st.traceBufs) != 4 || len(st.traceIdx) != 4 {
-		t.Fatalf("trace buffers not armed: %d bufs, %d idx", len(st.traceBufs), len(st.traceIdx))
+	traced := 0
+	for w := range st.workers {
+		traced += len(st.workers[w].trace)
 	}
-}
-
-// TestEmitTraceFoldOrder unit-tests the k-way fold in isolation: buffers
-// sorted by sender and partitioning the senders — however the senders are
-// spread across workers — must come out in ascending sender ID with outbox
-// order preserved within a sender.
-func TestEmitTraceFoldOrder(t *testing.T) {
-	var got []traceEvent
-	st := &runState{
-		opts: Options{Trace: func(round int, msg Message) {
-			got = append(got, traceEvent{Round: round, Msg: msg})
-		}},
-		traceBufs: [][]Message{
-			{{From: 1, To: 0, Bits: 1}, {From: 1, To: 2, Bits: 2}, {From: 5, To: 4, Bits: 3}},
-			{},
-			{{From: 0, To: 1, Bits: 4}, {From: 6, To: 5, Bits: 5}},
-			{{From: 3, To: 2, Bits: 6}, {From: 3, To: 4, Bits: 7}},
-		},
-		traceIdx: []int{99, 99, 99, 99}, // stale from a previous round; must be reset
-	}
-	st.emitTrace(7)
-	want := []traceEvent{
-		{7, Message{From: 0, To: 1, Bits: 4}},
-		{7, Message{From: 1, To: 0, Bits: 1}},
-		{7, Message{From: 1, To: 2, Bits: 2}},
-		{7, Message{From: 3, To: 2, Bits: 6}},
-		{7, Message{From: 3, To: 4, Bits: 7}},
-		{7, Message{From: 5, To: 4, Bits: 3}},
-		{7, Message{From: 6, To: 5, Bits: 5}},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("fold order:\ngot  %+v\nwant %+v", got, want)
+	if want := 2 * 16; traced != want || st.res.TotalMessages != want {
+		t.Fatalf("round 1 traced %d of %d messages, want %d", traced, st.res.TotalMessages, want)
 	}
 }
 

@@ -8,15 +8,17 @@ import (
 )
 
 // Parallel is the concurrent CONGEST(B) backend: the same plain accounting
-// as Local, but each round steps all nodes across a pool of worker
-// goroutines instead of one. Because CONGEST nodes interact only through
-// messages delivered at round boundaries and every node owns a private
-// random stream, a Parallel run is bit-for-bit identical to a Local run
-// with the same topology, bandwidth and seed — same Stats, same outputs,
+// as Local, but each stage splits the node IDs into one contiguous range per
+// worker goroutine, and every worker steps, validates and delivers for its
+// own range (congest.Options.Workers). Because CONGEST nodes interact only
+// through messages delivered at round boundaries and every node owns a
+// private random stream, a Parallel run is bit-for-bit identical to a Local
+// run with the same topology, bandwidth and seed — same Stats, same outputs,
 // same verdicts (TestNewParallelMatchesLocal pins this, and the whole
-// suite runs under -race in CI). The wall-clock win scales with the
-// per-round node work, which is why the experiment harness in internal/exp
-// exposes it as a backend of its scenario matrix.
+// suite runs under -race in CI). A round costs each worker its share of the
+// nodes and of the traffic, so the wall-clock win grows with n and with the
+// per-round node work; the experiment harness in internal/exp exposes it as
+// a backend of its scenario matrix.
 type Parallel struct {
 	net     *congest.Network
 	workers int

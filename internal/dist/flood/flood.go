@@ -47,6 +47,10 @@ type node struct {
 	dist   int
 	outbox []congest.Message
 	sent   bool
+	// done records that the output is set: boxing dist into the output's
+	// interface allocates once it passes the runtime's small-integer cache,
+	// so the terminating round records it and later rounds leave it.
+	done bool
 }
 
 func (f *node) Init(ctx *congest.Context) {
@@ -70,7 +74,10 @@ func (f *node) Round(ctx *congest.Context, round int, inbox []congest.Message) (
 		return nil, false
 	}
 	if f.sent {
-		ctx.SetOutput(f.dist)
+		if !f.done {
+			ctx.SetOutput(f.dist)
+			f.done = true
+		}
 		return nil, true
 	}
 	f.sent = true

@@ -271,26 +271,6 @@ func TestWorkersDeterministicAcrossRepeats(t *testing.T) {
 	}
 }
 
-// tracedRun runs factory on topo with per-round traffic and a recording
-// Trace, returning the result, the event stream and the run's error.
-func tracedRun(t *testing.T, topo Topology, workers int, factory NodeFactory) (*Result, []traceEvent, error) {
-	t.Helper()
-	nw, err := NewNetwork(topo, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw.SetSeed(23)
-	var events []traceEvent
-	res, err := nw.Run(factory, Options{
-		Workers:  workers,
-		PerRound: true,
-		Trace: func(round int, msg Message) {
-			events = append(events, traceEvent{Round: round, Msg: msg})
-		},
-	})
-	return res, events, err
-}
-
 // requireSequentialRun checks a run at each worker count against the
 // sequential one: same Result, same event stream, same error text.
 func requireSequentialRun(t *testing.T, topo Topology, workerCounts []int, factory NodeFactory) {

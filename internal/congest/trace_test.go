@@ -18,24 +18,31 @@ type traceEvent struct {
 // returns the full event stream plus the run's Result.
 func collectTrace(t *testing.T, workers int) ([]traceEvent, *Result) {
 	t.Helper()
-	nw, err := NewNetwork(ring(53), 64)
+	res, events, err := tracedRun(t, ring(53), workers, func(*Context) Node { return &hybridNode{rounds: 24} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events, res
+}
+
+// tracedRun runs factory on topo with per-round traffic and a recording
+// Trace, returning the result, the event stream and the run's error.
+func tracedRun(t *testing.T, topo Topology, workers int, factory NodeFactory) (*Result, []traceEvent, error) {
+	t.Helper()
+	nw, err := NewNetwork(topo, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nw.SetSeed(17)
 	var events []traceEvent
-	res, err := nw.Run(func(*Context) Node { return &hybridNode{rounds: 24} },
-		Options{
-			Workers:  workers,
-			PerRound: true,
-			Trace: func(round int, msg Message) {
-				events = append(events, traceEvent{Round: round, Msg: msg})
-			},
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return events, res
+	res, err := nw.Run(factory, Options{
+		Workers:  workers,
+		PerRound: true,
+		Trace: func(round int, msg Message) {
+			events = append(events, traceEvent{Round: round, Msg: msg})
+		},
+	})
+	return res, events, err
 }
 
 // TestTraceIdenticalAcrossWorkers pins the parallel round tracer's contract:

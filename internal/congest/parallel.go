@@ -142,19 +142,10 @@ func (st *runState) partition(workers int) {
 	}
 }
 
-// owner returns the worker whose range holds node v: the last worker
-// starting at or before v, which skips the empty ranges sharing its start.
+// owner returns the worker whose range holds node v: the first worker
+// whose range ends after v, which skips the empty ranges ending at v.
 func (st *runState) owner(v int) int {
-	lo, hi := 0, len(st.workers)-1
-	for lo < hi {
-		mid := int(uint(lo+hi+1) >> 1)
-		if st.starts[mid] <= v {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
+	return sort.Search(len(st.workers), func(w int) bool { return st.starts[w+1] > v })
 }
 
 // roundPar runs one round on the worker pool. A panic re-raises the

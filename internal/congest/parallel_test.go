@@ -272,8 +272,9 @@ func TestWorkersDeterministicAcrossRepeats(t *testing.T) {
 }
 
 // requireSequentialRun checks a run at each worker count against the
-// sequential one: same Result, same event stream, same error text.
-func requireSequentialRun(t *testing.T, topo Topology, workerCounts []int, factory NodeFactory) {
+// sequential one — same Result, same event stream, same error text — and
+// returns the sequential run's error.
+func requireSequentialRun(t *testing.T, topo Topology, workerCounts []int, factory NodeFactory) error {
 	t.Helper()
 	seqRes, seqEvents, seqErr := tracedRun(t, topo, 0, factory)
 	if len(seqEvents) == 0 {
@@ -292,6 +293,7 @@ func requireSequentialRun(t *testing.T, topo Topology, workerCounts []int, facto
 				workers, len(seqEvents), len(events))
 		}
 	}
+	return seqErr
 }
 
 // TestPartitionStarUnevenWorkers runs the most lopsided partition: on a
@@ -318,7 +320,9 @@ func TestPartitionStarUnevenWorkers(t *testing.T) {
 		t.Fatalf("Workers=8 ranges start at %v: want the hub alone, then an empty range", st.starts)
 	}
 
-	requireSequentialRun(t, topo, []int{3, 4, 7, 8}, factory)
+	if err := requireSequentialRun(t, topo, []int{3, 4, 7, 8}, factory); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // skewRing is an asymmetric Topology: node v lists v+1 and v+3 (mod n) as
@@ -368,14 +372,15 @@ func TestPartitionAsymmetricTopology(t *testing.T) {
 	topo := skewRing(29)
 	workerCounts := []int{1, 2, 3, 4, 7}
 	t.Run("clean", func(t *testing.T) {
-		requireSequentialRun(t, topo, workerCounts, func(*Context) Node { return &hybridNode{rounds: 10} })
+		factory := func(*Context) Node { return &hybridNode{rounds: 10} }
+		if err := requireSequentialRun(t, topo, workerCounts, factory); err != nil {
+			t.Fatal(err)
+		}
 	})
 	t.Run("reply-to-in-neighbour", func(t *testing.T) {
 		factory := func(ctx *Context) Node { return &replyNode{rogue: ctx.ID() == 9} }
-		_, _, err := tracedRun(t, topo, 0, factory)
-		if !errors.Is(err, ErrNotNeighbor) {
+		if err := requireSequentialRun(t, topo, workerCounts, factory); !errors.Is(err, ErrNotNeighbor) {
 			t.Fatalf("sequential run: error %v, want ErrNotNeighbor", err)
 		}
-		requireSequentialRun(t, topo, workerCounts, factory)
 	})
 }

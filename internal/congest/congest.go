@@ -490,6 +490,9 @@ func newRunState(nw *Network, factory NodeFactory, opts Options) (*runState, err
 			wts := flatWts[pos : pos+deg : pos+deg]
 			for i := 0; i < deg; i++ {
 				nbrs[i], wts[i] = ix.Neighbor(v, i)
+				if uint(nbrs[i]) >= uint(n) {
+					return nil, fmt.Errorf("congest: node %d lists neighbour %d outside 0..%d", v, nbrs[i], n-1)
+				}
 			}
 			pos += deg
 			ctxSlab[v] = Context{
@@ -511,6 +514,9 @@ func newRunState(nw *Network, factory NodeFactory, opts Options) (*runState, err
 			weights := make([]float64, 0, len(nbrs))
 			for _, u := range nbrs {
 				if w, ok := nw.topo.Weight(v, u); ok {
+					if uint(u) >= uint(n) {
+						return nil, fmt.Errorf("congest: node %d lists neighbour %d outside 0..%d", v, u, n-1)
+					}
 					neighbors = append(neighbors, u)
 					weights = append(weights, w)
 				}

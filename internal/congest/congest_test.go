@@ -2,6 +2,8 @@ package congest
 
 import (
 	"errors"
+	"sort"
+	"strings"
 	"testing"
 
 	"qdc/internal/graph"
@@ -225,6 +227,52 @@ func TestNilTopologyAndNilFactory(t *testing.T) {
 	nw, _ := NewNetwork(graph.Path(2), 8)
 	if _, err := nw.Run(func(*Context) Node { return nil }, Options{}); err == nil {
 		t.Fatal("nil node should be rejected")
+	}
+}
+
+// strayRing is a ring whose node 3 also lists a neighbour ID past n, as a
+// faulty Topology implementation might; strayIndexed offers the same lists
+// through IndexedTopology.
+type strayRing int
+
+func (r strayRing) N() int { return int(r) }
+
+func (r strayRing) Neighbors(v int) []int {
+	n := int(r)
+	nbrs := []int{(v + n - 1) % n, (v + 1) % n}
+	if v == 3 {
+		nbrs = append(nbrs, n+5)
+	}
+	return nbrs
+}
+
+func (r strayRing) Weight(u, v int) (float64, bool) { return 1, true }
+
+type strayIndexed struct{ strayRing }
+
+func (r strayIndexed) Degree(v int) int { return len(r.Neighbors(v)) }
+
+func (r strayIndexed) Neighbor(v, i int) (int, float64) {
+	nbrs := r.Neighbors(v)
+	sort.Ints(nbrs)
+	return nbrs[i], 1
+}
+
+func TestOutOfRangeNeighborRejected(t *testing.T) {
+	// A neighbour ID outside 0..n-1 is a faulty Topology: Run must report it
+	// as an error before round 1 on every path, never index out of range
+	// later, where a pool worker's panic could not be recovered.
+	for _, topo := range []Topology{strayRing(12), strayIndexed{strayRing(12)}} {
+		for _, workers := range []int{0, 4} {
+			nw, err := NewNetwork(topo, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = nw.Run(func(*Context) Node { return &hybridNode{rounds: 3} }, Options{Workers: workers})
+			if err == nil || !strings.Contains(err.Error(), "node 3 lists neighbour 17 outside 0..11") {
+				t.Errorf("%T Workers=%d: error %v, want the out-of-range neighbour reported", topo, workers, err)
+			}
+		}
 	}
 }
 

@@ -7,29 +7,21 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
-	"sync"
 	"syscall"
 	"time"
 
 	"qdc/internal/exp"
 	"qdc/internal/fanout"
-	"qdc/internal/obs"
 )
 
-// testSpawn, when non-nil, replaces the real subprocess spawn — the
-// testable seam that lets CLI tests drive the whole fanout path with
-// in-process workers instead of re-executing the binary.
-var testSpawn fanout.SpawnFunc
-
-// runFanout supervises a multi-process sweep: the parent expands the
+// runFanout supervises a multi-process sweep: the parent freezes the
 // matrix, re-invokes its own binary once per shard with -shard i/n -jsonl,
-// tails each worker's record stream live (feeding the same Status counters,
-// heartbeat and -listen endpoints a single-process sweep uses, plus
-// worker_* lifecycle events in the -events log), retries crashed workers
-// with capped backoff, and folds the completed shards through
-// exp.MergeRecords + exp.CheckComplete into the canonical snapshot — byte
-// identical to an unsharded -json run of the same matrix.
+// and runs the shards as one fanout.Sweep — tailing each worker's record
+// stream live (feeding the same Status counters, heartbeat and -listen
+// endpoints a single-process sweep uses, plus worker_* lifecycle events in
+// the -events log), retrying crashed workers with capped backoff, and
+// merging the completed shards into the canonical snapshot, byte identical
+// to an unsharded -json run of the same matrix.
 func runFanout(args []string, out io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("qdcbench fanout", flag.ContinueOnError)
 	matrix := fs.String("matrix", "default", "scenario matrix to fan out: a registered name or a *.json spec path")
@@ -41,10 +33,8 @@ func runFanout(args []string, out io.Writer) (retErr error) {
 	retries := fs.Int("retries", fanout.DefaultRetries, "times a crashed shard is re-spawned before the sweep fails")
 	seed := fs.Int64("seed", 0, "override the matrix base seed, forwarded to every worker (0 keeps the spec's seed)")
 	dir := fs.String("dir", "", "directory for the per-shard JSONL streams (default: a temp dir, removed when the sweep succeeds)")
-	events := fs.String("events", "", "append a JSONL event log (sweep_start, worker_start/done/retry/failed, one scenario event per record, sweep_done) to this file")
-	listen := fs.String("listen", "", "serve live sweep endpoints on this address (e.g. :8123): /debug/pprof, /debug/vars, /vars, /progress")
-	linger := fs.Duration("linger", 0, "keep the -listen server up this long after the sweep")
-	progressEvery := fs.Duration("progress", 0, "print a progress heartbeat line at this interval (plus one final line)")
+	var live sweepFlags
+	live.register(fs, "sweep_start, worker_start/done/retry/failed, one scenario event per record, sweep_done")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -62,17 +52,9 @@ func runFanout(args []string, out io.Writer) (retErr error) {
 	if *seed != 0 {
 		m.BaseSeed = *seed
 	}
-	expansion := m.Expand()
-	if len(expansion) == 0 {
-		return fmt.Errorf("matrix %s has no scenarios to run", m.Name)
-	}
-	expected := make([]int, *shards)
-	for i := range expected {
-		slice, err := m.Shard(i+1, *shards)
-		if err != nil {
-			return err
-		}
-		expected[i] = len(slice)
+	spawnFor, err := workerSpawn(*workers, *timeout)
+	if err != nil {
+		return err
 	}
 
 	streamDir := *dir
@@ -95,63 +77,27 @@ func runFanout(args []string, out io.Writer) (retErr error) {
 	}
 
 	// Freeze the resolved spec (seed override included) next to the shard
-	// streams and hand every worker the frozen path: a *.json -matrix
-	// argument re-resolved per worker (and per retry) could have been edited
-	// since the parent expanded it, producing Expected-count mismatches or
-	// silently different scenarios. The frozen file is the sweep's single
-	// source of truth.
+	// streams; the sweep and every worker read only the frozen file. A *.json
+	// -matrix argument re-resolved per worker (and per retry) could have been
+	// edited since, producing expected-count mismatches or silently different
+	// scenarios. The frozen file is the sweep's single source of truth.
 	frozen := filepath.Join(streamDir, "matrix.json")
 	if err := exp.SaveMatrix(frozen, m); err != nil {
 		return err
 	}
 
-	spawn := testSpawn
-	if spawn == nil {
-		bin, err := os.Executable()
-		if err != nil {
-			return fmt.Errorf("fanout cannot locate its own binary: %w", err)
-		}
-		spawn = fanout.ExecSpawn(bin, func(shard int, path string) []string {
-			a := []string{
-				"-matrix", frozen,
-				"-shard", fmt.Sprintf("%d/%d", shard, *shards),
-				"-jsonl", path,
-				"-timeout", timeout.String(),
-			}
-			if *workers > 0 {
-				a = append(a, "-workers", strconv.Itoa(*workers))
-			}
-			return a
-		})
-	}
-
-	status := exp.NewStatus(len(expansion))
-	var eventLog *obs.EventLog
-	var eventMu sync.Mutex
-	var eventErr error
-	emit := func(kind string, data map[string]any) {
-		if eventLog == nil {
-			return
-		}
-		if err := eventLog.Emit(kind, data); err != nil {
-			eventMu.Lock()
-			if eventErr == nil {
-				eventErr = err
-			}
-			eventMu.Unlock()
-		}
-	}
-	if *events != "" {
-		if eventLog, err = obs.CreateEventLog(*events); err != nil {
-			return err
-		}
-		emit("sweep_start", map[string]any{"matrix": m.Name, "scenarios": len(expansion), "shards": *shards})
-	}
-	shutdownListen, err := startListen(out, *listen, *linger, status)
+	total := len(m.Expand())
+	sw, err := live.start(out, total, map[string]any{"matrix": m.Name, "scenarios": total, "shards": *shards})
 	if err != nil {
 		return err
 	}
-	stopHeartbeat := startHeartbeat(out, *progressEvery, status)
+	finish := func(err error) error {
+		data := map[string]any{"scenarios": sw.status.Done.Load(), "failed": sw.status.Failed.Load(), "shards": *shards}
+		if err != nil {
+			data["error"] = err.Error()
+		}
+		return sw.finish(data, err)
+	}
 
 	// ctrl-C (or a CI kill) reaches the supervisor, which kills every
 	// worker's process group — workers are parked in their own groups, so
@@ -160,54 +106,28 @@ func runFanout(args []string, out io.Writer) (retErr error) {
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigCh)
 
-	res, runErr := fanout.Run(fanout.Options{
-		Shards:   *shards,
-		Expected: expected,
-		Retries:  *retries,
-		Timeout:  *shardTimeout,
-		Dir:      streamDir,
-		Spawn:    spawn,
+	merged, res, err := fanout.Sweep(frozen, fanout.Options{
+		Shards:  *shards,
+		Retries: *retries,
+		Timeout: *shardTimeout,
+		Dir:     streamDir,
+		Spawn:   spawnFor(frozen, *shards),
 		OnRecord: func(shard int, rec exp.Record) {
-			status.ScenarioStarted()
-			status.ScenarioDone(rec)
-			data := map[string]any{
-				"name": rec.Scenario.Name, "ok": rec.OK, "wall_ms": rec.WallMillis,
-				"rounds": rec.Stats.Rounds, "bits": rec.Stats.Bits, "shard": shard,
-			}
-			if rec.Error != "" {
-				data["error"] = rec.Error
-			}
-			emit("scenario", data)
+			sw.status.ScenarioStarted()
+			sw.status.ScenarioDone(rec)
+			data := exp.ScenarioEvent(rec)
+			data["shard"] = shard
+			sw.event("scenario", data)
 		},
 		OnDiscard: func(shard int, recs []exp.Record) {
 			for _, rec := range recs {
-				status.ScenarioUncounted(rec)
+				sw.status.ScenarioUncounted(rec)
 			}
 		},
-		OnEvent:   emit,
+		OnEvent:   sw.event,
 		Interrupt: sigCh,
 	})
-	stopHeartbeat()
-
-	closeEvents := func(final error) error {
-		if eventLog == nil {
-			return final
-		}
-		data := map[string]any{"scenarios": status.Done.Load(), "failed": status.Failed.Load(), "shards": *shards}
-		if final != nil {
-			data["error"] = final.Error()
-		}
-		emit("sweep_done", data)
-		if cerr := eventLog.Close(); cerr != nil && final == nil {
-			final = cerr
-		}
-		eventLog = nil
-		if eventErr != nil && final == nil {
-			final = eventErr
-		}
-		return final
-	}
-
+	sw.stopHeartbeat()
 	for _, s := range res.Shards {
 		if s.Err != nil {
 			fmt.Fprintf(out, "  SHARD %d/%d FAILED after %d attempt(s): %v\n", s.Shard, *shards, s.Attempts, s.Err)
@@ -215,35 +135,11 @@ func runFanout(args []string, out io.Writer) (retErr error) {
 			fmt.Fprintf(out, "  shard %d/%d: %d records in %d attempt(s)\n", s.Shard, *shards, len(s.Records), s.Attempts)
 		}
 	}
-	if runErr != nil {
-		shutdownListen()
-		return closeEvents(runErr)
-	}
-
-	merged, err := exp.MergeRecords(res.Records()...)
-	if err == nil {
-		err = exp.CheckComplete(m, merged)
+	if err == nil && *jsonOut != "" {
+		err = exp.WriteSnapshot(*jsonOut, merged)
 	}
 	if err != nil {
-		shutdownListen()
-		return closeEvents(err)
-	}
-	if *jsonOut != "" {
-		sink, err := exp.CreateJSON(*jsonOut)
-		if err == nil {
-			for _, r := range merged {
-				if err = sink.Write(r); err != nil {
-					break
-				}
-			}
-			if cerr := sink.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			shutdownListen()
-			return closeEvents(err)
-		}
+		return finish(err)
 	}
 
 	failed := 0
@@ -257,11 +153,9 @@ func runFanout(args []string, out io.Writer) (retErr error) {
 		m.Name, *shards, len(merged), len(merged)-failed, failed)
 	printBackendBreakdown(out, merged)
 	printCrossover(out, merged)
-	if err := closeEvents(nil); err != nil {
-		shutdownListen()
+	if err := finish(nil); err != nil {
 		return err
 	}
-	shutdownListen()
 	if failed > 0 {
 		return fmt.Errorf("%d of %d scenarios failed", failed, len(merged))
 	}

@@ -2,14 +2,17 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"qdc/internal/exp"
 	"qdc/internal/fanout"
 )
 
@@ -37,25 +40,63 @@ func (w *inprocWorker) Wait() error {
 func (w *inprocWorker) Kill()          {}
 func (w *inprocWorker) Output() string { return "" }
 
-// inprocShardSpawn runs real qdcbench worker invocations in-process: the
-// exact argv the parent would exec, routed through run().
-func inprocShardSpawn(matrix string, shards int) fanout.SpawnFunc {
-	return func(shard, _ int, path string) (fanout.Worker, error) {
-		args := []string{"-matrix", matrix, "-shard", fmt.Sprintf("%d/%d", shard, shards), "-jsonl", path}
-		return startInproc(func() error { return run(args, io.Discard) }), nil
-	}
+// inprocSpawn runs a worker in-process: the exact argv the parent would
+// exec, routed through run().
+func inprocSpawn(_, _ int, args []string) (fanout.Worker, error) {
+	return startInproc(func() error { return run(args, io.Discard) }), nil
 }
 
-func withTestSpawn(t *testing.T, spawn fanout.SpawnFunc) {
+// argValue returns the value following name in a worker argv.
+func argValue(args []string, name string) string {
+	for i := 0; i+1 < len(args); i++ {
+		if args[i] == name {
+			return args[i+1]
+		}
+	}
+	return ""
+}
+
+func withTestSpawn(t *testing.T, spawn func(shard, attempt int, args []string) (fanout.Worker, error)) {
 	t.Helper()
 	testSpawn = spawn
 	t.Cleanup(func() { testSpawn = nil })
 }
 
+// TestWorkerSpawnArgv pins the worker invocation fanout and serve share:
+// the frozen spec, the shard slice, the stream path and the forwarded
+// per-scenario budget, plus -workers only when one was given.
+func TestWorkerSpawnArgv(t *testing.T) {
+	var got []string
+	withTestSpawn(t, func(_, _ int, args []string) (fanout.Worker, error) {
+		got = args
+		return startInproc(func() error { return nil }), nil
+	})
+	for _, tc := range []struct {
+		workers int
+		want    []string
+	}{
+		{0, []string{"-matrix", "frozen.json", "-shard", "2/4", "-jsonl", "s.jsonl", "-timeout", "1m30s"}},
+		{3, []string{"-matrix", "frozen.json", "-shard", "2/4", "-jsonl", "s.jsonl", "-timeout", "1m30s", "-workers", "3"}},
+	} {
+		spawnFor, err := workerSpawn(tc.workers, 90*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := spawnFor("frozen.json", 4)(2, 1, "s.jsonl"); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("workers=%d: argv %q, want %q", tc.workers, got, tc.want)
+		}
+	}
+}
+
 // TestFanoutMatchesUnsharded is the acceptance gate at CLI level: a
 // supervised 3-shard fanout of the quick matrix must produce a snapshot
-// byte-identical to the unsharded -json run, and the event log must show
-// every shard's worker_done.
+// byte-identical to the unsharded -json run. It also pins the event
+// contract perfbench reads the supervisor's timings from: every shard logs
+// a worker_start before its worker_done, and every scenario event names
+// its shard.
 func TestFanoutMatchesUnsharded(t *testing.T) {
 	dir := t.TempDir()
 	unsharded := filepath.Join(dir, "unsharded.json")
@@ -66,7 +107,7 @@ func TestFanoutMatchesUnsharded(t *testing.T) {
 	if err := run([]string{"-matrix", "quick", "-json", unsharded}, &out); err != nil {
 		t.Fatalf("unsharded run: %v", err)
 	}
-	withTestSpawn(t, inprocShardSpawn("quick", 3))
+	withTestSpawn(t, inprocSpawn)
 	if err := run([]string{"fanout", "-shards", "3", "-matrix", "quick", "-json", fanned, "-events", events}, &out); err != nil {
 		t.Fatalf("fanout: %v\n%s", err, out.String())
 	}
@@ -86,17 +127,40 @@ func TestFanoutMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for shard := 1; shard <= 3; shard++ {
-		marker := fmt.Sprintf(`"shard":%d`, shard)
-		found := false
-		for _, line := range strings.Split(string(log), "\n") {
-			if strings.Contains(line, `"event":"worker_done"`) && strings.Contains(line, marker) {
-				found = true
+	started := map[float64]bool{}
+	done := map[float64]bool{}
+	scenarios := 0
+	for i, line := range strings.Split(strings.TrimSpace(string(log)), "\n") {
+		var ev struct {
+			Kind string         `json:"event"`
+			Data map[string]any `json:"data"`
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("event line %d not JSON: %v", i, err)
+		}
+		shard, hasShard := ev.Data["shard"].(float64)
+		switch ev.Kind {
+		case "worker_start":
+			started[shard] = true
+		case "worker_done":
+			if !started[shard] {
+				t.Errorf("shard %v logged worker_done before any worker_start", shard)
+			}
+			done[shard] = true
+		case "scenario":
+			scenarios++
+			if !hasShard {
+				t.Errorf("scenario event without a shard: %s", line)
 			}
 		}
-		if !found {
-			t.Errorf("event log has no worker_done for shard %d", shard)
+	}
+	for shard := 1.0; shard <= 3; shard++ {
+		if !done[shard] {
+			t.Errorf("event log has no worker_done for shard %v", shard)
 		}
+	}
+	if m, _ := exp.LookupMatrix("quick"); scenarios != len(m.Expand()) {
+		t.Errorf("event log has %d scenario events, want %d", scenarios, len(m.Expand()))
 	}
 	if !strings.Contains(out.String(), "fanout matrix quick: 3 shards") {
 		t.Errorf("summary missing from output:\n%s", out.String())
@@ -117,18 +181,17 @@ func TestFanoutRetriesCrashedWorker(t *testing.T) {
 	if err := run([]string{"-matrix", "quick", "-json", unsharded}, &out); err != nil {
 		t.Fatal(err)
 	}
-	healthy := inprocShardSpawn("quick", 3)
-	withTestSpawn(t, func(shard, attempt int, path string) (fanout.Worker, error) {
+	withTestSpawn(t, func(shard, attempt int, args []string) (fanout.Worker, error) {
 		if shard == 2 && attempt == 1 {
 			return startInproc(func() error {
 				// A record cut off mid-line, then a crash.
-				if err := os.WriteFile(path, []byte(`{"scenario":{"name":"qu`), 0o644); err != nil {
+				if err := os.WriteFile(argValue(args, "-jsonl"), []byte(`{"scenario":{"name":"qu`), 0o644); err != nil {
 					return err
 				}
 				return errors.New("exit status 2")
 			}), nil
 		}
-		return healthy(shard, attempt, path)
+		return inprocSpawn(shard, attempt, args)
 	})
 	if err := run([]string{"fanout", "-shards", "3", "-matrix", "quick", "-json", fanned, "-events", events, "-dir", streams}, &out); err != nil {
 		t.Fatalf("fanout with one crash: %v\n%s", err, out.String())
@@ -158,12 +221,11 @@ func TestFanoutRetriesCrashedWorker(t *testing.T) {
 // TestFanoutFailureNamesDeadShards: with retries exhausted the sweep fails
 // and the error says which shard died and why.
 func TestFanoutFailureNamesDeadShards(t *testing.T) {
-	healthy := inprocShardSpawn("quick", 2)
-	withTestSpawn(t, func(shard, attempt int, path string) (fanout.Worker, error) {
+	withTestSpawn(t, func(shard, attempt int, args []string) (fanout.Worker, error) {
 		if shard == 2 {
 			return startInproc(func() error { return errors.New("exit status 2") }), nil
 		}
-		return healthy(shard, attempt, path)
+		return inprocSpawn(shard, attempt, args)
 	})
 	var out bytes.Buffer
 	err := run([]string{"fanout", "-shards", "2", "-matrix", "quick", "-retries", "1"}, &out)
@@ -202,10 +264,10 @@ func TestFanoutReusedDirMatchesFresh(t *testing.T) {
 	unsharded := filepath.Join(dir, "unsharded.json")
 	fanned := filepath.Join(dir, "fanned.json")
 
-	// Workers read the frozen spec like real ones, so the parent's -seed
-	// reaches them.
+	// Workers run the argv real ones get, so they read the frozen spec and
+	// the parent's -seed reaches them.
 	var out bytes.Buffer
-	withTestSpawn(t, inprocShardSpawn(filepath.Join(streams, "matrix.json"), 2))
+	withTestSpawn(t, inprocSpawn)
 	if err := run([]string{"fanout", "-shards", "2", "-matrix", "quick", "-seed", "99", "-dir", streams}, &out); err != nil {
 		t.Fatalf("first sweep: %v\n%s", err, out.String())
 	}
@@ -251,8 +313,7 @@ func TestFanoutFrozenSpecSurvivesEdit(t *testing.T) {
 		t.Fatalf("unsharded reference: %v", err)
 	}
 
-	frozen := filepath.Join(streams, "matrix.json")
-	withTestSpawn(t, func(shard, attempt int, path string) (fanout.Worker, error) {
+	withTestSpawn(t, func(shard, attempt int, args []string) (fanout.Worker, error) {
 		if shard == 1 && attempt == 1 {
 			return startInproc(func() error {
 				// The sweep's spec file is rewritten under the supervisor: a
@@ -265,8 +326,7 @@ func TestFanoutFrozenSpecSurvivesEdit(t *testing.T) {
 				return errors.New("exit status 2")
 			}), nil
 		}
-		args := []string{"-matrix", frozen, "-shard", fmt.Sprintf("%d/2", shard), "-jsonl", path}
-		return startInproc(func() error { return run(args, io.Discard) }), nil
+		return inprocSpawn(shard, attempt, args)
 	})
 	if err := run([]string{"fanout", "-shards", "2", "-matrix", spec, "-json", fanned, "-dir", streams}, &out); err != nil {
 		t.Fatalf("fanout across the spec edit: %v\n%s", err, out.String())

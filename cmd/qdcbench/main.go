@@ -102,8 +102,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -111,7 +109,6 @@ import (
 
 	"qdc"
 	"qdc/internal/exp"
-	"qdc/internal/obs"
 )
 
 func main() {
@@ -136,12 +133,9 @@ type config struct {
 	list         bool
 
 	// Observability (matrix mode).
-	metrics       bool
-	events        string
-	listen        string
-	linger        time.Duration
-	progressEvery time.Duration
-	slowest       int
+	metrics bool
+	sweepFlags
+	slowest int
 
 	// Table mode.
 	figure     int
@@ -188,10 +182,7 @@ func run(args []string, out io.Writer) error {
 	fs.Int64Var(&c.seed, "seed", 0, "override the matrix base seed (0 keeps the spec's seed)")
 	fs.BoolVar(&c.list, "list", false, "list the registered matrices and exit")
 	fs.BoolVar(&c.metrics, "metrics", false, "collect per-scenario observability metrics (deterministic; stripped from canonical -json snapshots)")
-	fs.StringVar(&c.events, "events", "", "append a JSONL event log of the sweep (sweep_start, one scenario event per record, sweep_done) to this file")
-	fs.StringVar(&c.listen, "listen", "", "serve live sweep endpoints on this address (e.g. :8123): /debug/pprof, /debug/vars, /vars, /progress")
-	fs.DurationVar(&c.linger, "linger", 0, "keep the -listen server up this long after the sweep, so probes can scrape a finished run")
-	fs.DurationVar(&c.progressEvery, "progress", 0, "print a progress heartbeat line at this interval (plus one final line), for headless CI logs")
+	c.sweepFlags.register(fs, "sweep_start, one scenario event per record, sweep_done")
 	fs.IntVar(&c.slowest, "slowest", 3, "list the K slowest scenarios by wall time in the matrix summary (0 disables)")
 	fs.IntVar(&c.figure, "figure", 0, "regenerate a figure: 2 or 3")
 	fs.StringVar(&c.example, "example", "", "regenerate an example: 1.1")
@@ -284,42 +275,23 @@ func runMatrix(c config, out io.Writer) error {
 		sinks = append(sinks, s)
 	}
 
-	status := exp.NewStatus(len(scenarios))
-	var eventLog *obs.EventLog
-	if c.events != "" {
-		if eventLog, err = obs.CreateEventLog(c.events); err != nil {
-			return err
-		}
-		if err := eventLog.Emit("sweep_start", map[string]any{"matrix": label, "scenarios": len(scenarios)}); err != nil {
-			return err
-		}
-		sinks = append(sinks, exp.NewEventSink(eventLog))
-	}
-	shutdownListen, err := startListen(out, c.listen, c.linger, status)
+	sw, err := c.sweepFlags.start(out, len(scenarios), map[string]any{"matrix": label, "scenarios": len(scenarios)})
 	if err != nil {
 		return err
 	}
-	stopHeartbeat := startHeartbeat(out, c.progressEvery, status)
-
-	sum, err := exp.Execute(scenarios, exp.ExecOptions{Workers: c.workers, Timeout: c.timeout, Metrics: c.metrics, Status: status}, sinks...)
-	stopHeartbeat()
+	if sw.log != nil {
+		sinks = append(sinks, exp.NewEventSink(sw.log))
+	}
+	sum, err := exp.Execute(scenarios, exp.ExecOptions{Workers: c.workers, Timeout: c.timeout, Metrics: c.metrics, Status: sw.status}, sinks...)
+	sw.stopHeartbeat()
 	for _, s := range sinks {
 		if cerr := s.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}
-	if eventLog != nil {
-		if eerr := eventLog.Emit("sweep_done", map[string]any{
-			"scenarios": sum.Scenarios, "passed": sum.Passed, "failed": sum.Failed, "wall_ms": sum.WallMillis,
-		}); eerr != nil && err == nil {
-			err = eerr
-		}
-		if cerr := eventLog.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	shutdownListen()
-	if err != nil {
+	if err := sw.finish(map[string]any{
+		"scenarios": sum.Scenarios, "passed": sum.Passed, "failed": sum.Failed, "wall_ms": sum.WallMillis,
+	}, err); err != nil {
 		return err
 	}
 
@@ -380,82 +352,16 @@ func runMatrix(c config, out io.Writer) error {
 	return nil
 }
 
-// startListen serves the live sweep endpoints (pprof, /vars, /progress)
-// for status on addr. The returned shutdown waits out the linger window —
-// so probes can scrape a finished run — then closes the server. With an
-// empty addr both the start and the shutdown are no-ops. Matrix sweeps and
-// fanout supervisions share it: the fan-out parent serves the very same
-// endpoints over the counters its record tails feed.
-func startListen(out io.Writer, addr string, linger time.Duration, status *exp.Status) (shutdown func(), err error) {
-	if addr == "" {
-		return func() {}, nil
-	}
-	reg := obs.NewRegistry()
-	status.Register(reg)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(out, "serving pprof, /vars and /progress on http://%s\n", ln.Addr())
-	server := &http.Server{Handler: obs.NewMux(reg, status.Progress)}
-	go server.Serve(ln) //nolint:errcheck // Serve always returns on Close
-	return func() {
-		if linger > 0 {
-			fmt.Fprintf(out, "lingering %s for live-endpoint scrapes\n", linger)
-			time.Sleep(linger)
-		}
-		server.Close() //nolint:errcheck // shutting down, nothing to salvage
-	}, nil
-}
-
-// startHeartbeat prints a progress line every interval for headless CI
-// logs. The returned stop joins the ticker goroutine before printing one
-// final line, so heartbeat writes never interleave with the caller's
-// summary. With a non-positive interval both are no-ops.
-func startHeartbeat(out io.Writer, every time.Duration, status *exp.Status) (stop func()) {
-	heartbeat := func() {
-		fmt.Fprintf(out, "progress: %d/%d done, %d failed, %d in flight, %.0f node-rounds/sec\n",
-			status.Done.Load(), status.Total, status.Failed.Load(), status.InFlight.Load(),
-			status.NodeRoundsPerSec())
-	}
-	if every <= 0 {
-		return func() {}
-	}
-	hbStop, hbDone := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(hbDone)
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-tick.C:
-				heartbeat()
-			}
-		}
-	}()
-	return func() {
-		close(hbStop)
-		<-hbDone
-		heartbeat()
-	}
-}
-
 // runRoundBench runs the round-loop benchmark matrix — the deterministic
 // companion of internal/congest's BenchmarkRoundLoop* — prints the measured
 // throughput and peak heap, and writes or folds the records into a
 // canonical snapshot. Because each record carries the process heap
-// high-water mark, the scenarios run one at a time (-workers is accepted
-// for interface symmetry with matrix mode but heap measurement overrides
-// it; pass -measure-heap=false to get a concurrent, heapless run).
+// high-water mark, the scenarios run one at a time.
 func runRoundBench(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("qdcbench roundbench", flag.ContinueOnError)
 	jsonOut := fs.String("json", "", "write the round-loop records alone as a canonical snapshot to this file")
 	appendTo := fs.String("append", "", "fold the round-loop records into this snapshot file (created if absent), replacing same-named records")
-	workers := fs.Int("workers", 0, "concurrent scenario executions (0 = GOMAXPROCS; ignored while -measure-heap is on)")
 	timeout := fs.Duration("timeout", exp.DefaultTimeout, "per-scenario wall-clock budget")
-	measureHeap := fs.Bool("measure-heap", true, "sample the heap high-water mark per scenario (serialises the pool)")
 	matrix := fs.String("matrix", "roundbench", "the matrix to run (registered name or *.json path)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -468,7 +374,7 @@ func runRoundBench(args []string, out io.Writer) error {
 		return err
 	}
 	collect := &exp.Collect{}
-	sum, err := exp.Execute(m.Expand(), exp.ExecOptions{Workers: *workers, Timeout: *timeout, MeasureHeap: *measureHeap}, collect)
+	sum, err := exp.Execute(m.Expand(), exp.ExecOptions{Timeout: *timeout, MeasureHeap: true}, collect)
 	if err != nil {
 		return err
 	}
@@ -487,20 +393,8 @@ func runRoundBench(args []string, out io.Writer) error {
 			r.Scenario.Name, r.Stats.Rounds, r.Stats.Bits, exp.NodeRoundsPerSec(r), heap)
 	}
 
-	writeSnapshot := func(path string, records []exp.Record) error {
-		sink, err := exp.CreateJSON(path)
-		if err != nil {
-			return err
-		}
-		for _, r := range records {
-			if err := sink.Write(r); err != nil {
-				return err
-			}
-		}
-		return sink.Close()
-	}
 	if *jsonOut != "" {
-		if err := writeSnapshot(*jsonOut, collect.Records); err != nil {
+		if err := exp.WriteSnapshot(*jsonOut, collect.Records); err != nil {
 			return err
 		}
 	}
@@ -512,7 +406,7 @@ func runRoundBench(args []string, out io.Writer) error {
 			}
 		}
 		folded := exp.FoldRecords(base, collect.Records)
-		if err := writeSnapshot(*appendTo, folded); err != nil {
+		if err := exp.WriteSnapshot(*appendTo, folded); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "folded %d round-loop records into %s (%d total)\n",
@@ -562,25 +456,17 @@ func runMerge(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	var sink *exp.JSONSink
 	if *jsonOut == "" {
-		sink = exp.NewJSONSink(out)
-	} else {
-		if sink, err = exp.CreateJSON(*jsonOut); err != nil {
-			return err
+		sink := exp.NewJSONSink(out)
+		for _, r := range merged {
+			sink.Write(r) //nolint:errcheck // JSONSink.Write only buffers
 		}
+		return sink.Close()
 	}
-	for _, r := range merged {
-		if err := sink.Write(r); err != nil {
-			return err
-		}
-	}
-	if err := sink.Close(); err != nil {
+	if err := exp.WriteSnapshot(*jsonOut, merged); err != nil {
 		return err
 	}
-	if *jsonOut != "" {
-		fmt.Fprintf(out, "merged %d records from %d shards into %s\n", len(merged), len(shardFiles), *jsonOut)
-	}
+	fmt.Fprintf(out, "merged %d records from %d shards into %s\n", len(merged), len(shardFiles), *jsonOut)
 	return nil
 }
 

@@ -30,7 +30,7 @@ const pairSpec = `{
 
 // roundSpec is a light stand-in for the registered roundbench matrix: the
 // same flood shapes minus the n=100k cell, so the CLI test exercises the
-// full -append/-measure-heap flow in seconds even under -race.
+// full -append flow, heap sampling included, in seconds even under -race.
 const roundSpec = `{
   "topologies": [{"family": "path", "size": 1025}, {"family": "grid", "size": 4096}],
   "bandwidths": [64],

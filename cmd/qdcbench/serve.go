@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -18,11 +17,6 @@ import (
 	"qdc/internal/fanout"
 	"qdc/internal/qdcd"
 )
-
-// testServeSpawn, when non-nil, replaces the daemon's real subprocess
-// spawn — the same seam testSpawn provides for fanout, lifted to per-job
-// granularity.
-var testServeSpawn qdcd.SpawnJob
 
 // testServeInterrupt, when non-nil, replaces the signal channel runServe
 // blocks on, so tests can shut a served daemon down deterministically.
@@ -51,34 +45,16 @@ func runServe(args []string, out io.Writer) error {
 		return fmt.Errorf("serve takes no positional arguments (qdcbench serve -listen :8123 -state qdcd-state)")
 	}
 
-	spawn := testServeSpawn
-	if spawn == nil {
-		bin, err := os.Executable()
-		if err != nil {
-			return fmt.Errorf("serve cannot locate its own binary: %w", err)
-		}
-		spawn = func(j qdcd.JobView) fanout.SpawnFunc {
-			return fanout.ExecSpawn(bin, func(shard int, path string) []string {
-				a := []string{
-					"-matrix", j.SpecPath,
-					"-shard", fmt.Sprintf("%d/%d", shard, j.Shards),
-					"-jsonl", path,
-					"-timeout", timeout.String(),
-				}
-				if *workers > 0 {
-					a = append(a, "-workers", strconv.Itoa(*workers))
-				}
-				return a
-			})
-		}
+	spawnFor, err := workerSpawn(*workers, *timeout)
+	if err != nil {
+		return err
 	}
-
 	srv, err := qdcd.New(qdcd.Options{
 		StateDir:     *state,
 		Pool:         *pool,
 		Retries:      *retries,
 		ShardTimeout: *shardTimeout,
-		Spawn:        spawn,
+		Spawn:        func(j qdcd.JobView) fanout.SpawnFunc { return spawnFor(j.SpecPath, j.Shards) },
 	})
 	if err != nil {
 		return err

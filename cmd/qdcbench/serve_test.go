@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"fmt"
-	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -12,18 +10,22 @@ import (
 	"testing"
 	"time"
 
+	"qdc/internal/exp"
 	"qdc/internal/fanout"
 	"qdc/internal/qdcd"
 )
 
-// inprocJobSpawn is the daemon-side analogue of inprocShardSpawn: workers
-// run the real qdcbench shard invocation in-process against the job's
-// frozen spec.
-func inprocJobSpawn(j qdcd.JobView) fanout.SpawnFunc {
-	return func(shard, _ int, path string) (fanout.Worker, error) {
-		args := []string{"-matrix", j.SpecPath, "-shard", fmt.Sprintf("%d/%d", shard, j.Shards), "-jsonl", path}
-		return startInproc(func() error { return run(args, io.Discard) }), nil
+// inprocJobSpawn hands a daemon built directly in a test the workers
+// runServe would: workerSpawn's argv against the job's frozen spec, run
+// in-process through the test seam.
+func inprocJobSpawn(t *testing.T) qdcd.SpawnJob {
+	t.Helper()
+	withTestSpawn(t, inprocSpawn)
+	spawnFor, err := workerSpawn(0, exp.DefaultTimeout)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return func(j qdcd.JobView) fanout.SpawnFunc { return spawnFor(j.SpecPath, j.Shards) }
 }
 
 // TestSubmitRoundTrip drives the client against a live daemon handler: the
@@ -38,7 +40,7 @@ func TestSubmitRoundTrip(t *testing.T) {
 	if err := run([]string{"-matrix", "quick", "-json", unsharded}, &out); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := qdcd.New(qdcd.Options{StateDir: filepath.Join(dir, "state"), Pool: 4, Spawn: inprocJobSpawn})
+	srv, err := qdcd.New(qdcd.Options{StateDir: filepath.Join(dir, "state"), Pool: 4, Spawn: inprocJobSpawn(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,9 +95,9 @@ func TestServeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	testServeSpawn = inprocJobSpawn
+	withTestSpawn(t, inprocSpawn)
 	testServeInterrupt = make(chan os.Signal, 1)
-	t.Cleanup(func() { testServeSpawn, testServeInterrupt = nil, nil })
+	t.Cleanup(func() { testServeInterrupt = nil })
 
 	var out syncBuffer
 	serveErr := make(chan error, 1)

@@ -4,12 +4,13 @@
 // round/message/bit accounting, independent of the backend that actually
 // carries the messages.
 //
-// Four backends implement Runner today:
+// Three backends implement Runner today:
 //
 //   - NewLocal (this package) runs stages directly on a congest.Network —
-//     the plain CONGEST(B) model of Section 2.1 of the paper.
-//   - NewParallel (this package) is the same accounting with rounds stepped
-//     concurrently across worker goroutines, bit-for-bit equivalent.
+//     the plain CONGEST(B) model of Section 2.1 of the paper. Parallelism is
+//     a knob of this backend, not a backend of its own: NewParallel returns
+//     the same Local runner with rounds stepped across GOMAXPROCS worker
+//     goroutines (SetWorkers adjusts the count), bit-for-bit equivalent.
 //   - NewQuantum (this package) runs stages classically for their outputs
 //     but re-accounts every streaming stage with the distributed-Grover
 //     round formula of Example 1.1 (internal/quantum.GroverRounds): the
@@ -37,6 +38,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"qdc/internal/congest"
 )
@@ -144,12 +146,20 @@ type Runner interface {
 }
 
 // Local is the plain CONGEST(B) backend: stages run directly on a
-// congest.Network with no extra accounting.
+// congest.Network with no extra accounting. With more than one worker each
+// round splits the node IDs into one contiguous range per goroutine, and
+// every worker steps, validates and delivers for its own range
+// (congest.Options.Workers). Because CONGEST nodes interact only through
+// messages delivered at round boundaries and every node owns a private
+// random stream, the run is bit-for-bit identical to the sequential one —
+// same Stats, outputs and verdicts (TestNewParallelMatchesLocal pins this,
+// and the whole suite runs under -race in CI).
 type Local struct {
-	net    *congest.Network
-	cancel func() bool
-	obs    StageObserver
-	stats  Stats
+	net     *congest.Network
+	workers int
+	cancel  func() bool
+	obs     StageObserver
+	stats   Stats
 }
 
 // NewLocal returns a Runner executing stages on a fresh CONGEST network over
@@ -166,6 +176,21 @@ func NewLocal(topo congest.Topology, bandwidth int, seed int64) (*Local, error) 
 	return &Local{net: net}, nil
 }
 
+// NewParallel returns a Local runner that steps every round concurrently
+// across GOMAXPROCS worker goroutines.
+func NewParallel(topo congest.Topology, bandwidth int, seed int64) (*Local, error) {
+	l, err := NewLocal(topo, bandwidth, seed)
+	if err == nil {
+		l.workers = runtime.GOMAXPROCS(0)
+	}
+	return l, err
+}
+
+// SetWorkers sets the number of stepping goroutines for subsequent stages.
+// Values <= 1 step sequentially; the experiment harness uses this to avoid
+// oversubscription when many runners execute side by side.
+func (l *Local) SetWorkers(workers int) { l.workers = workers }
+
 // SetCancel installs a cancellation poll checked at every round boundary of
 // subsequent stages; see congest.Options.Cancel.
 func (l *Local) SetCancel(cancel func() bool) { l.cancel = cancel }
@@ -176,15 +201,15 @@ func (l *Local) SetObserver(obs StageObserver) { l.obs = obs }
 
 // RunStage implements Runner.
 func (l *Local) RunStage(factory congest.NodeFactory, inputs map[int]any, maxRounds int) (*congest.Result, error) {
-	return runNetworkStage(l.net, &l.stats, l.obs, factory, inputs, congest.Options{MaxRounds: maxRounds, Cancel: l.cancel})
+	return runNetworkStage(l.net, &l.stats, l.obs, factory, inputs, congest.Options{MaxRounds: maxRounds, Workers: l.workers, Cancel: l.cancel})
 }
 
 // runNetworkStage installs the inputs, runs one stage on a congest.Network
 // and folds the result into the runner's accumulated stats. It is shared by
-// the Local, Parallel and Quantum backends, which differ only in
-// congest.Options. With an observer installed the stage also records the
-// per-round traffic split and hands the result to the observer — including
-// partial results of failed stages.
+// the Local and Quantum backends, which differ only in congest.Options.
+// With an observer installed the stage also records the per-round traffic
+// split and hands the result to the observer — including partial results
+// of failed stages.
 func runNetworkStage(net *congest.Network, stats *Stats, obs StageObserver, factory congest.NodeFactory, inputs map[int]any, opts congest.Options) (*congest.Result, error) {
 	net.ClearInputs()
 	for id, in := range inputs {

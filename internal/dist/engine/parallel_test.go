@@ -38,7 +38,7 @@ func (g *gossipNode) Round(ctx *congest.Context, round int, inbox []congest.Mess
 }
 
 // TestNewParallelMatchesLocal pins the backend equivalence guarantee at the
-// engine level: for the same topology, bandwidth and seed, a Parallel stage
+// engine level: for the same topology, bandwidth and seed, a NewParallel stage
 // returns the same Result and the same Stats as a Local stage.
 func TestNewParallelMatchesLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

@@ -175,7 +175,11 @@ type EventSink struct {
 func NewEventSink(log *obs.EventLog) *EventSink { return &EventSink{log: log} }
 
 // Write implements Sink.
-func (e *EventSink) Write(r Record) error {
+func (e *EventSink) Write(r Record) error { return e.log.Emit("scenario", ScenarioEvent(r)) }
+
+// ScenarioEvent is the payload of the "scenario" event a sweep logs per
+// completed record; the fanout supervisor adds the shard it came from.
+func ScenarioEvent(r Record) map[string]any {
 	data := map[string]any{
 		"name":    r.Scenario.Name,
 		"ok":      r.OK,
@@ -186,7 +190,7 @@ func (e *EventSink) Write(r Record) error {
 	if r.Error != "" {
 		data["error"] = r.Error
 	}
-	return e.log.Emit("scenario", data)
+	return data
 }
 
 // Close implements Sink; the event log stays open for the caller's

@@ -144,6 +144,18 @@ func (s *JSONSink) Close() error {
 	return err
 }
 
+// WriteSnapshot writes recs to path as a canonical snapshot: the bytes a
+// JSONSink fed the same records produces, which for a sweep's records are
+// the bytes of an unsharded -json run. recs itself is left untouched.
+func WriteSnapshot(path string, recs []Record) error {
+	sink, err := CreateJSON(path)
+	if err != nil {
+		return err
+	}
+	sink.records = append([]Record{}, recs...)
+	return sink.Close()
+}
+
 // ReadRecords loads a results file written by either sink: a JSON array or
 // JSONL, sniffed from the first non-space byte.
 func ReadRecords(path string) ([]Record, error) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -103,6 +105,38 @@ func TestJSONSinkEmptySnapshot(t *testing.T) {
 	var back []Record
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil || len(back) != 0 {
 		t.Errorf("empty snapshot round-trip: %v, %v", back, err)
+	}
+}
+
+// TestWriteSnapshotMatchesSink: WriteSnapshot produces the JSONSink bytes
+// for the same records and leaves the caller's slice as it was — order,
+// wall times and metrics blocks intact.
+func TestWriteSnapshotMatchesSink(t *testing.T) {
+	recs := []Record{
+		{Scenario: Scenario{Name: "b"}, WallMillis: 9, OK: true, Metrics: &ScenarioMetrics{Stages: 1}},
+		{Scenario: Scenario{Name: "a"}, WallMillis: 4, PeakHeapBytes: 1 << 20},
+	}
+	var want bytes.Buffer
+	sink := NewJSONSink(&want)
+	for _, r := range recs {
+		sink.Write(r) //nolint:errcheck // in-memory
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "snap.json")
+	if err := WriteSnapshot(path, recs); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("WriteSnapshot wrote\n%s\nwant\n%s", got, want.Bytes())
+	}
+	if recs[0].Scenario.Name != "b" || recs[0].WallMillis != 9 || recs[0].Metrics == nil || recs[1].PeakHeapBytes == 0 {
+		t.Errorf("WriteSnapshot changed its input: %+v", recs)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package fanout supervises a multi-process sweep: one worker per matrix
+// Package fanout runs a sharded sweep as one job: one worker per matrix
 // shard, each re-running the qdcbench binary over its deterministic slice of
 // the expansion and streaming records to a JSONL file the supervisor tails
 // as lines complete. Robustness is the point of the package: a worker that
@@ -10,10 +10,13 @@
 // is a seam (SpawnFunc) so tests drive the entire supervision tree with
 // in-process stubs.
 //
-// The supervisor never interprets records beyond counting them: merging the
-// per-shard record sets back into the canonical snapshot (exp.MergeRecords,
-// exp.CheckComplete) is the caller's job, which is what keeps the merged
-// output byte-identical to an unsharded run.
+// Sweep is the package's one entry point and the one place shards are folded
+// back together: it loads the frozen spec the workers read, derives every
+// shard's expected record count from it, supervises the shards, and merges
+// the completed record sets through exp.MergeRecords + exp.CheckComplete.
+// Written as a canonical snapshot, the merged records are byte-identical to
+// an unsharded run. `qdcbench fanout` and the qdcd daemon both run their
+// sweeps through it.
 package fanout
 
 import (
@@ -40,7 +43,7 @@ const (
 	pollInterval = 25 * time.Millisecond
 )
 
-// ErrInterrupted is returned by Run when Options.Interrupt delivered a
+// ErrInterrupted is returned by Sweep when Options.Interrupt delivered a
 // signal: every live worker has been killed and no shard was retried.
 var ErrInterrupted = errors.New("fanout: interrupted")
 
@@ -63,17 +66,10 @@ type Worker interface {
 // writing its records as JSONL to path.
 type SpawnFunc func(shard, attempt int, path string) (Worker, error)
 
-// Options configures Run.
+// Options configures Sweep.
 type Options struct {
 	// Shards is the number of workers; shard i runs slice i/Shards.
 	Shards int
-	// Expected[i] is the number of records shard i+1 must produce. A worker
-	// whose stream reaches its expected count has completed its shard even
-	// if it exits non-zero — the qdcbench worker exits 1 when scenarios
-	// fail, and failed scenarios are data, not a crash. A worker that exits
-	// with any status before the stream is complete has crashed and is
-	// retried.
-	Expected []int
 	// Retries is how many times a crashed shard is re-spawned after its
 	// first attempt; negative selects DefaultRetries.
 	Retries int
@@ -102,7 +98,7 @@ type Options struct {
 	// worker_retry, worker_failed. Called from per-shard goroutines,
 	// possibly concurrently; may be nil.
 	OnEvent func(kind string, data map[string]any)
-	// Interrupt, when it delivers, makes Run kill every live worker, stop
+	// Interrupt, when it delivers, makes Sweep kill every live worker, stop
 	// retrying, and return ErrInterrupted. Wire os/signal.Notify to it so
 	// ctrl-C reaches workers parked in their own process groups.
 	Interrupt <-chan os.Signal
@@ -122,20 +118,7 @@ type ShardStatus struct {
 
 // Result is the whole run's outcome. Shards[i] describes shard i+1.
 type Result struct {
-	Shards      []ShardStatus
-	Interrupted bool
-}
-
-// Records returns the completed shards' record sets in shard order, ready
-// for exp.MergeRecords.
-func (r Result) Records() [][]exp.Record {
-	sets := make([][]exp.Record, 0, len(r.Shards))
-	for _, s := range r.Shards {
-		if s.Err == nil {
-			sets = append(sets, s.Records)
-		}
-	}
-	return sets
+	Shards []ShardStatus
 }
 
 // summaryErr builds the partial-failure report: which shards died, after
@@ -153,22 +136,57 @@ func (r Result) summaryErr() error {
 	return fmt.Errorf("fanout: %d of %d shards failed: %s", len(failed), len(r.Shards), strings.Join(failed, "; "))
 }
 
-// Run supervises every shard to completion (or exhausted retries) and
-// reports per-shard outcomes. The returned error is nil only when every
-// shard completed; it is ErrInterrupted after an interrupt, and the
-// which-shards-died-and-why summary otherwise. Shards run concurrently —
+// Sweep runs the sweep of the frozen spec at spec — the file every worker is
+// handed — across opts.Shards workers and returns its merged records, sorted
+// by scenario name and checked to cover the expansion exactly. A shard is
+// complete once its stream holds as many records as its Matrix.Shard slice,
+// even if the worker exits non-zero: the qdcbench worker exits 1 when
+// scenarios fail, and failed scenarios are data, not a crash. A worker that
+// exits with any status before its stream is complete has crashed and is
+// retried. The error is ErrInterrupted after an interrupt, the
+// which-shards-died-and-why summary when retries ran out, and the merge's
+// complaint when the shards do not fold into the expansion; Result reports
+// every shard's outcome in each case. Shards run concurrently —
 // scenario-level parallelism inside each worker is the worker's own
 // business.
-func Run(opts Options) (Result, error) {
+func Sweep(spec string, opts Options) ([]exp.Record, Result, error) {
 	if opts.Shards < 1 {
-		return Result{}, fmt.Errorf("fanout: shard count %d is not positive", opts.Shards)
+		return nil, Result{}, fmt.Errorf("fanout: shard count %d is not positive", opts.Shards)
 	}
 	if opts.Spawn == nil {
-		return Result{}, errors.New("fanout: Options.Spawn is required")
+		return nil, Result{}, errors.New("fanout: Options.Spawn is required")
 	}
-	if len(opts.Expected) != opts.Shards {
-		return Result{}, fmt.Errorf("fanout: %d expected-count entries for %d shards", len(opts.Expected), opts.Shards)
+	m, err := exp.LoadMatrix(spec)
+	if err != nil {
+		return nil, Result{}, err
 	}
+	expected := make([]int, opts.Shards)
+	for i := range expected {
+		slice, _ := m.Shard(i+1, opts.Shards) // cannot fail: 1 <= i+1 <= Shards
+		expected[i] = len(slice)
+	}
+	res, err := run(opts, expected)
+	if err != nil {
+		return nil, res, err
+	}
+	sets := make([][]exp.Record, len(res.Shards))
+	for i, s := range res.Shards {
+		sets[i] = s.Records
+	}
+	merged, err := exp.MergeRecords(sets...)
+	if err == nil {
+		err = exp.CheckComplete(m, merged)
+	}
+	if err != nil {
+		return nil, res, err
+	}
+	return merged, res, nil
+}
+
+// run supervises every shard to completion (or exhausted retries), shard i
+// having to stream expected[i-1] records. The error is nil only when every
+// shard completed.
+func run(opts Options, expected []int) (Result, error) {
 	if opts.Retries < 0 {
 		opts.Retries = DefaultRetries
 	}
@@ -201,25 +219,25 @@ func Run(opts Options) (Result, error) {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			res.Shards[shard-1] = superviseShard(opts, shard, stop)
+			res.Shards[shard-1] = superviseShard(opts, shard, expected[shard-1], stop)
 		}(i + 1)
 	}
 	wg.Wait()
 	close(finished)
 
-	if res.Interrupted = interrupted.Load(); res.Interrupted {
+	if interrupted.Load() {
 		return res, ErrInterrupted
 	}
 	return res, res.summaryErr()
 }
 
 // superviseShard owns one shard's attempt/retry loop.
-func superviseShard(opts Options, shard int, stop <-chan struct{}) ShardStatus {
+func superviseShard(opts Options, shard, want int, stop <-chan struct{}) ShardStatus {
 	st := ShardStatus{Shard: shard}
 	backoff := opts.Backoff
 	for attempt := 1; ; attempt++ {
 		st.Attempts = attempt
-		recs, err := runAttempt(opts, shard, attempt, stop)
+		recs, err := runAttempt(opts, shard, attempt, want, stop)
 		if err == nil {
 			st.Records = recs
 			st.Err = nil
@@ -260,10 +278,10 @@ func superviseShard(opts Options, shard int, stop <-chan struct{}) ShardStatus {
 
 // runAttempt spawns one worker, tails its record stream until the worker
 // exits (or the attempt times out, or an interrupt arrives), and decides
-// whether the attempt completed its shard. It returns the records streamed
-// so far in every case, so a failed attempt's partial output can be rolled
-// back by the caller.
-func runAttempt(opts Options, shard, attempt int, stop <-chan struct{}) ([]exp.Record, error) {
+// whether the attempt completed its shard of want records. It returns the
+// records streamed so far in every case, so a failed attempt's partial
+// output can be rolled back by the caller.
+func runAttempt(opts Options, shard, attempt, want int, stop <-chan struct{}) ([]exp.Record, error) {
 	select {
 	case <-stop:
 		return nil, ErrInterrupted
@@ -337,7 +355,6 @@ func runAttempt(opts Options, shard, attempt int, stop <-chan struct{}) ([]exp.R
 	// Completion is judged by the stream, not the exit status: the worker
 	// exits non-zero when scenarios fail, and failed scenarios are data. An
 	// incomplete stream — whatever the exit status — is a crash.
-	want := opts.Expected[shard-1]
 	if len(recs) != want || tail.Pending() {
 		reason := fmt.Sprintf("worker exited with %d of %d records", len(recs), want)
 		if tail.Pending() {

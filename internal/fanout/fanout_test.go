@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -89,12 +91,11 @@ func (e *eventRecorder) count(prefix string) int {
 }
 
 // baseOptions returns fast-retry Options over a temp dir with the given
-// spawn; tests adjust the rest.
-func baseOptions(t *testing.T, shards int, expected []int, spawn SpawnFunc) Options {
+// spawn; tests adjust the rest and hand run the expected record counts.
+func baseOptions(t *testing.T, shards int, spawn SpawnFunc) Options {
 	t.Helper()
 	return Options{
 		Shards:     shards,
-		Expected:   expected,
 		Retries:    2,
 		Backoff:    time.Millisecond,
 		MaxBackoff: 2 * time.Millisecond,
@@ -133,14 +134,14 @@ func TestCrashRetrySuccess(t *testing.T) {
 	var ev eventRecorder
 	var discardMu sync.Mutex
 	discarded := map[int]int{}
-	opts := baseOptions(t, 2, []int{2, 2}, spawn)
+	opts := baseOptions(t, 2, spawn)
 	opts.OnEvent = ev.record
 	opts.OnDiscard = func(shard int, recs []exp.Record) {
 		discardMu.Lock()
 		defer discardMu.Unlock()
 		discarded[shard] += len(recs)
 	}
-	res, err := Run(opts)
+	res, err := run(opts, []int{2, 2})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -159,9 +160,6 @@ func TestCrashRetrySuccess(t *testing.T) {
 	if ev.count("worker_retry shard=2") != 1 || ev.count("worker_done shard=1") != 1 || ev.count("worker_done shard=2") != 1 {
 		t.Errorf("events: %v", ev.events)
 	}
-	if sets := res.Records(); len(sets) != 2 {
-		t.Errorf("Records() returned %d sets, want 2", len(sets))
-	}
 }
 
 // TestRetriesExhausted pins the partial-failure report: a shard that never
@@ -177,10 +175,10 @@ func TestRetriesExhausted(t *testing.T) {
 		return w, nil
 	}
 	var ev eventRecorder
-	opts := baseOptions(t, 1, []int{3}, spawn)
+	opts := baseOptions(t, 1, spawn)
 	opts.Retries = 1
 	opts.OnEvent = ev.record
-	res, err := Run(opts)
+	res, err := run(opts, []int{3})
 	if err == nil {
 		t.Fatal("expected a failure summary")
 	}
@@ -212,9 +210,9 @@ func TestEmptyShard(t *testing.T) {
 		return w, nil
 	}
 	var ev eventRecorder
-	opts := baseOptions(t, 1, []int{0}, spawn)
+	opts := baseOptions(t, 1, spawn)
 	opts.OnEvent = ev.record
-	res, err := Run(opts)
+	res, err := run(opts, []int{0})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -238,8 +236,8 @@ func TestNonZeroExitWithCompleteStream(t *testing.T) {
 		w.finish(errors.New("exit status 1"))
 		return w, nil
 	}
-	opts := baseOptions(t, 1, []int{2}, spawn)
-	res, err := Run(opts)
+	opts := baseOptions(t, 1, spawn)
+	res, err := run(opts, []int{2})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -260,10 +258,10 @@ func TestTimeoutKillsWorker(t *testing.T) {
 		writeLines(t, path, "a")
 		return worker, nil
 	}
-	opts := baseOptions(t, 1, []int{2}, spawn)
+	opts := baseOptions(t, 1, spawn)
 	opts.Retries = 0
 	opts.Timeout = 80 * time.Millisecond
-	_, err := Run(opts)
+	_, err := run(opts, []int{2})
 	if err == nil || !strings.Contains(err.Error(), "timeout after") {
 		t.Fatalf("err = %v, want a timeout", err)
 	}
@@ -285,7 +283,7 @@ func TestInterruptKillsAllWorkers(t *testing.T) {
 		return w, nil
 	}
 	sig := make(chan os.Signal, 1)
-	opts := baseOptions(t, 2, []int{1, 1}, spawn)
+	opts := baseOptions(t, 2, spawn)
 	opts.Interrupt = sig
 
 	go func() {
@@ -300,12 +298,9 @@ func TestInterruptKillsAllWorkers(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}()
-	res, err := Run(opts)
+	res, err := run(opts, []int{1, 1})
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
-	}
-	if !res.Interrupted {
-		t.Error("Result.Interrupted not set")
 	}
 	for i, w := range workers {
 		if !w.killed.Load() {
@@ -337,7 +332,7 @@ func TestExecSpawnRealProcess(t *testing.T) {
 		spawn := ExecSpawn("/bin/sh", func(shard int, path string) []string {
 			return []string{"-c", fmt.Sprintf("printf '%%s\\n' '%s' > %s", record("real"), path)}
 		})
-		res, err := Run(baseOptions(t, 1, []int{1}, spawn))
+		res, err := run(baseOptions(t, 1, spawn), []int{1})
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -349,9 +344,9 @@ func TestExecSpawnRealProcess(t *testing.T) {
 		spawn := ExecSpawn("/bin/sh", func(shard int, path string) []string {
 			return []string{"-c", "echo kaboom >&2; exit 3"}
 		})
-		opts := baseOptions(t, 1, []int{1}, spawn)
+		opts := baseOptions(t, 1, spawn)
 		opts.Retries = 0
-		_, err := Run(opts)
+		_, err := run(opts, []int{1})
 		if err == nil || !strings.Contains(err.Error(), "kaboom") || !strings.Contains(err.Error(), "exit status 3") {
 			t.Fatalf("err = %v, want the worker's stderr and exit status", err)
 		}
@@ -360,11 +355,11 @@ func TestExecSpawnRealProcess(t *testing.T) {
 		spawn := ExecSpawn("/bin/sh", func(shard int, path string) []string {
 			return []string{"-c", "sleep 30"}
 		})
-		opts := baseOptions(t, 1, []int{1}, spawn)
+		opts := baseOptions(t, 1, spawn)
 		opts.Retries = 0
 		opts.Timeout = 100 * time.Millisecond
 		start := time.Now()
-		_, err := Run(opts)
+		_, err := run(opts, []int{1})
 		if err == nil || !strings.Contains(err.Error(), "timeout after") {
 			t.Fatalf("err = %v, want a timeout", err)
 		}
@@ -394,14 +389,81 @@ func TestStaleStreamRemovedBeforeSpawn(t *testing.T) {
 		w.finish(nil)
 		return w, nil
 	}
-	opts := baseOptions(t, 1, []int{2}, spawn)
+	opts := baseOptions(t, 1, spawn)
 	opts.Dir = dir
-	res, err := Run(opts)
+	res, err := run(opts, []int{2})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	recs := res.Shards[0].Records
 	if len(recs) != 2 || recs[0].Scenario.Name != "fresh-a" || recs[1].Scenario.Name != "fresh-b" {
 		t.Errorf("records = %+v, want the fresh attempt's, not the stale file's", recs)
+	}
+}
+
+// TestSweepMergesAndChecksShards: Sweep derives each shard's expected count
+// from the frozen spec, folds the completed shards into the expansion's
+// records in name order, and refuses shards whose records came from a
+// different sweep than the spec it loaded.
+func TestSweepMergesAndChecksShards(t *testing.T) {
+	spec := filepath.Join(t.TempDir(), "matrix.json")
+	m := exp.Matrix{
+		Name:       "sweeptest",
+		Topologies: []exp.TopologySpec{{Family: exp.FamilyPath, Size: 8}, {Family: exp.FamilyStar, Size: 9}},
+		Bandwidths: []int{32},
+		Backends:   []string{exp.BackendLocal},
+		Algorithms: []string{exp.AlgFlood, exp.AlgVerify},
+		BaseSeed:   7,
+	}
+	if err := exp.SaveMatrix(spec, m); err != nil {
+		t.Fatal(err)
+	}
+	// spawnOf runs each shard's slice of ran, which may differ from the spec.
+	spawnOf := func(ran exp.Matrix) SpawnFunc {
+		return func(shard, attempt int, path string) (Worker, error) {
+			slice, err := ran.Shard(shard, 3)
+			if err != nil {
+				return nil, err
+			}
+			sink, err := exp.CreateJSONL(path)
+			if err != nil {
+				return nil, err
+			}
+			for _, s := range slice {
+				sink.Write(exp.RunScenario(s)) //nolint:errcheck // Close reports it
+			}
+			w := newStubWorker()
+			w.finish(sink.Close())
+			return w, nil
+		}
+	}
+
+	merged, res, err := Sweep(spec, baseOptions(t, 3, spawnOf(m)))
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	var want []string
+	for _, s := range m.Expand() {
+		want = append(want, s.Name)
+	}
+	sort.Strings(want)
+	var got []string
+	for _, r := range merged {
+		got = append(got, r.Scenario.Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("merged %v, want %v", got, want)
+	}
+	if len(res.Shards) != 3 || len(res.Shards[0].Records) != 2 || len(res.Shards[2].Records) != 1 {
+		t.Errorf("shard outcomes: %+v", res.Shards)
+	}
+
+	drifted := m
+	drifted.BaseSeed = 8
+	if _, _, err := Sweep(spec, baseOptions(t, 3, spawnOf(drifted))); err == nil || !strings.Contains(err.Error(), "differ from the expansion") {
+		t.Errorf("shards of another seed: err = %v, want a CheckComplete mismatch", err)
+	}
+	if _, _, err := Sweep(spec+".missing", baseOptions(t, 3, spawnOf(m))); err == nil {
+		t.Error("a missing spec must fail before any worker runs")
 	}
 }

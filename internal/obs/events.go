@@ -26,13 +26,17 @@ type Event struct {
 // EventLog is a thread-safe JSONL event stream: each Emit appends one Event
 // line. Sweeps use it as the machine-readable companion of the human
 // progress output — `tail -f` the file, or parse it after the run (the CI
-// observability smoke job uploads it as an artifact).
+// observability smoke job uploads it as an artifact). The log keeps its
+// first Emit error for Close, so callers emitting from many goroutines can
+// ignore Emit's result and still learn of a lost line. A nil *EventLog is a
+// disabled log: Emit and Close do nothing.
 type EventLog struct {
 	mu     sync.Mutex
 	w      *bufio.Writer
 	closer io.Closer
 	seq    int64
 	start  time.Time
+	err    error            // first Emit error, reported again by Close
 	now    func() time.Time // test hook; defaults to time.Now
 }
 
@@ -57,6 +61,9 @@ func CreateEventLog(path string) (*EventLog, error) {
 
 // Emit appends one event line. Safe for concurrent use.
 func (l *EventLog) Emit(kind string, data any) error {
+	if l == nil {
+		return nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.seq++
@@ -67,21 +74,29 @@ func (l *EventLog) Emit(kind string, data any) error {
 		Data:          data,
 	}
 	line, err := json.Marshal(ev)
-	if err != nil {
-		return err
+	if err == nil {
+		if _, err = l.w.Write(line); err == nil {
+			err = l.w.WriteByte('\n')
+		}
 	}
-	if _, err := l.w.Write(line); err != nil {
-		return err
+	if err != nil && l.err == nil {
+		l.err = err
 	}
-	return l.w.WriteByte('\n')
+	return err
 }
 
 // Close flushes buffered lines; when the log owns a file it is closed even
-// if the flush fails, and the first error wins.
+// if the flush fails. The first error wins, counting the first Emit error.
 func (l *EventLog) Close() error {
+	if l == nil {
+		return nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	err := l.w.Flush()
+	if l.err != nil {
+		err = l.err
+	}
 	if l.closer != nil {
 		if cerr := l.closer.Close(); err == nil {
 			err = cerr

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -150,5 +151,38 @@ func TestEventLogFormat(t *testing.T) {
 	}
 	if second.Seq != 2 || second.Data != nil {
 		t.Errorf("second event = %+v", second)
+	}
+}
+
+// TestEventLogKeepsFirstEmitError: an Emit that fails still reports its
+// error, later good events are written, and Close returns the first Emit
+// error, so callers emitting from many goroutines need no bookkeeping of
+// their own. A nil log is disabled.
+func TestEventLogKeepsFirstEmitError(t *testing.T) {
+	var buf bytes.Buffer
+	log := NewEventLog(&buf)
+	first := log.Emit("bad", map[string]any{"x": math.Inf(1)})
+	if first == nil {
+		t.Fatal("an unencodable event must fail")
+	}
+	if err := log.Emit("good", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Emit("worse", map[string]any{"c": make(chan int)}); err == nil {
+		t.Fatal("an unencodable event must fail")
+	}
+	if err := log.Close(); err == nil || err.Error() != first.Error() {
+		t.Errorf("Close = %v, want the first Emit error %v", err, first)
+	}
+	if !strings.Contains(buf.String(), `"event":"good"`) || strings.Count(buf.String(), "\n") != 1 {
+		t.Errorf("log holds %q, want exactly the good event", buf.String())
+	}
+
+	var off *EventLog
+	if err := off.Emit("ignored", nil); err != nil {
+		t.Errorf("nil log Emit = %v", err)
+	}
+	if err := off.Close(); err != nil {
+		t.Errorf("nil log Close = %v", err)
 	}
 }

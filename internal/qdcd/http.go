@@ -71,8 +71,11 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *Job {
 	return j
 }
 
+// maxSubmitBytes bounds a POST /jobs body; an inline spec is a few KiB.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	var req SubmitRequest
 	if err := dec.Decode(&req); err != nil {

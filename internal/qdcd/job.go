@@ -198,7 +198,7 @@ func (j *Job) onDiscard(shard int, recs []exp.Record) {
 
 // signalInterrupt delivers one interrupt to the job's fanout tree; a
 // buffered channel makes it safe to signal a job whose run has not reached
-// (or already passed) fanout.Run.
+// (or already passed) fanout.Sweep.
 func (j *Job) signalInterrupt() {
 	select {
 	case j.interrupt <- os.Interrupt:
@@ -260,6 +260,11 @@ func readJobFile(dir string) (jobFile, error) {
 	}
 	if jf.ID == "" || jf.Shards < 1 || jf.Total < 1 {
 		return jobFile{}, fmt.Errorf("qdcd: %s: job file is incomplete", dir)
+	}
+	if jf.Shards > jf.Total {
+		// Submit never writes such a file; re-running one would size the
+		// supervisor by an arbitrary shard count.
+		return jobFile{}, fmt.Errorf("qdcd: %s: %d shards for %d scenarios", dir, jf.Shards, jf.Total)
 	}
 	return jf, nil
 }

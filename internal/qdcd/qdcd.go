@@ -4,7 +4,8 @@
 // internal/fanout supervision tree (crash retry, process-group cleanup,
 // completion judged by stream completeness), streams records to any number
 // of concurrent clients as shard JSONL lines complete, and serves merged
-// canonical snapshots and diffs — the service face of `qdcbench fanout`.
+// canonical snapshots and diffs. Each job is one fanout.Sweep, the same
+// sweep job `qdcbench fanout` runs.
 //
 // # On-disk layout and crash recovery
 //
@@ -237,6 +238,9 @@ func (s *Server) Submit(req SubmitRequest) (*Job, error) {
 	if total == 0 {
 		return nil, fmt.Errorf("qdcd: matrix %s has no scenarios to run", m.Name)
 	}
+	if req.Shards > total {
+		return nil, fmt.Errorf("qdcd: %d shards for %d scenarios; a job takes at most one shard per scenario", req.Shards, total)
+	}
 	retries := s.opts.Retries
 	if req.Retries != nil {
 		if *req.Retries < 0 {
@@ -278,33 +282,16 @@ func (s *Server) Submit(req SubmitRequest) (*Job, error) {
 	return j, nil
 }
 
-// runJob supervises one job to a terminal state (or an interrupt): it
-// re-loads the frozen spec, runs the fanout supervision tree over the
-// pooled spawn, and on completion folds the shards through
-// exp.MergeRecords + exp.CheckComplete into the canonical snapshot — the
+// runJob supervises one job to a terminal state (or an interrupt): it runs
+// the job's frozen spec as one fanout.Sweep over the pooled spawn and writes
+// the merged records as the canonical snapshot — the
 // byte-identical-to-unsharded artifact the /snapshot endpoint serves.
 func (s *Server) runJob(j *Job) {
 	defer s.wg.Done()
-	m, err := exp.LoadMatrix(j.specPath())
-	if err != nil {
-		s.finishJob(j, StateFailed, err)
-		return
-	}
-	expected := make([]int, j.Shards)
-	for i := range expected {
-		slice, err := m.Shard(i+1, j.Shards)
-		if err != nil {
-			s.finishJob(j, StateFailed, err)
-			return
-		}
-		expected[i] = len(slice)
-	}
 	j.setState(StateRunning)
-
 	spawn := s.opts.Spawn(JobView{ID: j.ID, SpecPath: j.specPath(), Shards: j.Shards})
-	res, runErr := fanout.Run(fanout.Options{
+	merged, _, err := fanout.Sweep(j.specPath(), fanout.Options{
 		Shards:    j.Shards,
-		Expected:  expected,
 		Retries:   j.Retries,
 		Timeout:   s.opts.ShardTimeout,
 		Dir:       j.streamDir(),
@@ -313,22 +300,14 @@ func (s *Server) runJob(j *Job) {
 		OnDiscard: j.onDiscard,
 		Interrupt: j.interrupt,
 	})
-	if errors.Is(runErr, fanout.ErrInterrupted) {
+	if errors.Is(err, fanout.ErrInterrupted) {
 		// Deliberately not persisted: the on-disk state stays non-terminal,
 		// which is exactly what makes the next daemon re-run the job.
 		j.setState(StateInterrupted)
 		return
 	}
-	if runErr != nil {
-		s.finishJob(j, StateFailed, runErr)
-		return
-	}
-	merged, err := exp.MergeRecords(res.Records()...)
 	if err == nil {
-		err = exp.CheckComplete(m, merged)
-	}
-	if err == nil {
-		err = writeSnapshot(j.snapshotPath(), merged)
+		err = exp.WriteSnapshot(j.snapshotPath(), merged)
 	}
 	if err != nil {
 		s.finishJob(j, StateFailed, err)
@@ -433,20 +412,4 @@ func idNumber(id string) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// writeSnapshot writes recs as the canonical sorted JSON array — the very
-// bytes an unsharded `qdcbench -json` run of the same matrix produces.
-func writeSnapshot(path string, recs []exp.Record) error {
-	sink, err := exp.CreateJSON(path)
-	if err != nil {
-		return err
-	}
-	for _, r := range recs {
-		if err := sink.Write(r); err != nil {
-			sink.Close() //nolint:errcheck // the write error is the one to report
-			return err
-		}
-	}
-	return sink.Close()
 }

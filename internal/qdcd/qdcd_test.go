@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -333,6 +334,36 @@ func TestRestartRerunsInterruptedJob(t *testing.T) {
 	}
 }
 
+// TestRestartSkipsOversizedJobFile: a state dir holding a job file with more
+// shards than scenarios (written before Submit bounded the count) starts
+// cleanly. The job is not adopted, so its shard count never reaches the
+// supervisor, and the daemon keeps serving new jobs.
+func TestRestartSkipsOversizedJobFile(t *testing.T) {
+	m := testMatrix()
+	state := t.TempDir()
+	dir := filepath.Join(state, "jobs", "job-1")
+	if err := os.MkdirAll(filepath.Join(dir, "streams"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.SaveMatrix(filepath.Join(dir, "matrix.json"), m); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeJobFile(dir, jobFile{ID: "job-1", Matrix: m.Name, Shards: 1 << 62, Total: len(m.Expand())}); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, state, healthySpawn)
+	if j := s.Job("job-1"); j != nil {
+		t.Fatalf("oversized job was adopted in state %s", j.Status().State)
+	}
+	j, err := s.Submit(SubmitRequest{Spec: &m, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitTerminal(t, j); fin.State != StateDone {
+		t.Fatalf("job after the skipped one finished %s: %s", fin.State, fin.Error)
+	}
+}
+
 // TestSubmitValidationAndErrors pins the API's failure modes.
 func TestSubmitValidationAndErrors(t *testing.T) {
 	m := testMatrix()
@@ -350,6 +381,9 @@ func TestSubmitValidationAndErrors(t *testing.T) {
 		"unknown matrix": `{"matrix": "no-such-matrix", "shards": 1}`,
 		"unknown field":  `{"matrxi": "quick", "shards": 1}`,
 		"negative retry": `{"matrix": "quick", "shards": 1, "retries": -1}`,
+		"huge shards":    `{"matrix": "quick", "shards": 4611686018427387904}`,
+		// Valid but for its size: 1 MiB of leading whitespace.
+		"oversize body": strings.Repeat(" ", maxSubmitBytes) + `{"matrix": "quick", "shards": 1}`,
 	} {
 		if rec := post(body); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: POST /jobs = %d, want 400", name, rec.Code)
@@ -363,6 +397,15 @@ func TestSubmitValidationAndErrors(t *testing.T) {
 	}
 	if _, err := s.Submit(SubmitRequest{Spec: &exp.Matrix{Name: "empty"}, Shards: 1}); err == nil {
 		t.Error("an invalid inline spec must be rejected")
+	}
+	if _, err := s.Submit(SubmitRequest{Spec: &m, Shards: len(m.Expand()) + 1}); err == nil {
+		t.Error("more shards than scenarios must be rejected")
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Errorf("rejected submissions left %d jobs behind", len(jobs))
+	}
+	if entries, err := os.ReadDir(filepath.Join(s.opts.StateDir, "jobs")); err != nil || len(entries) != 0 {
+		t.Errorf("rejected submissions left job dirs behind: %v, %v", entries, err)
 	}
 
 	// A snapshot demanded before the job is done is a conflict, not a hang:

@@ -86,8 +86,8 @@ func (p *benchPingPongNode) Round(ctx *Context, round int, inbox []Message) ([]M
 
 // benchWaveNode is a BFS wave from node 0: a node joins when its first
 // message arrives, broadcasts once from a prebuilt outbox, and is done. Only
-// the frontier sends, so a round's traffic is a thin band of the graph while
-// every node still steps.
+// the frontier sends, and a node the wave has not reached votes to halt, so
+// a round's traffic and its stepped nodes are a thin band of the graph.
 type benchWaveNode struct {
 	reached bool
 	sent    bool
@@ -102,7 +102,7 @@ func (f *benchWaveNode) Init(ctx *Context) {
 func (f *benchWaveNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	f.reached = f.reached || len(inbox) > 0
 	if !f.reached || f.sent {
-		return nil, f.sent
+		return nil, true
 	}
 	f.sent = true
 	return f.outbox, false
@@ -178,9 +178,9 @@ func BenchmarkRoundLoopFloodWords(b *testing.B) {
 }
 
 // BenchmarkRoundLoopWave runs the sparse-traffic shape: a BFS wave across
-// the 320x320 grid, 640 rounds in which only the frontier sends. Every round
-// still steps all nodes, so the loop's per-round cost outside stepping must
-// follow the traffic, not the edge count.
+// the 320x320 grid, 640 rounds in which only the frontier sends and steps.
+// A round's cost must follow the traffic: a pass over the awake words plus
+// the frontier, not n node steps or the edge count.
 func BenchmarkRoundLoopWave(b *testing.B) {
 	const side = 320
 	topo := graph.Grid(side, side)

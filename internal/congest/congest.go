@@ -19,7 +19,9 @@
 // The simulator is engineered for scale: the round loop is steady-state
 // allocation-free (CSR edge index, double-buffered inboxes/outboxes, and
 // behind Options.Workers a round partitioned by node-ID range, whose
-// workers exchange messages through per-pair queues), messages carry
+// workers exchange messages through per-pair queues), a round steps only
+// the awake nodes (a node that reports done votes to halt and sleeps until
+// a message wakes it, so a round's cost follows its traffic), messages carry
 // small contents word-encoded in two inline uint64s instead of a boxed
 // Payload (see payload.go — Kind/W0/W1, with boxed `any` kept as the escape
 // hatch), and a topology implementing IndexedTopology (such as *graph.CSR,
@@ -32,6 +34,7 @@ package congest
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 )
@@ -83,16 +86,22 @@ type Message struct {
 
 // Node is the per-processor state machine supplied by an algorithm.
 //
-// The simulator calls Init exactly once before the first round and then calls
-// Round once per round until every node has reported done (and no messages
-// remain in flight) or the round limit is reached.
+// The simulator calls Init exactly once before the first round. Reporting
+// done is a vote to halt: a node's Round is called in round 1, in every
+// round after one in which it reported not done, and in every round in
+// which a message is delivered to it. A node that reports done and receives
+// nothing sleeps until a message wakes it. The run ends when every node is
+// done and no message is in flight, or at the round limit.
 type Node interface {
 	// Init is called once with the node's static context before round 1.
 	Init(ctx *Context)
-	// Round is called at every round with the messages delivered this round
-	// (i.e. sent during the previous round). It returns the messages to send
-	// this round and whether the node has terminated. A terminated node is
-	// still called in later rounds (it may simply return nil, true).
+	// Round is called with the messages delivered this round (i.e. sent
+	// during the previous round). It returns the messages to send this round
+	// and whether the node is done. A done node may be woken by a later
+	// message, and may then send again and report not done. Skipped calls
+	// are those in which a done node would receive nothing, so a program
+	// whose done node returns (nil, true) on an empty inbox, changing no
+	// state, runs exactly as if it were called every round.
 	Round(ctx *Context, round int, inbox []Message) (outbox []Message, done bool)
 }
 
@@ -417,7 +426,10 @@ type runState struct {
 
 	ctxs  []*Context
 	nodes []Node
-	done  []bool
+	// done is each node's vote at its last step. A node that did not step
+	// this round is done, so a receiver that is not done stepped this round
+	// and is already awake for the next.
+	done []bool
 
 	// inboxes are the messages delivered this round; next is the buffer
 	// the current round's traffic is staged into. The two swap at every
@@ -445,13 +457,14 @@ type runState struct {
 	allDone    bool
 	anyMessage bool
 
-	// Parallel execution (Options.Workers > 1): a pool of goroutines that
-	// lives for the whole run, the vertex-range partition (worker w owns
-	// nodes starts[w]..starts[w+1]-1) with each worker's round state, and
-	// the phase closures built once so rounds allocate nothing.
-	pool       *workerPool
+	// The vertex-range partition: worker w owns nodes starts[w]..starts[w+1]-1
+	// and holds their round state, awake words included. The sequential
+	// path is one range over all n nodes. With Options.Workers > 1 a pool of
+	// goroutines lives for the whole run, and the phase closures are built
+	// once so rounds allocate nothing.
 	starts     []int
 	workers    []rangeWorker
+	pool       *workerPool
 	stepJob    func(w int)
 	deliverJob func(w int)
 }
@@ -555,9 +568,10 @@ func newRunState(nw *Network, factory NodeFactory, opts Options) (*runState, err
 	st.outboxes = make([][]Message, n)
 	st.done = make([]bool, n)
 
-	if workers := min(opts.Workers, n); workers > 1 {
+	workers := max(min(opts.Workers, n), 1)
+	st.partition(workers)
+	if workers > 1 {
 		st.pool = newWorkerPool(workers)
-		st.partition(workers)
 		st.stepJob = st.stepWorker
 		st.deliverJob = st.deliverWorker
 	}
@@ -615,86 +629,113 @@ func (st *runState) collectOutputs() {
 	}
 }
 
-// roundSeq runs one round on the calling goroutine: step every node, then
-// merge. A node panic is re-raised at once, naming the lowest panicking ID.
+// roundSeq runs one round on the calling goroutine: step the awake nodes,
+// then merge. A node panic is re-raised at once, naming the lowest
+// panicking ID.
 func (st *runState) roundSeq(round int) error {
-	if v, p := st.stepRange(0, st.n); v < st.n {
+	wk := &st.workers[0]
+	wk.reset()
+	if v, p := st.stepRange(0); v >= 0 {
 		panic(panicText(v, round, p))
 	}
-	st.allDone = true
+	st.allDone = !wk.notAllDone
 	st.anyMessage = false
 	return st.mergeSeq(round)
 }
 
-// stepRange runs the Round of nodes lo..hi-1 in ID order, filling outboxes
-// and done, under one deferred recover. It stops at the first node that
-// panics and returns that node's ID and panic value; v is hi when no node
-// panicked.
+// stepRange runs the Round of worker w's awake nodes in ID order, filling
+// outboxes and done, under one deferred recover, and keeps each node that
+// reports not done awake for the next round. It stops at the first node
+// that panics and returns that node's ID and panic value; v is -1 when no
+// node panicked.
 //
 // Each consumed inbox is length-reset as soon as its node returns. The
 // inbox buffers become the next round's delivery buffers at the round-end
 // swap, so every round's merge appends into empty inboxes without a pass
-// of its own over the nodes.
-func (st *runState) stepRange(lo, hi int) (v int, p any) {
+// of its own over the nodes: a node that does not step had nothing
+// delivered, or it would be awake.
+func (st *runState) stepRange(w int) (v int, p any) {
 	defer func() { p = recover() }()
-	for v = lo; v < hi; v++ {
-		st.outboxes[v], st.done[v] = st.nodes[v].Round(st.ctxs[v], st.round, st.inboxes[v])
-		st.inboxes[v] = st.inboxes[v][:0]
+	wk := &st.workers[w]
+	lo := st.starts[w]
+	for i, word := range wk.awake {
+		var carry uint64
+		for rest := word; rest != 0; rest &= rest - 1 {
+			v = lo + i<<6 + bits.TrailingZeros64(rest)
+			out, done := st.nodes[v].Round(st.ctxs[v], st.round, st.inboxes[v])
+			st.outboxes[v], st.done[v] = out, done
+			st.inboxes[v] = st.inboxes[v][:0]
+			if !done {
+				carry |= rest & -rest
+			}
+		}
+		if carry != 0 {
+			wk.wake[i] |= carry
+			wk.notAllDone = true
+		}
 	}
-	return hi, nil
+	return -1, nil
 }
 
-// mergeSeq is the sequential merge: one pass over senders in ID order,
-// appending into the reused next-inbox buffers. It is also the reference
-// semantics the parallel path replays on its (cold) error paths, so the two
-// return bit-for-bit identical partial results.
+// mergeSeq is the sequential merge: one pass over the stepped nodes in ID
+// order, appending into the reused next-inbox buffers and waking each
+// receiver that is done. A node that did not step is never visited, so its
+// last outbox is never sent again. It is also the reference semantics the
+// parallel path replays on its (cold) error paths, so the two return
+// bit-for-bit identical partial results.
 func (st *runState) mergeSeq(round int) error {
 	res := st.res
 	bandwidth := st.nw.bandwidth
 	var traffic RoundTraffic
-	for v := 0; v < st.n; v++ {
-		if !st.done[v] {
-			st.allDone = false
-		}
-		ctx := st.ctxs[v]
-		base := st.offsets[v]
-		for _, msg := range st.outboxes[v] {
-			msg.From = v
-			r := ctx.neighborRank(msg.To)
-			if r < 0 {
-				st.touched = clearSlots(st.edgeBits, st.touched)
-				return fmt.Errorf("%w: node %d -> %d in round %d", ErrNotNeighbor, v, msg.To, round)
-			}
-			if msg.Bits < 0 {
-				msg.Bits = 0
-			}
-			slot := base + int32(r)
-			total := int(st.edgeBits[slot]) + msg.Bits
-			if total > bandwidth {
-				st.touched = clearSlots(st.edgeBits, st.touched)
-				return fmt.Errorf("%w: node %d -> %d sent %d bits in round %d (B=%d)",
-					ErrBandwidthExceeded, v, msg.To, total, round, bandwidth)
-			}
-			if st.edgeBits[slot] == 0 && total > 0 {
-				st.touched = append(st.touched, slot)
-			}
-			st.edgeBits[slot] = int32(total)
-			st.next[msg.To] = append(st.next[msg.To], msg)
-			traffic.Messages++
-			res.TotalMessages++
-			res.TotalBits += int64(msg.Bits)
-			if msg.Quantum {
-				res.QuantumBits += int64(msg.Bits)
-				traffic.QuantumBits += int64(msg.Bits)
-			} else {
-				traffic.ClassicalBits += int64(msg.Bits)
-			}
-			st.anyMessage = true
-			if st.opts.Trace != nil {
-				st.opts.Trace(round, msg)
-			}
-			if total > res.MaxEdgeBitsPerRound {
-				res.MaxEdgeBitsPerRound = total
+	for w := range st.workers {
+		lo := st.starts[w]
+		for i, word := range st.workers[w].awake {
+			for ; word != 0; word &= word - 1 {
+				v := lo + i<<6 + bits.TrailingZeros64(word)
+				ctx := st.ctxs[v]
+				base := st.offsets[v]
+				for _, msg := range st.outboxes[v] {
+					msg.From = v
+					r := ctx.neighborRank(msg.To)
+					if r < 0 {
+						st.touched = clearSlots(st.edgeBits, st.touched)
+						return fmt.Errorf("%w: node %d -> %d in round %d", ErrNotNeighbor, v, msg.To, round)
+					}
+					if msg.Bits < 0 {
+						msg.Bits = 0
+					}
+					slot := base + int32(r)
+					total := int(st.edgeBits[slot]) + msg.Bits
+					if total > bandwidth {
+						st.touched = clearSlots(st.edgeBits, st.touched)
+						return fmt.Errorf("%w: node %d -> %d sent %d bits in round %d (B=%d)",
+							ErrBandwidthExceeded, v, msg.To, total, round, bandwidth)
+					}
+					if st.edgeBits[slot] == 0 && total > 0 {
+						st.touched = append(st.touched, slot)
+					}
+					st.edgeBits[slot] = int32(total)
+					st.next[msg.To] = append(st.next[msg.To], msg)
+					if st.done[msg.To] {
+						st.wake(msg.To)
+					}
+					traffic.Messages++
+					res.TotalMessages++
+					res.TotalBits += int64(msg.Bits)
+					if msg.Quantum {
+						res.QuantumBits += int64(msg.Bits)
+						traffic.QuantumBits += int64(msg.Bits)
+					} else {
+						traffic.ClassicalBits += int64(msg.Bits)
+					}
+					st.anyMessage = true
+					if st.opts.Trace != nil {
+						st.opts.Trace(round, msg)
+					}
+					if total > res.MaxEdgeBitsPerRound {
+						res.MaxEdgeBitsPerRound = total
+					}
+				}
 			}
 		}
 	}

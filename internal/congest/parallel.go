@@ -2,6 +2,7 @@ package congest
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -11,16 +12,19 @@ import (
 // 1 to termination. Each round dispatches the same pre-built job closures to
 // the pool twice, so the steady state allocates nothing:
 //
-//  1. step: every worker steps its range, then validates and accounts its
-//     senders' messages against their sender-private slots of the CSR edge
-//     index and queues each accepted message as a msgRef for the worker that
-//     owns the receiver.
+//  1. step: every worker steps its range's awake nodes, then validates and
+//     accounts their messages against their sender-private slots of the CSR
+//     edge index and queues each accepted message as a msgRef for the
+//     worker that owns the receiver. A stepped node that is not done stays
+//     awake for the next round.
 //  2. deliver: every worker drains the queues addressed to it in worker
-//     order into its receivers' inboxes, and zeroes the edge slots it
-//     charged in phase 1.
+//     order into its receivers' inboxes, wakes the receivers that are done,
+//     and zeroes the edge slots it charged in phase 1.
 //
-// A round therefore costs O(n/W + traffic/W) per worker behind two
-// barriers. The contract is bit-for-bit equality with the sequential path,
+// Each worker keeps the awake set of its own range in private words, so no
+// word is written by two workers. A round therefore costs O(n/64W +
+// awake/W + traffic/W) per worker behind two barriers. The contract is
+// bit-for-bit equality with the sequential path,
 // argued in DESIGN.md ("The congest hot path"): a node's Round touches only
 // its own state and inbox, accounting folds per-worker sums and maxes in
 // worker order, and ranges ascend with the worker index, so draining the
@@ -46,6 +50,10 @@ type rangeWorker struct {
 	trace []msgRef
 	// touched lists the edge slots charged this round.
 	touched []int32
+	// awake and wake are the range's vote-to-halt words, indexed from the
+	// range's first node lo: bit i%64 of awake[i/64] is set when node lo+i
+	// steps this round, and wake collects the nodes that step next round.
+	awake, wake []uint64
 
 	// panicAt is the first node of the range that panicked this round, or
 	// -1; panicVal is its panic value.
@@ -63,14 +71,22 @@ type rangeWorker struct {
 	_             [64]byte
 }
 
-// reset clears the worker's per-round state; touched is already empty,
-// since deliver (or the cold path) zeroes the slots it lists.
+// reset starts the worker's round: the nodes woken last round become the
+// awake set, and the old awake words are cleared to collect the next one.
+// touched is already empty, since deliver (or the cold path) zeroes the
+// slots it lists.
 func (wk *rangeWorker) reset() {
 	for o := range wk.queues {
 		wk.queues[o] = wk.queues[o][:0]
 	}
-	*wk = rangeWorker{queues: wk.queues, trace: wk.trace[:0], touched: wk.touched, panicAt: -1}
+	awake, wake := wk.wake, wk.awake
+	clear(wake)
+	*wk = rangeWorker{queues: wk.queues, trace: wk.trace[:0], touched: wk.touched,
+		awake: awake, wake: wake, panicAt: -1}
 }
+
+// wakeAt marks the range's node lo+i to step next round.
+func (wk *rangeWorker) wakeAt(i int) { wk.wake[i>>6] |= 1 << (i & 63) }
 
 // workerPool is a fixed set of goroutines that execute one job function at a
 // time. run dispatches the job to every worker and blocks until all report
@@ -125,7 +141,8 @@ func panicText(v, round int, p any) string {
 // worker w owning starts[w]..starts[w+1]-1. The ranges balance Σ(degree+1):
 // a node costs one Round call plus one pass per incident edge to validate
 // and deliver. A node heavier than a worker's share leaves the ranges after
-// it empty.
+// it empty. The sequential path is the one-worker partition, so it keeps
+// its awake words in workers[0].
 func (st *runState) partition(workers int) {
 	total := int64(st.offsets[st.n]) + int64(st.n)
 	st.starts = make([]int, workers+1)
@@ -138,14 +155,32 @@ func (st *runState) partition(workers int) {
 	st.starts[workers] = st.n
 	st.workers = make([]rangeWorker, workers)
 	for w := range st.workers {
-		st.workers[w].queues = make([][]msgRef, workers)
+		wk := &st.workers[w]
+		wk.queues = make([][]msgRef, workers)
+		// The words are padded to whole cache lines, so two workers'
+		// words never share one.
+		size := st.starts[w+1] - st.starts[w]
+		words := (size + 63) / 64
+		wk.awake = make([]uint64, words, (words+7)&^7)
+		wk.wake = make([]uint64, words, (words+7)&^7)
+		// Every node steps in round 1: the first reset swaps this set in.
+		for i := 0; i < size; i += 64 {
+			wk.wake[i>>6] = ^uint64(0) >> max(0, 64-(size-i))
+		}
 	}
 }
 
 // owner returns the worker whose range holds node v: the first worker
-// whose range ends after v, which skips the empty ranges ending at v.
+// whose range ends after v, which skips the empty ranges ending at v. The
+// last range ends at n, so only the others are searched.
 func (st *runState) owner(v int) int {
-	return sort.Search(len(st.workers), func(w int) bool { return st.starts[w+1] > v })
+	return sort.Search(len(st.workers)-1, func(w int) bool { return st.starts[w+1] > v })
+}
+
+// wake marks node v to step next round.
+func (st *runState) wake(v int) {
+	w := st.owner(v)
+	st.workers[w].wakeAt(v - st.starts[w])
 }
 
 // roundPar runs one round on the worker pool. A panic re-raises the
@@ -208,83 +243,84 @@ func (st *runState) roundPar(round int) error {
 	return nil
 }
 
-// stepWorker is phase 1 of a parallel round for worker w. A panic is
-// recorded and stepping resumes after the panicking node; a validation
-// failure stops the worker, since the round is then replayed sequentially.
+// stepWorker is phase 1 of a parallel round for worker w. A panic stops
+// the worker at the panicking node, and so does a validation failure, since
+// the round is then replayed sequentially.
 func (st *runState) stepWorker(w int) {
 	wk := &st.workers[w]
 	wk.reset()
-	lo, hi := st.starts[w], st.starts[w+1]
-	for v := lo; v < hi; v++ {
-		// stepRange returns hi or a panicking node; stepping resumes after it.
-		var p any
-		if v, p = st.stepRange(v, hi); v < hi && wk.panicAt < 0 {
-			wk.panicAt, wk.panicVal = v, p
-		}
-	}
-	if wk.panicAt >= 0 {
+	if v, p := st.stepRange(w); v >= 0 {
+		wk.panicAt, wk.panicVal = v, p
 		return
 	}
 
 	bandwidth := st.nw.bandwidth
 	tracing := st.opts.Trace != nil
-	for v := lo; v < hi; v++ {
-		if !st.done[v] {
-			wk.notAllDone = true
-		}
-		ctx := st.ctxs[v]
-		base := st.offsets[v]
-		out := st.outboxes[v]
-		for i := range out {
-			to := out[i].To
-			r := ctx.neighborRank(to)
-			if r < 0 {
-				wk.failed = true
-				return
+	lo, hi := st.starts[w], st.starts[w+1]
+	for i, word := range wk.awake {
+		for ; word != 0; word &= word - 1 {
+			v := lo + i<<6 + bits.TrailingZeros64(word)
+			ctx := st.ctxs[v]
+			base := st.offsets[v]
+			out := st.outboxes[v]
+			for j := range out {
+				to := out[j].To
+				r := ctx.neighborRank(to)
+				if r < 0 {
+					wk.failed = true
+					return
+				}
+				size := max(out[j].Bits, 0)
+				slot := base + int32(r)
+				total := int(st.edgeBits[slot]) + size
+				if total > bandwidth {
+					wk.failed = true
+					return
+				}
+				if st.edgeBits[slot] == 0 && total > 0 {
+					wk.touched = append(wk.touched, slot)
+				}
+				st.edgeBits[slot] = int32(total)
+				ref := msgRef{from: int32(v), idx: int32(j)}
+				o := w
+				if to < lo || to >= hi {
+					o = st.owner(to)
+				}
+				wk.queues[o] = append(wk.queues[o], ref)
+				if tracing {
+					wk.trace = append(wk.trace, ref)
+				}
+				wk.totalMessages++
+				wk.totalBits += int64(size)
+				if out[j].Quantum {
+					wk.quantumBits += int64(size)
+				} else {
+					wk.classicalBits += int64(size)
+				}
+				wk.maxEdgeBits = max(wk.maxEdgeBits, total)
 			}
-			bits := max(out[i].Bits, 0)
-			slot := base + int32(r)
-			total := int(st.edgeBits[slot]) + bits
-			if total > bandwidth {
-				wk.failed = true
-				return
-			}
-			if st.edgeBits[slot] == 0 && total > 0 {
-				wk.touched = append(wk.touched, slot)
-			}
-			st.edgeBits[slot] = int32(total)
-			ref := msgRef{from: int32(v), idx: int32(i)}
-			o := w
-			if to < lo || to >= hi {
-				o = st.owner(to)
-			}
-			wk.queues[o] = append(wk.queues[o], ref)
-			if tracing {
-				wk.trace = append(wk.trace, ref)
-			}
-			wk.totalMessages++
-			wk.totalBits += int64(bits)
-			if out[i].Quantum {
-				wk.quantumBits += int64(bits)
-			} else {
-				wk.classicalBits += int64(bits)
-			}
-			wk.maxEdgeBits = max(wk.maxEdgeBits, total)
 		}
 	}
 }
 
 // deliverWorker is phase 2 of a parallel round for worker o. Its
 // receivers' inboxes are already empty: stepRange reset them when their
-// previous contents were consumed.
+// previous contents were consumed, and a node that did not step had nothing
+// delivered. A receiver that is not done stepped this round and is already
+// in the next round's set, so only done receivers are marked.
 func (st *runState) deliverWorker(o int) {
+	wk := &st.workers[o]
+	lo := st.starts[o]
 	for w := range st.workers {
 		for _, ref := range st.workers[w].queues[o] {
 			msg := st.message(ref)
 			st.next[msg.To] = append(st.next[msg.To], msg)
+			if st.done[msg.To] {
+				wk.wakeAt(msg.To - lo)
+			}
 		}
 	}
-	st.workers[o].touched = clearSlots(st.edgeBits, st.workers[o].touched)
+	wk.touched = clearSlots(st.edgeBits, wk.touched)
 }
 
 // message returns the accepted message ref names as the sequential merge

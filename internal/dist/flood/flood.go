@@ -4,9 +4,12 @@
 // rounds. Flooding is the minimal all-touch workload of the CONGEST model —
 // every edge carries O(1) messages of O(log n) bits and the round count is
 // exactly the distance metric — which makes it the scale workload of the
-// experiment harness: it exercises the simulator's full per-round machinery
-// on topologies far larger than the MST and verification sweeps can afford,
+// experiment harness: it exercises the simulator's per-round machinery on
+// topologies far larger than the MST and verification sweeps can afford,
 // and its output is checked against a sequential BFS in O(n + m) time.
+// Nodes ahead of the wave vote to halt (see congest.Node), so a round steps
+// only the wave's two frontier layers and a whole flood costs O(n + m) node
+// steps and messages rather than n per round.
 package flood
 
 import (
@@ -24,8 +27,8 @@ var ErrBadSource = errors.New("flood: source out of range")
 type Result struct {
 	// Source is the vertex the wave started from.
 	Source int
-	// Dist[v] is the hop distance from Source to v, or -1 if the wave never
-	// reached v (disconnected topologies time out instead — see Run).
+	// Dist[v] is the hop distance from Source to v. Every node has one: on a
+	// disconnected topology Run returns an error instead.
 	Dist []int
 	// Rounds is the measured CONGEST round count, ecc(Source) + 2.
 	Rounds int
@@ -41,15 +44,16 @@ const kindDist uint8 = 1
 func distBits(n int) int { return engine.TagBits + congest.BitsForID(n) }
 
 // node is the flooding node program: adopt the first announced distance + 1,
-// re-announce once, terminate.
+// re-announce once, terminate. A node the wave has not reached yet reports
+// done, so it sleeps until the wave's first message wakes it and a round
+// steps only the wave.
 type node struct {
 	source bool
 	dist   int
-	outbox []congest.Message
 	sent   bool
 	// done records that the output is set: boxing dist into the output's
 	// interface allocates once it passes the runtime's small-integer cache,
-	// so the terminating round records it and later rounds leave it.
+	// so the terminating round records it and a later wake-up leaves it.
 	done bool
 }
 
@@ -71,7 +75,7 @@ func (f *node) Round(ctx *congest.Context, round int, inbox []congest.Message) (
 		}
 	}
 	if f.dist == -1 {
-		return nil, false
+		return nil, true
 	}
 	if f.sent {
 		if !f.done {
@@ -81,16 +85,13 @@ func (f *node) Round(ctx *congest.Context, round int, inbox []congest.Message) (
 		return nil, true
 	}
 	f.sent = true
-	if f.outbox == nil {
-		f.outbox = congest.BroadcastAllWords(ctx, kindDist, uint64(f.dist), 0, distBits(ctx.N()))
-	}
-	return f.outbox, false
+	return congest.BroadcastAllWords(ctx, kindDist, uint64(f.dist), 0, distBits(ctx.N())), false
 }
 
 // Run floods from source on the runner's network and returns every node's
-// adopted hop distance. The topology must be connected: a node the wave
-// cannot reach never terminates, so a disconnected network runs into the
-// round limit (n+2 by default) and surfaces the backend's round-limit error.
+// adopted hop distance. The topology must be connected: on a disconnected
+// network the run ends once the wave dies out in the source's component,
+// and Run reports the lowest node the wave never reached.
 func Run(r engine.Runner, source int) (*Result, error) {
 	n := r.Size()
 	if source < 0 || source >= n {

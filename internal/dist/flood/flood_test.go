@@ -65,16 +65,22 @@ func TestFloodBadSource(t *testing.T) {
 	}
 }
 
-func TestFloodDisconnectedTimesOut(t *testing.T) {
+// TestFloodDisconnectedNamesUnreachedNode: vertices 2 and 3 are out of the
+// wave's reach and sleep through the run, which ends once the source's
+// component is quiet; Run then names the lowest node without a distance.
+func TestFloodDisconnectedNamesUnreachedNode(t *testing.T) {
 	g := graph.New(4)
 	g.MustAddEdge(0, 1, 1)
-	// Vertices 2 and 3 are unreachable; the wave can never terminate there.
 	g.MustAddEdge(2, 3, 1)
 	r, err := engine.NewLocal(g, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(r, 0); err == nil {
-		t.Fatal("expected a round-limit error on a disconnected topology")
+	_, err = Run(r, 0)
+	if err == nil || err.Error() != "flood: node 2 produced no distance" {
+		t.Fatalf("err = %v, want flood: node 2 produced no distance", err)
+	}
+	if rounds := r.Stats().Rounds; rounds != 3 {
+		t.Errorf("run took %d rounds, want ecc(0)+2 = 3 in the source's component", rounds)
 	}
 }

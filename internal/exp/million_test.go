@@ -3,40 +3,24 @@ package exp
 import (
 	"testing"
 
-	"qdc/internal/congest"
+	"qdc/internal/dist/engine"
+	"qdc/internal/dist/flood"
 )
 
-// smokeWordFloodNode floods word-encoded announcements for a fixed number of
-// rounds and halts — the minimal all-touch workload for the streaming smoke.
-type smokeWordFloodNode struct {
-	rounds int
-	outbox []congest.Message
-}
-
-func (f *smokeWordFloodNode) Init(ctx *congest.Context) {
-	f.outbox = congest.BroadcastAllWords(ctx, 1, 1, 0, 8)
-}
-
-func (f *smokeWordFloodNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
-	if round > f.rounds {
-		return nil, true
-	}
-	return f.outbox, false
-}
-
-// TestMillionNodeStreamingSmoke is the CI gate on the million-node data path:
-// the streaming loader must build the n=1,000,000 grid CSR without ever
-// materialising adjacency maps, and the simulator must step a few word-flood
-// rounds over it through the CSR's fast indexed interface only. The
-// SlowNeighborCalls counter is the tripwire — any regression that routes the
-// round loop (or the loader) through the allocating Neighbors fallback shows
-// up as a non-zero count.
+// TestMillionNodeStreamingSmoke is the CI gate on the million-node data
+// path: the streaming loader must build the n=1,000,000 grid CSR without
+// ever materialising adjacency maps, and a full BFS flood at 4 workers must
+// run to termination over it through the CSR's fast indexed interface
+// only, agreeing with a sequential BFS at every vertex. The
+// SlowNeighborCalls counter is the tripwire — any regression that routes
+// the round loop (or the loader) through the allocating Neighbors fallback
+// shows up as a non-zero count.
 func TestMillionNodeStreamingSmoke(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation multiplies the million-node footprint")
 	}
 	if testing.Short() {
-		t.Skip("million-node smoke skipped in short mode")
+		t.Skip("million-node flood skipped in short mode")
 	}
 	spec := TopologySpec{Family: FamilyGrid, Size: 1_000_000}
 	csr, err := spec.BuildCSR(nil)
@@ -46,22 +30,27 @@ func TestMillionNodeStreamingSmoke(t *testing.T) {
 	if csr.N() != 1_000_000 {
 		t.Fatalf("CSR has %d vertices, want 1000000", csr.N())
 	}
-	nw, err := congest.NewNetwork(csr, 64)
+	r, err := engine.NewLocal(csr, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const rounds = 3
-	res, err := nw.Run(func(*congest.Context) congest.Node {
-		return &smokeWordFloodNode{rounds: rounds}
-	}, congest.Options{MaxRounds: rounds + 2, Workers: 4})
+	r.SetWorkers(4)
+	res, err := flood.Run(r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds < rounds {
-		t.Fatalf("ran %d rounds, want at least %d", res.Rounds, rounds)
+	// The corner's eccentricity on the 1000x1000 grid is 999 + 999.
+	if res.Rounds != 2000 {
+		t.Errorf("flood took %d rounds, want ecc(0)+2 = 2000", res.Rounds)
 	}
-	if res.TotalMessages == 0 {
-		t.Fatal("flood rounds delivered no messages")
+	mismatches := 0
+	for v, d := range csr.BFSDist(0) {
+		if res.Dist[v] != d {
+			mismatches++
+		}
+	}
+	if mismatches > 0 {
+		t.Errorf("%d distances disagree with BFS", mismatches)
 	}
 	if calls := csr.SlowNeighborCalls(); calls != 0 {
 		t.Errorf("the run touched the slow Neighbors path %d times; the streaming data plane must stay on the indexed interface", calls)

@@ -26,7 +26,9 @@
 // Re-running is safe because the supervisor removes any stale stream file
 // before each attempt spawns and every record is deterministic given the
 // frozen spec, so a re-run converges to the exact snapshot the interrupted
-// run would have produced.
+// run would have produced. A job dir whose job.json cannot be read is
+// skipped, but its id stays taken: the id sequence resumes past every
+// job-<n> dir on disk, so a new submission never overwrites one.
 //
 // # The frozen-spec rule
 //
@@ -160,6 +162,11 @@ func (s *Server) adoptStateDir() error {
 		if !e.IsDir() {
 			continue
 		}
+		// The id sequence moves past every job dir, adoptable or not, so a
+		// new submission never reuses a skipped dir's id and overwrites it.
+		if n, ok := idNumber(e.Name()); ok && n > s.nextID {
+			s.nextID = n
+		}
 		dir := filepath.Join(jobsDir, e.Name())
 		jf, err := readJobFile(dir)
 		if err != nil {
@@ -167,9 +174,6 @@ func (s *Server) adoptStateDir() error {
 			// operator's stray file) carries no adoptable state; skipping it
 			// converges to the correct view of every job that does.
 			continue
-		}
-		if n, ok := idNumber(jf.ID); ok && n > s.nextID {
-			s.nextID = n
 		}
 		j := newJob(jf, dir)
 		switch jf.State {

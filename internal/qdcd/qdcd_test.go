@@ -337,7 +337,8 @@ func TestRestartRerunsInterruptedJob(t *testing.T) {
 // TestRestartSkipsOversizedJobFile: a state dir holding a job file with more
 // shards than scenarios (written before Submit bounded the count) starts
 // cleanly. The job is not adopted, so its shard count never reaches the
-// supervisor, and the daemon keeps serving new jobs.
+// supervisor, and the daemon keeps serving new jobs. Its id stays taken: the
+// next submission is job-2 and leaves the skipped dir's files alone.
 func TestRestartSkipsOversizedJobFile(t *testing.T) {
 	m := testMatrix()
 	state := t.TempDir()
@@ -351,6 +352,10 @@ func TestRestartSkipsOversizedJobFile(t *testing.T) {
 	if err := writeJobFile(dir, jobFile{ID: "job-1", Matrix: m.Name, Shards: 1 << 62, Total: len(m.Expand())}); err != nil {
 		t.Fatal(err)
 	}
+	skipped, err := os.ReadFile(filepath.Join(dir, "job.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := newTestServer(t, state, healthySpawn)
 	if j := s.Job("job-1"); j != nil {
 		t.Fatalf("oversized job was adopted in state %s", j.Status().State)
@@ -359,8 +364,14 @@ func TestRestartSkipsOversizedJobFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if j.ID != "job-2" {
+		t.Errorf("job after the skipped job-1 got id %s, want job-2", j.ID)
+	}
 	if fin := waitTerminal(t, j); fin.State != StateDone {
 		t.Fatalf("job after the skipped one finished %s: %s", fin.State, fin.Error)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "job.json")); err != nil || !bytes.Equal(got, skipped) {
+		t.Errorf("the skipped dir's job.json changed (err %v):\n%s", err, got)
 	}
 }
 

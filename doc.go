@@ -17,7 +17,8 @@
 //   - internal/graph      — graph substrate, reference algorithms, and the
 //     streaming CSR builder million-node topologies are loaded through
 //   - internal/congest    — the synchronous CONGEST(B) simulator
-//     (allocation-free round loop, word-encoded message payloads)
+//     (allocation-free round loop that steps only awake nodes, word-encoded
+//     message payloads)
 //   - internal/quantum    — state-vector simulator (EPR, teleportation, Grover)
 //   - internal/comm       — two-party and Server-model communication complexity
 //   - internal/nonlocal   — XOR/AND games, CHSH, the Lemma 3.2 conversion

@@ -98,10 +98,10 @@ type Node interface {
 	// Round is called with the messages delivered this round (i.e. sent
 	// during the previous round). It returns the messages to send this round
 	// and whether the node is done. A done node may be woken by a later
-	// message, and may then send again and report not done. Skipped calls
-	// are those in which a done node would receive nothing, so a program
-	// whose done node returns (nil, true) on an empty inbox, changing no
-	// state, runs exactly as if it were called every round.
+	// message, and may then send again and report not done. The skipped
+	// calls are exactly those in which a done node would receive nothing,
+	// so a program whose done node answers an empty inbox with (nil, true),
+	// changing nothing it later acts on, runs as if called every round.
 	Round(ctx *Context, round int, inbox []Message) (outbox []Message, done bool)
 }
 
@@ -635,7 +635,7 @@ func (st *runState) collectOutputs() {
 func (st *runState) roundSeq(round int) error {
 	wk := &st.workers[0]
 	wk.reset()
-	if v, p := st.stepRange(0); v >= 0 {
+	if v, p := st.stepAwake(0); v >= 0 {
 		panic(panicText(v, round, p))
 	}
 	st.allDone = !wk.notAllDone
@@ -643,9 +643,35 @@ func (st *runState) roundSeq(round int) error {
 	return st.mergeSeq(round)
 }
 
-// stepRange runs the Round of worker w's awake nodes in ID order, filling
-// outboxes and done, under one deferred recover, and keeps each node that
-// reports not done awake for the next round. It stops at the first node
+// stepAwake steps worker w's awake nodes in ID order, one run of
+// consecutive awake nodes at a time, and keeps each node that reports not
+// done awake for the next round. It stops at the first node that panics
+// and returns that node's ID and panic value; v is -1 when no node
+// panicked.
+func (st *runState) stepAwake(w int) (v int, p any) {
+	wk := &st.workers[w]
+	lo := st.starts[w]
+	for i, word := range wk.awake {
+		base := lo + i<<6
+		for word != 0 {
+			first, end := nextRun(word)
+			word &^= uint64(1)<<end - 1
+			var notDone uint64
+			if notDone, v, p = st.stepRange(base+first, base+end); v >= 0 {
+				return v, p
+			}
+			if notDone != 0 {
+				wk.wake[i] |= notDone << first
+				wk.notAllDone = true
+			}
+		}
+	}
+	return -1, nil
+}
+
+// stepRange runs the Round of nodes lo..hi-1 (at most 64) in ID order,
+// filling outboxes and done, under one deferred recover. Bit v-lo of
+// notDone is set when node v reports not done. It stops at the first node
 // that panics and returns that node's ID and panic value; v is -1 when no
 // node panicked.
 //
@@ -654,27 +680,17 @@ func (st *runState) roundSeq(round int) error {
 // swap, so every round's merge appends into empty inboxes without a pass
 // of its own over the nodes: a node that does not step had nothing
 // delivered, or it would be awake.
-func (st *runState) stepRange(w int) (v int, p any) {
+func (st *runState) stepRange(lo, hi int) (notDone uint64, v int, p any) {
 	defer func() { p = recover() }()
-	wk := &st.workers[w]
-	lo := st.starts[w]
-	for i, word := range wk.awake {
-		var carry uint64
-		for rest := word; rest != 0; rest &= rest - 1 {
-			v = lo + i<<6 + bits.TrailingZeros64(rest)
-			out, done := st.nodes[v].Round(st.ctxs[v], st.round, st.inboxes[v])
-			st.outboxes[v], st.done[v] = out, done
-			st.inboxes[v] = st.inboxes[v][:0]
-			if !done {
-				carry |= rest & -rest
-			}
-		}
-		if carry != 0 {
-			wk.wake[i] |= carry
-			wk.notAllDone = true
+	for v = lo; v < hi; v++ {
+		out, done := st.nodes[v].Round(st.ctxs[v], st.round, st.inboxes[v])
+		st.outboxes[v], st.done[v] = out, done
+		st.inboxes[v] = st.inboxes[v][:0]
+		if !done {
+			notDone |= 1 << (v - lo)
 		}
 	}
-	return -1, nil
+	return notDone, -1, nil
 }
 
 // mergeSeq is the sequential merge: one pass over the stepped nodes in ID
@@ -690,50 +706,54 @@ func (st *runState) mergeSeq(round int) error {
 	for w := range st.workers {
 		lo := st.starts[w]
 		for i, word := range st.workers[w].awake {
-			for ; word != 0; word &= word - 1 {
-				v := lo + i<<6 + bits.TrailingZeros64(word)
-				ctx := st.ctxs[v]
-				base := st.offsets[v]
-				for _, msg := range st.outboxes[v] {
-					msg.From = v
-					r := ctx.neighborRank(msg.To)
-					if r < 0 {
-						st.touched = clearSlots(st.edgeBits, st.touched)
-						return fmt.Errorf("%w: node %d -> %d in round %d", ErrNotNeighbor, v, msg.To, round)
-					}
-					if msg.Bits < 0 {
-						msg.Bits = 0
-					}
-					slot := base + int32(r)
-					total := int(st.edgeBits[slot]) + msg.Bits
-					if total > bandwidth {
-						st.touched = clearSlots(st.edgeBits, st.touched)
-						return fmt.Errorf("%w: node %d -> %d sent %d bits in round %d (B=%d)",
-							ErrBandwidthExceeded, v, msg.To, total, round, bandwidth)
-					}
-					if st.edgeBits[slot] == 0 && total > 0 {
-						st.touched = append(st.touched, slot)
-					}
-					st.edgeBits[slot] = int32(total)
-					st.next[msg.To] = append(st.next[msg.To], msg)
-					if st.done[msg.To] {
-						st.wake(msg.To)
-					}
-					traffic.Messages++
-					res.TotalMessages++
-					res.TotalBits += int64(msg.Bits)
-					if msg.Quantum {
-						res.QuantumBits += int64(msg.Bits)
-						traffic.QuantumBits += int64(msg.Bits)
-					} else {
-						traffic.ClassicalBits += int64(msg.Bits)
-					}
-					st.anyMessage = true
-					if st.opts.Trace != nil {
-						st.opts.Trace(round, msg)
-					}
-					if total > res.MaxEdgeBitsPerRound {
-						res.MaxEdgeBitsPerRound = total
+			base := lo + i<<6
+			for word != 0 {
+				first, end := nextRun(word)
+				word &^= uint64(1)<<end - 1
+				for v := base + first; v < base+end; v++ {
+					ctx := st.ctxs[v]
+					slots := st.offsets[v]
+					for _, msg := range st.outboxes[v] {
+						msg.From = v
+						r := ctx.neighborRank(msg.To)
+						if r < 0 {
+							st.touched = clearSlots(st.edgeBits, st.touched)
+							return fmt.Errorf("%w: node %d -> %d in round %d", ErrNotNeighbor, v, msg.To, round)
+						}
+						if msg.Bits < 0 {
+							msg.Bits = 0
+						}
+						slot := slots + int32(r)
+						total := int(st.edgeBits[slot]) + msg.Bits
+						if total > bandwidth {
+							st.touched = clearSlots(st.edgeBits, st.touched)
+							return fmt.Errorf("%w: node %d -> %d sent %d bits in round %d (B=%d)",
+								ErrBandwidthExceeded, v, msg.To, total, round, bandwidth)
+						}
+						if st.edgeBits[slot] == 0 && total > 0 {
+							st.touched = append(st.touched, slot)
+						}
+						st.edgeBits[slot] = int32(total)
+						st.next[msg.To] = append(st.next[msg.To], msg)
+						if st.done[msg.To] {
+							st.wakeNode(msg.To)
+						}
+						traffic.Messages++
+						res.TotalMessages++
+						res.TotalBits += int64(msg.Bits)
+						if msg.Quantum {
+							res.QuantumBits += int64(msg.Bits)
+							traffic.QuantumBits += int64(msg.Bits)
+						} else {
+							traffic.ClassicalBits += int64(msg.Bits)
+						}
+						st.anyMessage = true
+						if st.opts.Trace != nil {
+							st.opts.Trace(round, msg)
+						}
+						if total > res.MaxEdgeBitsPerRound {
+							res.MaxEdgeBitsPerRound = total
+						}
 					}
 				}
 			}
@@ -744,6 +764,15 @@ func (st *runState) mergeSeq(round int) error {
 	}
 	st.touched = clearSlots(st.edgeBits, st.touched)
 	return nil
+}
+
+// nextRun returns the lowest run of consecutive set bits in a non-zero
+// word as the bit range [first, end). The loops over awake words step
+// node by node through each run, so a word in which every node is awake
+// costs one plain loop.
+func nextRun(word uint64) (first, end int) {
+	first = bits.TrailingZeros64(word)
+	return first, first + bits.TrailingZeros64(^(word >> first))
 }
 
 // clearSlots zeroes the listed edge slots and returns the emptied list, so

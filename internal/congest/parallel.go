@@ -2,7 +2,6 @@ package congest
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 )
 
@@ -22,14 +21,14 @@ import (
 //     and zeroes the edge slots it charged in phase 1.
 //
 // Each worker keeps the awake set of its own range in private words, so no
-// word is written by two workers. A round therefore costs O(n/64W +
-// awake/W + traffic/W) per worker behind two barriers. The contract is
-// bit-for-bit equality with the sequential path,
-// argued in DESIGN.md ("The congest hot path"): a node's Round touches only
-// its own state and inbox, accounting folds per-worker sums and maxes in
-// worker order, and ranges ascend with the worker index, so draining the
-// queues in worker order appends each receiver's messages in ascending
-// sender ID, outbox order within a sender — the sequential append order.
+// word is written by two workers. A round therefore costs
+// O(n/64W + awake/W + traffic/W) per worker behind two barriers. The
+// contract is bit-for-bit equality with the sequential path, argued in
+// DESIGN.md ("The congest hot path"): a node's Round touches only its own
+// state and inbox, accounting folds per-worker sums and maxes in worker
+// order, and ranges ascend with the worker index, so draining the queues
+// in worker order appends each receiver's messages in ascending sender ID,
+// outbox order within a sender — the sequential append order.
 // Error rounds leave the parallel path entirely: the round is re-merged
 // sequentially, so partial results and error text match the sequential run
 // down to the byte.
@@ -177,8 +176,8 @@ func (st *runState) owner(v int) int {
 	return sort.Search(len(st.workers)-1, func(w int) bool { return st.starts[w+1] > v })
 }
 
-// wake marks node v to step next round.
-func (st *runState) wake(v int) {
+// wakeNode marks node v to step next round.
+func (st *runState) wakeNode(v int) {
 	w := st.owner(v)
 	st.workers[w].wakeAt(v - st.starts[w])
 }
@@ -249,7 +248,7 @@ func (st *runState) roundPar(round int) error {
 func (st *runState) stepWorker(w int) {
 	wk := &st.workers[w]
 	wk.reset()
-	if v, p := st.stepRange(w); v >= 0 {
+	if v, p := st.stepAwake(w); v >= 0 {
 		wk.panicAt, wk.panicVal = v, p
 		return
 	}
@@ -258,46 +257,50 @@ func (st *runState) stepWorker(w int) {
 	tracing := st.opts.Trace != nil
 	lo, hi := st.starts[w], st.starts[w+1]
 	for i, word := range wk.awake {
-		for ; word != 0; word &= word - 1 {
-			v := lo + i<<6 + bits.TrailingZeros64(word)
-			ctx := st.ctxs[v]
-			base := st.offsets[v]
-			out := st.outboxes[v]
-			for j := range out {
-				to := out[j].To
-				r := ctx.neighborRank(to)
-				if r < 0 {
-					wk.failed = true
-					return
+		base := lo + i<<6
+		for word != 0 {
+			first, end := nextRun(word)
+			word &^= uint64(1)<<end - 1
+			for v := base + first; v < base+end; v++ {
+				ctx := st.ctxs[v]
+				slots := st.offsets[v]
+				out := st.outboxes[v]
+				for j := range out {
+					to := out[j].To
+					r := ctx.neighborRank(to)
+					if r < 0 {
+						wk.failed = true
+						return
+					}
+					size := max(out[j].Bits, 0)
+					slot := slots + int32(r)
+					total := int(st.edgeBits[slot]) + size
+					if total > bandwidth {
+						wk.failed = true
+						return
+					}
+					if st.edgeBits[slot] == 0 && total > 0 {
+						wk.touched = append(wk.touched, slot)
+					}
+					st.edgeBits[slot] = int32(total)
+					ref := msgRef{from: int32(v), idx: int32(j)}
+					o := w
+					if to < lo || to >= hi {
+						o = st.owner(to)
+					}
+					wk.queues[o] = append(wk.queues[o], ref)
+					if tracing {
+						wk.trace = append(wk.trace, ref)
+					}
+					wk.totalMessages++
+					wk.totalBits += int64(size)
+					if out[j].Quantum {
+						wk.quantumBits += int64(size)
+					} else {
+						wk.classicalBits += int64(size)
+					}
+					wk.maxEdgeBits = max(wk.maxEdgeBits, total)
 				}
-				size := max(out[j].Bits, 0)
-				slot := base + int32(r)
-				total := int(st.edgeBits[slot]) + size
-				if total > bandwidth {
-					wk.failed = true
-					return
-				}
-				if st.edgeBits[slot] == 0 && total > 0 {
-					wk.touched = append(wk.touched, slot)
-				}
-				st.edgeBits[slot] = int32(total)
-				ref := msgRef{from: int32(v), idx: int32(j)}
-				o := w
-				if to < lo || to >= hi {
-					o = st.owner(to)
-				}
-				wk.queues[o] = append(wk.queues[o], ref)
-				if tracing {
-					wk.trace = append(wk.trace, ref)
-				}
-				wk.totalMessages++
-				wk.totalBits += int64(size)
-				if out[j].Quantum {
-					wk.quantumBits += int64(size)
-				} else {
-					wk.classicalBits += int64(size)
-				}
-				wk.maxEdgeBits = max(wk.maxEdgeBits, total)
 			}
 		}
 	}

@@ -8,13 +8,15 @@ import (
 )
 
 // TestFloodRunAllocsBounded gates the migrated word-encoded flood path: a
-// full run allocates a small constant per node (node structs, one outbox per
-// reached node, the output map) and nothing per message — word payloads never
-// box. The bound is ~1.7x the measured ~7 allocs/node, so a regression that
-// reintroduces per-message boxing or per-round churn (both scale with edges
-// times rounds, not nodes) trips it immediately. The path reaches distances
-// past the runtime's small-integer cache (256), where an output re-recorded
-// every round after termination would box a fresh int each time.
+// full run allocates a small constant per node (node structs, one outbox
+// built in each node's announcing round, the output map) and nothing per
+// message — word payloads never box. The bound is ~1.7x the measured ~7
+// allocs/node, so a regression that reintroduces per-message boxing or
+// per-round churn (both scale with edges times rounds, not nodes) trips it
+// immediately. The path reaches distances past the runtime's small-integer
+// cache (256), where an output re-recorded at every later wake-up (the next
+// node's announcement wakes each finished node once more) would box a
+// fresh int each time.
 func TestFloodRunAllocsBounded(t *testing.T) {
 	cases := []struct {
 		name string

@@ -8,8 +8,8 @@
 // topologies far larger than the MST and verification sweeps can afford,
 // and its output is checked against a sequential BFS in O(n + m) time.
 // Nodes ahead of the wave vote to halt (see congest.Node), so a round steps
-// only the wave's two frontier layers and a whole flood costs O(n + m) node
-// steps and messages rather than n per round.
+// only the nodes at the wave front and a whole flood costs O(n + m) Round
+// calls and messages rather than n calls per round.
 package flood
 
 import (

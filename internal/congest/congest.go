@@ -445,12 +445,12 @@ type runState struct {
 	offsets []int32
 
 	// edgeBits holds the bits charged to each slot this round. Only the
-	// slots on a touched list are ever non-zero, and resetting through the
-	// lists makes a quiet round cost O(traffic), not O(m). Bandwidths
-	// beyond ~2^31 bits/round would overflow the int32 accumulation; the
-	// budget check itself runs in int, so violations are still caught.
+	// slots on a worker's touched list are ever non-zero, and resetting
+	// through the lists makes a quiet round cost O(traffic), not O(m).
+	// Bandwidths beyond ~2^31 bits/round would overflow the int32
+	// accumulation; the budget check itself runs in int, so violations are
+	// still caught.
 	edgeBits []int32
-	touched  []int32 // slots charged this round (sequential merge)
 
 	// Per-round termination folds.
 	round      int
@@ -703,6 +703,9 @@ func (st *runState) mergeSeq(round int) error {
 	res := st.res
 	bandwidth := st.nw.bandwidth
 	var traffic RoundTraffic
+	// The merge charges its slots on the first worker's list; on the cold
+	// path every worker's list has just been cleared.
+	touched := &st.workers[0].touched
 	for w := range st.workers {
 		lo := st.starts[w]
 		for i, word := range st.workers[w].awake {
@@ -717,7 +720,7 @@ func (st *runState) mergeSeq(round int) error {
 						msg.From = v
 						r := ctx.neighborRank(msg.To)
 						if r < 0 {
-							st.touched = clearSlots(st.edgeBits, st.touched)
+							*touched = clearSlots(st.edgeBits, *touched)
 							return fmt.Errorf("%w: node %d -> %d in round %d", ErrNotNeighbor, v, msg.To, round)
 						}
 						if msg.Bits < 0 {
@@ -726,12 +729,12 @@ func (st *runState) mergeSeq(round int) error {
 						slot := slots + int32(r)
 						total := int(st.edgeBits[slot]) + msg.Bits
 						if total > bandwidth {
-							st.touched = clearSlots(st.edgeBits, st.touched)
+							*touched = clearSlots(st.edgeBits, *touched)
 							return fmt.Errorf("%w: node %d -> %d sent %d bits in round %d (B=%d)",
 								ErrBandwidthExceeded, v, msg.To, total, round, bandwidth)
 						}
 						if st.edgeBits[slot] == 0 && total > 0 {
-							st.touched = append(st.touched, slot)
+							*touched = append(*touched, slot)
 						}
 						st.edgeBits[slot] = int32(total)
 						st.next[msg.To] = append(st.next[msg.To], msg)
@@ -762,7 +765,7 @@ func (st *runState) mergeSeq(round int) error {
 	if st.opts.PerRound {
 		res.PerRound = append(res.PerRound, traffic)
 	}
-	st.touched = clearSlots(st.edgeBits, st.touched)
+	*touched = clearSlots(st.edgeBits, *touched)
 	return nil
 }
 

@@ -72,8 +72,8 @@ type rangeWorker struct {
 
 // reset starts the worker's round: the nodes woken last round become the
 // awake set, and the old awake words are cleared to collect the next one.
-// touched is already empty, since deliver (or the cold path) zeroes the
-// slots it lists.
+// touched is already empty, since deliver, the sequential merge or the
+// cold path zeroes the slots it lists.
 func (wk *rangeWorker) reset() {
 	for o := range wk.queues {
 		wk.queues[o] = wk.queues[o][:0]

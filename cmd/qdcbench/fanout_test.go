@@ -227,6 +227,10 @@ func TestFanoutFailureNamesDeadShards(t *testing.T) {
 		}
 		return inprocSpawn(shard, attempt, args)
 	})
+	// Without -dir the failed sweep keeps its streams in a fresh temp dir;
+	// it lands under the test's own.
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	var out bytes.Buffer
 	err := run([]string{"fanout", "-shards", "2", "-matrix", "quick", "-retries", "1"}, &out)
 	if err == nil {
@@ -236,6 +240,14 @@ func TestFanoutFailureNamesDeadShards(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
+	}
+	_, kept, ok := strings.Cut(out.String(), "shard streams kept in ")
+	kept, _, _ = strings.Cut(kept, "\n")
+	if !ok || filepath.Dir(kept) != tmp {
+		t.Fatalf("output names no kept stream dir under %s:\n%s", tmp, out.String())
+	}
+	if _, err := os.Stat(filepath.Join(kept, "shard-1-attempt-1.jsonl")); err != nil {
+		t.Errorf("kept stream dir lost the completed shard's stream: %v", err)
 	}
 }
 
@@ -250,6 +262,10 @@ func TestFanoutFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"fanout", "-shards", "2", "stray"}, &out); err == nil || !strings.Contains(err.Error(), "positional") {
 		t.Errorf("stray positional arg: err = %v", err)
+	}
+	huge := []string{"fanout", "-shards", "4611686018427387904", "-matrix", "quick", "-dir", t.TempDir()}
+	if err := run(huge, &out); err == nil || !strings.Contains(err.Error(), "at most one shard per scenario") {
+		t.Errorf("more shards than scenarios: err = %v", err)
 	}
 }
 

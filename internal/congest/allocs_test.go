@@ -66,7 +66,7 @@ func TestAppendConstructorsAllocFree(t *testing.T) {
 // nothing. Two runs of the same workload that differ only in round count
 // isolate the steady state — the per-run setup cost cancels in the
 // difference, so (allocs(long) - allocs(short)) / extra rounds must be ~0
-// on both the sequential and the pooled parallel path.
+// at one worker and on the worker pool.
 func TestRoundLoopSteadyStateAllocFree(t *testing.T) {
 	topo := graph.Grid(24, 24)
 	const short, long = 8, 104

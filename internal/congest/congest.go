@@ -18,17 +18,18 @@
 //
 // The simulator is engineered for scale: the round loop is steady-state
 // allocation-free (CSR edge index, double-buffered inboxes/outboxes, and
-// behind Options.Workers a round partitioned by node-ID range, whose
-// workers exchange messages through per-pair queues), a round steps only
-// the awake nodes (a node that reports done votes to halt and sleeps until
-// a message wakes it, so a round's cost follows its traffic), messages carry
-// small contents word-encoded in two inline uint64s instead of a boxed
-// Payload (see payload.go — Kind/W0/W1, with boxed `any` kept as the escape
-// hatch), and a topology implementing IndexedTopology (such as *graph.CSR,
-// built by the streaming graph.Builder) is adopted without per-node copies
-// or sorts. Together these carry the same bit-exact accounting from the
-// paper-sized networks up to million-node topologies; see DESIGN.md,
-// "The congest hot path" and "Compact payloads and streaming topologies".
+// one round body partitioned by node-ID range, whose ranges exchange
+// messages through per-pair queues, on Options.Workers goroutines or on
+// the caller's alone), a round steps only the awake nodes (a node that
+// reports done votes to halt and sleeps until a message wakes it, so a
+// round's cost follows its traffic), messages carry small contents
+// word-encoded in two inline uint64s instead of a boxed Payload (see
+// payload.go — Kind/W0/W1, with boxed `any` kept as the escape hatch), and
+// a topology implementing IndexedTopology (such as *graph.CSR, built by the
+// streaming graph.Builder) is adopted without per-node copies or sorts.
+// Together these carry the same bit-exact accounting from the paper-sized
+// networks up to million-node topologies; see DESIGN.md, "The congest hot
+// path" and "Compact payloads and streaming topologies".
 package congest
 
 import (
@@ -370,20 +371,21 @@ type Options struct {
 	// order within a sender). It is used by the Simulation Theorem engine
 	// (internal/simulation) to re-account each message to the party that
 	// owns its sender, and by the Grover backend to measure stream volume.
-	// Tracing works under any Workers value: each worker records the
-	// messages it accepts from its own ID range, and after the round's
-	// validation the buffers are replayed in worker order — ascending
-	// sender ID — so the event stream is identical to a sequential run's
-	// (the callback always executes on one goroutine, never concurrently).
+	// Each worker records the messages it accepts from its own ID range,
+	// and after the round's validation the buffers are replayed in worker
+	// order — ascending sender ID — on the goroutine that called Run, so
+	// the event stream is the same under any Workers value and the
+	// callback never runs concurrently. A round that fails validation
+	// replays the messages accepted before the failing one.
 	Trace func(round int, msg Message)
-	// Workers selects how many goroutines step nodes and merge traffic
-	// within each round. Values <= 1 run sequentially. Any value produces
-	// bit-for-bit identical Results: nodes only interact through messages
-	// delivered at round boundaries, each node owns a private random
-	// stream, every per-round quantity is a sum or max folded in
-	// deterministic order, and each worker owns a fixed range of node IDs
-	// and fills its receivers' inboxes from the other workers' queues in
-	// worker order, which is ascending sender ID whatever the scheduling.
+	// Workers selects how many goroutines step nodes and deliver traffic
+	// within each round; values <= 1 run every round on the goroutine that
+	// called Run. Any value produces bit-for-bit identical Results, errors
+	// and trace streams: each worker owns a fixed range of node IDs, nodes
+	// only interact through messages delivered at round boundaries, each
+	// node owns a private random stream, every per-round quantity is a sum
+	// or max folded in worker order, and every inbox fills in ascending
+	// sender ID whatever the scheduling.
 	Workers int
 	// Cancel, if non-nil, is polled once per round before the round's nodes
 	// step; when it returns true, Run stops and returns the partial result
@@ -452,16 +454,14 @@ type runState struct {
 	// still caught.
 	edgeBits []int32
 
-	// Per-round termination folds.
-	round      int
-	allDone    bool
-	anyMessage bool
+	// round is the round being run.
+	round int
 
 	// The vertex-range partition: worker w owns nodes starts[w]..starts[w+1]-1
-	// and holds their round state, awake words included. The sequential
-	// path is one range over all n nodes. With Options.Workers > 1 a pool of
-	// goroutines lives for the whole run, and the phase closures are built
-	// once so rounds allocate nothing.
+	// and holds their round state, awake words included. With
+	// Options.Workers <= 1 one range holds all n nodes and runs on the
+	// calling goroutine; with more, a pool of goroutines lives for the whole
+	// run. The phase closures are built once so rounds allocate nothing.
 	starts     []int
 	workers    []rangeWorker
 	pool       *workerPool
@@ -572,13 +572,13 @@ func newRunState(nw *Network, factory NodeFactory, opts Options) (*runState, err
 	st.partition(workers)
 	if workers > 1 {
 		st.pool = newWorkerPool(workers)
-		st.stepJob = st.stepWorker
-		st.deliverJob = st.deliverWorker
 	}
+	st.stepJob = st.stepWorker
+	st.deliverJob = st.deliverWorker
 	return st, nil
 }
 
-// close releases the worker pool; it is safe on the sequential path.
+// close releases the worker pool, if the run has one.
 func (st *runState) close() {
 	if st.pool != nil {
 		st.pool.close()
@@ -594,18 +594,13 @@ func (st *runState) run() (*Result, error) {
 		}
 		res.Rounds = round
 		st.round = round
-		var err error
-		if st.pool == nil {
-			err = st.roundSeq(round)
-		} else {
-			err = st.roundPar(round)
-		}
+		quiet, err := st.runRound()
 		if err != nil {
 			st.collectOutputs()
 			return res, err
 		}
 		st.inboxes, st.next = st.next, st.inboxes
-		if st.allDone && !st.anyMessage {
+		if quiet {
 			res.Terminated = true
 			break
 		}
@@ -627,20 +622,6 @@ func (st *runState) collectOutputs() {
 			st.res.Outputs[v] = out
 		}
 	}
-}
-
-// roundSeq runs one round on the calling goroutine: step the awake nodes,
-// then merge. A node panic is re-raised at once, naming the lowest
-// panicking ID.
-func (st *runState) roundSeq(round int) error {
-	wk := &st.workers[0]
-	wk.reset()
-	if v, p := st.stepAwake(0); v >= 0 {
-		panic(panicText(v, round, p))
-	}
-	st.allDone = !wk.notAllDone
-	st.anyMessage = false
-	return st.mergeSeq(round)
 }
 
 // stepAwake steps worker w's awake nodes in ID order, one run of
@@ -677,8 +658,8 @@ func (st *runState) stepAwake(w int) (v int, p any) {
 //
 // Each consumed inbox is length-reset as soon as its node returns. The
 // inbox buffers become the next round's delivery buffers at the round-end
-// swap, so every round's merge appends into empty inboxes without a pass
-// of its own over the nodes: a node that does not step had nothing
+// swap, so every round's delivery appends into empty inboxes without a
+// pass of its own over the nodes: a node that does not step had nothing
 // delivered, or it would be awake.
 func (st *runState) stepRange(lo, hi int) (notDone uint64, v int, p any) {
 	defer func() { p = recover() }()
@@ -691,82 +672,6 @@ func (st *runState) stepRange(lo, hi int) (notDone uint64, v int, p any) {
 		}
 	}
 	return notDone, -1, nil
-}
-
-// mergeSeq is the sequential merge: one pass over the stepped nodes in ID
-// order, appending into the reused next-inbox buffers and waking each
-// receiver that is done. A node that did not step is never visited, so its
-// last outbox is never sent again. It is also the reference semantics the
-// parallel path replays on its (cold) error paths, so the two return
-// bit-for-bit identical partial results.
-func (st *runState) mergeSeq(round int) error {
-	res := st.res
-	bandwidth := st.nw.bandwidth
-	var traffic RoundTraffic
-	// The merge charges its slots on the first worker's list; on the cold
-	// path every worker's list has just been cleared.
-	touched := &st.workers[0].touched
-	for w := range st.workers {
-		lo := st.starts[w]
-		for i, word := range st.workers[w].awake {
-			base := lo + i<<6
-			for word != 0 {
-				first, end := nextRun(word)
-				word &^= uint64(1)<<end - 1
-				for v := base + first; v < base+end; v++ {
-					ctx := st.ctxs[v]
-					slots := st.offsets[v]
-					for _, msg := range st.outboxes[v] {
-						msg.From = v
-						r := ctx.neighborRank(msg.To)
-						if r < 0 {
-							*touched = clearSlots(st.edgeBits, *touched)
-							return fmt.Errorf("%w: node %d -> %d in round %d", ErrNotNeighbor, v, msg.To, round)
-						}
-						if msg.Bits < 0 {
-							msg.Bits = 0
-						}
-						slot := slots + int32(r)
-						total := int(st.edgeBits[slot]) + msg.Bits
-						if total > bandwidth {
-							*touched = clearSlots(st.edgeBits, *touched)
-							return fmt.Errorf("%w: node %d -> %d sent %d bits in round %d (B=%d)",
-								ErrBandwidthExceeded, v, msg.To, total, round, bandwidth)
-						}
-						if st.edgeBits[slot] == 0 && total > 0 {
-							*touched = append(*touched, slot)
-						}
-						st.edgeBits[slot] = int32(total)
-						st.next[msg.To] = append(st.next[msg.To], msg)
-						if st.done[msg.To] {
-							st.wakeNode(msg.To)
-						}
-						traffic.Messages++
-						res.TotalMessages++
-						res.TotalBits += int64(msg.Bits)
-						if msg.Quantum {
-							res.QuantumBits += int64(msg.Bits)
-							traffic.QuantumBits += int64(msg.Bits)
-						} else {
-							traffic.ClassicalBits += int64(msg.Bits)
-						}
-						st.anyMessage = true
-						if st.opts.Trace != nil {
-							st.opts.Trace(round, msg)
-						}
-						if total > res.MaxEdgeBitsPerRound {
-							res.MaxEdgeBitsPerRound = total
-						}
-					}
-				}
-			}
-		}
-	}
-	if st.opts.PerRound {
-		res.PerRound = append(res.PerRound, traffic)
-	}
-	*touched = clearSlots(st.edgeBits, *touched)
-	return nil
 }
 
 // nextRun returns the lowest run of consecutive set bits in a non-zero

@@ -1,0 +1,354 @@
+package congest
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"qdc/internal/graph"
+)
+
+// FuzzRunMatchesReference runs a node program derived from the fuzz input
+// on a small topology at every worker count and holds Result, trace stream
+// and error or panic text to referenceRun, an independent statement of the
+// round semantics. The program mixes word, boxed and qubit messages,
+// oversize messages and messages to non-neighbours, done votes and
+// wake-ups, and optionally a node panic; the seed corpus under
+// testdata/fuzz covers each of these.
+func FuzzRunMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, shape, size uint8, seed int64, mix uint32) {
+		topo := fuzzTopology(shape, size, mix)
+		p := newFuzzProgram(topo.N(), seed, mix)
+		factory := func(*Context) Node { return &fuzzNode{p: p} }
+		opts := Options{MaxRounds: p.maxRounds, PerRound: mix&1 != 0}
+
+		want := referenceRun(topo, p.bandwidth, seed, factory, opts)
+		for _, workers := range []int{0, 1, 2, 3, 4} {
+			got := fuzzRun(topo, p.bandwidth, seed, factory, opts, workers)
+			if got.panic != want.panic {
+				t.Fatalf("Workers=%d: panic %q, want %q", workers, got.panic, want.panic)
+			}
+			if got.err != want.err {
+				t.Fatalf("Workers=%d: error %q, want %q", workers, got.err, want.err)
+			}
+			if !reflect.DeepEqual(got.res, want.res) {
+				t.Fatalf("Workers=%d: Result diverged:\ngot  %+v\nwant %+v", workers, got.res, want.res)
+			}
+			if !reflect.DeepEqual(got.events, want.events) {
+				t.Fatalf("Workers=%d: trace diverged (%d vs %d events)", workers, len(got.events), len(want.events))
+			}
+		}
+	})
+}
+
+// runOutcome is everything a run reports: its Result, its trace stream,
+// its error text ("" for none) and the text it panicked with ("" for
+// none).
+type runOutcome struct {
+	res    *Result
+	events []traceEvent
+	err    string
+	panic  string
+}
+
+// record is a Trace callback appending to the outcome's stream.
+func (o *runOutcome) record(round int, msg Message) {
+	o.events = append(o.events, traceEvent{Round: round, Msg: msg})
+}
+
+// setErr stores err's text.
+func (o *runOutcome) setErr(err error) {
+	if err != nil {
+		o.err = err.Error()
+	}
+}
+
+// fuzzTopology picks a connected topology on 2..64 nodes: a path, ring,
+// star or grid, or the asymmetric skewRing. Bit 29 of mix routes the
+// graph-built families through a CSR, the simulator's indexed path.
+func fuzzTopology(shape, size uint8, mix uint32) Topology {
+	var g *graph.Graph
+	switch shape % 5 {
+	case 0:
+		g = graph.Path(2 + int(size)%63)
+	case 1:
+		return ring(3 + int(size)%62)
+	case 2:
+		g = graph.Star(2 + int(size)%63)
+	case 3:
+		rows, cols := 1+int(size)%8, 2+int(size>>3)%7
+		g = graph.Grid(rows, cols)
+	default:
+		return skewRing(4 + int(size)%61)
+	}
+	if mix&(1<<29) != 0 {
+		return graph.FromGraph(g)
+	}
+	return g
+}
+
+// fuzzProgram holds the behaviour switches and rates a fuzz input sets.
+// Rates are out of 65536 per message (stranger, oversize) or out of 8 per
+// step (vote).
+type fuzzProgram struct {
+	bandwidth, maxRounds int
+	// active is the number of rounds in which awake nodes send freely;
+	// after it, nodes vote done and a woken node echoes now and then.
+	active             int
+	stranger, oversize uint64
+	vote               uint64
+	// panicNode panics when stepped in panicRound; -1 disables it.
+	panicNode, panicRound int
+}
+
+func newFuzzProgram(n int, seed int64, mix uint32) *fuzzProgram {
+	rate := func(k uint32) uint64 { return uint64(k*k) * 4 }
+	p := &fuzzProgram{
+		bandwidth: 4 + int(mix>>1&31),
+		maxRounds: 1 + int(mix>>6&31),
+		active:    int(mix >> 11 & 15),
+		stranger:  rate(mix >> 15 & 7),
+		oversize:  rate(mix >> 18 & 7),
+		vote:      uint64(mix >> 21 & 7),
+		panicNode: -1,
+	}
+	if mix&(1<<24) != 0 {
+		p.panicNode = int(uint64(seed) % uint64(n))
+		p.panicRound = 1 + int(mix>>25&15)
+	}
+	return p
+}
+
+// fuzzBoxed is the boxed payload of fuzzNode's messages.
+type fuzzBoxed struct{ Round, Tag int }
+
+// fuzzNode folds everything it receives, in order, into a digest it
+// outputs with its step count, so every output depends on which rounds
+// stepped the node and on the exact order of its inboxes.
+type fuzzNode struct {
+	p      *fuzzProgram
+	digest uint64
+	calls  int
+	out    []Message
+}
+
+func (f *fuzzNode) Init(ctx *Context) { f.digest = uint64(ctx.ID()) }
+
+func (f *fuzzNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
+	p := f.p
+	for i := range inbox {
+		m := &inbox[i]
+		x := uint64(m.From)<<48 ^ uint64(m.Bits)<<32 ^ uint64(m.Kind)<<24 ^ m.W0 ^ m.W1<<1
+		switch v := m.Payload.(type) {
+		case fuzzBoxed:
+			x ^= uint64(v.Round)<<8 ^ uint64(v.Tag)
+		case int:
+			x ^= uint64(v) << 16
+		}
+		if m.Quantum {
+			x = ^x
+		}
+		f.digest = mix64(f.digest ^ x)
+	}
+	f.calls++
+	ctx.SetOutput([2]uint64{f.digest, uint64(f.calls)})
+	if ctx.ID() == p.panicNode && round == p.panicRound {
+		panic(fmt.Sprintf("fuzz node %d, digest %x", ctx.ID(), f.digest))
+	}
+
+	h := mix64(f.digest ^ uint64(round)<<40 ^ ctx.Rand().Uint64())
+	sends := 0
+	switch {
+	case round <= p.active:
+		sends = int(h % uint64(ctx.Degree()+2))
+	case len(inbox) > 0 && h%4 == 0:
+		sends = 1
+	}
+	f.out = f.out[:0]
+	for i := 0; i < sends; i++ {
+		h = mix64(h + uint64(i))
+		f.out = append(f.out, f.message(ctx, round, h))
+	}
+	return f.out, round > p.active || h>>61 < p.vote
+}
+
+// message builds one message from the hash h: a word, boxed or qubit
+// message, usually to a neighbour within B/4 bits, now and then to a
+// non-neighbour or an ID outside the network, oversize, or with negative
+// Bits.
+func (f *fuzzNode) message(ctx *Context, round int, h uint64) Message {
+	p := f.p
+	to := ctx.NeighborAt(int(h>>8) % ctx.Degree())
+	if h&0xffff < p.stranger {
+		to = [...]int{ctx.ID(), -1, ctx.N(), (ctx.ID() + ctx.N()/2) % ctx.N()}[h>>16&3]
+	}
+	bits := 1 + int(h>>20)%max(1, p.bandwidth/4)
+	switch r := h >> 32 & 0xffff; {
+	case r < p.oversize:
+		bits = p.bandwidth + 1 + int(h>>48&7)
+	case r >= 0xf800:
+		bits = -int(h >> 48 & 7)
+	}
+	switch h >> 52 % 3 {
+	case 0:
+		return NewWordMessage(to, uint8(1+h>>56&3), h, uint64(round), bits)
+	case 1:
+		return NewMessage(to, fuzzBoxed{Round: round, Tag: int(h >> 56)}, bits)
+	default:
+		return NewQubitMessage(to, ctx.Rand().Intn(1000), bits)
+	}
+}
+
+// mix64 is the splitmix64 finaliser.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// fuzzRun runs factory on topo through Network.Run with a recording Trace.
+func fuzzRun(topo Topology, bandwidth int, seed int64, factory NodeFactory, opts Options, workers int) (o runOutcome) {
+	nw, err := NewNetwork(topo, bandwidth)
+	if err != nil {
+		o.setErr(err)
+		return o
+	}
+	nw.SetSeed(seed)
+	opts.Workers = workers
+	opts.Trace = o.record
+	defer func() {
+		if p := recover(); p != nil {
+			o.panic = fmt.Sprint(p)
+		}
+	}()
+	res, err := nw.Run(factory, opts)
+	o.res = res
+	o.setErr(err)
+	return o
+}
+
+// referenceRun is the round loop stated as plainly as possible: a []bool
+// awake set, per-edge bit counts in a map, and delivery by walking the
+// stepped nodes in ascending ID, outbox order within a node, so each inbox
+// fills in ascending sender ID. It has no ranges, slots or queues. It
+// traces every accepted message; opts.Trace and opts.Cancel are ignored,
+// and opts.MaxRounds must be positive.
+func referenceRun(topo Topology, bandwidth int, seed int64, factory NodeFactory, opts Options) (o runOutcome) {
+	n := topo.N()
+	ctxs := make([]*Context, n)
+	isNeighbor := make([]map[int]bool, n)
+	for v := 0; v < n; v++ {
+		listed := slices.Clone(topo.Neighbors(v))
+		sort.Ints(listed)
+		ctx := &Context{id: v, n: n, bandwidth: bandwidth, rngSeed: seed*1_000_003 + int64(v)}
+		isNeighbor[v] = map[int]bool{}
+		for _, u := range listed {
+			if w, ok := topo.Weight(v, u); ok {
+				ctx.neighbors = append(ctx.neighbors, u)
+				ctx.weights = append(ctx.weights, w)
+				isNeighbor[v][u] = true
+			}
+		}
+		ctxs[v] = ctx
+	}
+	nodes := make([]Node, n)
+	for v := range nodes {
+		nodes[v] = factory(ctxs[v])
+	}
+	for v := range nodes {
+		nodes[v].Init(ctxs[v])
+	}
+
+	res := &Result{Outputs: map[int]any{}}
+	finish := func(err error) runOutcome {
+		for v, ctx := range ctxs {
+			if out, ok := ctx.Output(); ok {
+				res.Outputs[v] = out
+			}
+		}
+		o.res = res
+		o.setErr(err)
+		return o
+	}
+	awake := make([]bool, n)
+	for v := range awake {
+		awake[v] = true
+	}
+	done := make([]bool, n)
+	inboxes := make([][]Message, n)
+	for round := 1; round <= opts.MaxRounds; round++ {
+		res.Rounds = round
+		outboxes := make([][]Message, n)
+		for v := 0; v < n; v++ {
+			if !awake[v] {
+				continue
+			}
+			if p, ok := stepNode(nodes[v], ctxs[v], round, inboxes[v], &outboxes[v], &done[v]); !ok {
+				o.panic = fmt.Sprintf("congest: node %d panicked in round %d: %v", v, round, p)
+				return o
+			}
+		}
+
+		nextInboxes := make([][]Message, n)
+		nextAwake := make([]bool, n)
+		edgeBits := map[[2]int]int{}
+		var traffic RoundTraffic
+		for v := 0; v < n; v++ {
+			if !awake[v] {
+				continue
+			}
+			nextAwake[v] = nextAwake[v] || !done[v]
+			for _, msg := range outboxes[v] {
+				msg.From = v
+				if !isNeighbor[v][msg.To] {
+					return finish(fmt.Errorf("%w: node %d -> %d in round %d", ErrNotNeighbor, v, msg.To, round))
+				}
+				msg.Bits = max(msg.Bits, 0)
+				edge := [2]int{v, msg.To}
+				edgeBits[edge] += msg.Bits
+				if edgeBits[edge] > bandwidth {
+					return finish(fmt.Errorf("%w: node %d -> %d sent %d bits in round %d (B=%d)",
+						ErrBandwidthExceeded, v, msg.To, edgeBits[edge], round, bandwidth))
+				}
+				nextInboxes[msg.To] = append(nextInboxes[msg.To], msg)
+				nextAwake[msg.To] = true
+				res.TotalMessages++
+				res.TotalBits += int64(msg.Bits)
+				traffic.Messages++
+				if msg.Quantum {
+					res.QuantumBits += int64(msg.Bits)
+					traffic.QuantumBits += int64(msg.Bits)
+				} else {
+					traffic.ClassicalBits += int64(msg.Bits)
+				}
+				res.MaxEdgeBitsPerRound = max(res.MaxEdgeBitsPerRound, edgeBits[edge])
+				o.record(round, msg)
+			}
+		}
+		if opts.PerRound {
+			res.PerRound = append(res.PerRound, traffic)
+		}
+		inboxes, awake = nextInboxes, nextAwake
+		if !slices.Contains(done, false) && traffic.Messages == 0 {
+			res.Terminated = true
+			return finish(nil)
+		}
+	}
+	return finish(fmt.Errorf("%w: after %d rounds", ErrRoundLimit, res.Rounds))
+}
+
+// stepNode calls node's Round, storing its outbox and vote. ok is false
+// when Round panicked, with p the panic value.
+func stepNode(node Node, ctx *Context, round int, inbox []Message, out *[]Message, done *bool) (p any, ok bool) {
+	defer func() {
+		if !ok {
+			p = recover()
+		}
+	}()
+	*out, *done = node.Round(ctx, round, inbox)
+	return nil, true
+}

@@ -69,8 +69,8 @@ func (m *mixedPayloadNode) Round(ctx *Context, round int, inbox []Message) ([]Me
 
 // runMixed executes the mixed workload and returns the Result plus the full
 // traced message stream — Kind, W0/W1, Payload and Quantum included, since
-// both merge paths run the same program and must agree on the representation
-// itself, not just the accounting projection.
+// every worker count runs the same program and must agree on the
+// representation itself, not just the accounting projection.
 func runMixed(t *testing.T, workers int) (*Result, []traceEvent) {
 	t.Helper()
 	nw, err := NewNetwork(ring(41), 64)
@@ -97,7 +97,7 @@ func runMixed(t *testing.T, workers int) (*Result, []traceEvent) {
 // a workload that interleaves word-encoded, boxed and quantum messages in the
 // same rounds: the full Result (rounds, bit and message totals, the quantum
 // split, per-round traffic, the digest outputs) and the complete trace stream
-// are identical whether the merge runs sequentially or on a worker pool.
+// are identical whether the round runs on one range or on a worker pool.
 func TestMixedPayloadsIdenticalAcrossWorkers(t *testing.T) {
 	seqRes, seqEvents := runMixed(t, 0)
 

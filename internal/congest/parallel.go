@@ -5,33 +5,35 @@ import (
 	"sort"
 )
 
-// The parallel execution path. With Options.Workers > 1 a run splits the
-// node IDs into one contiguous range per worker, fixed at run start and
-// balanced by degree+1, and owns a pool of goroutines that lives from round
-// 1 to termination. Each round dispatches the same pre-built job closures to
-// the pool twice, so the steady state allocates nothing:
+// The round. Every run splits the node IDs into one contiguous range per
+// worker, fixed at run start and balanced by degree+1, and runs each round
+// as two phases over the ranges: inline on the calling goroutine when there
+// is one range (Options.Workers <= 1), otherwise on a pool of goroutines
+// that lives from round 1 to termination. The phase closures are built
+// once, so the steady state allocates nothing:
 //
 //  1. step: every worker steps its range's awake nodes, then validates and
-//     accounts their messages against their sender-private slots of the CSR
-//     edge index and queues each accepted message as a msgRef for the
-//     worker that owns the receiver. A stepped node that is not done stays
-//     awake for the next round.
+//     accounts their messages against their sender-private slots of the
+//     CSR edge index. The first range delivers each message to its own
+//     range at once; every other accepted message is queued as a msgRef
+//     for the worker that owns the receiver. A stepped node that is not
+//     done stays awake for the next round.
 //  2. deliver: every worker drains the queues addressed to it in worker
 //     order into its receivers' inboxes, wakes the receivers that are done,
 //     and zeroes the edge slots it charged in phase 1.
 //
 // Each worker keeps the awake set of its own range in private words, so no
 // word is written by two workers. A round therefore costs
-// O(n/64W + awake/W + traffic/W) per worker behind two barriers. The
-// contract is bit-for-bit equality with the sequential path, argued in
-// DESIGN.md ("The congest hot path"): a node's Round touches only its own
-// state and inbox, accounting folds per-worker sums and maxes in worker
-// order, and ranges ascend with the worker index, so draining the queues
-// in worker order appends each receiver's messages in ascending sender ID,
-// outbox order within a sender — the sequential append order.
-// Error rounds leave the parallel path entirely: the round is re-merged
-// sequentially, so partial results and error text match the sequential run
-// down to the byte.
+// O(n/64W + awake/W + traffic/W) per worker behind two barriers. The result
+// is the same for every worker count, argued in DESIGN.md ("The congest hot
+// path"): a node's Round touches only its own state and inbox, accounting
+// folds per-worker sums and maxes in worker order, and ranges ascend with
+// the worker index, so the first range's direct deliveries followed by the
+// queues drained in worker order append each receiver's messages in
+// ascending sender ID, outbox order within a sender. A validation error
+// folds the ranges before the failing one and the failing range's messages
+// before its error, which is the same partial result for every worker
+// count.
 
 // msgRef names one accepted message by its sender and its index in the
 // sender's outbox. Outboxes stay untouched until the next step, so a ref is
@@ -42,7 +44,8 @@ type msgRef struct{ from, idx int32 }
 // adjacent workers' state does not share a cache line.
 type rangeWorker struct {
 	// queues[o] holds the round's accepted messages to receivers in worker
-	// o's range, in sender order.
+	// o's range, in sender order. The first worker's queue to itself stays
+	// empty: it delivers those messages during validation.
 	queues [][]msgRef
 	// trace holds all of the round's accepted messages in sender order; it
 	// is filled only under Options.Trace.
@@ -58,22 +61,20 @@ type rangeWorker struct {
 	// -1; panicVal is its panic value.
 	panicAt  int
 	panicVal any
-	// failed reports that a message of the range failed validation.
-	failed bool
+	// err is the range's first validation error, as the run returns it.
+	err error
 
-	totalMessages int
-	totalBits     int64
-	quantumBits   int64
-	classicalBits int64
-	maxEdgeBits   int
-	notAllDone    bool
-	_             [64]byte
+	// traffic and maxEdgeBits account the range's accepted messages.
+	traffic     RoundTraffic
+	maxEdgeBits int
+	notAllDone  bool
+	_           [64]byte
 }
 
 // reset starts the worker's round: the nodes woken last round become the
 // awake set, and the old awake words are cleared to collect the next one.
-// touched is already empty, since deliver, the sequential merge or the
-// cold path zeroes the slots it lists.
+// touched is already empty, since deliver or the error return zeroes the
+// slots it lists.
 func (wk *rangeWorker) reset() {
 	for o := range wk.queues {
 		wk.queues[o] = wk.queues[o][:0]
@@ -140,8 +141,7 @@ func panicText(v, round int, p any) string {
 // worker w owning starts[w]..starts[w+1]-1. The ranges balance Σ(degree+1):
 // a node costs one Round call plus one pass per incident edge to validate
 // and deliver. A node heavier than a worker's share leaves the ranges after
-// it empty. The sequential path is the one-worker partition, so it keeps
-// its awake words in workers[0].
+// it empty. With one worker the single range holds every node.
 func (st *runState) partition(workers int) {
 	total := int64(st.offsets[st.n]) + int64(st.n)
 	st.starts = make([]int, workers+1)
@@ -176,17 +176,25 @@ func (st *runState) owner(v int) int {
 	return sort.Search(len(st.workers)-1, func(w int) bool { return st.starts[w+1] > v })
 }
 
-// wakeNode marks node v to step next round.
-func (st *runState) wakeNode(v int) {
-	w := st.owner(v)
-	st.workers[w].wakeAt(v - st.starts[w])
+// each runs job(w) for every range w and returns when all have finished:
+// on the calling goroutine for a single range, else on the pool.
+func (st *runState) each(job func(w int)) {
+	if st.pool == nil {
+		job(0)
+		return
+	}
+	st.pool.run(job)
 }
 
-// roundPar runs one round on the worker pool. A panic re-raises the
-// lowest-ID panicking node's; a validation failure replays the round's
-// merge sequentially.
-func (st *runState) roundPar(round int) error {
-	st.pool.run(st.stepJob)
+// runRound runs round st.round and reports whether the run is quiet: every
+// node done and no message in flight. A panic re-raises the lowest-ID
+// panicking node's. A validation error returns the error of the first
+// range that failed, once the ranges before it and that range's messages
+// before its error are accounted and traced; the round then delivers
+// nothing and records no PerRound entry.
+func (st *runState) runRound() (quiet bool, err error) {
+	st.each(st.stepJob)
+	round := st.round
 	// Ranges ascend with the worker index, so the first worker that saw a
 	// panic holds the lowest panicking ID, whatever the scheduling.
 	for w := range st.workers {
@@ -194,57 +202,46 @@ func (st *runState) roundPar(round int) error {
 			panic(panicText(wk.panicAt, round, wk.panicVal))
 		}
 	}
-	st.allDone = true
-	st.anyMessage = false
-	for w := range st.workers {
-		if st.workers[w].failed {
-			// Cold path: drop the staged charges and re-run the round's
-			// merge sequentially for byte-identical partial results, trace
-			// stream and error.
-			for w := range st.workers {
-				st.workers[w].touched = clearSlots(st.edgeBits, st.workers[w].touched)
-			}
-			return st.mergeSeq(round)
-		}
-	}
 
 	res := st.res
 	var traffic RoundTraffic
+	allDone := true
 	for w := range st.workers {
 		wk := &st.workers[w]
-		if wk.notAllDone {
-			st.allDone = false
-		}
-		if wk.totalMessages > 0 {
-			st.anyMessage = true
-		}
-		res.TotalMessages += wk.totalMessages
-		res.TotalBits += wk.totalBits
-		res.QuantumBits += wk.quantumBits
-		traffic.Messages += wk.totalMessages
-		traffic.QuantumBits += wk.quantumBits
-		traffic.ClassicalBits += wk.classicalBits
+		allDone = allDone && !wk.notAllDone
+		res.TotalMessages += wk.traffic.Messages
+		res.TotalBits += wk.traffic.ClassicalBits + wk.traffic.QuantumBits
+		res.QuantumBits += wk.traffic.QuantumBits
 		res.MaxEdgeBitsPerRound = max(res.MaxEdgeBitsPerRound, wk.maxEdgeBits)
+		traffic.Messages += wk.traffic.Messages
+		traffic.ClassicalBits += wk.traffic.ClassicalBits
+		traffic.QuantumBits += wk.traffic.QuantumBits
+		// Worker order is sender-ID order: the callback sees every message
+		// in sender order, on this goroutine alone.
+		if trace := st.opts.Trace; trace != nil {
+			for _, ref := range wk.trace {
+				trace(round, st.message(ref))
+			}
+		}
+		if wk.err != nil {
+			// Zero every range's charges so edgeBits is clean when the run
+			// returns; the first range's direct deliveries go with the run.
+			for w := range st.workers {
+				st.workers[w].touched = clearSlots(st.edgeBits, st.workers[w].touched)
+			}
+			return false, wk.err
+		}
 	}
 	if st.opts.PerRound {
 		res.PerRound = append(res.PerRound, traffic)
 	}
-	if trace := st.opts.Trace; trace != nil {
-		// Worker order is sender-ID order: the callback sees exactly the
-		// sequential stream, on this goroutine alone.
-		for w := range st.workers {
-			for _, ref := range st.workers[w].trace {
-				trace(round, st.message(ref))
-			}
-		}
-	}
-	st.pool.run(st.deliverJob)
-	return nil
+	st.each(st.deliverJob)
+	return allDone && traffic.Messages == 0, nil
 }
 
-// stepWorker is phase 1 of a parallel round for worker w. A panic stops
-// the worker at the panicking node, and so does a validation failure, since
-// the round is then replayed sequentially.
+// stepWorker is phase 1 of a round for worker w: step the range's awake
+// nodes, then validate their messages. A panic stops the worker at the
+// panicking node, and a validation error at the failing message.
 func (st *runState) stepWorker(w int) {
 	wk := &st.workers[w]
 	wk.reset()
@@ -252,9 +249,23 @@ func (st *runState) stepWorker(w int) {
 		wk.panicAt, wk.panicVal = v, p
 		return
 	}
+	wk.traffic, wk.maxEdgeBits, wk.err = st.validate(w)
+}
 
+// validate charges the messages of worker w's stepped nodes to their edge
+// slots, in sender order, and routes each accepted one. No range comes
+// before the first, so a message from the first range to a node in it is
+// first in its receiver's inbox whatever arrives later: it is delivered on
+// the spot, and its receiver woken if done. Every other message is queued
+// for the worker that owns its receiver. validate returns the accepted
+// traffic and stops at the first message that fails, returning its error.
+// The sums live in locals until the range is done, off the shared worker
+// state.
+func (st *runState) validate(w int) (traffic RoundTraffic, maxEdgeBits int, err error) {
+	wk := &st.workers[w]
 	bandwidth := st.nw.bandwidth
 	tracing := st.opts.Trace != nil
+	direct := w == 0
 	lo, hi := st.starts[w], st.starts[w+1]
 	for i, word := range wk.awake {
 		base := lo + i<<6
@@ -269,48 +280,59 @@ func (st *runState) stepWorker(w int) {
 					to := out[j].To
 					r := ctx.neighborRank(to)
 					if r < 0 {
-						wk.failed = true
-						return
+						err = fmt.Errorf("%w: node %d -> %d in round %d", ErrNotNeighbor, v, to, st.round)
+						return traffic, maxEdgeBits, err
 					}
 					size := max(out[j].Bits, 0)
 					slot := slots + int32(r)
 					total := int(st.edgeBits[slot]) + size
 					if total > bandwidth {
-						wk.failed = true
-						return
+						err = fmt.Errorf("%w: node %d -> %d sent %d bits in round %d (B=%d)",
+							ErrBandwidthExceeded, v, to, total, st.round, bandwidth)
+						return traffic, maxEdgeBits, err
 					}
 					if st.edgeBits[slot] == 0 && total > 0 {
 						wk.touched = append(wk.touched, slot)
 					}
 					st.edgeBits[slot] = int32(total)
 					ref := msgRef{from: int32(v), idx: int32(j)}
-					o := w
-					if to < lo || to >= hi {
-						o = st.owner(to)
+					if direct && to < hi {
+						msg := out[j]
+						msg.From, msg.Bits = v, size
+						st.next[to] = append(st.next[to], msg)
+						if st.done[to] {
+							wk.wakeAt(to)
+						}
+					} else {
+						o := w
+						if to < lo || to >= hi {
+							o = st.owner(to)
+						}
+						wk.queues[o] = append(wk.queues[o], ref)
 					}
-					wk.queues[o] = append(wk.queues[o], ref)
 					if tracing {
 						wk.trace = append(wk.trace, ref)
 					}
-					wk.totalMessages++
-					wk.totalBits += int64(size)
+					traffic.Messages++
 					if out[j].Quantum {
-						wk.quantumBits += int64(size)
+						traffic.QuantumBits += int64(size)
 					} else {
-						wk.classicalBits += int64(size)
+						traffic.ClassicalBits += int64(size)
 					}
-					wk.maxEdgeBits = max(wk.maxEdgeBits, total)
+					maxEdgeBits = max(maxEdgeBits, total)
 				}
 			}
 		}
 	}
+	return traffic, maxEdgeBits, nil
 }
 
-// deliverWorker is phase 2 of a parallel round for worker o. Its
-// receivers' inboxes are already empty: stepRange reset them when their
-// previous contents were consumed, and a node that did not step had nothing
-// delivered. A receiver that is not done stepped this round and is already
-// in the next round's set, so only done receivers are marked.
+// deliverWorker is phase 2 of a round for worker o. Its receivers' inboxes
+// hold only what the first range delivered directly, if o is that range:
+// stepRange reset them when their previous contents were consumed, and a
+// node that did not step had nothing delivered. A receiver that is not done
+// stepped this round and is already in the next round's set, so only done
+// receivers are marked.
 func (st *runState) deliverWorker(o int) {
 	wk := &st.workers[o]
 	lo := st.starts[o]
@@ -326,8 +348,8 @@ func (st *runState) deliverWorker(o int) {
 	wk.touched = clearSlots(st.edgeBits, wk.touched)
 }
 
-// message returns the accepted message ref names as the sequential merge
-// delivers it: From stamped, negative Bits clamped to zero.
+// message returns the accepted message ref names as its receiver gets it:
+// From stamped, negative Bits clamped to zero.
 func (st *runState) message(ref msgRef) Message {
 	msg := st.outboxes[ref.from][ref.idx]
 	msg.From = int(ref.from)

@@ -33,8 +33,7 @@ func (m *mixerNode) Round(ctx *Context, round int, inbox []Message) ([]Message, 
 	return Broadcast(ctx.Neighbors(), m.sum%1024, 10), false
 }
 
-// ring builds a cycle topology without importing internal/graph (which
-// would create an import cycle in this package's tests).
+// ring is the cycle topology in which node v lists v-1 and v+1 (mod n).
 type ring int
 
 func (r ring) N() int { return int(r) }
@@ -103,8 +102,8 @@ func (h *hybridNode) Round(ctx *Context, round int, inbox []Message) ([]Message,
 func TestWorkersIdenticalFullResult(t *testing.T) {
 	// Bit-for-bit equality of the whole Result — rounds, message and bit
 	// totals, the quantum split, the per-round traffic breakdown, the
-	// per-edge maximum and the outputs map — between the sequential merge
-	// and the pooled parallel merge.
+	// per-edge maximum and the outputs map — between one range on the
+	// calling goroutine and ranges on the worker pool.
 	run := func(workers int) *Result {
 		nw, err := NewNetwork(ring(53), 64)
 		if err != nil {
@@ -165,44 +164,66 @@ func (r *roguePeer) Round(ctx *Context, round int, inbox []Message) ([]Message, 
 	return []Message{NewMessage(r.partner, round, 4)}, false
 }
 
+// rogueRun is what a roguePeer run on ring(32) at B = 16 stops with, at
+// every worker count: the error, plus the two clean rounds' traffic and the
+// round-3 messages of nodes 0..6 and of node 7 before its violation. The
+// failing round adds no PerRound entry, and the outputs every node recorded
+// in round 1 are collected.
+var rogueRuns = []struct {
+	overrun     bool
+	err         string
+	is          error
+	rounds      int
+	messages    int
+	bits        int64
+	maxEdgeBits int
+	perRound    int
+}{
+	{false, "congest: message to non-neighbour: node 7 -> 23 in round 3", ErrNotNeighbor, 3, 71, 284, 4, 2},
+	{true, "congest: bandwidth exceeded: node 7 -> 6 sent 18 bits in round 3 (B=16)", ErrBandwidthExceeded, 3, 72, 293, 9, 2},
+}
+
+// runRogue runs roguePeer on ring(32) with per-round traffic and, when
+// traced is set, a recording Trace.
+func runRogue(t *testing.T, overrun, traced bool, workers int) (*Result, []traceEvent, error) {
+	t.Helper()
+	nw, err := NewNetwork(ring(32), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []traceEvent
+	opts := Options{Workers: workers, PerRound: true}
+	if traced {
+		opts.Trace = func(round int, msg Message) {
+			events = append(events, traceEvent{Round: round, Msg: msg})
+		}
+	}
+	res, err := nw.Run(func(ctx *Context) Node {
+		return &roguePeer{rogue: ctx.ID() == 7, overrun: overrun}
+	}, opts)
+	return res, events, err
+}
+
+// TestErrorPathsIdenticalAcrossWorkers pins the partial result of a run
+// that fails validation to absolute numbers at every worker count: the
+// error text, the traffic accounted before the violation and the outputs
+// recorded before it.
 func TestErrorPathsIdenticalAcrossWorkers(t *testing.T) {
-	// A validation failure makes the parallel merge abandon the round and
-	// replay it sequentially, so the partial Result and the error text must
-	// match the sequential run exactly — and both must still collect the
-	// outputs nodes had recorded before the violation.
-	for _, overrun := range []bool{false, true} {
-		run := func(workers int) (*Result, error) {
-			nw, err := NewNetwork(ring(32), 16)
-			if err != nil {
-				t.Fatal(err)
+	for _, want := range rogueRuns {
+		for _, workers := range []int{0, 1, 2, 4} {
+			res, _, err := runRogue(t, want.overrun, false, workers)
+			if !errors.Is(err, want.is) || err.Error() != want.err {
+				t.Errorf("overrun=%v Workers=%d: error %v, want %s", want.overrun, workers, err, want.err)
 			}
-			return nw.Run(func(ctx *Context) Node {
-				return &roguePeer{rogue: ctx.ID() == 7, overrun: overrun}
-			}, Options{Workers: workers, PerRound: true})
-		}
-		seqRes, seqErr := run(0)
-		if seqErr == nil {
-			t.Fatalf("overrun=%v: expected a validation error", overrun)
-		}
-		wantErr := ErrNotNeighbor
-		if overrun {
-			wantErr = ErrBandwidthExceeded
-		}
-		if !errors.Is(seqErr, wantErr) {
-			t.Fatalf("overrun=%v: got error %v, want %v", overrun, seqErr, wantErr)
-		}
-		if len(seqRes.Outputs) != 32 {
-			t.Errorf("overrun=%v: error return collected %d outputs, want all 32",
-				overrun, len(seqRes.Outputs))
-		}
-		for _, workers := range []int{1, 4} {
-			gotRes, gotErr := run(workers)
-			if gotErr == nil || gotErr.Error() != seqErr.Error() {
-				t.Errorf("overrun=%v Workers=%d: error %v, want %v", overrun, workers, gotErr, seqErr)
+			if res.Rounds != want.rounds || res.TotalMessages != want.messages || res.TotalBits != want.bits ||
+				res.MaxEdgeBitsPerRound != want.maxEdgeBits || len(res.PerRound) != want.perRound {
+				t.Errorf("overrun=%v Workers=%d: %d rounds, %d messages, %d bits, max edge %d, %d PerRound entries; want %d, %d, %d, %d, %d",
+					want.overrun, workers, res.Rounds, res.TotalMessages, res.TotalBits, res.MaxEdgeBitsPerRound, len(res.PerRound),
+					want.rounds, want.messages, want.bits, want.maxEdgeBits, want.perRound)
 			}
-			if !reflect.DeepEqual(seqRes, gotRes) {
-				t.Errorf("overrun=%v Workers=%d: partial result diverged:\nseq %+v\ngot %+v",
-					overrun, workers, seqRes, gotRes)
+			if len(res.Outputs) != 32 {
+				t.Errorf("overrun=%v Workers=%d: error return collected %d outputs, want all 32",
+					want.overrun, workers, len(res.Outputs))
 			}
 		}
 	}

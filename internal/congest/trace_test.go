@@ -47,7 +47,7 @@ func tracedRun(t *testing.T, topo Topology, workers int, factory NodeFactory) (*
 
 // TestTraceIdenticalAcrossWorkers pins the parallel round tracer's contract:
 // the event stream observed through Options.Trace is identical — same
-// events, same order — whether the merge runs sequentially or on a worker
+// events, same order — whether the round runs on one range or on a worker
 // pool, and enabling tracing does not perturb the Result.
 func TestTraceIdenticalAcrossWorkers(t *testing.T) {
 	seqEvents, seqRes := collectTrace(t, 0)
@@ -75,11 +75,10 @@ func TestTraceIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestTraceDoesNotForceSequentialMerge is the white-box check that tracing
-// keeps the partitioned path: a traced round with Workers > 1 runs on the
-// worker pool and records every accepted message in the workers' trace
-// buffers.
-func TestTraceDoesNotForceSequentialMerge(t *testing.T) {
+// TestTraceFillsPerWorkerBuffers is the white-box check that a traced run
+// with Workers > 1 builds the pool and records every accepted message in
+// the workers' trace buffers.
+func TestTraceFillsPerWorkerBuffers(t *testing.T) {
 	nw, err := NewNetwork(ring(16), 16)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +93,7 @@ func TestTraceDoesNotForceSequentialMerge(t *testing.T) {
 		t.Fatalf("Workers=4 built pool %v with %d range workers", st.pool != nil, len(st.workers))
 	}
 	st.round = 1
-	if err := st.roundPar(1); err != nil {
+	if _, err := st.runRound(); err != nil {
 		t.Fatal(err)
 	}
 	traced := 0
@@ -106,44 +105,29 @@ func TestTraceDoesNotForceSequentialMerge(t *testing.T) {
 	}
 }
 
-// TestTraceErrorPathsIdenticalAcrossWorkers extends the cold-path guarantee
-// to the tracer: when a round fails validation the parallel merge discards
-// its half-recorded buffers and replays sequentially, so the traced event
-// stream up to and including the failing round matches the sequential run
-// byte for byte.
+// TestTraceErrorPathsIdenticalAcrossWorkers extends the pinned error
+// paths to the tracer: at every worker count the stream holds exactly the
+// messages accounted before the violation, in sender order within each
+// round, and tracing leaves the partial Result unchanged.
 func TestTraceErrorPathsIdenticalAcrossWorkers(t *testing.T) {
-	for _, overrun := range []bool{false, true} {
-		run := func(workers int) ([]traceEvent, error) {
-			nw, err := NewNetwork(ring(32), 16)
-			if err != nil {
-				t.Fatal(err)
+	for _, want := range rogueRuns {
+		plain, _, _ := runRogue(t, want.overrun, false, 0)
+		for _, workers := range []int{0, 1, 2, 4} {
+			res, events, err := runRogue(t, want.overrun, true, workers)
+			if err == nil || err.Error() != want.err {
+				t.Errorf("overrun=%v Workers=%d: error %v, want %s", want.overrun, workers, err, want.err)
 			}
-			var events []traceEvent
-			_, err = nw.Run(func(ctx *Context) Node {
-				return &roguePeer{rogue: ctx.ID() == 7, overrun: overrun}
-			}, Options{
-				Workers: workers,
-				Trace: func(round int, msg Message) {
-					events = append(events, traceEvent{Round: round, Msg: msg})
-				},
-			})
-			return events, err
-		}
-		seqEvents, seqErr := run(0)
-		if seqErr == nil {
-			t.Fatalf("overrun=%v: expected a validation error", overrun)
-		}
-		if len(seqEvents) == 0 {
-			t.Fatalf("overrun=%v: no events before the violation", overrun)
-		}
-		for _, workers := range []int{1, 4} {
-			events, err := run(workers)
-			if err == nil || err.Error() != seqErr.Error() {
-				t.Errorf("overrun=%v Workers=%d: error %v, want %v", overrun, workers, err, seqErr)
+			if len(events) != want.messages {
+				t.Errorf("overrun=%v Workers=%d: traced %d events, want %d", want.overrun, workers, len(events), want.messages)
 			}
-			if !reflect.DeepEqual(seqEvents, events) {
-				t.Errorf("overrun=%v Workers=%d: error-path trace diverged (%d vs %d events)",
-					overrun, workers, len(seqEvents), len(events))
+			for i := 1; i < len(events); i++ {
+				if prev, ev := events[i-1], events[i]; ev.Round < prev.Round || ev.Round == prev.Round && ev.Msg.From < prev.Msg.From {
+					t.Fatalf("overrun=%v Workers=%d: event %d (round %d, from %d) follows round %d, from %d",
+						want.overrun, workers, i, ev.Round, ev.Msg.From, prev.Round, prev.Msg.From)
+				}
+			}
+			if !reflect.DeepEqual(res, plain) {
+				t.Errorf("overrun=%v Workers=%d: traced partial result diverged from the untraced one", want.overrun, workers)
 			}
 		}
 	}
@@ -151,7 +135,7 @@ func TestTraceErrorPathsIdenticalAcrossWorkers(t *testing.T) {
 
 // TestTraceSteadyStateAllocFree extends the steady-state guarantee to traced
 // runs: once the per-worker trace buffers have grown to the workload's
-// per-round traffic, extra rounds allocate nothing on either merge path.
+// per-round traffic, extra rounds allocate nothing at one worker or four.
 func TestTraceSteadyStateAllocFree(t *testing.T) {
 	topo := graph.Grid(24, 24)
 	const short, long = 8, 104

@@ -68,7 +68,8 @@ type SpawnFunc func(shard, attempt int, path string) (Worker, error)
 
 // Options configures Sweep.
 type Options struct {
-	// Shards is the number of workers; shard i runs slice i/Shards.
+	// Shards is the number of workers, at most one per scenario of the
+	// spec; shard i runs slice i/Shards.
 	Shards int
 	// Retries is how many times a crashed shard is re-spawned after its
 	// first attempt; negative selects DefaultRetries.
@@ -137,7 +138,8 @@ func (r Result) summaryErr() error {
 }
 
 // Sweep runs the sweep of the frozen spec at spec — the file every worker is
-// handed — across opts.Shards workers and returns its merged records, sorted
+// handed — across opts.Shards workers, no more than the spec has scenarios,
+// and returns its merged records, sorted
 // by scenario name and checked to cover the expansion exactly. A shard is
 // complete once its stream holds as many records as its Matrix.Shard slice,
 // even if the worker exits non-zero: the qdcbench worker exits 1 when
@@ -159,6 +161,9 @@ func Sweep(spec string, opts Options) ([]exp.Record, Result, error) {
 	m, err := exp.LoadMatrix(spec)
 	if err != nil {
 		return nil, Result{}, err
+	}
+	if total := len(m.Expand()); opts.Shards > total {
+		return nil, Result{}, fmt.Errorf("fanout: %d shards for %d scenarios; a sweep takes at most one shard per scenario", opts.Shards, total)
 	}
 	expected := make([]int, opts.Shards)
 	for i := range expected {

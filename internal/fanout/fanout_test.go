@@ -403,8 +403,9 @@ func TestStaleStreamRemovedBeforeSpawn(t *testing.T) {
 
 // TestSweepMergesAndChecksShards: Sweep derives each shard's expected count
 // from the frozen spec, folds the completed shards into the expansion's
-// records in name order, and refuses shards whose records came from a
-// different sweep than the spec it loaded.
+// records in name order, refuses shards whose records came from a
+// different sweep than the spec it loaded, and refuses more shards than
+// the spec has scenarios before it spawns anything.
 func TestSweepMergesAndChecksShards(t *testing.T) {
 	spec := filepath.Join(t.TempDir(), "matrix.json")
 	m := exp.Matrix{
@@ -465,5 +466,14 @@ func TestSweepMergesAndChecksShards(t *testing.T) {
 	}
 	if _, _, err := Sweep(spec+".missing", baseOptions(t, 3, spawnOf(m))); err == nil {
 		t.Error("a missing spec must fail before any worker runs")
+	}
+	for _, shards := range []int{len(m.Expand()) + 1, 1 << 62} {
+		_, _, err := Sweep(spec, baseOptions(t, shards, func(int, int, string) (Worker, error) {
+			t.Fatal("a sweep with more shards than scenarios must fail before any worker runs")
+			return nil, nil
+		}))
+		if err == nil || !strings.Contains(err.Error(), "at most one shard per scenario") {
+			t.Errorf("%d shards for %d scenarios: err = %v", shards, len(m.Expand()), err)
+		}
 	}
 }

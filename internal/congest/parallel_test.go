@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -224,6 +225,40 @@ func TestErrorPathsIdenticalAcrossWorkers(t *testing.T) {
 			if len(res.Outputs) != 32 {
 				t.Errorf("overrun=%v Workers=%d: error return collected %d outputs, want all 32",
 					want.overrun, workers, len(res.Outputs))
+			}
+		}
+	}
+}
+
+// TestErrorReturnZeroesEdgeBits pins what a validation error leaves in the
+// edge table: every worker's charged slots are zeroed before the return,
+// so the table is all zero, as it is between rounds, and every touched
+// list is empty.
+func TestErrorReturnZeroesEdgeBits(t *testing.T) {
+	for _, want := range rogueRuns {
+		for _, workers := range []int{1, 4} {
+			nw, err := NewNetwork(ring(32), 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := newRunState(nw, func(ctx *Context) Node {
+				return &roguePeer{rogue: ctx.ID() == 7, overrun: want.overrun}
+			}, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = st.run()
+			st.close()
+			if err == nil || err.Error() != want.err {
+				t.Fatalf("overrun=%v Workers=%d: error %v, want %s", want.overrun, workers, err, want.err)
+			}
+			if slot := slices.IndexFunc(st.edgeBits, func(bits int32) bool { return bits != 0 }); slot >= 0 {
+				t.Errorf("overrun=%v Workers=%d: slot %d still holds %d bits", want.overrun, workers, slot, st.edgeBits[slot])
+			}
+			for w := range st.workers {
+				if n := len(st.workers[w].touched); n != 0 {
+					t.Errorf("overrun=%v Workers=%d: worker %d still lists %d touched slots", want.overrun, workers, w, n)
+				}
 			}
 		}
 	}

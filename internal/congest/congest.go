@@ -17,10 +17,11 @@
 // same accounting (see DESIGN.md, substitution table).
 //
 // The simulator is engineered for scale: the round loop is steady-state
-// allocation-free (CSR edge index, double-buffered inboxes/outboxes, and
-// one round body partitioned by node-ID range, whose ranges exchange
-// messages through per-pair queues, on Options.Workers goroutines or on
-// the caller's alone), a round steps only the awake nodes (a node that
+// allocation-free (CSR edge index, one reused inbox per node, and one round
+// body partitioned by node-ID range, whose ranges exchange messages through
+// per-pair queues, on Options.Workers goroutines or on the caller's alone),
+// a network keeps its last run's working state for the next run instead of
+// rebuilding it, a round steps only the awake nodes (a node that
 // reports done votes to halt and sleeps until a message wakes it, so a
 // round's cost follows its traffic), messages carry small contents
 // word-encoded in two inline uint64s instead of a boxed Payload (see
@@ -38,6 +39,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 )
 
 // Default bandwidths used across benchmarks. CONGEST conventionally takes
@@ -103,6 +105,13 @@ type Node interface {
 	// calls are exactly those in which a done node would receive nothing,
 	// so a program whose done node answers an empty inbox with (nil, true),
 	// changing nothing it later acts on, runs as if called every round.
+	//
+	// The inbox slice is valid only during the call: the simulator delivers
+	// the round's messages into the same buffer as soon as the node returns.
+	// A program must copy what it keeps, and must not retain the inbox or
+	// return it, or a slice of it, as its outbox. The outbox is read until
+	// the node's next step, so a program may return the same slice every
+	// round.
 	Round(ctx *Context, round int, inbox []Message) (outbox []Message, done bool)
 }
 
@@ -278,17 +287,30 @@ type IndexedTopology interface {
 }
 
 // Network is a configured CONGEST(B) network ready to run algorithms.
-// A Network may be reused for several runs; per-run state lives in Run.
+//
+// A Network may be reused for any number of runs, concurrent ones
+// included. It keeps the working state of its last finished run (the
+// contexts with their sorted neighbour lists, the edge index, the inboxes
+// and the vertex-range partition), and the next Run resets that state in
+// O(n) instead of rebuilding it from the topology, so a multi-stage
+// algorithm pays for the topology once. The topology must therefore not
+// change while the network is in use.
 type Network struct {
 	topo      Topology
 	bandwidth int
 	seed      int64
 	inputs    map[int]any
+	// parked is the working state of the last run that returned, or nil.
+	// Run takes it with a swap, so two runs never share one; a run that
+	// finds none builds its own.
+	parked atomic.Pointer[runState]
 }
 
 // NewNetwork returns a network over the given topology with per-edge
 // bandwidth B (bits per round per direction). If bandwidth <= 0,
-// DefaultBandwidth is used.
+// DefaultBandwidth is used. The network reads the topology when it first
+// runs and keeps what it read, so the topology must not change while the
+// network is in use.
 func NewNetwork(topo Topology, bandwidth int) (*Network, error) {
 	if topo == nil {
 		return nil, ErrNoTopology
@@ -356,8 +378,10 @@ type Result struct {
 	// MaxEdgeBitsPerRound is the maximum number of bits observed on any
 	// single directed edge in any single round (always <= bandwidth).
 	MaxEdgeBitsPerRound int
-	// Outputs maps node ID to the output recorded via Context.SetOutput.
-	Outputs map[int]any
+	// Outputs holds each node's output recorded via Context.SetOutput,
+	// indexed by node ID, with nil where a node set none. It is the run's
+	// own slice: a later run on the same network does not touch it.
+	Outputs []any
 }
 
 // Options configures a run.
@@ -402,43 +426,57 @@ type Options struct {
 // Run executes the algorithm produced by factory on every node and returns
 // run statistics. It is deterministic for a fixed seed.
 //
-// The round loop is steady-state allocation-free: the per-run state below
-// (CSR edge index, flat bandwidth tables, double-buffered inboxes) is built
-// once, and each round only resets lengths and counters. A node's inbox
-// slice is therefore valid only for the duration of the Round call that
-// receives it — the buffer is reused for a later round's delivery (payload
-// values themselves are never touched; only the []Message backing array is
-// recycled). See DESIGN.md, "The congest hot path".
+// The round loop is steady-state allocation-free: the working state below
+// (contexts, CSR edge index, flat bandwidth tables, one inbox per node) is
+// built once per network, kept between runs, and reset in O(n) at the start
+// of each run, and each round only resets lengths and counters. A node's
+// inbox slice is therefore valid only for the duration of the Round call
+// that receives it: the round's messages are delivered into the same
+// buffer once the node returns (payload values themselves are never
+// touched; only the []Message backing array is recycled). The state of a
+// run that a node panic unwinds through is dropped, and the next run
+// builds a fresh one. See DESIGN.md, "The congest hot path".
 func (nw *Network) Run(factory NodeFactory, opts Options) (*Result, error) {
-	st, err := newRunState(nw, factory, opts)
-	if err != nil {
+	st := nw.parked.Swap(nil)
+	if st == nil {
+		var err error
+		if st, err = newRunState(nw); err != nil {
+			return nil, err
+		}
+	}
+	if err := st.start(factory, opts); err != nil {
 		return nil, err
 	}
-	defer st.close()
-	return st.run()
+	res, err := st.run()
+	// Not reached when a panic unwinds through run: the panic may have
+	// stopped a round between charging edge slots and clearing them.
+	st.park()
+	nw.parked.Store(st)
+	return res, err
 }
 
-// runState is the per-run working set of Network.Run. Everything in it is
-// allocated before round 1 and reused by every round.
+// runState is the working set of Network.Run. Everything in it is allocated
+// before round 1 of the network's first run and reused by every round and
+// every later run; start resets what one run leaves behind.
 type runState struct {
 	nw   *Network
 	opts Options
 	n    int
 	res  *Result
 
-	ctxs  []*Context
+	// ctxs holds every node's context, one slab for the whole network.
+	ctxs  []Context
 	nodes []Node
 	// done is each node's vote at its last step. A node that did not step
 	// this round is done, so a receiver that is not done stepped this round
 	// and is already awake for the next.
 	done []bool
 
-	// inboxes are the messages delivered this round; next is the buffer
-	// the current round's traffic is staged into. The two swap at every
-	// round boundary, and next's per-node slices are length-reset, not
-	// reallocated.
+	// inboxes[v] holds the messages delivered to v for its next step. A
+	// step consumes and length-resets the inbox before anything is
+	// delivered into it this round, so one buffer per node serves every
+	// round.
 	inboxes  [][]Message
-	next     [][]Message
 	outboxes [][]Message
 
 	// The CSR edge index. Directed edge (v -> u) has slot
@@ -461,7 +499,8 @@ type runState struct {
 	// and holds their round state, awake words included. With
 	// Options.Workers <= 1 one range holds all n nodes and runs on the
 	// calling goroutine; with more, a pool of goroutines lives for the whole
-	// run. The phase closures are built once so rounds allocate nothing.
+	// run. The partition is kept between runs with the same worker count.
+	// The phase closures are built once so rounds allocate nothing.
 	starts     []int
 	workers    []rangeWorker
 	pool       *workerPool
@@ -469,26 +508,16 @@ type runState struct {
 	deliverJob func(w int)
 }
 
-func newRunState(nw *Network, factory NodeFactory, opts Options) (*runState, error) {
+// newRunState builds the topology-derived working state of nw: the
+// contexts' static fields, the edge index and the per-node arrays.
+func newRunState(nw *Network) (*runState, error) {
 	n := nw.topo.N()
-	if opts.MaxRounds <= 0 {
-		opts.MaxRounds = 64*n + 64
-	}
-	st := &runState{
-		nw:   nw,
-		opts: opts,
-		n:    n,
-		res:  &Result{Outputs: make(map[int]any, n)},
-	}
+	st := &runState{nw: nw, n: n}
 
-	// Contexts are slab-allocated: one backing array instead of n small
-	// heap objects. An IndexedTopology additionally gets its neighbour and
-	// weight lists carved out of two shared flat arrays (already sorted by
-	// contract), skipping the per-node copy/sort/Weight-lookup detour of
-	// the generic path.
-	st.ctxs = make([]*Context, n)
-	st.nodes = make([]Node, n)
-	ctxSlab := make([]Context, n)
+	// An IndexedTopology gets its neighbour and weight lists carved out of
+	// two shared flat arrays (already sorted by contract), skipping the
+	// per-node copy/sort/Weight-lookup detour of the generic path.
+	st.ctxs = make([]Context, n)
 	if ix, ok := nw.topo.(IndexedTopology); ok {
 		total := 0
 		for v := 0; v < n; v++ {
@@ -508,16 +537,7 @@ func newRunState(nw *Network, factory NodeFactory, opts Options) (*runState, err
 				}
 			}
 			pos += deg
-			ctxSlab[v] = Context{
-				id:        v,
-				n:         n,
-				bandwidth: nw.bandwidth,
-				neighbors: nbrs,
-				weights:   wts,
-				input:     nw.inputs[v],
-				rngSeed:   nw.seed*1_000_003 + int64(v),
-			}
-			st.ctxs[v] = &ctxSlab[v]
+			st.ctxs[v] = Context{id: v, n: n, bandwidth: nw.bandwidth, neighbors: nbrs, weights: wts}
 		}
 	} else {
 		for v := 0; v < n; v++ {
@@ -534,26 +554,8 @@ func newRunState(nw *Network, factory NodeFactory, opts Options) (*runState, err
 					weights = append(weights, w)
 				}
 			}
-			ctxSlab[v] = Context{
-				id:        v,
-				n:         n,
-				bandwidth: nw.bandwidth,
-				neighbors: neighbors,
-				weights:   weights,
-				input:     nw.inputs[v],
-				rngSeed:   nw.seed*1_000_003 + int64(v),
-			}
-			st.ctxs[v] = &ctxSlab[v]
+			st.ctxs[v] = Context{id: v, n: n, bandwidth: nw.bandwidth, neighbors: neighbors, weights: weights}
 		}
-	}
-	for v := 0; v < n; v++ {
-		st.nodes[v] = factory(st.ctxs[v])
-		if st.nodes[v] == nil {
-			return nil, fmt.Errorf("congest: factory returned nil node for id %d", v)
-		}
-	}
-	for v := 0; v < n; v++ {
-		st.nodes[v].Init(st.ctxs[v])
 	}
 
 	// CSR edge index over the contexts' sorted neighbour lists.
@@ -563,29 +565,82 @@ func newRunState(nw *Network, factory NodeFactory, opts Options) (*runState, err
 	}
 	st.edgeBits = make([]int32, st.offsets[n])
 
+	st.nodes = make([]Node, n)
 	st.inboxes = make([][]Message, n)
-	st.next = make([][]Message, n)
 	st.outboxes = make([][]Message, n)
 	st.done = make([]bool, n)
-
-	workers := max(min(opts.Workers, n), 1)
-	st.partition(workers)
-	if workers > 1 {
-		st.pool = newWorkerPool(workers)
-	}
 	st.stepJob = st.stepWorker
 	st.deliverJob = st.deliverWorker
 	return st, nil
+}
+
+// start resets what the previous run on this state left behind and builds
+// the run's nodes: each context's input, random stream and output, every
+// inbox (a round-limit, cancel or error exit leaves messages in them), the
+// awake words, and a fresh Result, since callers keep results across runs.
+// It partitions anew only when the worker count changed, and starts the
+// worker pool. done and the outboxes need no reset: round 1 steps every
+// node before anything reads them. After a clean exit or a validation
+// error every edge slot is zero and every touched list empty; a panic
+// exit's state is never reused.
+func (st *runState) start(factory NodeFactory, opts Options) error {
+	nw, n := st.nw, st.n
+	if opts.MaxRounds <= 0 {
+		opts.MaxRounds = 64*n + 64
+	}
+	st.opts = opts
+	st.res = &Result{Outputs: make([]any, n)}
+	for v := range st.ctxs {
+		ctx := &st.ctxs[v]
+		ctx.input = nw.inputs[v]
+		ctx.rngSeed = nw.seed*1_000_003 + int64(v)
+		ctx.rng = nil
+		ctx.output, ctx.outputSet = nil, false
+		st.inboxes[v] = st.inboxes[v][:0]
+	}
+	for v := range st.nodes {
+		st.nodes[v] = factory(&st.ctxs[v])
+		if st.nodes[v] == nil {
+			return fmt.Errorf("congest: factory returned nil node for id %d", v)
+		}
+	}
+	for v := range st.nodes {
+		st.nodes[v].Init(&st.ctxs[v])
+	}
+
+	workers := max(min(opts.Workers, n), 1)
+	if len(st.workers) != workers {
+		st.partition(workers)
+	}
+	for w := range st.workers {
+		st.workers[w].wakeAll(st.starts[w+1] - st.starts[w])
+	}
+	if workers > 1 {
+		st.pool = newWorkerPool(workers)
+	}
+	return nil
 }
 
 // close releases the worker pool, if the run has one.
 func (st *runState) close() {
 	if st.pool != nil {
 		st.pool.close()
+		st.pool = nil
 	}
 }
 
+// park drops the finished run's node programs, outboxes, options and
+// Result, so an idle network keeps no stage's node state or callbacks
+// reachable.
+func (st *runState) park() {
+	clear(st.nodes)
+	clear(st.outboxes)
+	st.opts, st.res = Options{}, nil
+}
+
+// run runs the rounds of a started run and releases its worker pool.
 func (st *runState) run() (*Result, error) {
+	defer st.close()
 	res := st.res
 	for round := 1; round <= st.opts.MaxRounds; round++ {
 		if st.opts.Cancel != nil && st.opts.Cancel() {
@@ -599,7 +654,6 @@ func (st *runState) run() (*Result, error) {
 			st.collectOutputs()
 			return res, err
 		}
-		st.inboxes, st.next = st.next, st.inboxes
 		if quiet {
 			res.Terminated = true
 			break
@@ -617,7 +671,7 @@ func (st *runState) run() (*Result, error) {
 // validation errors alike — so partial results always carry whatever the
 // nodes managed to decide.
 func (st *runState) collectOutputs() {
-	for v := 0; v < st.n; v++ {
+	for v := range st.ctxs {
 		if out, ok := st.ctxs[v].Output(); ok {
 			st.res.Outputs[v] = out
 		}
@@ -656,15 +710,14 @@ func (st *runState) stepAwake(w int) (v int, p any) {
 // that panics and returns that node's ID and panic value; v is -1 when no
 // node panicked.
 //
-// Each consumed inbox is length-reset as soon as its node returns. The
-// inbox buffers become the next round's delivery buffers at the round-end
-// swap, so every round's delivery appends into empty inboxes without a
-// pass of its own over the nodes: a node that does not step had nothing
-// delivered, or it would be awake.
+// Each consumed inbox is length-reset as soon as its node returns, and
+// the round's delivery appends into it after that, so every delivery finds
+// its inbox empty without a pass of its own over the nodes: a node that
+// does not step had nothing delivered, or it would be awake.
 func (st *runState) stepRange(lo, hi int) (notDone uint64, v int, p any) {
 	defer func() { p = recover() }()
 	for v = lo; v < hi; v++ {
-		out, done := st.nodes[v].Round(st.ctxs[v], st.round, st.inboxes[v])
+		out, done := st.nodes[v].Round(&st.ctxs[v], st.round, st.inboxes[v])
 		st.outboxes[v], st.done[v] = out, done
 		st.inboxes[v] = st.inboxes[v][:0]
 		if !done {

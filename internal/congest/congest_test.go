@@ -40,6 +40,17 @@ func (f *floodMaxNode) Round(ctx *Context, round int, inbox []Message) ([]Messag
 	return nil, f.quiet > ctx.N()
 }
 
+// setOutputs counts the nodes whose output res holds.
+func setOutputs(res *Result) int {
+	set := 0
+	for _, out := range res.Outputs {
+		if out != nil {
+			set++
+		}
+	}
+	return set
+}
+
 func TestFloodingFindsMaximum(t *testing.T) {
 	topo := graph.Path(10)
 	nw, err := NewNetwork(topo, 16)
@@ -58,8 +69,8 @@ func TestFloodingFindsMaximum(t *testing.T) {
 			t.Fatalf("node %d output %v, want 9", id, out)
 		}
 	}
-	if len(res.Outputs) != 10 {
-		t.Fatalf("outputs from %d nodes, want 10", len(res.Outputs))
+	if got := setOutputs(res); got != 10 {
+		t.Fatalf("outputs from %d nodes, want 10", got)
 	}
 	if res.TotalMessages == 0 || res.TotalBits == 0 {
 		t.Fatal("message accounting is empty")
@@ -296,6 +307,36 @@ func TestBitsHelpers(t *testing.T) {
 		if got := tc.fn(tc.in); got != tc.want {
 			t.Errorf("bits(%d) = %d, want %d", tc.in, got, tc.want)
 		}
+	}
+
+	// Exact over -5..2^26 and at 2^k-1, 2^k, 2^k+1 up to k = 62: naming one
+	// of n > 1 values takes k bits for 2^(k-1) < n <= 2^k, and v takes k bits
+	// for 2^(k-1) <= |v| < 2^k. A float log2 is off from 2^49-1 on.
+	for v := -5; v <= 1; v++ {
+		if got := BitsForID(v); got != 1 {
+			t.Fatalf("BitsForID(%d) = %d, want 1", v, got)
+		}
+	}
+	if got := BitsForInt(0); got != 1 {
+		t.Fatalf("BitsForInt(0) = %d, want 1", got)
+	}
+	for k := 1; k <= 26; k++ {
+		for v := 1 << (k - 1); v < 1<<k; v++ {
+			if BitsForID(v+1) != k || BitsForInt(v) != k || BitsForInt(-v) != k {
+				t.Fatalf("k=%d: BitsForID(%d) = %d, BitsForInt(±%d) = %d, %d; want %d",
+					k, v+1, BitsForID(v+1), v, BitsForInt(v), BitsForInt(-v), k)
+			}
+		}
+	}
+	for k := 2; k <= 62; k++ {
+		p := 1 << k
+		got := [...]int{BitsForID(p - 1), BitsForID(p), BitsForID(p + 1), BitsForInt(p - 1), BitsForInt(p), BitsForInt(p + 1)}
+		if want := [...]int{k, k, k + 1, k, k + 1, k + 1}; got != want {
+			t.Errorf("k=%d: BitsForID and BitsForInt at 2^k-1, 2^k, 2^k+1 = %v, want %v", k, got, want)
+		}
+	}
+	if got := BitsForInt(1<<49 - 1); got != 49 {
+		t.Errorf("BitsForInt(1<<49 - 1) = %d, want 49", got)
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 // round semantics. The program mixes word, boxed and qubit messages,
 // oversize messages and messages to non-neighbours, done votes and
 // wake-ups, and optionally a node panic; the seed corpus under
-// testdata/fuzz covers each of these.
+// testdata/fuzz covers each of these. Every input runs twice on the same
+// network, so the second run starts from whatever state the first one's
+// exit left behind and must still match.
 func FuzzRunMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape, size uint8, seed int64, mix uint32) {
 		topo := fuzzTopology(shape, size, mix)
@@ -26,18 +28,25 @@ func FuzzRunMatchesReference(f *testing.F) {
 
 		want := referenceRun(topo, p.bandwidth, seed, factory, opts)
 		for _, workers := range []int{0, 1, 2, 3, 4} {
-			got := fuzzRun(topo, p.bandwidth, seed, factory, opts, workers)
-			if got.panic != want.panic {
-				t.Fatalf("Workers=%d: panic %q, want %q", workers, got.panic, want.panic)
+			nw, err := NewNetwork(topo, p.bandwidth)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got.err != want.err {
-				t.Fatalf("Workers=%d: error %q, want %q", workers, got.err, want.err)
-			}
-			if !reflect.DeepEqual(got.res, want.res) {
-				t.Fatalf("Workers=%d: Result diverged:\ngot  %+v\nwant %+v", workers, got.res, want.res)
-			}
-			if !reflect.DeepEqual(got.events, want.events) {
-				t.Fatalf("Workers=%d: trace diverged (%d vs %d events)", workers, len(got.events), len(want.events))
+			nw.SetSeed(seed)
+			for _, run := range []string{"first run", "rerun"} {
+				got := fuzzRun(nw, factory, opts, workers)
+				if got.panic != want.panic {
+					t.Fatalf("Workers=%d, %s: panic %q, want %q", workers, run, got.panic, want.panic)
+				}
+				if got.err != want.err {
+					t.Fatalf("Workers=%d, %s: error %q, want %q", workers, run, got.err, want.err)
+				}
+				if !reflect.DeepEqual(got.res, want.res) {
+					t.Fatalf("Workers=%d, %s: Result diverged:\ngot  %+v\nwant %+v", workers, run, got.res, want.res)
+				}
+				if !reflect.DeepEqual(got.events, want.events) {
+					t.Fatalf("Workers=%d, %s: trace diverged (%d vs %d events)", workers, run, len(got.events), len(want.events))
+				}
 			}
 		}
 	})
@@ -210,14 +219,8 @@ func mix64(x uint64) uint64 {
 	return x ^ x>>31
 }
 
-// fuzzRun runs factory on topo through Network.Run with a recording Trace.
-func fuzzRun(topo Topology, bandwidth int, seed int64, factory NodeFactory, opts Options, workers int) (o runOutcome) {
-	nw, err := NewNetwork(topo, bandwidth)
-	if err != nil {
-		o.setErr(err)
-		return o
-	}
-	nw.SetSeed(seed)
+// fuzzRun runs factory on nw through Network.Run with a recording Trace.
+func fuzzRun(nw *Network, factory NodeFactory, opts Options, workers int) (o runOutcome) {
 	opts.Workers = workers
 	opts.Trace = o.record
 	defer func() {
@@ -263,7 +266,7 @@ func referenceRun(topo Topology, bandwidth int, seed int64, factory NodeFactory,
 		nodes[v].Init(ctxs[v])
 	}
 
-	res := &Result{Outputs: map[int]any{}}
+	res := &Result{Outputs: make([]any, n)}
 	finish := func(err error) runOutcome {
 		for v, ctx := range ctxs {
 			if out, ok := ctx.Output(); ok {

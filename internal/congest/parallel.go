@@ -88,6 +88,15 @@ func (wk *rangeWorker) reset() {
 // wakeAt marks the range's node lo+i to step next round.
 func (wk *rangeWorker) wakeAt(i int) { wk.wake[i>>6] |= 1 << (i & 63) }
 
+// wakeAll marks every node of the range, size nodes long, to step next
+// round: a run's first reset swaps this set in, so every node steps in
+// round 1.
+func (wk *rangeWorker) wakeAll(size int) {
+	for i := 0; i < size; i += 64 {
+		wk.wake[i>>6] = ^uint64(0) >> max(0, 64-(size-i))
+	}
+}
+
 // workerPool is a fixed set of goroutines that execute one job function at a
 // time. run dispatches the job to every worker and blocks until all report
 // back; the pool is reused across rounds and phases without spawning.
@@ -162,10 +171,6 @@ func (st *runState) partition(workers int) {
 		words := (size + 63) / 64
 		wk.awake = make([]uint64, words, (words+7)&^7)
 		wk.wake = make([]uint64, words, (words+7)&^7)
-		// Every node steps in round 1: the first reset swaps this set in.
-		for i := 0; i < size; i += 64 {
-			wk.wake[i>>6] = ^uint64(0) >> max(0, 64-(size-i))
-		}
 	}
 }
 
@@ -256,8 +261,10 @@ func (st *runState) stepWorker(w int) {
 // slots, in sender order, and routes each accepted one. No range comes
 // before the first, so a message from the first range to a node in it is
 // first in its receiver's inbox whatever arrives later: it is delivered on
-// the spot, and its receiver woken if done. Every other message is queued
-// for the worker that owns its receiver. validate returns the accepted
+// the spot, and its receiver woken if done; the first range validates only
+// after stepping all of its nodes, so that inbox was already consumed.
+// Every other message is queued for the worker that owns its receiver and
+// delivered after the step barrier. validate returns the accepted
 // traffic and stops at the first message that fails, returning its error.
 // The sums live in locals until the range is done, off the shared worker
 // state.
@@ -273,7 +280,7 @@ func (st *runState) validate(w int) (traffic RoundTraffic, maxEdgeBits int, err 
 			first, end := nextRun(word)
 			word &^= uint64(1)<<end - 1
 			for v := base + first; v < base+end; v++ {
-				ctx := st.ctxs[v]
+				ctx := &st.ctxs[v]
 				slots := st.offsets[v]
 				out := st.outboxes[v]
 				for j := range out {
@@ -299,7 +306,7 @@ func (st *runState) validate(w int) (traffic RoundTraffic, maxEdgeBits int, err 
 					if direct && to < hi {
 						msg := out[j]
 						msg.From, msg.Bits = v, size
-						st.next[to] = append(st.next[to], msg)
+						st.inboxes[to] = append(st.inboxes[to], msg)
 						if st.done[to] {
 							wk.wakeAt(to)
 						}
@@ -339,7 +346,7 @@ func (st *runState) deliverWorker(o int) {
 	for w := range st.workers {
 		for _, ref := range st.workers[w].queues[o] {
 			msg := st.message(ref)
-			st.next[msg.To] = append(st.next[msg.To], msg)
+			st.inboxes[msg.To] = append(st.inboxes[msg.To], msg)
 			if st.done[msg.To] {
 				wk.wakeAt(msg.To - lo)
 			}

@@ -222,9 +222,9 @@ func TestErrorPathsIdenticalAcrossWorkers(t *testing.T) {
 					want.overrun, workers, res.Rounds, res.TotalMessages, res.TotalBits, res.MaxEdgeBitsPerRound, len(res.PerRound),
 					want.rounds, want.messages, want.bits, want.maxEdgeBits, want.perRound)
 			}
-			if len(res.Outputs) != 32 {
+			if got := setOutputs(res); got != 32 {
 				t.Errorf("overrun=%v Workers=%d: error return collected %d outputs, want all 32",
-					want.overrun, workers, len(res.Outputs))
+					want.overrun, workers, got)
 			}
 		}
 	}
@@ -241,14 +241,16 @@ func TestErrorReturnZeroesEdgeBits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := newRunState(nw, func(ctx *Context) Node {
-				return &roguePeer{rogue: ctx.ID() == 7, overrun: want.overrun}
-			}, Options{Workers: workers})
+			st, err := newRunState(nw)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if err := st.start(func(ctx *Context) Node {
+				return &roguePeer{rogue: ctx.ID() == 7, overrun: want.overrun}
+			}, Options{Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
 			_, err = st.run()
-			st.close()
 			if err == nil || err.Error() != want.err {
 				t.Fatalf("overrun=%v Workers=%d: error %v, want %s", want.overrun, workers, err, want.err)
 			}
@@ -308,7 +310,7 @@ func TestNodePanicsPropagateDeterministically(t *testing.T) {
 func TestWorkersDeterministicAcrossRepeats(t *testing.T) {
 	// The per-node random streams must not depend on scheduling: hammer the
 	// parallel path repeatedly and require byte-identical outputs.
-	var first map[int]any
+	var first []any
 	for i := 0; i < 10; i++ {
 		nw, err := NewNetwork(ring(24), 16)
 		if err != nil {
@@ -367,8 +369,11 @@ func TestPartitionStarUnevenWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := newRunState(nw, factory, Options{Workers: 8})
+	st, err := newRunState(nw)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.start(factory, Options{Workers: 8}); err != nil {
 		t.Fatal(err)
 	}
 	st.close()

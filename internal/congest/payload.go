@@ -1,6 +1,6 @@
 package congest
 
-import "math"
+import "math/bits"
 
 // Bit-size helpers. The CONGEST model charges per bit; the helpers below give
 // the sizes used uniformly across the algorithms in internal/dist so that the
@@ -8,12 +8,12 @@ import "math"
 // weights are O(log n)-bit words).
 
 // BitsForID returns the number of bits needed to name one of n distinct
-// values (at least 1).
+// values (at least 1): ⌈log2 n⌉, computed exactly on integers.
 func BitsForID(n int) int {
 	if n <= 1 {
 		return 1
 	}
-	return int(math.Ceil(math.Log2(float64(n))))
+	return bits.Len(uint(n - 1))
 }
 
 // BitsForInt returns the number of bits needed to represent the non-negative
@@ -25,7 +25,7 @@ func BitsForInt(v int) int {
 	if v <= 1 {
 		return 1
 	}
-	return int(math.Floor(math.Log2(float64(v)))) + 1
+	return bits.Len(uint(v))
 }
 
 // BitsForWeight is the fixed word size charged for one edge weight. Weights

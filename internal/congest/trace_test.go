@@ -83,9 +83,12 @@ func TestTraceFillsPerWorkerBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := newRunState(nw, func(*Context) Node { return &hybridNode{rounds: 2} },
-		Options{Workers: 4, Trace: func(int, Message) {}})
+	st, err := newRunState(nw)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.start(func(*Context) Node { return &hybridNode{rounds: 2} },
+		Options{Workers: 4, Trace: func(int, Message) {}}); err != nil {
 		t.Fatal(err)
 	}
 	defer st.close()

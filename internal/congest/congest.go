@@ -338,8 +338,10 @@ func (nw *Network) SetInput(id int, input any) {
 	nw.inputs[id] = input
 }
 
-// ClearInputs removes all per-node inputs.
-func (nw *Network) ClearInputs() { nw.inputs = make(map[int]any) }
+// ClearInputs removes all per-node inputs. The network keeps the room they
+// took, since a multi-stage algorithm sets about as many for its next
+// stage.
+func (nw *Network) ClearInputs() { clear(nw.inputs) }
 
 // Bandwidth returns the configured per-edge bandwidth.
 func (nw *Network) Bandwidth() int { return nw.bandwidth }
@@ -512,58 +514,51 @@ type runState struct {
 // contexts' static fields, the edge index and the per-node arrays.
 func newRunState(nw *Network) (*runState, error) {
 	n := nw.topo.N()
-	st := &runState{nw: nw, n: n}
+	st := &runState{nw: nw, n: n, offsets: make([]int32, n+1)}
 
-	// An IndexedTopology gets its neighbour and weight lists carved out of
-	// two shared flat arrays (already sorted by contract), skipping the
-	// per-node copy/sort/Weight-lookup detour of the generic path.
-	st.ctxs = make([]Context, n)
+	// Every node's sorted neighbour and weight lists are carved out of two
+	// shared flat arrays, which offsets indexes as the CSR edge index. An
+	// IndexedTopology fills them straight from its own tables (sorted by
+	// contract); any other topology's lists are copied, sorted and weighed
+	// node by node.
+	var nbrs []int
+	var wts []float64
 	if ix, ok := nw.topo.(IndexedTopology); ok {
 		total := 0
 		for v := 0; v < n; v++ {
 			total += ix.Degree(v)
 		}
-		flatNbrs := make([]int, total)
-		flatWts := make([]float64, total)
-		pos := 0
+		nbrs, wts = make([]int, 0, total), make([]float64, 0, total)
 		for v := 0; v < n; v++ {
-			deg := ix.Degree(v)
-			nbrs := flatNbrs[pos : pos+deg : pos+deg]
-			wts := flatWts[pos : pos+deg : pos+deg]
-			for i := 0; i < deg; i++ {
-				nbrs[i], wts[i] = ix.Neighbor(v, i)
-				if uint(nbrs[i]) >= uint(n) {
-					return nil, fmt.Errorf("congest: node %d lists neighbour %d outside 0..%d", v, nbrs[i], n-1)
-				}
+			for i := range ix.Degree(v) {
+				u, w := ix.Neighbor(v, i)
+				nbrs, wts = append(nbrs, u), append(wts, w)
 			}
-			pos += deg
-			st.ctxs[v] = Context{id: v, n: n, bandwidth: nw.bandwidth, neighbors: nbrs, weights: wts}
+			st.offsets[v+1] = int32(len(nbrs))
 		}
 	} else {
 		for v := 0; v < n; v++ {
-			nbrs := nw.topo.Neighbors(v)
-			sort.Ints(nbrs)
-			neighbors := make([]int, 0, len(nbrs))
-			weights := make([]float64, 0, len(nbrs))
-			for _, u := range nbrs {
+			listed := nw.topo.Neighbors(v)
+			sort.Ints(listed)
+			for _, u := range listed {
 				if w, ok := nw.topo.Weight(v, u); ok {
-					if uint(u) >= uint(n) {
-						return nil, fmt.Errorf("congest: node %d lists neighbour %d outside 0..%d", v, u, n-1)
-					}
-					neighbors = append(neighbors, u)
-					weights = append(weights, w)
+					nbrs, wts = append(nbrs, u), append(wts, w)
 				}
 			}
-			st.ctxs[v] = Context{id: v, n: n, bandwidth: nw.bandwidth, neighbors: neighbors, weights: weights}
+			st.offsets[v+1] = int32(len(nbrs))
 		}
 	}
-
-	// CSR edge index over the contexts' sorted neighbour lists.
-	st.offsets = make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		st.offsets[v+1] = st.offsets[v] + int32(len(st.ctxs[v].neighbors))
+	st.ctxs = make([]Context, n)
+	for v := range st.ctxs {
+		lo, hi := st.offsets[v], st.offsets[v+1]
+		for _, u := range nbrs[lo:hi] {
+			if uint(u) >= uint(n) {
+				return nil, fmt.Errorf("congest: node %d lists neighbour %d outside 0..%d", v, u, n-1)
+			}
+		}
+		st.ctxs[v] = Context{id: v, n: n, bandwidth: nw.bandwidth, neighbors: nbrs[lo:hi:hi], weights: wts[lo:hi:hi]}
 	}
-	st.edgeBits = make([]int32, st.offsets[n])
+	st.edgeBits = make([]int32, len(nbrs))
 
 	st.nodes = make([]Node, n)
 	st.inboxes = make([][]Message, n)

@@ -6,11 +6,12 @@ import (
 )
 
 // The round. Every run splits the node IDs into one contiguous range per
-// worker, fixed at run start and balanced by degree+1, and runs each round
-// as two phases over the ranges: inline on the calling goroutine when there
-// is one range (Options.Workers <= 1), otherwise on a pool of goroutines
-// that lives from round 1 to termination. The phase closures are built
-// once, so the steady state allocates nothing:
+// worker, balanced by degree+1 and kept by the network for later runs at
+// the same worker count, and runs each round as two phases over the
+// ranges: inline on the calling goroutine when there is one range
+// (Options.Workers <= 1), otherwise on a pool of goroutines that lives
+// from round 1 to termination. The phase closures are built once, so the
+// steady state allocates nothing:
 //
 //  1. step: every worker steps its range's awake nodes, then validates and
 //     accounts their messages against their sender-private slots of the

@@ -34,18 +34,8 @@ func FuzzRunMatchesReference(f *testing.F) {
 			}
 			nw.SetSeed(seed)
 			for _, run := range []string{"first run", "rerun"} {
-				got := fuzzRun(nw, factory, opts, workers)
-				if got.panic != want.panic {
-					t.Fatalf("Workers=%d, %s: panic %q, want %q", workers, run, got.panic, want.panic)
-				}
-				if got.err != want.err {
-					t.Fatalf("Workers=%d, %s: error %q, want %q", workers, run, got.err, want.err)
-				}
-				if !reflect.DeepEqual(got.res, want.res) {
-					t.Fatalf("Workers=%d, %s: Result diverged:\ngot  %+v\nwant %+v", workers, run, got.res, want.res)
-				}
-				if !reflect.DeepEqual(got.events, want.events) {
-					t.Fatalf("Workers=%d, %s: trace diverged (%d vs %d events)", workers, run, len(got.events), len(want.events))
+				if diff := sameOutcome(fuzzRun(nw, factory, opts, workers), want); diff != "" {
+					t.Fatalf("Workers=%d, %s: %s", workers, run, diff)
 				}
 			}
 		}
@@ -60,6 +50,21 @@ type runOutcome struct {
 	events []traceEvent
 	err    string
 	panic  string
+}
+
+// sameOutcome reports how got differs from want, or "" when it does not.
+func sameOutcome(got, want runOutcome) string {
+	switch {
+	case got.panic != want.panic:
+		return fmt.Sprintf("panic %q, want %q", got.panic, want.panic)
+	case got.err != want.err:
+		return fmt.Sprintf("error %q, want %q", got.err, want.err)
+	case !reflect.DeepEqual(got.res, want.res):
+		return fmt.Sprintf("Result diverged:\ngot  %+v\nwant %+v", got.res, want.res)
+	case !reflect.DeepEqual(got.events, want.events):
+		return fmt.Sprintf("trace diverged (%d vs %d events)", len(got.events), len(want.events))
+	}
+	return ""
 }
 
 // record is a Trace callback appending to the outcome's stream.

@@ -2,7 +2,6 @@ package congest
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -61,21 +60,6 @@ func newReuseNetwork(t *testing.T, tunes []func(*Network)) *Network {
 		tune(nw)
 	}
 	return nw
-}
-
-// sameOutcome reports how got differs from want, or "" when it does not.
-func sameOutcome(got, want runOutcome) string {
-	switch {
-	case got.panic != want.panic:
-		return fmt.Sprintf("panic %q, want %q", got.panic, want.panic)
-	case got.err != want.err:
-		return fmt.Sprintf("error %q, want %q", got.err, want.err)
-	case !reflect.DeepEqual(got.res, want.res):
-		return fmt.Sprintf("Result diverged:\ngot  %+v\nwant %+v", got.res, want.res)
-	case !reflect.DeepEqual(got.events, want.events):
-		return fmt.Sprintf("trace diverged (%d vs %d events)", len(got.events), len(want.events))
-	}
-	return ""
 }
 
 // TestReusedNetworkMatchesFresh runs every kind of exit on one network,

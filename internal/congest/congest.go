@@ -436,8 +436,8 @@ type Options struct {
 // that receives it: the round's messages are delivered into the same
 // buffer once the node returns (payload values themselves are never
 // touched; only the []Message backing array is recycled). The state of a
-// run that a node panic unwinds through is dropped, and the next run
-// builds a fresh one. See DESIGN.md, "The congest hot path".
+// run that a panic unwinds through is dropped, and the next run builds a
+// fresh one. See DESIGN.md, "The congest hot path".
 func (nw *Network) Run(factory NodeFactory, opts Options) (*Result, error) {
 	st := nw.parked.Swap(nil)
 	if st == nil {
@@ -452,9 +452,18 @@ func (nw *Network) Run(factory NodeFactory, opts Options) (*Result, error) {
 	res, err := st.run()
 	// Not reached when a panic unwinds through run: the panic may have
 	// stopped a round between charging edge slots and clearing them.
-	st.park()
-	nw.parked.Store(st)
+	nw.park(st)
 	return res, err
+}
+
+// park keeps st for the next run. It first drops the finished run's node
+// programs, outboxes, options and Result, so an idle network keeps no
+// stage's node state or callbacks reachable.
+func (nw *Network) park(st *runState) {
+	clear(st.nodes)
+	clear(st.outboxes)
+	st.opts, st.res = Options{}, nil
+	nw.parked.Store(st)
 }
 
 // runState is the working set of Network.Run. Everything in it is allocated
@@ -622,15 +631,6 @@ func (st *runState) close() {
 		st.pool.close()
 		st.pool = nil
 	}
-}
-
-// park drops the finished run's node programs, outboxes, options and
-// Result, so an idle network keeps no stage's node state or callbacks
-// reachable.
-func (st *runState) park() {
-	clear(st.nodes)
-	clear(st.outboxes)
-	st.opts, st.res = Options{}, nil
 }
 
 // run runs the rounds of a started run and releases its worker pool.

@@ -84,6 +84,31 @@ func (p *benchPingPongNode) Round(ctx *Context, round int, inbox []Message) ([]M
 	return p.outbox, false
 }
 
+// benchPingPongOutboxNode is benchPingPongNode sending through ctx.Outbox():
+// it builds its message in the simulator's send log every round, so
+// against benchPingPongNode it measures the in-place commit against the
+// copy a returned slice of the node's own costs.
+type benchPingPongOutboxNode struct {
+	rounds, partner int
+}
+
+func (p *benchPingPongOutboxNode) Init(ctx *Context) {
+	p.partner = ctx.ID() + 1
+	if ctx.ID()%2 == 1 {
+		p.partner = ctx.ID() - 1
+	}
+	if p.partner >= ctx.N() || !ctx.IsNeighbor(p.partner) {
+		p.partner = -1
+	}
+}
+
+func (p *benchPingPongOutboxNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
+	if round > p.rounds || p.partner < 0 {
+		return nil, true
+	}
+	return AppendMessage(ctx.Outbox(), p.partner, 1, 8), false
+}
+
 // benchWaveNode is a BFS wave from node 0: a node joins when its first
 // message arrives, broadcasts once from a prebuilt outbox, and is done. Only
 // the frontier sends, and a node the wave has not reached votes to halt, so
@@ -106,6 +131,23 @@ func (f *benchWaveNode) Round(ctx *Context, round int, inbox []Message) ([]Messa
 	}
 	f.sent = true
 	return f.outbox, false
+}
+
+// benchWaveOutboxNode is benchWaveNode broadcasting through ctx.Outbox()
+// instead of from a prebuilt outbox, as the flood in internal/dist does.
+type benchWaveOutboxNode struct {
+	reached, sent bool
+}
+
+func (f *benchWaveOutboxNode) Init(ctx *Context) { f.reached = ctx.ID() == 0 }
+
+func (f *benchWaveOutboxNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
+	f.reached = f.reached || len(inbox) > 0
+	if !f.reached || f.sent {
+		return nil, true
+	}
+	f.sent = true
+	return BroadcastAllWordsInto(ctx.Outbox(), ctx, 1, 0, 0, 8), false
 }
 
 // runRoundLoopBench executes the workload b.N times and reports
@@ -180,7 +222,8 @@ func BenchmarkRoundLoopFloodWords(b *testing.B) {
 // BenchmarkRoundLoopWave runs the sparse-traffic shape: a BFS wave across
 // the 320x320 grid, 640 rounds in which only the frontier sends and steps.
 // A round's cost must follow the traffic: a pass over the awake words plus
-// the frontier, not n node steps or the edge count.
+// the frontier, not n node steps or the edge count. The outbox
+// sub-benchmarks send the same wave through ctx.Outbox().
 func BenchmarkRoundLoopWave(b *testing.B) {
 	const side = 320
 	topo := graph.Grid(side, side)
@@ -190,9 +233,17 @@ func BenchmarkRoundLoopWave(b *testing.B) {
 				return &benchWaveNode{}
 			})
 		})
+		b.Run(fmt.Sprintf("grid%d/outbox/workers=%d", side*side, workers), func(b *testing.B) {
+			runRoundLoopBench(b, topo, workers, 2*side, func(*Context) Node {
+				return &benchWaveOutboxNode{}
+			})
+		})
 	}
 }
 
+// BenchmarkRoundLoopPingPong runs the every-node-every-round shape at near
+// zero load, from a prebuilt outbox and, in the outbox sub-benchmarks,
+// through ctx.Outbox().
 func BenchmarkRoundLoopPingPong(b *testing.B) {
 	const rounds = 256
 	topo := graph.Path(1024)
@@ -200,6 +251,11 @@ func BenchmarkRoundLoopPingPong(b *testing.B) {
 		b.Run(fmt.Sprintf("path1024/workers=%d", workers), func(b *testing.B) {
 			runRoundLoopBench(b, topo, workers, rounds, func(*Context) Node {
 				return &benchPingPongNode{rounds: rounds}
+			})
+		})
+		b.Run(fmt.Sprintf("path1024/outbox/workers=%d", workers), func(b *testing.B) {
+			runRoundLoopBench(b, topo, workers, rounds, func(*Context) Node {
+				return &benchPingPongOutboxNode{rounds: rounds}
 			})
 		})
 	}

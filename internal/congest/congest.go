@@ -17,9 +17,11 @@
 // same accounting (see DESIGN.md, substitution table).
 //
 // The simulator is engineered for scale: the round loop is steady-state
-// allocation-free (CSR edge index, one reused inbox per node, and one round
-// body partitioned by node-ID range, whose ranges exchange messages through
-// per-pair queues, on Options.Workers goroutines or on the caller's alone),
+// allocation-free (CSR edge index, one reused inbox per node grown in
+// per-worker chunks, one send log per worker into which nodes write their
+// messages through Context.Outbox, and one round body partitioned by
+// node-ID range, whose ranges exchange messages through per-pair queues of
+// log indexes, on Options.Workers goroutines or on the caller's alone),
 // a network keeps its last run's working state for the next run instead of
 // rebuilding it, a round steps only the awake nodes (a node that
 // reports done votes to halt and sleeps until a message wakes it, so a
@@ -107,11 +109,13 @@ type Node interface {
 	// changing nothing it later acts on, runs as if called every round.
 	//
 	// The inbox slice is valid only during the call: the simulator delivers
-	// the round's messages into the same buffer as soon as the node returns.
-	// A program must copy what it keeps, and must not retain the inbox or
-	// return it, or a slice of it, as its outbox. The outbox is read until
-	// the node's next step, so a program may return the same slice every
-	// round.
+	// the round's messages into the same buffer once the node returns. A
+	// program must copy what it keeps and must not retain the inbox. The
+	// outbox is taken when Round returns: the simulator copies its messages
+	// into its send log before it delivers anything, or keeps them in place
+	// when the node built them in ctx.Outbox(). So a program may return the
+	// same slice every round, or its inbox or a slice of it. Building the
+	// outbox in ctx.Outbox() saves the copy.
 	Round(ctx *Context, round int, inbox []Message) (outbox []Message, done bool)
 }
 
@@ -125,8 +129,10 @@ type NodeFactory func(ctx *Context) Node
 // of its neighbours, the weights of its incident edges, the network size n,
 // and its problem-specific input, and nothing else about the topology.
 type Context struct {
-	id        int
-	n         int
+	// id and n are int32 so that the sent pointer below keeps the struct
+	// at 128 bytes, two cache lines.
+	id        int32
+	n         int32
 	bandwidth int
 	neighbors []int
 	// weights[i] is the weight of the edge to neighbors[i]. The parallel
@@ -141,16 +147,31 @@ type Context struct {
 	// programs never draw randomness.
 	rngSeed int64
 	rng     *rand.Rand
+	// sent is the send log of the worker that steps this node; Outbox
+	// hands out its free tail.
+	sent *[]Message
 
 	output    any
 	outputSet bool
 }
 
 // ID returns this node's identifier (0..n-1).
-func (c *Context) ID() int { return c.id }
+func (c *Context) ID() int { return int(c.id) }
 
 // N returns the number of nodes in the network.
-func (c *Context) N() int { return c.n }
+func (c *Context) N() int { return int(c.n) }
+
+// Outbox returns an empty slice over the free tail of the simulator's send
+// log, for the messages the node sends this round. A node appends its
+// messages to it (the Into constructors in payload.go append) and returns
+// the result from Round; messages built there are not copied again. The
+// slice is valid only during the Round call that took it: a program must
+// not keep it, or return it in a later round. Appending past its capacity
+// is safe, and costs the copy.
+func (c *Context) Outbox() []Message {
+	log := *c.sent
+	return log[len(log):]
+}
 
 // Bandwidth returns the per-edge, per-round bit budget B.
 func (c *Context) Bandwidth() int { return c.bandwidth }
@@ -291,10 +312,10 @@ type IndexedTopology interface {
 // A Network may be reused for any number of runs, concurrent ones
 // included. It keeps the working state of its last finished run (the
 // contexts with their sorted neighbour lists, the edge index, the inboxes
-// and the vertex-range partition), and the next Run resets that state in
-// O(n) instead of rebuilding it from the topology, so a multi-stage
-// algorithm pays for the topology once. The topology must therefore not
-// change while the network is in use.
+// and the vertex-range partition with its send logs), and the next Run
+// resets that state in O(n) instead of rebuilding it from the topology, so
+// a multi-stage algorithm pays for the topology once. The topology must
+// therefore not change while the network is in use.
 type Network struct {
 	topo      Topology
 	bandwidth int
@@ -397,12 +418,13 @@ type Options struct {
 	// order within a sender). It is used by the Simulation Theorem engine
 	// (internal/simulation) to re-account each message to the party that
 	// owns its sender, and by the Grover backend to measure stream volume.
-	// Each worker records the messages it accepts from its own ID range,
-	// and after the round's validation the buffers are replayed in worker
-	// order — ascending sender ID — on the goroutine that called Run, so
-	// the event stream is the same under any Workers value and the
-	// callback never runs concurrently. A round that fails validation
-	// replays the messages accepted before the failing one.
+	// Each worker's send log holds the messages of its own ID range in
+	// sender order, and after the round's validation the accepted part of
+	// every log is replayed in worker order — ascending sender ID — on the
+	// goroutine that called Run, so the event stream is the same under any
+	// Workers value and the callback never runs concurrently. A round that
+	// fails validation replays the messages accepted before the failing
+	// one.
 	Trace func(round int, msg Message)
 	// Workers selects how many goroutines step nodes and deliver traffic
 	// within each round; values <= 1 run every round on the goroutine that
@@ -429,15 +451,16 @@ type Options struct {
 // run statistics. It is deterministic for a fixed seed.
 //
 // The round loop is steady-state allocation-free: the working state below
-// (contexts, CSR edge index, flat bandwidth tables, one inbox per node) is
-// built once per network, kept between runs, and reset in O(n) at the start
-// of each run, and each round only resets lengths and counters. A node's
-// inbox slice is therefore valid only for the duration of the Round call
-// that receives it: the round's messages are delivered into the same
-// buffer once the node returns (payload values themselves are never
-// touched; only the []Message backing array is recycled). The state of a
-// run that a panic unwinds through is dropped, and the next run builds a
-// fresh one. See DESIGN.md, "The congest hot path".
+// (contexts, CSR edge index, flat bandwidth tables, one inbox per node, one
+// send log per worker) is built once per network, kept between runs, and
+// reset in O(n) at the start of each run, and each round only resets
+// lengths and counters. A node's inbox slice is therefore valid only for
+// the duration of the Round call that receives it: the round's messages
+// are delivered into the same buffer once the node returns (payload
+// values themselves are never touched; only the []Message backing array is
+// recycled). The state of a run that a panic unwinds through is dropped,
+// and the next run builds a fresh one. See DESIGN.md, "The congest hot
+// path".
 func (nw *Network) Run(factory NodeFactory, opts Options) (*Result, error) {
 	st := nw.parked.Swap(nil)
 	if st == nil {
@@ -457,11 +480,14 @@ func (nw *Network) Run(factory NodeFactory, opts Options) (*Result, error) {
 }
 
 // park keeps st for the next run. It first drops the finished run's node
-// programs, outboxes, options and Result, so an idle network keeps no
-// stage's node state or callbacks reachable.
+// programs, options and Result, and zeroes every send log to its capacity,
+// so an idle network keeps no stage's node state, payloads or callbacks
+// reachable.
 func (nw *Network) park(st *runState) {
 	clear(st.nodes)
-	clear(st.outboxes)
+	for w := range st.workers {
+		clear(st.workers[w].sent[:cap(st.workers[w].sent)])
+	}
 	st.opts, st.res = Options{}, nil
 	nw.parked.Store(st)
 }
@@ -486,9 +512,8 @@ type runState struct {
 	// inboxes[v] holds the messages delivered to v for its next step. A
 	// step consumes and length-resets the inbox before anything is
 	// delivered into it this round, so one buffer per node serves every
-	// round.
-	inboxes  [][]Message
-	outboxes [][]Message
+	// round. An inbox grows into a region of its owner worker's chunk.
+	inboxes [][]Message
 
 	// The CSR edge index. Directed edge (v -> u) has slot
 	// offsets[v] + rank of u in v's sorted neighbour list; node v owns
@@ -565,13 +590,12 @@ func newRunState(nw *Network) (*runState, error) {
 				return nil, fmt.Errorf("congest: node %d lists neighbour %d outside 0..%d", v, u, n-1)
 			}
 		}
-		st.ctxs[v] = Context{id: v, n: n, bandwidth: nw.bandwidth, neighbors: nbrs[lo:hi:hi], weights: wts[lo:hi:hi]}
+		st.ctxs[v] = Context{id: int32(v), n: int32(n), bandwidth: nw.bandwidth, neighbors: nbrs[lo:hi:hi], weights: wts[lo:hi:hi]}
 	}
 	st.edgeBits = make([]int32, len(nbrs))
 
 	st.nodes = make([]Node, n)
 	st.inboxes = make([][]Message, n)
-	st.outboxes = make([][]Message, n)
 	st.done = make([]bool, n)
 	st.stepJob = st.stepWorker
 	st.deliverJob = st.deliverWorker
@@ -582,15 +606,20 @@ func newRunState(nw *Network) (*runState, error) {
 // the run's nodes: each context's input, random stream and output, every
 // inbox (a round-limit, cancel or error exit leaves messages in them), the
 // awake words, and a fresh Result, since callers keep results across runs.
-// It partitions anew only when the worker count changed, and starts the
-// worker pool. done and the outboxes need no reset: round 1 steps every
-// node before anything reads them. After a clean exit or a validation
-// error every edge slot is zero and every touched list empty; a panic
-// exit's state is never reused.
+// It partitions anew only when the worker count changed, before the
+// factory runs, so that a context's Outbox works from the first call, and
+// it starts the worker pool. done and the send logs need no reset: round 1
+// steps every node before anything reads done, and every round resets the
+// logs. After a clean exit or a validation error every edge slot is zero
+// and every touched list empty; a panic exit's state is never reused.
 func (st *runState) start(factory NodeFactory, opts Options) error {
 	nw, n := st.nw, st.n
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 64*n + 64
+	}
+	workers := max(min(opts.Workers, n), 1)
+	if len(st.workers) != workers {
+		st.partition(workers)
 	}
 	st.opts = opts
 	st.res = &Result{Outputs: make([]any, n)}
@@ -612,10 +641,6 @@ func (st *runState) start(factory NodeFactory, opts Options) error {
 		st.nodes[v].Init(&st.ctxs[v])
 	}
 
-	workers := max(min(opts.Workers, n), 1)
-	if len(st.workers) != workers {
-		st.partition(workers)
-	}
 	for w := range st.workers {
 		st.workers[w].wakeAll(st.starts[w+1] - st.starts[w])
 	}
@@ -687,7 +712,7 @@ func (st *runState) stepAwake(w int) (v int, p any) {
 			first, end := nextRun(word)
 			word &^= uint64(1)<<end - 1
 			var notDone uint64
-			if notDone, v, p = st.stepRange(base+first, base+end); v >= 0 {
+			if notDone, v, p = st.stepRange(wk, base+first, base+end); v >= 0 {
 				return v, p
 			}
 			if notDone != 0 {
@@ -699,21 +724,26 @@ func (st *runState) stepAwake(w int) (v int, p any) {
 	return -1, nil
 }
 
-// stepRange runs the Round of nodes lo..hi-1 (at most 64) in ID order,
-// filling outboxes and done, under one deferred recover. Bit v-lo of
-// notDone is set when node v reports not done. It stops at the first node
-// that panics and returns that node's ID and panic value; v is -1 when no
-// node panicked.
+// stepRange runs the Round of nodes lo..hi-1 (at most 64) of worker wk's
+// range in ID order, filling done and committing each outbox to wk's send
+// log, under one deferred recover. Bit v-lo of notDone is set when node v
+// reports not done. It stops at the first node that panics and returns
+// that node's ID and panic value; v is -1 when no node panicked.
 //
 // Each consumed inbox is length-reset as soon as its node returns, and
 // the round's delivery appends into it after that, so every delivery finds
 // its inbox empty without a pass of its own over the nodes: a node that
-// does not step had nothing delivered, or it would be awake.
-func (st *runState) stepRange(lo, hi int) (notDone uint64, v int, p any) {
+// does not step had nothing delivered, or it would be awake. The outbox is
+// committed before that reset, so an outbox that is the inbox is copied
+// before anything is delivered into it.
+func (st *runState) stepRange(wk *rangeWorker, lo, hi int) (notDone uint64, v int, p any) {
 	defer func() { p = recover() }()
 	for v = lo; v < hi; v++ {
 		out, done := st.nodes[v].Round(&st.ctxs[v], st.round, st.inboxes[v])
-		st.outboxes[v], st.done[v] = out, done
+		if len(out) > 0 {
+			wk.commit(v, out)
+		}
+		st.done[v] = done
 		st.inboxes[v] = st.inboxes[v][:0]
 		if !done {
 			notDone |= 1 << (v - lo)

@@ -15,7 +15,8 @@ import (
 // and error or panic text to referenceRun, an independent statement of the
 // round semantics. The program mixes word, boxed and qubit messages,
 // oversize messages and messages to non-neighbours, done votes and
-// wake-ups, and optionally a node panic; the seed corpus under
+// wake-ups, and optionally a node panic, and it hands its messages back in
+// every outbox shape (see fuzzNode.Round); the seed corpus under
 // testdata/fuzz covers each of these. Every input runs twice on the same
 // network, so the second run starts from whatever state the first one's
 // exit left behind and must still match.
@@ -180,13 +181,43 @@ func (f *fuzzNode) Round(ctx *Context, round int, inbox []Message) ([]Message, b
 	case len(inbox) > 0 && h%4 == 0:
 		sends = 1
 	}
-	f.out = f.out[:0]
+	done := round > p.active || h>>61 < p.vote
+	shape := mix64(h^0x5eed) % 6
+	var out []Message
+	switch shape {
+	case 0, 4:
+		// The node's own slice, reused across rounds. Shape 4 first
+		// writes junk into the tail of an Outbox it then drops.
+		if shape == 4 {
+			_ = append(ctx.Outbox(), fuzzJunk, fuzzJunk)
+		}
+		out = f.out[:0]
+	case 1, 3:
+		out = ctx.Outbox()
+	case 2:
+		// The first message of an Outbox is junk, dropped on return.
+		out = append(ctx.Outbox(), fuzzJunk)[1:]
+	default:
+		// The inbox, overwritten: it is consumed by now.
+		out = inbox[:0]
+	}
 	for i := 0; i < sends; i++ {
 		h = mix64(h + uint64(i))
-		f.out = append(f.out, f.message(ctx, round, h))
+		out = append(out, f.message(ctx, round, h))
 	}
-	return f.out, round > p.active || h>>61 < p.vote
+	switch shape {
+	case 0, 4:
+		f.out = out
+	case 3:
+		// Written in the Outbox, then appended past its capacity.
+		out = slices.Grow(out, cap(out)-len(out)+1)
+	}
+	return out, done
 }
+
+// fuzzJunk is the message fuzzNode writes into Outbox room it then leaves
+// out of its outbox: sent, it would fail validation.
+var fuzzJunk = Message{To: -1, Bits: 1 << 20, Kind: 1}
 
 // message builds one message from the hash h: a word, boxed or qubit
 // message, usually to a neighbour within B/4 bits, now and then to a
@@ -242,17 +273,20 @@ func fuzzRun(nw *Network, factory NodeFactory, opts Options, workers int) (o run
 // referenceRun is the round loop stated as plainly as possible: a []bool
 // awake set, per-edge bit counts in a map, and delivery by walking the
 // stepped nodes in ascending ID, outbox order within a node, so each inbox
-// fills in ascending sender ID. It has no ranges, slots or queues. It
-// traces every accepted message; opts.Trace and opts.Cancel are ignored,
-// and opts.MaxRounds must be positive.
+// fills in ascending sender ID. It has no ranges, slots or queues, and it
+// takes a copy of every outbox as its node returns it, so each context's
+// Outbox is room in one scratch slice that is never committed. It traces
+// every accepted message; opts.Trace and opts.Cancel are ignored, and
+// opts.MaxRounds must be positive.
 func referenceRun(topo Topology, bandwidth int, seed int64, factory NodeFactory, opts Options) (o runOutcome) {
 	n := topo.N()
 	ctxs := make([]*Context, n)
 	isNeighbor := make([]map[int]bool, n)
+	scratch := make([]Message, 0, 4)
 	for v := 0; v < n; v++ {
 		listed := slices.Clone(topo.Neighbors(v))
 		sort.Ints(listed)
-		ctx := &Context{id: v, n: n, bandwidth: bandwidth, rngSeed: seed*1_000_003 + int64(v)}
+		ctx := &Context{id: int32(v), n: int32(n), bandwidth: bandwidth, rngSeed: seed*1_000_003 + int64(v), sent: &scratch}
 		isNeighbor[v] = map[int]bool{}
 		for _, u := range listed {
 			if w, ok := topo.Weight(v, u); ok {
@@ -349,14 +383,15 @@ func referenceRun(topo Topology, bandwidth int, seed int64, factory NodeFactory,
 	return finish(fmt.Errorf("%w: after %d rounds", ErrRoundLimit, res.Rounds))
 }
 
-// stepNode calls node's Round, storing its outbox and vote. ok is false
-// when Round panicked, with p the panic value.
+// stepNode calls node's Round, storing a copy of its outbox and its vote.
+// ok is false when Round panicked, with p the panic value.
 func stepNode(node Node, ctx *Context, round int, inbox []Message, out *[]Message, done *bool) (p any, ok bool) {
 	defer func() {
 		if !ok {
 			p = recover()
 		}
 	}()
-	*out, *done = node.Round(ctx, round, inbox)
+	sent, vote := node.Round(ctx, round, inbox)
+	*out, *done = slices.Clone(sent), vote
 	return nil, true
 }

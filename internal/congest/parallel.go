@@ -13,12 +13,13 @@ import (
 // from round 1 to termination. The phase closures are built once, so the
 // steady state allocates nothing:
 //
-//  1. step: every worker steps its range's awake nodes, then validates and
-//     accounts their messages against their sender-private slots of the
-//     CSR edge index. The first range delivers each message to its own
-//     range at once; every other accepted message is queued as a msgRef
-//     for the worker that owns the receiver. A stepped node that is not
-//     done stays awake for the next round.
+//  1. step: every worker steps its range's awake nodes, which write their
+//     messages into the worker's send log, then validates and accounts the
+//     log against its senders' private slots of the CSR edge index. The
+//     first range delivers each message to its own range at once; every
+//     other accepted message is queued, as its index in the log, for the
+//     worker that owns the receiver. A stepped node that is not done stays
+//     awake for the next round.
 //  2. deliver: every worker drains the queues addressed to it in worker
 //     order into its receivers' inboxes, wakes the receivers that are done,
 //     and zeroes the edge slots it charged in phase 1.
@@ -27,8 +28,9 @@ import (
 // word is written by two workers. A round therefore costs
 // O(n/64W + awake/W + traffic/W) per worker behind two barriers. The result
 // is the same for every worker count, argued in DESIGN.md ("The congest hot
-// path"): a node's Round touches only its own state and inbox, accounting
-// folds per-worker sums and maxes in worker order, and ranges ascend with
+// path"): a node's Round touches only its own state, its inbox and the
+// free tail of its own worker's send log, accounting folds per-worker sums
+// and maxes in worker order, and ranges ascend with
 // the worker index, so the first range's direct deliveries followed by the
 // queues drained in worker order append each receiver's messages in
 // ascending sender ID, outbox order within a sender. A validation error
@@ -36,23 +38,27 @@ import (
 // before its error, which is the same partial result for every worker
 // count.
 
-// msgRef names one accepted message by its sender and its index in the
-// sender's outbox. Outboxes stay untouched until the next step, so a ref is
-// all the rest of the round needs to deliver or trace the message.
-type msgRef struct{ from, idx int32 }
-
 // rangeWorker is everything one worker writes during a round. Padded so
 // adjacent workers' state does not share a cache line.
 type rangeWorker struct {
-	// queues[o] holds the round's accepted messages to receivers in worker
-	// o's range, in sender order. The first worker's queue to itself stays
-	// empty: it delivers those messages during validation.
-	queues [][]msgRef
-	// trace holds all of the round's accepted messages in sender order; it
-	// is filled only under Options.Trace.
-	trace []msgRef
+	// sent is the round's send log: the messages of the range's stepped
+	// nodes in sender order, outbox order within a sender, with From
+	// stamped and negative Bits clamped to zero. It stays untouched until
+	// the next round's step, so an index into it is all the rest of the
+	// round needs to deliver or trace a message, and its first
+	// traffic.Messages entries are the ones validation accepted.
+	sent []Message
+	// queues[o] holds the indexes in sent of the round's accepted messages
+	// to receivers in worker o's range, in sender order. The first
+	// worker's queue to itself stays empty: it delivers those messages
+	// during validation.
+	queues [][]int32
 	// touched lists the edge slots charged this round.
 	touched []int32
+	// chunk is the unused rest of the range's current inbox chunk, and
+	// chunkLen the length of a new one: the range's node count.
+	chunk    []Message
+	chunkLen int
 	// awake and wake are the range's vote-to-halt words, indexed from the
 	// range's first node lo: bit i%64 of awake[i/64] is set when node lo+i
 	// steps this round, and wake collects the nodes that step next round.
@@ -72,18 +78,56 @@ type rangeWorker struct {
 	_           [64]byte
 }
 
-// reset starts the worker's round: the nodes woken last round become the
-// awake set, and the old awake words are cleared to collect the next one.
-// touched is already empty, since deliver or the error return zeroes the
-// slots it lists.
+// reset starts the worker's round: the send log and the queues empty, the
+// nodes woken last round become the awake set, and the old awake words
+// are cleared to collect the next one. touched is already empty, since
+// deliver or the error return zeroes the slots it lists.
 func (wk *rangeWorker) reset() {
 	for o := range wk.queues {
 		wk.queues[o] = wk.queues[o][:0]
 	}
 	awake, wake := wk.wake, wk.awake
 	clear(wake)
-	*wk = rangeWorker{queues: wk.queues, trace: wk.trace[:0], touched: wk.touched,
-		awake: awake, wake: wake, panicAt: -1}
+	*wk = rangeWorker{sent: wk.sent[:0], queues: wk.queues, touched: wk.touched,
+		chunk: wk.chunk, chunkLen: wk.chunkLen, awake: awake, wake: wake, panicAt: -1}
+}
+
+// commit appends node v's outbox to the send log. An outbox built in the
+// log's free tail (Context.Outbox) is already in place and only needs its
+// length taken; any other outbox, a subslice of the tail included, is
+// copied, and append's copy is safe when the two overlap. Then it stamps
+// From and clamps negative Bits on the committed messages.
+func (wk *rangeWorker) commit(v int, out []Message) {
+	n := len(wk.sent)
+	if free := wk.sent[n:cap(wk.sent)]; len(free) > 0 && &free[0] == &out[0] {
+		wk.sent = wk.sent[:n+len(out)]
+	} else {
+		wk.sent = append(wk.sent, out...)
+	}
+	for i := n; i < len(wk.sent); i++ {
+		m := &wk.sent[i]
+		m.From, m.Bits = v, max(m.Bits, 0)
+	}
+}
+
+// deliver appends msg to its receiver's inbox. A full inbox moves to a
+// region of twice its room carved from the worker's chunk, with a full
+// slice expression so that no later append spills into the next region;
+// only the receiver's owner delivers to it, so no two workers write one
+// chunk. A new chunk holds chunkLen messages, or the region if larger.
+func (wk *rangeWorker) deliver(inboxes [][]Message, msg *Message) {
+	in := inboxes[msg.To]
+	if len(in) == cap(in) {
+		size := max(2*cap(in), 1)
+		if len(wk.chunk) < size {
+			wk.chunk = make([]Message, max(wk.chunkLen, size))
+		}
+		grown := wk.chunk[:len(in):size]
+		wk.chunk = wk.chunk[size:]
+		copy(grown, in)
+		in = grown
+	}
+	inboxes[msg.To] = append(in, *msg)
 }
 
 // wakeAt marks the range's node lo+i to step next round.
@@ -165,13 +209,17 @@ func (st *runState) partition(workers int) {
 	st.workers = make([]rangeWorker, workers)
 	for w := range st.workers {
 		wk := &st.workers[w]
-		wk.queues = make([][]msgRef, workers)
+		wk.queues = make([][]int32, workers)
 		// The words are padded to whole cache lines, so two workers'
 		// words never share one.
 		size := st.starts[w+1] - st.starts[w]
 		words := (size + 63) / 64
 		wk.awake = make([]uint64, words, (words+7)&^7)
 		wk.wake = make([]uint64, words, (words+7)&^7)
+		wk.chunkLen = size
+		for v := st.starts[w]; v < st.starts[w+1]; v++ {
+			st.ctxs[v].sent = &wk.sent
+		}
 	}
 }
 
@@ -222,11 +270,11 @@ func (st *runState) runRound() (quiet bool, err error) {
 		traffic.Messages += wk.traffic.Messages
 		traffic.ClassicalBits += wk.traffic.ClassicalBits
 		traffic.QuantumBits += wk.traffic.QuantumBits
-		// Worker order is sender-ID order: the callback sees every message
-		// in sender order, on this goroutine alone.
+		// Worker order is sender-ID order: the callback sees every accepted
+		// message in sender order, on this goroutine alone.
 		if trace := st.opts.Trace; trace != nil {
-			for _, ref := range wk.trace {
-				trace(round, st.message(ref))
+			for _, msg := range wk.sent[:wk.traffic.Messages] {
+				trace(round, msg)
 			}
 		}
 		if wk.err != nil {
@@ -258,79 +306,60 @@ func (st *runState) stepWorker(w int) {
 	wk.traffic, wk.maxEdgeBits, wk.err = st.validate(w)
 }
 
-// validate charges the messages of worker w's stepped nodes to their edge
-// slots, in sender order, and routes each accepted one. No range comes
-// before the first, so a message from the first range to a node in it is
-// first in its receiver's inbox whatever arrives later: it is delivered on
-// the spot, and its receiver woken if done; the first range validates only
-// after stepping all of its nodes, so that inbox was already consumed.
-// Every other message is queued for the worker that owns its receiver and
-// delivered after the step barrier. validate returns the accepted
-// traffic and stops at the first message that fails, returning its error.
-// The sums live in locals until the range is done, off the shared worker
-// state.
+// validate charges worker w's send log to its senders' edge slots, in
+// log order, which is sender order, and routes each accepted message. No
+// range comes before the first, so a message from the first range to a
+// node in it is first in its receiver's inbox whatever arrives later: it
+// is delivered on the spot, and its receiver woken if done; the first
+// range validates only after stepping all of its nodes, so that inbox was
+// already consumed. Every other message is queued for the worker that
+// owns its receiver and delivered after the step barrier. validate returns
+// the accepted traffic and stops at the first message that fails,
+// returning its error. The sums live in locals until the range is done,
+// off the shared worker state.
 func (st *runState) validate(w int) (traffic RoundTraffic, maxEdgeBits int, err error) {
 	wk := &st.workers[w]
 	bandwidth := st.nw.bandwidth
-	tracing := st.opts.Trace != nil
 	direct := w == 0
 	lo, hi := st.starts[w], st.starts[w+1]
-	for i, word := range wk.awake {
-		base := lo + i<<6
-		for word != 0 {
-			first, end := nextRun(word)
-			word &^= uint64(1)<<end - 1
-			for v := base + first; v < base+end; v++ {
-				ctx := &st.ctxs[v]
-				slots := st.offsets[v]
-				out := st.outboxes[v]
-				for j := range out {
-					to := out[j].To
-					r := ctx.neighborRank(to)
-					if r < 0 {
-						err = fmt.Errorf("%w: node %d -> %d in round %d", ErrNotNeighbor, v, to, st.round)
-						return traffic, maxEdgeBits, err
-					}
-					size := max(out[j].Bits, 0)
-					slot := slots + int32(r)
-					total := int(st.edgeBits[slot]) + size
-					if total > bandwidth {
-						err = fmt.Errorf("%w: node %d -> %d sent %d bits in round %d (B=%d)",
-							ErrBandwidthExceeded, v, to, total, st.round, bandwidth)
-						return traffic, maxEdgeBits, err
-					}
-					if st.edgeBits[slot] == 0 && total > 0 {
-						wk.touched = append(wk.touched, slot)
-					}
-					st.edgeBits[slot] = int32(total)
-					ref := msgRef{from: int32(v), idx: int32(j)}
-					if direct && to < hi {
-						msg := out[j]
-						msg.From, msg.Bits = v, size
-						st.inboxes[to] = append(st.inboxes[to], msg)
-						if st.done[to] {
-							wk.wakeAt(to)
-						}
-					} else {
-						o := w
-						if to < lo || to >= hi {
-							o = st.owner(to)
-						}
-						wk.queues[o] = append(wk.queues[o], ref)
-					}
-					if tracing {
-						wk.trace = append(wk.trace, ref)
-					}
-					traffic.Messages++
-					if out[j].Quantum {
-						traffic.QuantumBits += int64(size)
-					} else {
-						traffic.ClassicalBits += int64(size)
-					}
-					maxEdgeBits = max(maxEdgeBits, total)
-				}
-			}
+	for i := range wk.sent {
+		msg := &wk.sent[i]
+		v, to := msg.From, msg.To
+		r := st.ctxs[v].neighborRank(to)
+		if r < 0 {
+			err = fmt.Errorf("%w: node %d -> %d in round %d", ErrNotNeighbor, v, to, st.round)
+			return traffic, maxEdgeBits, err
 		}
+		slot := st.offsets[v] + int32(r)
+		total := int(st.edgeBits[slot]) + msg.Bits
+		if total > bandwidth {
+			err = fmt.Errorf("%w: node %d -> %d sent %d bits in round %d (B=%d)",
+				ErrBandwidthExceeded, v, to, total, st.round, bandwidth)
+			return traffic, maxEdgeBits, err
+		}
+		if st.edgeBits[slot] == 0 && total > 0 {
+			wk.touched = append(wk.touched, slot)
+		}
+		st.edgeBits[slot] = int32(total)
+		if direct && to < hi {
+			wk.deliver(st.inboxes, msg)
+			if st.done[to] {
+				wk.wakeAt(to)
+			}
+		} else {
+			o := w
+			if to < lo || to >= hi {
+				o = st.owner(to)
+			}
+			wk.queues[o] = append(wk.queues[o], int32(i))
+		}
+		traffic.Messages++
+		if msg.Quantum {
+			traffic.QuantumBits += int64(msg.Bits)
+		} else {
+			traffic.ClassicalBits += int64(msg.Bits)
+		}
+		maxEdgeBits = max(maxEdgeBits, total)
 	}
 	return traffic, maxEdgeBits, nil
 }
@@ -345,22 +374,14 @@ func (st *runState) deliverWorker(o int) {
 	wk := &st.workers[o]
 	lo := st.starts[o]
 	for w := range st.workers {
-		for _, ref := range st.workers[w].queues[o] {
-			msg := st.message(ref)
-			st.inboxes[msg.To] = append(st.inboxes[msg.To], msg)
+		sent := st.workers[w].sent
+		for _, i := range st.workers[w].queues[o] {
+			msg := &sent[i]
+			wk.deliver(st.inboxes, msg)
 			if st.done[msg.To] {
 				wk.wakeAt(msg.To - lo)
 			}
 		}
 	}
 	wk.touched = clearSlots(st.edgeBits, wk.touched)
-}
-
-// message returns the accepted message ref names as its receiver gets it:
-// From stamped, negative Bits clamped to zero.
-func (st *runState) message(ref msgRef) Message {
-	msg := st.outboxes[ref.from][ref.idx]
-	msg.From = int(ref.from)
-	msg.Bits = max(msg.Bits, 0)
-	return msg
 }

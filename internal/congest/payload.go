@@ -119,11 +119,12 @@ func BroadcastWords(neighbors []int, kind uint8, w0, w1 uint64, bits int) []Mess
 	return BroadcastWordsInto(out, neighbors, kind, w0, w1, bits)
 }
 
-// BroadcastAll builds one identical message per neighbour of ctx. It is the
-// hot-path form of Broadcast(ctx.Neighbors(), ...): the same messages
-// without first copying the neighbour list. The returned slice is owned by
-// the caller and may be reused across rounds (the simulator never mutates a
-// node's outbox).
+// BroadcastAll builds one identical message per neighbour of ctx: the
+// messages of Broadcast(ctx.Neighbors(), ...) without first copying the
+// neighbour list. The returned slice is owned by the caller and may be
+// returned again in later rounds (the simulator never mutates a node's
+// outbox), but a node that builds its messages each round should use
+// BroadcastAllInto(ctx.Outbox(), ...), which allocates nothing.
 func BroadcastAll(ctx *Context, payload any, bits int) []Message {
 	out := make([]Message, ctx.Degree())
 	for i := range out {
@@ -132,7 +133,8 @@ func BroadcastAll(ctx *Context, payload any, bits int) []Message {
 	return out
 }
 
-// BroadcastAllWords is BroadcastAll for a word-encoded payload.
+// BroadcastAllWords is BroadcastAll for a word-encoded payload; its
+// allocation-free form is BroadcastAllWordsInto(ctx.Outbox(), ...).
 func BroadcastAllWords(ctx *Context, kind uint8, w0, w1 uint64, bits int) []Message {
 	out := make([]Message, ctx.Degree())
 	for i := range out {
@@ -142,16 +144,16 @@ func BroadcastAllWords(ctx *Context, kind uint8, w0, w1 uint64, bits int) []Mess
 }
 
 // Append variants. The constructors above allocate a fresh slice per call;
-// a node that sends every round should instead keep one outbox slice and
-// append into it with the Into forms below — append against retained
-// capacity allocates nothing, so steady-state message construction stays
-// off the heap (pinned by allocs_test.go). The pattern is
+// a node should instead append its messages with the Into forms below into
+// ctx.Outbox(), room in the simulator's send log:
 //
-//	n.outbox = congest.BroadcastAllWordsInto(n.outbox[:0], ctx, kind, w0, w1, bits)
-//	return n.outbox, false
+//	return congest.BroadcastAllWordsInto(ctx.Outbox(), ctx, kind, w0, w1, bits), false
 //
-// which is safe because the simulator copies messages out of the outbox
-// during the round's merge and never retains the slice.
+// Messages built there are committed where they are, with no allocation
+// and no copy. Appending into a slice of the node's own with retained
+// capacity allocates nothing either (pinned by allocs_test.go), but the
+// simulator copies those messages into its log when Round returns; it never
+// retains the slice, so the node may reuse it.
 
 // AppendMessage appends one boxed message to dst and returns the extended
 // slice.

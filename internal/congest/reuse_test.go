@@ -190,19 +190,33 @@ func TestReusedRunAllocsIndependentOfN(t *testing.T) {
 }
 
 // TestParkedStateDropsNodeState checks that an idle network keeps no node
-// program or outbox of its last run reachable.
+// program of its last run reachable, and no message in any worker's send
+// log, up to its capacity.
 func TestParkedStateDropsNodeState(t *testing.T) {
-	nw := newReuseNetwork(t, nil)
-	if _, err := nw.Run(reuseFactory, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	st := nw.parked.Load()
-	if st == nil {
-		t.Fatal("a finished run parked no state")
-	}
-	for v := range st.nodes {
-		if st.nodes[v] != nil || st.outboxes[v] != nil {
-			t.Fatalf("node %d: parked state keeps node %v and an outbox of %d messages", v, st.nodes[v], len(st.outboxes[v]))
+	for _, workers := range []int{1, 4} {
+		nw := newReuseNetwork(t, nil)
+		if _, err := nw.Run(reuseFactory, Options{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		st := nw.parked.Load()
+		if st == nil {
+			t.Fatal("a finished run parked no state")
+		}
+		for v := range st.nodes {
+			if st.nodes[v] != nil {
+				t.Fatalf("Workers=%d: parked state keeps node %d's program %v", workers, v, st.nodes[v])
+			}
+		}
+		for w := range st.workers {
+			sent := st.workers[w].sent
+			if cap(sent) == 0 {
+				t.Fatalf("Workers=%d: worker %d's send log has no room after a run that sent", workers, w)
+			}
+			for i, m := range sent[:cap(sent)] {
+				if m != (Message{}) {
+					t.Fatalf("Workers=%d: worker %d's parked send log keeps %+v at %d", workers, w, m, i)
+				}
+			}
 		}
 	}
 }

@@ -76,8 +76,9 @@ func TestTraceIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestTraceFillsPerWorkerBuffers is the white-box check that a traced run
-// with Workers > 1 builds the pool and records every accepted message in
-// the workers' trace buffers.
+// with Workers > 1 builds the pool, logs every accepted message in the
+// send log of the worker whose range holds its sender, and traces each
+// one.
 func TestTraceFillsPerWorkerBuffers(t *testing.T) {
 	nw, err := NewNetwork(ring(16), 16)
 	if err != nil {
@@ -87,8 +88,9 @@ func TestTraceFillsPerWorkerBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	traced := 0
 	if err := st.start(func(*Context) Node { return &hybridNode{rounds: 2} },
-		Options{Workers: 4, Trace: func(int, Message) {}}); err != nil {
+		Options{Workers: 4, Trace: func(int, Message) { traced++ }}); err != nil {
 		t.Fatal(err)
 	}
 	defer st.close()
@@ -99,12 +101,18 @@ func TestTraceFillsPerWorkerBuffers(t *testing.T) {
 	if _, err := st.runRound(); err != nil {
 		t.Fatal(err)
 	}
-	traced := 0
+	logged := 0
 	for w := range st.workers {
-		traced += len(st.workers[w].trace)
+		for _, m := range st.workers[w].sent {
+			if m.From < st.starts[w] || m.From >= st.starts[w+1] {
+				t.Fatalf("worker %d logged a message from node %d outside its range %d..%d",
+					w, m.From, st.starts[w], st.starts[w+1]-1)
+			}
+		}
+		logged += len(st.workers[w].sent)
 	}
-	if want := 2 * 16; traced != want || st.res.TotalMessages != want {
-		t.Fatalf("round 1 traced %d of %d messages, want %d", traced, st.res.TotalMessages, want)
+	if want := 2 * 16; logged != want || traced != want || st.res.TotalMessages != want {
+		t.Fatalf("round 1 logged %d and traced %d of %d messages, want %d", logged, traced, st.res.TotalMessages, want)
 	}
 }
 

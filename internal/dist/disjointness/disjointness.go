@@ -146,7 +146,6 @@ type pathNode struct {
 	sent     int
 	received []int
 	answered bool
-	outbox   []congest.Message
 }
 
 func (p *pathNode) Init(ctx *congest.Context) {
@@ -156,7 +155,7 @@ func (p *pathNode) Init(ctx *congest.Context) {
 
 func (p *pathNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
 	id, last := ctx.ID(), ctx.N()-1
-	out := p.outbox[:0]
+	out := ctx.Outbox()
 
 	for i := range inbox {
 		m := &inbox[i]
@@ -215,7 +214,6 @@ func (p *pathNode) Round(ctx *congest.Context, round int, inbox []congest.Messag
 		out = congest.AppendWordMessage(out, id-1, kindAnswer, congest.WordFromBool(disjoint), 0, congest.BitsForBool)
 	}
 
-	p.outbox = out
 	return out, p.answered
 }
 

@@ -85,7 +85,7 @@ func (f *node) Round(ctx *congest.Context, round int, inbox []congest.Message) (
 		return nil, true
 	}
 	f.sent = true
-	return congest.BroadcastAllWords(ctx, kindDist, uint64(f.dist), 0, distBits(ctx.N())), false
+	return congest.BroadcastAllWordsInto(ctx.Outbox(), ctx, kindDist, uint64(f.dist), 0, distBits(ctx.N())), false
 }
 
 // Run floods from source on the runner's network and returns every node's
@@ -98,7 +98,8 @@ func Run(r engine.Runner, source int) (*Result, error) {
 		return nil, fmt.Errorf("%w: %d with n=%d", ErrBadSource, source, n)
 	}
 	before := r.Stats()
-	res, err := r.RunStage(func(*congest.Context) congest.Node { return &node{} },
+	nodes := make([]node, n)
+	res, err := r.RunStage(func(ctx *congest.Context) congest.Node { return &nodes[ctx.ID()] },
 		map[int]any{source: true}, n+2)
 	if err != nil {
 		return nil, err

@@ -219,7 +219,6 @@ type fragNode struct {
 	label    int
 	dist     int
 	sent     fragMsg
-	outbox   []congest.Message
 }
 
 func (f *fragNode) Init(ctx *congest.Context) {
@@ -248,8 +247,7 @@ func (f *fragNode) Round(ctx *congest.Context, round int, inbox []congest.Messag
 	if cur := (fragMsg{Label: f.label, Dist: f.dist}); cur != f.sent {
 		f.sent = cur
 		bits := tagBits + congest.BitsForID(n) + congest.BitsForInt(f.dist)
-		f.outbox = congest.BroadcastWordsInto(f.outbox[:0], f.treeNbrs, kindFrag, uint64(cur.Label), uint64(cur.Dist), bits)
-		return f.outbox, false
+		return congest.BroadcastWordsInto(ctx.Outbox(), f.treeNbrs, kindFrag, uint64(cur.Label), uint64(cur.Dist), bits), false
 	}
 	return nil, false
 }
@@ -349,7 +347,7 @@ func (m *moeNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 	n := ctx.N()
 	if round == 1 {
 		bits := tagBits + congest.BitsForID(n) + congest.BitsForInt(m.st.Dist)
-		return congest.BroadcastAllWords(ctx, kindNbr, uint64(m.st.Label), uint64(m.st.Dist), bits), false
+		return congest.BroadcastAllWordsInto(ctx.Outbox(), ctx, kindNbr, uint64(m.st.Label), uint64(m.st.Dist), bits), false
 	}
 
 	for i := range inbox {
@@ -388,14 +386,14 @@ func (m *moeNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 		m.oriented = true
 	}
 
-	var out []congest.Message
+	out := ctx.Outbox()
 	if m.oriented && !m.finished && m.received == m.children {
 		m.finished = true
 		if m.st.Label == ctx.ID() {
 			ctx.SetOutput(moeOutput{Has: m.best.Has, U: m.best.U, V: m.best.V})
 		} else {
 			kind, w0, w1 := encodeCand(m.best)
-			out = append(out, congest.NewWordMessage(m.parent, kind, w0, w1, m.candBits(n, m.best)))
+			out = congest.AppendWordMessage(out, m.parent, kind, w0, w1, m.candBits(n, m.best))
 		}
 	}
 	return out, m.finished

@@ -93,7 +93,6 @@ type aggNode struct {
 	answer     bool
 	haveAnswer bool
 	answered   bool
-	outbox     []congest.Message
 }
 
 func newAggNode(ctx *congest.Context, decide func(agg) bool) *aggNode {
@@ -108,7 +107,7 @@ func (a *aggNode) Init(ctx *congest.Context) {
 }
 
 func (a *aggNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
-	out := a.outbox[:0]
+	out := ctx.Outbox()
 
 	// The root starts the BFS wave in round 1.
 	if round == 1 && ctx.ID() == 0 {
@@ -196,7 +195,6 @@ func (a *aggNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 		ctx.SetOutput(a.answer)
 	}
 
-	a.outbox = out
 	return out, a.answered
 }
 

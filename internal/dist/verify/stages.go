@@ -42,7 +42,6 @@ type labelNode struct {
 	mNbrs    []int
 	label    int
 	lastSent int
-	outbox   []congest.Message
 }
 
 func (l *labelNode) Init(ctx *congest.Context) {
@@ -68,8 +67,7 @@ func (l *labelNode) Round(ctx *congest.Context, round int, inbox []congest.Messa
 	if l.label != l.lastSent {
 		l.lastSent = l.label
 		bits := tagBits + congest.BitsForID(n)
-		l.outbox = congest.BroadcastWordsInto(l.outbox[:0], l.mNbrs, kindLabel, uint64(l.label), 0, bits)
-		return l.outbox, false
+		return congest.BroadcastWordsInto(ctx.Outbox(), l.mNbrs, kindLabel, uint64(l.label), 0, bits), false
 	}
 	return nil, false
 }
@@ -102,7 +100,6 @@ type colorNode struct {
 	dist     int
 	lastSent int
 	conflict bool
-	outbox   []congest.Message
 }
 
 func (c *colorNode) Init(ctx *congest.Context) {
@@ -141,14 +138,12 @@ func (c *colorNode) Round(ctx *congest.Context, round int, inbox []congest.Messa
 		if c.dist != -1 && c.dist != c.lastSent {
 			c.lastSent = c.dist
 			bits := tagBits + congest.BitsForInt(c.dist)
-			c.outbox = congest.BroadcastWordsInto(c.outbox[:0], c.mNbrs, kindDist, uint64(c.dist), 0, bits)
-			return c.outbox, false
+			return congest.BroadcastWordsInto(ctx.Outbox(), c.mNbrs, kindDist, uint64(c.dist), 0, bits), false
 		}
 		return nil, false
 	case round == n+1:
 		bits := tagBits + congest.BitsForBool
-		c.outbox = congest.BroadcastWordsInto(c.outbox[:0], c.mNbrs, kindColor, uint64(c.color()), 0, bits)
-		return c.outbox, false
+		return congest.BroadcastWordsInto(ctx.Outbox(), c.mNbrs, kindColor, uint64(c.color()), 0, bits), false
 	default:
 		ctx.SetOutput(c.conflict)
 		return nil, true

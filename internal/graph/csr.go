@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -217,7 +218,9 @@ func (b *Builder) Finish() (*CSR, error) {
 	for v := 0; v < n; v++ {
 		lo, hi := c.offsets[v], c.offsets[v+1]
 		bucket := csrBucket{t: c.targets[lo:hi], w: c.weights[lo:hi]}
-		if !sort.IsSorted(bucket) {
+		// The check reads the targets directly: boxing the bucket into a
+		// sort.Interface allocates, so only a bucket to sort pays for it.
+		if !slices.IsSorted(bucket.t) {
 			sort.Sort(bucket)
 		}
 		for i := 1; i < len(bucket.t); i++ {

@@ -182,3 +182,24 @@ func TestCSRSlowNeighborCounter(t *testing.T) {
 		t.Fatalf("SlowNeighborCalls = %d, want 2", got)
 	}
 }
+
+// TestBuilderFinishAllocsIndependentOfN gates Finish's allocations: the CSR,
+// its three tables and the scatter cursor, the same count on a 64×64 grid
+// as on a 320×320 one. Every grid bucket arrives sorted, so a per-vertex
+// allocation on the sortedness check shows as a count that grows with n.
+func TestBuilderFinishAllocsIndependentOfN(t *testing.T) {
+	var allocs []float64
+	for _, side := range []int{64, 320} {
+		b := NewBuilder(side * side)
+		EmitGrid(side, side, b.MustAddEdge)
+		allocs = append(allocs, testing.AllocsPerRun(3, func() {
+			if _, err := b.Finish(); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("Finish allocates %.0f objects on a 64×64 grid and %.0f on a 320×320 one; want the same count",
+			allocs[0], allocs[1])
+	}
+}

@@ -164,10 +164,11 @@ func (c *Context) N() int { return int(c.n) }
 // Outbox returns an empty slice over the free tail of the simulator's send
 // log, for the messages the node sends this round. A node appends its
 // messages to it (the Into constructors in payload.go append) and returns
-// the result from Round; messages built there are not copied again. The
-// slice is valid only during the Round call that took it: a program must
-// not keep it, or return it in a later round. Appending past its capacity
-// is safe, and costs the copy.
+// the result from Round; messages built there are not copied again. Every
+// call within one Round returns the same room, so a node builds one outbox
+// there. The slice is valid only during the Round call that took it: a
+// program must not keep it, or return it in a later round. Appending past
+// its capacity is safe, and costs the copy.
 func (c *Context) Outbox() []Message {
 	log := *c.sent
 	return log[len(log):]

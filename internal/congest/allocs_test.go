@@ -43,7 +43,7 @@ func TestAppendConstructorsAllocFree(t *testing.T) {
 	}, Options{MaxRounds: 4}); err != nil {
 		t.Fatal(err)
 	}
-	neighbors := hub.Neighbors()
+	neighbors := hub.neighbors
 	var payload any = 1
 	dst := make([]Message, 0, 64)
 	cases := map[string]func(){

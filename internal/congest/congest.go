@@ -28,8 +28,8 @@
 // round's cost follows its traffic), messages carry small contents
 // word-encoded in two inline uint64s instead of a boxed Payload (see
 // payload.go — Kind/W0/W1, with boxed `any` kept as the escape hatch), and
-// a topology implementing IndexedTopology (such as *graph.CSR, built by the
-// streaming graph.Builder) is adopted without per-node copies or sorts.
+// every topology is read by rank through Topology.Neighbor into two flat
+// arrays, with no per-node copy, sort or weight lookup.
 // Together these carry the same bit-exact accounting from the paper-sized
 // networks up to million-node topologies; see DESIGN.md, "The congest hot
 // path" and "Compact payloads and streaming topologies".
@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"sort"
 	"sync/atomic"
 )
 
@@ -180,25 +179,9 @@ func (c *Context) Bandwidth() int { return c.bandwidth }
 // Degree returns the number of neighbours.
 func (c *Context) Degree() int { return len(c.neighbors) }
 
-// Neighbors returns the IDs of the neighbours in ascending order. The slice
-// is a copy and may be modified by the caller.
-func (c *Context) Neighbors() []int {
-	out := make([]int, len(c.neighbors))
-	copy(out, c.neighbors)
-	return out
-}
-
 // NeighborAt returns the i-th neighbour in ascending-ID order, 0 <= i <
-// Degree(). Together with Degree it is the zero-alloc form of Neighbors().
+// Degree(). A node walks its neighbours with the two, which copy nothing.
 func (c *Context) NeighborAt(i int) int { return c.neighbors[i] }
-
-// ForEachNeighbor calls f for every neighbour in ascending-ID order without
-// copying the neighbour list.
-func (c *Context) ForEachNeighbor(f func(v int)) {
-	for _, v := range c.neighbors {
-		f(v)
-	}
-}
 
 // IsNeighbor reports whether v is adjacent to this node.
 func (c *Context) IsNeighbor(v int) bool { return c.neighborRank(v) >= 0 }
@@ -284,23 +267,13 @@ var (
 )
 
 // Topology is the read-only view of the underlying graph that the simulator
-// needs. *graph.Graph satisfies it.
+// needs: each vertex's neighbours by rank, in strictly ascending ID order,
+// with the weights of the connecting edges. *graph.Graph and *graph.CSR
+// satisfy it. The simulator checks the order, and the range of every ID,
+// before round 1 and reports a topology that breaks either as an error.
 type Topology interface {
+	// N returns the number of vertices.
 	N() int
-	Neighbors(v int) []int
-	Weight(u, v int) (float64, bool)
-}
-
-// IndexedTopology is the optional fast-path extension of Topology: a
-// topology that can enumerate each vertex's incident edges by rank, in
-// ascending neighbour-ID order, without allocating. For such a topology the
-// simulator builds every per-node context from two shared flat arrays — no
-// per-node Neighbors copy, no per-node sort, no per-edge Weight lookup —
-// which is what makes million-node run construction feasible. *graph.CSR
-// implements it; implementations must return neighbours in strictly
-// ascending ID order or the simulator's edge index is undefined.
-type IndexedTopology interface {
-	Topology
 	// Degree returns the number of neighbours of v.
 	Degree(v int) int
 	// Neighbor returns the i-th neighbour of v in ascending-ID order and
@@ -546,51 +519,35 @@ type runState struct {
 }
 
 // newRunState builds the topology-derived working state of nw: the
-// contexts' static fields, the edge index and the per-node arrays.
+// contexts' static fields, the edge index and the per-node arrays. A
+// neighbour ID outside 0..n-1, or a neighbour list that is not strictly
+// ascending, is an error.
 func newRunState(nw *Network) (*runState, error) {
 	n := nw.topo.N()
 	st := &runState{nw: nw, n: n, offsets: make([]int32, n+1)}
 
-	// Every node's sorted neighbour and weight lists are carved out of two
-	// shared flat arrays, which offsets indexes as the CSR edge index. An
-	// IndexedTopology fills them straight from its own tables (sorted by
-	// contract); any other topology's lists are copied, sorted and weighed
-	// node by node.
-	var nbrs []int
-	var wts []float64
-	if ix, ok := nw.topo.(IndexedTopology); ok {
-		total := 0
-		for v := 0; v < n; v++ {
-			total += ix.Degree(v)
-		}
-		nbrs, wts = make([]int, 0, total), make([]float64, 0, total)
-		for v := 0; v < n; v++ {
-			for i := range ix.Degree(v) {
-				u, w := ix.Neighbor(v, i)
-				nbrs, wts = append(nbrs, u), append(wts, w)
-			}
-			st.offsets[v+1] = int32(len(nbrs))
-		}
-	} else {
-		for v := 0; v < n; v++ {
-			listed := nw.topo.Neighbors(v)
-			sort.Ints(listed)
-			for _, u := range listed {
-				if w, ok := nw.topo.Weight(v, u); ok {
-					nbrs, wts = append(nbrs, u), append(wts, w)
-				}
-			}
-			st.offsets[v+1] = int32(len(nbrs))
-		}
+	// Every node's neighbour and weight lists are carved out of two shared
+	// flat arrays, which offsets indexes as the CSR edge index.
+	total := 0
+	for v := 0; v < n; v++ {
+		total += nw.topo.Degree(v)
 	}
+	nbrs, wts := make([]int, 0, total), make([]float64, 0, total)
 	st.ctxs = make([]Context, n)
-	for v := range st.ctxs {
-		lo, hi := st.offsets[v], st.offsets[v+1]
-		for _, u := range nbrs[lo:hi] {
+	for v := 0; v < n; v++ {
+		lo := len(nbrs)
+		for i := range nw.topo.Degree(v) {
+			u, w := nw.topo.Neighbor(v, i)
 			if uint(u) >= uint(n) {
 				return nil, fmt.Errorf("congest: node %d lists neighbour %d outside 0..%d", v, u, n-1)
 			}
+			if len(nbrs) > lo && u <= nbrs[len(nbrs)-1] {
+				return nil, fmt.Errorf("congest: node %d lists neighbour %d after %d; neighbours must be strictly ascending", v, u, nbrs[len(nbrs)-1])
+			}
+			nbrs, wts = append(nbrs, u), append(wts, w)
 		}
+		hi := len(nbrs)
+		st.offsets[v+1] = int32(hi)
 		st.ctxs[v] = Context{id: int32(v), n: int32(n), bandwidth: nw.bandwidth, neighbors: nbrs[lo:hi:hi], weights: wts[lo:hi:hi]}
 	}
 	st.edgeBits = make([]int32, len(nbrs))

@@ -2,7 +2,6 @@ package congest
 
 import (
 	"errors"
-	"sort"
 	"strings"
 	"testing"
 
@@ -33,7 +32,7 @@ func (f *floodMaxNode) Round(ctx *Context, round int, inbox []Message) ([]Messag
 	if f.changed {
 		f.changed = false
 		f.quiet = 0
-		return Broadcast(ctx.Neighbors(), f.best, BitsForID(ctx.N())), false
+		return BroadcastAll(ctx, f.best, BitsForID(ctx.N())), false
 	}
 	f.quiet++
 	ctx.SetOutput(f.best)
@@ -103,11 +102,10 @@ type oversendNode struct{}
 
 func (oversendNode) Init(*Context) {}
 func (oversendNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
-	nbrs := ctx.Neighbors()
-	if len(nbrs) == 0 {
+	if ctx.Degree() == 0 {
 		return nil, true
 	}
-	return []Message{NewMessage(nbrs[0], 0, ctx.Bandwidth()+1)}, false
+	return []Message{NewMessage(ctx.NeighborAt(0), 0, ctx.Bandwidth()+1)}, false
 }
 
 func TestBandwidthEnforced(t *testing.T) {
@@ -176,14 +174,14 @@ func TestContextView(t *testing.T) {
 	}
 	probes := make([]probe, 3)
 	factory := func(ctx *Context) Node {
-		probes[ctx.ID()] = probe{
-			neighbors: ctx.Neighbors(),
-			input:     ctx.Input(),
-			n:         ctx.N(),
+		p := probe{input: ctx.Input(), n: ctx.N()}
+		for i := range ctx.Degree() {
+			p.neighbors = append(p.neighbors, ctx.NeighborAt(i))
 		}
-		if w, ok := ctx.EdgeWeight(ctx.Neighbors()[0]); ok {
-			probes[ctx.ID()].weight = w
+		if w, ok := ctx.EdgeWeight(p.neighbors[0]); ok {
+			p.weight = w
 		}
+		probes[ctx.ID()] = p
 		return &floodMaxNode{}
 	}
 	if _, err := nw.Run(factory, Options{}); err != nil {
@@ -241,47 +239,48 @@ func TestNilTopologyAndNilFactory(t *testing.T) {
 	}
 }
 
-// strayRing is a ring whose node 3 also lists a neighbour ID past n, as a
-// faulty Topology implementation might; strayIndexed offers the same lists
-// through IndexedTopology.
-type strayRing int
+// faultyRing is a 12-node ring whose node 3 lists the given neighbours
+// instead of 2 and 4, as a faulty Topology implementation might.
+type faultyRing []int
 
-func (r strayRing) N() int { return int(r) }
+func (r faultyRing) N() int { return 12 }
 
-func (r strayRing) Neighbors(v int) []int {
-	n := int(r)
-	nbrs := []int{(v + n - 1) % n, (v + 1) % n}
+func (r faultyRing) Degree(v int) int {
 	if v == 3 {
-		nbrs = append(nbrs, n+5)
+		return len(r)
 	}
-	return nbrs
+	return 2
 }
 
-func (r strayRing) Weight(u, v int) (float64, bool) { return 1, true }
-
-type strayIndexed struct{ strayRing }
-
-func (r strayIndexed) Degree(v int) int { return len(r.Neighbors(v)) }
-
-func (r strayIndexed) Neighbor(v, i int) (int, float64) {
-	nbrs := r.Neighbors(v)
-	sort.Ints(nbrs)
-	return nbrs[i], 1
+func (r faultyRing) Neighbor(v, i int) (int, float64) {
+	if v == 3 {
+		return r[i], 1
+	}
+	return ring(12).Neighbor(v, i)
 }
 
 func TestOutOfRangeNeighborRejected(t *testing.T) {
-	// A neighbour ID outside 0..n-1 is a faulty Topology: Run must report it
-	// as an error before round 1 on every path, never index out of range
+	// A neighbour ID outside 0..n-1, or a neighbour list that is not
+	// strictly ascending, is a faulty Topology: Run must report it as an
+	// error before round 1, never index out of range or misfile an edge
 	// later, where a pool worker's panic could not be recovered.
-	for _, topo := range []Topology{strayRing(12), strayIndexed{strayRing(12)}} {
+	for _, tc := range []struct {
+		topo faultyRing
+		want string
+	}{
+		{faultyRing{2, 4, 17}, "node 3 lists neighbour 17 outside 0..11"},
+		{faultyRing{2, 4, 4}, "node 3 lists neighbour 4 after 4"},
+		{faultyRing{4, 2}, "node 3 lists neighbour 2 after 4"},
+	} {
 		for _, workers := range []int{0, 4} {
-			nw, err := NewNetwork(topo, 64)
+			nw, err := NewNetwork(tc.topo, 64)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = nw.Run(func(*Context) Node { return &hybridNode{rounds: 3} }, Options{Workers: workers})
-			if err == nil || !strings.Contains(err.Error(), "node 3 lists neighbour 17 outside 0..11") {
-				t.Errorf("%T Workers=%d: error %v, want the out-of-range neighbour reported", topo, workers, err)
+			res, err := nw.Run(func(*Context) Node { return &hybridNode{rounds: 3} }, Options{Workers: workers})
+			if err == nil || !strings.Contains(err.Error(), tc.want) || res != nil {
+				t.Errorf("%v Workers=%d: result %+v, error %v; want no result and an error naming %q",
+					tc.topo, workers, res, err, tc.want)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"qdc/internal/graph"
@@ -81,8 +80,9 @@ func (o *runOutcome) setErr(err error) {
 }
 
 // fuzzTopology picks a connected topology on 2..64 nodes: a path, ring,
-// star or grid, or the asymmetric skewRing. Bit 29 of mix routes the
-// graph-built families through a CSR, the simulator's indexed path.
+// star or grid, or the asymmetric skewRing. Bit 29 of mix hands the
+// graph-built families over as a CSR instead of the *graph.Graph, the
+// other Topology implementation.
 func fuzzTopology(shape, size uint8, mix uint32) Topology {
 	var g *graph.Graph
 	switch shape % 5 {
@@ -284,16 +284,13 @@ func referenceRun(topo Topology, bandwidth int, seed int64, factory NodeFactory,
 	isNeighbor := make([]map[int]bool, n)
 	scratch := make([]Message, 0, 4)
 	for v := 0; v < n; v++ {
-		listed := slices.Clone(topo.Neighbors(v))
-		sort.Ints(listed)
 		ctx := &Context{id: int32(v), n: int32(n), bandwidth: bandwidth, rngSeed: seed*1_000_003 + int64(v), sent: &scratch}
 		isNeighbor[v] = map[int]bool{}
-		for _, u := range listed {
-			if w, ok := topo.Weight(v, u); ok {
-				ctx.neighbors = append(ctx.neighbors, u)
-				ctx.weights = append(ctx.weights, w)
-				isNeighbor[v][u] = true
-			}
+		for i := range topo.Degree(v) {
+			u, w := topo.Neighbor(v, i)
+			ctx.neighbors = append(ctx.neighbors, u)
+			ctx.weights = append(ctx.weights, w)
+			isNeighbor[v][u] = true
 		}
 		ctxs[v] = ctx
 	}

@@ -31,25 +31,25 @@ func (m *mixerNode) Round(ctx *Context, round int, inbox []Message) ([]Message, 
 		ctx.SetOutput(m.sum)
 		return nil, true
 	}
-	return Broadcast(ctx.Neighbors(), m.sum%1024, 10), false
+	return BroadcastAll(ctx, m.sum%1024, 10), false
 }
 
-// ring is the cycle topology in which node v lists v-1 and v+1 (mod n).
+// ring is the cycle topology on n >= 3 nodes in which node v lists v-1 and
+// v+1 (mod n), in ascending order.
 type ring int
 
 func (r ring) N() int { return int(r) }
 
-func (r ring) Neighbors(v int) []int {
+func (r ring) Degree(int) int { return 2 }
+
+func (r ring) Neighbor(v, i int) (int, float64) {
 	n := int(r)
-	return []int{(v + n - 1) % n, (v + 1) % n}
+	return sortedPair((v+n-1)%n, (v+1)%n, i), 1
 }
 
-func (r ring) Weight(u, v int) (float64, bool) {
-	n := int(r)
-	if (u+1)%n == v || (v+1)%n == u {
-		return 1, true
-	}
-	return 0, false
+// sortedPair returns the i-th of a and b in ascending order.
+func sortedPair(a, b, i int) int {
+	return [2]int{min(a, b), max(a, b)}[i]
 }
 
 func TestWorkersProduceIdenticalResults(t *testing.T) {
@@ -278,7 +278,7 @@ func (f *fuseNode) Round(ctx *Context, round int, inbox []Message) ([]Message, b
 	if round >= 3 {
 		return nil, true
 	}
-	return Broadcast(ctx.Neighbors(), 0, 1), false
+	return BroadcastAll(ctx, 0, 1), false
 }
 
 func TestNodePanicsPropagateDeterministically(t *testing.T) {
@@ -386,23 +386,18 @@ func TestPartitionStarUnevenWorkers(t *testing.T) {
 	}
 }
 
-// skewRing is an asymmetric Topology: node v lists v+1 and v+3 (mod n) as
-// neighbours, and neither lists v back.
+// skewRing is an asymmetric Topology on n >= 4 nodes: node v lists v+1
+// and v+3 (mod n) as neighbours, in ascending order, and neither lists v
+// back.
 type skewRing int
 
 func (r skewRing) N() int { return int(r) }
 
-func (r skewRing) Neighbors(v int) []int {
-	n := int(r)
-	return []int{(v + 1) % n, (v + 3) % n}
-}
+func (r skewRing) Degree(int) int { return 2 }
 
-func (r skewRing) Weight(u, v int) (float64, bool) {
+func (r skewRing) Neighbor(v, i int) (int, float64) {
 	n := int(r)
-	if v == (u+1)%n || v == (u+3)%n {
-		return 1, true
-	}
-	return 0, false
+	return sortedPair((v+1)%n, (v+3)%n, i), 1
 }
 
 // replyNode sends to every listed neighbour for four rounds. The rogue node

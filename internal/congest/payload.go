@@ -112,19 +112,11 @@ func Broadcast(neighbors []int, payload any, bits int) []Message {
 	return out
 }
 
-// BroadcastWords builds one identical word-encoded message per listed
-// neighbour.
-func BroadcastWords(neighbors []int, kind uint8, w0, w1 uint64, bits int) []Message {
-	out := make([]Message, 0, len(neighbors))
-	return BroadcastWordsInto(out, neighbors, kind, w0, w1, bits)
-}
-
-// BroadcastAll builds one identical message per neighbour of ctx: the
-// messages of Broadcast(ctx.Neighbors(), ...) without first copying the
-// neighbour list. The returned slice is owned by the caller and may be
-// returned again in later rounds (the simulator never mutates a node's
-// outbox), but a node that builds its messages each round should use
-// BroadcastAllInto(ctx.Outbox(), ...), which allocates nothing.
+// BroadcastAll builds one identical message per neighbour of ctx, in
+// ascending neighbour order. The returned slice is owned by the caller and
+// may be returned again in later rounds (the simulator never mutates a
+// node's outbox), but a node that builds its messages each round should
+// use BroadcastAllInto(ctx.Outbox(), ...), which allocates nothing.
 func BroadcastAll(ctx *Context, payload any, bits int) []Message {
 	out := make([]Message, ctx.Degree())
 	for i := range out {

@@ -151,42 +151,67 @@ func (s *silentNode) Round(*Context, int, []Message) ([]Message, bool) {
 	return nil, true
 }
 
-// TestReusedRunAllocsIndependentOfN pins what a run on a network that has
-// run before costs to set up: the kept state is only reset, so with node
-// programs carved from a slab a run allocates a fixed handful of objects
-// (the Result, its Outputs and, with workers, the pool), the same on a
-// 64-node cycle as on a 4096-node one.
+// TestReusedRunAllocsIndependentOfN pins what a run costs to set up, on a
+// fresh network and on one that has run before, over a 64-node cycle and a
+// 4096-node one handed over as a *graph.Graph and as its CSR. A fresh
+// network reads every topology by rank into flat arrays, so NewNetwork and
+// its first run allocate the same count whatever n. A network that has run
+// before only resets its kept state, so with node programs carved from a
+// slab a run allocates a fixed handful of objects (the Result, its Outputs
+// and, with workers, the pool).
 func TestReusedRunAllocsIndependentOfN(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
 		most    float64
 	}{{1, 8}, {4, 40}} {
-		var allocs []float64
-		for _, n := range []int{64, 4096} {
-			g, err := graph.Cycle(n)
-			if err != nil {
-				t.Fatal(err)
+		for _, asCSR := range []bool{false, true} {
+			var fresh, reused []float64
+			for _, n := range []int{64, 4096} {
+				f, r := runSetupAllocs(t, n, asCSR, tc.workers)
+				fresh, reused = append(fresh, f), append(reused, r)
 			}
-			nw, err := NewNetwork(g, 16)
-			if err != nil {
-				t.Fatal(err)
+			if fresh[0] != fresh[1] {
+				t.Errorf("Workers=%d, CSR %v: a fresh network and its first run allocate %.0f objects on Cycle(64) and %.0f on Cycle(4096); want the same count",
+					tc.workers, asCSR, fresh[0], fresh[1])
 			}
-			slab := make([]silentNode, n)
-			factory := func(ctx *Context) Node { return &slab[ctx.ID()] }
-			opts := Options{Workers: tc.workers}
-			// AllocsPerRun's warm-up run is the network's first, which
-			// builds the state every measured run reuses.
-			allocs = append(allocs, testing.AllocsPerRun(20, func() {
-				if _, err := nw.Run(factory, opts); err != nil {
-					t.Fatal(err)
-				}
-			}))
-		}
-		if allocs[0] != allocs[1] || allocs[1] > tc.most {
-			t.Errorf("Workers=%d: a reused run allocates %.0f objects on Cycle(64) and %.0f on Cycle(4096); want the same count, at most %.0f",
-				tc.workers, allocs[0], allocs[1], tc.most)
+			if reused[0] != reused[1] || reused[1] > tc.most {
+				t.Errorf("Workers=%d, CSR %v: a reused run allocates %.0f objects on Cycle(64) and %.0f on Cycle(4096); want the same count, at most %.0f",
+					tc.workers, asCSR, reused[0], reused[1], tc.most)
+			}
 		}
 	}
+}
+
+// runSetupAllocs returns the objects a silent slab program's run allocates
+// on Cycle(n), given as its CSR when asCSR is set: fresh counts NewNetwork
+// and the network's first run, reused a run on a network that has run
+// before.
+func runSetupAllocs(t *testing.T, n int, asCSR bool, workers int) (fresh, reused float64) {
+	g, err := graph.Cycle(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var topo Topology = g
+	if asCSR {
+		topo = graph.FromGraph(g)
+	}
+	slab := make([]silentNode, n)
+	factory := func(ctx *Context) Node { return &slab[ctx.ID()] }
+	opts := Options{Workers: workers}
+	var nw *Network
+	run := func() {
+		if _, err := nw.Run(factory, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh = testing.AllocsPerRun(20, func() {
+		if nw, err = NewNetwork(topo, 16); err != nil {
+			t.Fatal(err)
+		}
+		run()
+	})
+	// nw has run, so every measured run reuses its state.
+	return fresh, testing.AllocsPerRun(20, run)
 }
 
 // TestParkedStateDropsNodeState checks that an idle network keeps no node

@@ -25,14 +25,13 @@
 // algorithm in internal/dist/{verify,mst,disjointness} executes unchanged
 // under any accounting; see DESIGN.md for the substitution table.
 //
-// Every constructor takes a congest.Topology. *graph.Graph satisfies it,
-// and so does *graph.CSR, the flat-table topology the streaming
-// graph.Builder produces — a CSR additionally satisfies
-// congest.IndexedTopology, so the network adopts its tables without
-// per-node copies or sorts, which is the constructor path million-node
-// scenarios use (see internal/exp's buildTopology). The backends are
-// agnostic to which one they were handed: identical seeds over identical
-// edge sets produce bit-identical runs either way.
+// Every constructor takes a congest.Topology, the view that lists each
+// node's neighbours by rank. *graph.Graph satisfies it, and so does
+// *graph.CSR, the flat-table topology the streaming graph.Builder produces
+// for million-node scenarios (see internal/exp's buildTopology). The
+// backends are agnostic to which one they were handed: identical seeds
+// over identical edge sets produce bit-identical runs, and the quantum
+// backend's diameter, either way.
 package engine
 
 import (

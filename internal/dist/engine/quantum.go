@@ -117,22 +117,42 @@ func (q *Quantum) RunStage(factory congest.NodeFactory, inputs map[int]any, maxR
 	return res, err
 }
 
-// topologyDiameter returns the largest hop distance between any two nodes.
-// Every concrete topology (*graph.Graph) computes its own exact diameter;
-// other implementations, and disconnected or empty topologies (for which
-// the runners would hit the round limit anyway), report the node count as
-// a conservative stand-in.
+// topologyDiameter returns the largest hop distance between any two nodes,
+// by a breadth-first search from every node over the topology's neighbour
+// lists, so every topology is charged the same D for the same edge set. A
+// disconnected topology (on which the runners would hit the round limit
+// anyway) reports the node count as a conservative stand-in, and one below
+// two nodes reports 1. The search skips a neighbour ID outside the
+// topology; the network reports it as an error when a stage runs.
 func topologyDiameter(topo congest.Topology) int {
 	n := topo.N()
 	if n < 2 {
 		return 1
 	}
-	if g, ok := topo.(interface{ Diameter() int }); ok {
-		if d := g.Diameter(); d >= 1 {
-			return d
+	dist := make([]int, n)
+	queue := make([]int, 0, n)
+	diameter := 0
+	for src := range n {
+		for v := range dist {
+			dist[v] = -1
 		}
+		dist[src] = 0
+		queue = append(queue[:0], src)
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			for i := range topo.Degree(v) {
+				if u, _ := topo.Neighbor(v, i); uint(u) < uint(n) && dist[u] < 0 {
+					dist[u] = dist[v] + 1
+					queue = append(queue, u)
+				}
+			}
+		}
+		if len(queue) < n {
+			return n
+		}
+		diameter = max(diameter, dist[queue[n-1]])
 	}
-	return n
+	return diameter
 }
 
 // Bandwidth implements Runner.

@@ -165,19 +165,30 @@ func TestTopologyDiameter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	split := graph.New(6)
+	split.MustAddEdge(0, 1, 1)
+	split.MustAddEdge(1, 2, 1)
+	split.MustAddEdge(3, 4, 1)
 	cases := []struct {
 		name string
-		topo congest.Topology
+		g    *graph.Graph
 		want int
 	}{
 		{"path9", graph.Path(9), 8},
 		{"cycle8", cycle, 4},
 		{"star7", graph.Star(7), 2},
 		{"complete5", graph.Complete(5), 1},
+		// A disconnected topology is charged D = n, one below two nodes D = 1.
+		{"two-paths", split, 6},
+		{"single", graph.New(1), 1},
 	}
+	// Each graph is measured as built and as its CSR: the charged D
+	// depends on the edge set only.
 	for _, c := range cases {
-		if got := topologyDiameter(c.topo); got != c.want {
-			t.Errorf("%s: diameter = %d, want %d", c.name, got, c.want)
+		for _, topo := range []congest.Topology{c.g, graph.FromGraph(c.g)} {
+			if got := topologyDiameter(topo); got != c.want {
+				t.Errorf("%s as %T: diameter = %d, want %d", c.name, topo, got, c.want)
+			}
 		}
 	}
 }

@@ -112,10 +112,11 @@ func (a *aggNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 	// The root starts the BFS wave in round 1.
 	if round == 1 && ctx.ID() == 0 {
 		a.pending = make(map[int]struct{})
-		ctx.ForEachNeighbor(func(v int) {
+		for i := range ctx.Degree() {
+			v := ctx.NeighborAt(i)
 			a.pending[v] = struct{}{}
 			out = congest.AppendWordMessage(out, v, kindToken, 1, 0, tokenBits(1))
-		})
+		}
 	}
 
 	var tokenSenders []int
@@ -158,13 +159,14 @@ func (a *aggNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 				out = congest.AppendWordMessage(out, s, kindChild, congest.WordFromBool(s == a.parent), 0, childBits)
 			}
 			a.pending = make(map[int]struct{})
-			ctx.ForEachNeighbor(func(v int) {
+			for i := range ctx.Degree() {
+				v := ctx.NeighborAt(i)
 				if _, dup := sender[v]; dup {
-					return
+					continue
 				}
 				a.pending[v] = struct{}{}
 				out = congest.AppendWordMessage(out, v, kindToken, uint64(a.dist+1), 0, tokenBits(a.dist+1))
-			})
+			}
 		} else {
 			// Late tokens from same-depth neighbours: decline.
 			for _, s := range tokenSenders {

@@ -142,10 +142,11 @@ func (a *boxedAggNode) Round(ctx *congest.Context, round int, inbox []congest.Me
 
 	if round == 1 && ctx.ID() == 0 {
 		a.pending = make(map[int]struct{})
-		ctx.ForEachNeighbor(func(v int) {
+		for i := range ctx.Degree() {
+			v := ctx.NeighborAt(i)
 			a.pending[v] = struct{}{}
 			out = append(out, congest.NewMessage(v, boxedTokenMsg{Dist: 1}, tokenBits(1)))
-		})
+		}
 	}
 
 	var tokenSenders []int
@@ -184,13 +185,14 @@ func (a *boxedAggNode) Round(ctx *congest.Context, round int, inbox []congest.Me
 				out = append(out, congest.NewMessage(s, boxedChildMsg{IsChild: s == a.parent}, childBits))
 			}
 			a.pending = make(map[int]struct{})
-			ctx.ForEachNeighbor(func(v int) {
+			for i := range ctx.Degree() {
+				v := ctx.NeighborAt(i)
 				if _, dup := sender[v]; dup {
-					return
+					continue
 				}
 				a.pending[v] = struct{}{}
 				out = append(out, congest.NewMessage(v, boxedTokenMsg{Dist: a.dist + 1}, tokenBits(a.dist+1)))
-			})
+			}
 		} else {
 			for _, s := range tokenSenders {
 				out = append(out, congest.NewMessage(s, boxedChildMsg{IsChild: false}, childBits))

@@ -90,9 +90,6 @@ func TestBuildTopologyRouting(t *testing.T) {
 	if topo.CSR == nil || topo.Graph != nil {
 		t.Error("flood on a streamable family must build a CSR and no map graph")
 	}
-	if topo.CSR.SlowNeighborCalls() != 0 {
-		t.Error("building the CSR must not touch the slow Neighbors path")
-	}
 
 	verify := flood
 	verify.Algorithm = AlgVerify

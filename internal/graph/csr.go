@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
 )
 
 // CSR is the compressed-sparse-row form of a simple undirected weighted
@@ -14,8 +13,8 @@ import (
 // ascending order) with parallel weights in the same index range. It is the
 // topology representation of the million-node path: a Builder constructs it
 // directly from an edge stream in two counting passes, so no intermediate
-// adjacency structure is ever materialised, and the congest simulator's
-// IndexedTopology fast path reads the tables in place.
+// adjacency structure is ever materialised. Its Degree and Neighbor read
+// the tables in place, which makes it a congest.Topology.
 //
 // CSR is immutable after construction and safe for concurrent readers.
 type CSR struct {
@@ -23,10 +22,6 @@ type CSR struct {
 	offsets []int64
 	targets []int32
 	weights []float64
-	// slowNeighbors counts calls to the allocating Neighbors method — the
-	// generic congest.Topology path a CSR exists to avoid. Tests assert it
-	// stays zero on streaming runs (see SlowNeighborCalls).
-	slowNeighbors atomic.Int64
 }
 
 // N returns the number of vertices.
@@ -44,57 +39,10 @@ func (c *CSR) Degree(v int) int {
 }
 
 // Neighbor returns the i-th neighbour of v in ascending-ID order and the
-// weight of the connecting edge, 0 <= i < Degree(v). Together with Degree it
-// implements the congest simulator's zero-alloc IndexedTopology fast path.
+// weight of the connecting edge, 0 <= i < Degree(v).
 func (c *CSR) Neighbor(v, i int) (int, float64) {
 	j := c.offsets[v] + int64(i)
 	return int(c.targets[j]), c.weights[j]
-}
-
-// Neighbors returns the neighbours of v in ascending order as a fresh slice.
-// This is the generic (allocating) congest.Topology method; CSR consumers
-// are expected to stay on Degree/Neighbor, so every call is counted and
-// tests assert the count stays zero on streaming runs.
-func (c *CSR) Neighbors(v int) []int {
-	c.slowNeighbors.Add(1)
-	if v < 0 || v >= c.n {
-		return nil
-	}
-	lo, hi := c.offsets[v], c.offsets[v+1]
-	out := make([]int, hi-lo)
-	for i := range out {
-		out[i] = int(c.targets[lo+int64(i)])
-	}
-	return out
-}
-
-// SlowNeighborCalls returns how many times the allocating Neighbors method
-// has been called on this CSR — the builder-stats counter the n=1M smoke
-// test asserts is zero, proving the run never left the flat tables.
-func (c *CSR) SlowNeighborCalls() int64 { return c.slowNeighbors.Load() }
-
-// Weight returns the weight of edge {u,v} and whether it exists.
-func (c *CSR) Weight(u, v int) (float64, bool) {
-	if u < 0 || u >= c.n || v < 0 || v >= c.n {
-		return 0, false
-	}
-	lo, hi := c.offsets[u], c.offsets[u+1]
-	if hi-lo > 16 {
-		// Binary search the sorted bucket.
-		i := lo + int64(sort.Search(int(hi-lo), func(i int) bool {
-			return c.targets[lo+int64(i)] >= int32(v)
-		}))
-		if i < hi && c.targets[i] == int32(v) {
-			return c.weights[i], true
-		}
-		return 0, false
-	}
-	for i := lo; i < hi; i++ {
-		if c.targets[i] == int32(v) {
-			return c.weights[i], true
-		}
-	}
-	return 0, false
 }
 
 // BFSDist returns the hop distance from src to every vertex (-1 when

@@ -13,7 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Edge is an undirected weighted edge between vertices U and V.
@@ -66,6 +66,10 @@ var (
 
 // Graph is a simple undirected weighted graph on vertices 0..N-1.
 //
+// Each vertex's adjacency list is kept in ascending neighbour order, so
+// Degree and Neighbor read it by rank: a Graph is the congest simulator's
+// topology as it stands.
+//
 // The zero value is an empty graph on zero vertices; use New to create a
 // graph with a fixed vertex count.
 type Graph struct {
@@ -110,14 +114,44 @@ func (g *Graph) AddEdge(u, v int, weight float64) error {
 	if weight <= 0 || math.IsNaN(weight) || math.IsInf(weight, 0) {
 		return fmt.Errorf("%w: got %g", ErrNonPositiveWeight, weight)
 	}
-	if g.HasEdge(u, v) {
+	i, found := g.find(u, v)
+	if found {
 		return fmt.Errorf("%w: (%d,%d)", ErrParallelEdge, u, v)
 	}
+	j, _ := g.find(v, u)
 	e := Edge{U: u, V: v, Weight: weight}.Canonical()
-	g.adj[u] = append(g.adj[u], e)
-	g.adj[v] = append(g.adj[v], e)
+	g.adj[u] = insertEdge(g.adj[u], i, e)
+	g.adj[v] = insertEdge(g.adj[v], j, e)
 	g.m++
 	return nil
+}
+
+// insertEdge inserts e into list at rank i.
+func insertEdge(list []Edge, i int, e Edge) []Edge {
+	if i == len(list) {
+		return append(list, e)
+	}
+	return slices.Insert(list, i, e)
+}
+
+// find returns the rank of neighbour u in v's adjacency list, or the rank
+// an edge to u would take, and whether the edge exists. Most generators add
+// a vertex's edges in ascending order, so the last entry is checked first.
+func (g *Graph) find(v, u int) (int, bool) {
+	adj := g.adj[v]
+	lo, hi := 0, len(adj)
+	if hi == 0 || adj[hi-1].Other(v) < u {
+		return hi, false
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if adj[mid].Other(v) < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, adj[lo].Other(v) == u
 }
 
 // MustAddEdge adds an edge and panics on error. It is intended for
@@ -155,19 +189,11 @@ func (g *Graph) SetWeight(u, v int, weight float64) error {
 
 // HasEdge reports whether the edge {u,v} exists.
 func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n || u == v {
+	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return false
 	}
-	// Scan the smaller adjacency list.
-	if len(g.adj[u]) > len(g.adj[v]) {
-		u, v = v, u
-	}
-	for _, e := range g.adj[u] {
-		if e.Other(u) == v {
-			return true
-		}
-	}
-	return false
+	_, ok := g.find(u, v)
+	return ok
 }
 
 // Weight returns the weight of edge {u,v} and whether it exists.
@@ -175,12 +201,11 @@ func (g *Graph) Weight(u, v int) (float64, bool) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return 0, false
 	}
-	for _, e := range g.adj[u] {
-		if e.Other(u) == v {
-			return e.Weight, true
-		}
+	i, ok := g.find(u, v)
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	return g.adj[u][i].Weight, true
 }
 
 // Degree returns the degree of vertex v.
@@ -189,6 +214,13 @@ func (g *Graph) Degree(v int) int {
 		return 0
 	}
 	return len(g.adj[v])
+}
+
+// Neighbor returns the i-th neighbour of v in ascending order and the
+// weight of the connecting edge, 0 <= i < Degree(v).
+func (g *Graph) Neighbor(v, i int) (int, float64) {
+	e := g.adj[v][i]
+	return e.Other(v), e.Weight
 }
 
 // Neighbors returns the neighbours of v in ascending order. The returned
@@ -201,12 +233,12 @@ func (g *Graph) Neighbors(v int) []int {
 	for _, e := range g.adj[v] {
 		out = append(out, e.Other(v))
 	}
-	sort.Ints(out)
 	return out
 }
 
-// IncidentEdges returns the edges incident to v (canonical orientation).
-// The returned slice is freshly allocated.
+// IncidentEdges returns the edges incident to v (canonical orientation), in
+// ascending order of the other endpoint. The returned slice is freshly
+// allocated.
 func (g *Graph) IncidentEdges(v int) []Edge {
 	if v < 0 || v >= g.n {
 		return nil
@@ -216,7 +248,8 @@ func (g *Graph) IncidentEdges(v int) []Edge {
 	return out
 }
 
-// Edges returns every edge exactly once, sorted by (U, V).
+// Edges returns every edge exactly once, sorted by (U, V): each edge is
+// read at its lower endpoint, whose list is in ascending order.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.m)
 	for u := 0; u < g.n; u++ {
@@ -226,12 +259,6 @@ func (g *Graph) Edges() []Edge {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
 	return out
 }
 

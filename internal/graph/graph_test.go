@@ -82,6 +82,31 @@ func TestAddEdgeErrors(t *testing.T) {
 	}
 }
 
+// TestNeighborRanksAscending adds a hub's edges out of order and checks
+// that every vertex's neighbours read back by rank in ascending order with
+// their weights, and that a duplicate ranked mid-list is refused.
+func TestNeighborRanksAscending(t *testing.T) {
+	g := New(6)
+	for _, e := range [][2]int{{0, 4}, {0, 2}, {5, 0}, {0, 1}, {3, 0}, {4, 2}} {
+		g.MustAddEdge(e[0], e[1], float64(10*min(e[0], e[1])+max(e[0], e[1])))
+	}
+	want := [][]int{{1, 2, 3, 4, 5}, {0}, {0, 4}, {0}, {0, 2}, {0}}
+	for v, nbrs := range want {
+		if g.Degree(v) != len(nbrs) {
+			t.Fatalf("Degree(%d) = %d, want %d", v, g.Degree(v), len(nbrs))
+		}
+		for i, u := range nbrs {
+			got, w := g.Neighbor(v, i)
+			if got != u || w != float64(10*min(u, v)+max(u, v)) {
+				t.Errorf("Neighbor(%d,%d) = (%d, %g), want neighbour %d", v, i, got, w, u)
+			}
+		}
+	}
+	if err := g.AddEdge(0, 3, 1); !errors.Is(err, ErrParallelEdge) {
+		t.Errorf("AddEdge(0,3) on an existing edge: error %v, want ErrParallelEdge", err)
+	}
+}
+
 func TestSetWeight(t *testing.T) {
 	g := New(3)
 	g.MustAddEdge(0, 1, 1)

@@ -22,7 +22,11 @@
 // comma-separated backend subset. After every matrix run the summary breaks
 // the scenarios down per backend, and when the run contains
 // classical/quantum disjointness pairs it prints the measured crossover
-// table of Example 1.1 next to the predicted crossover diameter.
+// table of Example 1.1 next to the predicted crossover diameter. The
+// -slowest table's wall times and node-rounds/sec are host measurements that
+// never enter a snapshot; wall time, throughput and heap are measured by the
+// repository benchmark under perfbench/, whose flood-grid workload times
+// the n=102400 flood cell of the roundbench matrix.
 //
 // Scale-out mode fans one sweep out across processes or machines and folds
 // the results back together. -shard i/n runs the i-th of n deterministic,
@@ -74,13 +78,6 @@
 //	qdcbench -matrix default -metrics -jsonl run.jsonl -events events.jsonl
 //	qdcbench -matrix default -progress 30s -listen :8123 -linger 1m
 //	qdcbench trend -dir snapshots/ -json
-//
-// The roundbench subcommand runs the deterministic round-loop benchmark
-// matrix (the flood workloads of internal/congest's BenchmarkRoundLoop*),
-// prints the measured node-rounds/sec, and folds the records into a
-// snapshot so the trend view tracks the simulator hot path across PRs:
-//
-//	qdcbench roundbench -append bench-smoke.json
 //
 // Table mode regenerates the paper's tables and figures as text: the
 // Figure 2 bounds table, the Figure 3 MST curves, the server-model hardness
@@ -148,8 +145,9 @@ type config struct {
 	aspect     float64
 }
 
-// run dispatches the subcommands (merge, trend) and the flag-driven matrix
-// and table modes. All output goes to out so tests can capture it.
+// run dispatches the subcommands (fanout, serve, submit, merge, trend) and
+// the flag-driven matrix and table modes. All output goes to out so tests
+// can capture it.
 func run(args []string, out io.Writer) error {
 	if len(args) > 0 {
 		switch args[0] {
@@ -163,8 +161,6 @@ func run(args []string, out io.Writer) error {
 			return runMerge(args[1:], out)
 		case "trend":
 			return runTrend(args[1:], out)
-		case "roundbench":
-			return runRoundBench(args[1:], out)
 		}
 	}
 
@@ -348,72 +344,6 @@ func runMatrix(c config, out io.Writer) error {
 	}
 	if sum.Failed > 0 {
 		return fmt.Errorf("%d of %d scenarios failed", sum.Failed, sum.Scenarios)
-	}
-	return nil
-}
-
-// runRoundBench runs the round-loop benchmark matrix — the deterministic
-// companion of internal/congest's BenchmarkRoundLoop* — prints the measured
-// throughput and peak heap, and writes or folds the records into a
-// canonical snapshot. Because each record carries the process heap
-// high-water mark, the scenarios run one at a time.
-func runRoundBench(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("qdcbench roundbench", flag.ContinueOnError)
-	jsonOut := fs.String("json", "", "write the round-loop records alone as a canonical snapshot to this file")
-	appendTo := fs.String("append", "", "fold the round-loop records into this snapshot file (created if absent), replacing same-named records")
-	timeout := fs.Duration("timeout", exp.DefaultTimeout, "per-scenario wall-clock budget")
-	matrix := fs.String("matrix", "roundbench", "the matrix to run (registered name or *.json path)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("roundbench takes no positional arguments (use -json/-append)")
-	}
-	m, err := exp.ResolveMatrix(*matrix)
-	if err != nil {
-		return err
-	}
-	collect := &exp.Collect{}
-	sum, err := exp.Execute(m.Expand(), exp.ExecOptions{Timeout: *timeout, MeasureHeap: true}, collect)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "roundbench: %d scenarios, %d passed, %d failed in %.0f ms\n",
-		sum.Scenarios, sum.Passed, sum.Failed, sum.WallMillis)
-	for _, r := range collect.Records {
-		if r.Failed() {
-			fmt.Fprintf(out, "  FAIL %-40s %s%s\n", r.Scenario.Name, r.Error, r.Detail)
-			continue
-		}
-		heap := ""
-		if r.PeakHeapBytes > 0 {
-			heap = fmt.Sprintf("  peak-heap=%.1fMB", float64(r.PeakHeapBytes)/(1<<20))
-		}
-		fmt.Fprintf(out, "  %-40s rounds=%-6d bits=%-10d %12.0f node-rounds/sec%s\n",
-			r.Scenario.Name, r.Stats.Rounds, r.Stats.Bits, exp.NodeRoundsPerSec(r), heap)
-	}
-
-	if *jsonOut != "" {
-		if err := exp.WriteSnapshot(*jsonOut, collect.Records); err != nil {
-			return err
-		}
-	}
-	if *appendTo != "" {
-		var base []exp.Record
-		if _, statErr := os.Stat(*appendTo); statErr == nil {
-			if base, err = exp.ReadRecords(*appendTo); err != nil {
-				return err
-			}
-		}
-		folded := exp.FoldRecords(base, collect.Records)
-		if err := exp.WriteSnapshot(*appendTo, folded); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "folded %d round-loop records into %s (%d total)\n",
-			len(collect.Records), *appendTo, len(folded))
-	}
-	if sum.Failed > 0 {
-		return fmt.Errorf("%d of %d round-loop scenarios failed", sum.Failed, sum.Scenarios)
 	}
 	return nil
 }

@@ -28,17 +28,6 @@ const pairSpec = `{
   "base_seed": 1
 }`
 
-// roundSpec is a light stand-in for the registered roundbench matrix: the
-// same flood shapes minus the n=100k cell, so the CLI test exercises the
-// full -append flow, heap sampling included, in seconds even under -race.
-const roundSpec = `{
-  "topologies": [{"family": "path", "size": 1025}, {"family": "grid", "size": 4096}],
-  "bandwidths": [64],
-  "backends": ["local", "parallel"],
-  "algorithms": ["flood"],
-  "base_seed": 1
-}`
-
 const subsetSpec = `{
   "topologies": [{"family": "path", "size": 5}],
   "bandwidths": [32],
@@ -223,62 +212,5 @@ func TestUnknownMatrixError(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-matrix", "no-such"}, &out); err == nil {
 		t.Error("an unknown matrix name must fail")
-	}
-}
-
-// TestRoundBenchCLI drives the roundbench subcommand end to end: a fresh
-// snapshot via -append, idempotent re-append, and byte-determinism of the
-// canonical file across runs.
-func TestRoundBenchCLI(t *testing.T) {
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "bench-smoke.json")
-	spec := writeFile(t, dir, "pair.json", pairSpec)
-	rounds := writeFile(t, dir, "rounds.json", roundSpec)
-
-	var out bytes.Buffer
-	if err := run([]string{"-matrix", spec, "-json", snap}, &out); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if err := run([]string{"roundbench", "-matrix", rounds, "-append", snap}, &out); err != nil {
-		t.Fatal(err)
-	}
-	text := out.String()
-	if !strings.Contains(text, "node-rounds/sec") {
-		t.Errorf("missing throughput column: %s", text)
-	}
-	if !strings.Contains(text, "grid4096/flood/parallel/B64") {
-		t.Errorf("missing round-loop scenario: %s", text)
-	}
-	first, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(first, []byte("path5/verify/local/B32")) {
-		t.Error("appending must keep the snapshot's original records")
-	}
-
-	// Re-appending the same deterministic records must not change a byte.
-	if err := run([]string{"roundbench", "-matrix", rounds, "-append", snap}, &out); err != nil {
-		t.Fatal(err)
-	}
-	second, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, second) {
-		t.Error("re-appending identical records changed the snapshot bytes")
-	}
-
-	// -append also bootstraps a missing snapshot.
-	fresh := filepath.Join(dir, "fresh.json")
-	if err := run([]string{"roundbench", "-matrix", rounds, "-json", fresh}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(fresh); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"roundbench", "positional"}, &out); err == nil {
-		t.Error("positional arguments must be rejected")
 	}
 }

@@ -12,9 +12,11 @@ import (
 // — validation, bandwidth accounting, delivery — with node programs whose
 // local work is negligible and allocation-free, so the reported
 // node-rounds/sec is the hot path itself, not the algorithm on top. The CI
-// bench-smoke job runs them with -benchmem on every push, and `qdcbench
-// roundbench` feeds the same workloads' deterministic rounds/bits into the
-// BENCH_*.json trend (see internal/exp/roundbench.go).
+// bench-smoke job runs them with -benchmem on every push. The flood shapes
+// also run end to end as the cells of exp's roundbench matrix, whose
+// rounds and bits TestRoundbenchMatrixRuns pins; the repository benchmark's
+// flood-grid workload (perfbench/README.md) measures the wall time,
+// throughput and heap of its n=102400 cell.
 
 // benchFloodNode broadcasts a fixed payload to every neighbour each round
 // for a set number of rounds, then goes quiet. The outbox is built once in

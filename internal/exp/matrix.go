@@ -175,16 +175,13 @@ var matrices = map[string]Matrix{
 		Algorithms: []string{AlgVerify, AlgMST, AlgMSTApprox, AlgDisjointness},
 		BaseSeed:   1,
 	},
-	// roundbench is the deterministic companion of the round-loop
-	// microbenchmarks in internal/congest: the same flood workload shapes,
-	// sized for CI, run through the regular scenario pipeline so their
-	// rounds/bits land in the BENCH_*.json snapshots and the trend view.
-	// `qdcbench roundbench -append` folds these records into an existing
-	// snapshot (see cmd/qdcbench and FoldRecords).
-	// The grid102400 cell is the n=100k word-payload workload: it pins the
-	// streaming-CSR + word-message data plane's throughput and peak heap
-	// (qdcbench roundbench measures both) where the compact payload
-	// migration is worth whole gigabytes.
+	// roundbench holds the flood cells of the round-loop microbenchmarks in
+	// internal/congest: the same workload shapes, sized for CI, run through
+	// the regular scenario pipeline. Every cell checks each distance against
+	// a BFS, and TestRoundbenchMatrixRuns pins their rounds, messages and
+	// bits. The grid102400 cell is the n=100k workload whose wall time,
+	// throughput and peak heap the repository benchmark's flood-grid
+	// workload measures (perfbench/README.md).
 	"roundbench": {
 		Name: "roundbench",
 		Topologies: []TopologySpec{

@@ -78,8 +78,8 @@ type Status struct {
 	Done     obs.Counter
 	Failed   obs.Counter
 	InFlight obs.Gauge
-	// NodeRounds accumulates rounds × network size over completed records —
-	// the sweep-wide simulation throughput numerator.
+	// NodeRounds accumulates rounds × realised vertex count over completed
+	// records — the sweep-wide simulation throughput numerator.
 	NodeRounds obs.Counter
 
 	start time.Time
@@ -108,7 +108,7 @@ func (st *Status) ScenarioDone(rec Record) {
 	if rec.Failed() {
 		st.Failed.Inc()
 	}
-	st.NodeRounds.Add(int64(rec.Stats.Rounds) * int64(rec.Scenario.Topology.Size))
+	st.NodeRounds.Add(rec.nodeRounds())
 }
 
 // ScenarioUncounted removes a previously counted record from the live
@@ -124,7 +124,7 @@ func (st *Status) ScenarioUncounted(rec Record) {
 	if rec.Failed() {
 		st.Failed.Add(-1)
 	}
-	st.NodeRounds.Add(-int64(rec.Stats.Rounds) * int64(rec.Scenario.Topology.Size))
+	st.NodeRounds.Add(-rec.nodeRounds())
 }
 
 // NodeRoundsPerSec returns the sweep-wide simulation throughput so far.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"qdc/internal/dist/engine"
 	"qdc/internal/obs"
 )
 
@@ -158,6 +159,37 @@ func TestExecuteMetricsAndStatus(t *testing.T) {
 		"scenarios_in_flight", "node_rounds", "node_rounds_per_sec"} {
 		if _, ok := snap[name]; !ok {
 			t.Errorf("registry missing %q", name)
+		}
+	}
+}
+
+// TestNodeRoundsCountRealisedVertices feeds records into a Status and into
+// NodeRoundsPerSec: both multiply rounds by the vertices the topology
+// realises. For the lower-bound network that is Γ·L + L + K − 2 (121 for
+// lbnet6 at p=17), not the path count Γ that Size holds; for a grid it is
+// the largest square not above Size.
+func TestNodeRoundsCountRealisedVertices(t *testing.T) {
+	for _, tc := range []struct {
+		topo     TopologySpec
+		vertices int64
+	}{
+		{TopologySpec{Family: FamilyLBNet, Size: 6, Param: 17}, 121},
+		{TopologySpec{Family: FamilyGrid, Size: 40}, 36},
+		{TopologySpec{Family: FamilyPath, Size: 33}, 33},
+	} {
+		rec := Record{Scenario: Scenario{Topology: tc.topo}, Stats: engine.Stats{Rounds: 10}, OK: true, WallMillis: 1000}
+		st := NewStatus(1)
+		st.ScenarioStarted()
+		st.ScenarioDone(rec)
+		if got := st.NodeRounds.Load(); got != 10*tc.vertices {
+			t.Errorf("%s: Status counted %d node-rounds, want %d", tc.topo, got, 10*tc.vertices)
+		}
+		st.ScenarioUncounted(rec)
+		if got := st.NodeRounds.Load(); got != 0 {
+			t.Errorf("%s: %d node-rounds left after ScenarioUncounted, want 0", tc.topo, got)
+		}
+		if got := NodeRoundsPerSec(rec); got != float64(10*tc.vertices) {
+			t.Errorf("%s: NodeRoundsPerSec = %g, want %d", tc.topo, got, 10*tc.vertices)
 		}
 	}
 }

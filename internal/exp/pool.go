@@ -24,13 +24,6 @@ type ExecOptions struct {
 	// record carries a ScenarioMetrics block (deterministic, stripped from
 	// canonical snapshots). Off by default — disabled metrics cost nothing.
 	Metrics bool
-	// MeasureHeap samples the process heap while each scenario runs and
-	// records the HeapAlloc high-water mark on its record (PeakHeapBytes).
-	// The heap is a process-wide observable — concurrent scenarios would
-	// attribute each other's allocations — so the pool degrades to one
-	// scenario at a time (Workers is ignored). qdcbench roundbench turns
-	// this on.
-	MeasureHeap bool
 	// Status, if non-nil, receives live sweep counters (scenarios done,
 	// failed, in flight, node-rounds) as scenarios start and finish; the
 	// -listen endpoints and the -progress heartbeat read it concurrently.
@@ -67,9 +60,6 @@ func Execute(scenarios []Scenario, opts ExecOptions, sinks ...Sink) (Summary, er
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.MeasureHeap {
-		workers = 1
-	}
 	if workers > len(scenarios) {
 		workers = len(scenarios)
 	}
@@ -91,14 +81,6 @@ func Execute(scenarios []Scenario, opts ExecOptions, sinks ...Sink) (Summary, er
 			stepWorkers = 1
 		}
 		run = func(s Scenario, cancel func() bool) Record { return runScenario(s, stepWorkers, cancel, opts.Metrics) }
-	}
-	if opts.MeasureHeap {
-		base := run
-		run = func(s Scenario, cancel func() bool) Record {
-			rec, peak := measureHeapDuring(func() Record { return base(s, cancel) })
-			rec.PeakHeapBytes = peak
-			return rec
-		}
 	}
 
 	start := time.Now()

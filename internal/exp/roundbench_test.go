@@ -69,6 +69,11 @@ func TestScaleXLMatrixExpansion(t *testing.T) {
 	}
 }
 
+// TestRoundbenchMatrixRuns runs every cell of the registered roundbench
+// matrix: each flood passes its BFS check, each local cell costs exactly
+// the rounds, messages and bits pinned here, and each parallel cell equals
+// its local twin. The live throughput figure is positive on a record with
+// wall time and 0 once canonicalisation has zeroed it.
 func TestRoundbenchMatrixRuns(t *testing.T) {
 	m, ok := LookupMatrix("roundbench")
 	if !ok {
@@ -78,49 +83,34 @@ func TestRoundbenchMatrixRuns(t *testing.T) {
 	if len(scenarios) != 6 {
 		t.Fatalf("roundbench expands to %d scenarios, want 6", len(scenarios))
 	}
-	rec := RunScenario(scenarios[0])
-	if rec.Failed() {
-		t.Fatalf("%s: %s %s", rec.Scenario.Name, rec.Error, rec.Detail)
-	}
-	if nps := NodeRoundsPerSec(rec); nps <= 0 {
-		t.Errorf("NodeRoundsPerSec = %g on a live record, want > 0", nps)
-	}
-	rec.WallMillis = 0
-	if nps := NodeRoundsPerSec(rec); nps != 0 {
-		t.Errorf("NodeRoundsPerSec = %g on a canonicalised record, want 0", nps)
-	}
-}
-
-func TestFoldRecords(t *testing.T) {
-	mk := func(name string, rounds int) Record {
-		return Record{
-			Scenario: Scenario{Name: name},
-			Stats:    engine.Stats{Rounds: rounds},
-			OK:       true,
+	recs := make(map[string]Record, len(scenarios))
+	for _, s := range scenarios {
+		rec := RunScenario(s)
+		if rec.Failed() {
+			t.Fatalf("%s: %s %s", s.Name, rec.Error, rec.Detail)
 		}
-	}
-	base := []Record{mk("b", 1), mk("a", 2), mk("c", 3)}
-	updates := []Record{mk("b", 9), mk("d", 4)}
-	out := FoldRecords(base, updates)
-	if len(out) != 4 {
-		t.Fatalf("folded %d records, want 4", len(out))
-	}
-	wantOrder := []string{"a", "b", "c", "d"}
-	wantRounds := []int{2, 9, 3, 4}
-	for i, r := range out {
-		if r.Scenario.Name != wantOrder[i] || r.Stats.Rounds != wantRounds[i] {
-			t.Errorf("out[%d] = %s/%d, want %s/%d",
-				i, r.Scenario.Name, r.Stats.Rounds, wantOrder[i], wantRounds[i])
+		if nps := NodeRoundsPerSec(rec); nps <= 0 {
+			t.Errorf("%s: NodeRoundsPerSec = %g on a live record, want > 0", s.Name, nps)
 		}
+		rec.WallMillis = 0
+		if nps := NodeRoundsPerSec(rec); nps != 0 {
+			t.Errorf("%s: NodeRoundsPerSec = %g on a canonicalised record, want 0", s.Name, nps)
+		}
+		recs[s.Name] = rec
 	}
-	if len(base) != 3 || base[0].Stats.Rounds != 1 {
-		t.Error("FoldRecords modified its base input")
-	}
-	// Idempotence: folding the same updates again changes nothing.
-	again := FoldRecords(out, updates)
-	for i := range out {
-		if again[i].Scenario.Name != out[i].Scenario.Name || again[i].Stats.Rounds != out[i].Stats.Rounds {
-			t.Fatalf("second fold diverged at %d", i)
+	for topo, want := range map[string]engine.Stats{
+		"path1025":   {Stages: 1, Rounds: 1026, Messages: 2048, Bits: 26_624},
+		"grid4096":   {Stages: 1, Rounds: 128, Messages: 16_128, Bits: 225_792},
+		"grid102400": {Stages: 1, Rounds: 640, Messages: 408_320, Bits: 7_758_080},
+	} {
+		local := recs[topo+"/flood/local/B64"]
+		if local.Stats != want {
+			t.Errorf("%s: stats %+v, want %+v", local.Scenario.Name, local.Stats, want)
+		}
+		par := recs[topo+"/flood/parallel/B64"]
+		if par.Stats != local.Stats || par.Detail != local.Detail {
+			t.Errorf("%s: %+v %q differs from its local twin %+v %q",
+				par.Scenario.Name, par.Stats, par.Detail, local.Stats, local.Detail)
 		}
 	}
 }

@@ -31,12 +31,6 @@ type Record struct {
 	Detail string `json:"detail,omitempty"`
 	// Error is the failure, panic or timeout message of an unsuccessful run.
 	Error string `json:"error,omitempty"`
-	// PeakHeapBytes is the process heap high-water mark (runtime HeapAlloc)
-	// observed while the scenario ran, populated only by heap-measuring
-	// sweeps (ExecOptions.MeasureHeap; qdcbench roundbench). Host-dependent
-	// like WallMillis, but kept through FoldRecords so the roundbench rows
-	// track the simulator's memory footprint next to its rounds and bits.
-	PeakHeapBytes uint64 `json:"peak_heap_bytes,omitempty"`
 	// Metrics is the optional observability block, populated when the run
 	// was collected with metrics enabled (ExecOptions.Metrics, qdcbench
 	// -metrics). Its content is deterministic, but canonical snapshots strip
@@ -47,6 +41,23 @@ type Record struct {
 
 // Failed reports whether the record represents an unusable or wrong run.
 func (r Record) Failed() bool { return r.Error != "" || !r.OK }
+
+// nodeRounds is the record's simulated work: rounds times the realised
+// vertex count.
+func (r Record) nodeRounds() int64 {
+	return int64(r.Stats.Rounds) * int64(r.Scenario.Topology.vertices())
+}
+
+// NodeRoundsPerSec returns the record's simulation throughput in
+// node-rounds per second, or 0 when the record carries no wall time (e.g.
+// after canonicalisation zeroed it). It is display-only: wall time is
+// host-dependent and never part of a snapshot's identity.
+func NodeRoundsPerSec(r Record) float64 {
+	if r.WallMillis <= 0 {
+		return 0
+	}
+	return float64(r.nodeRounds()) / (r.WallMillis / 1000)
+}
 
 // RunScenario executes one scenario synchronously and never panics: node
 // program panics surface as the record's Error. Cost accounting, inputs and

@@ -182,54 +182,23 @@ func (b *builtTopology) topology() congest.Topology {
 	return b.Graph
 }
 
-// Build realises the topology. Random families draw from rng, so callers
-// must seed it from Scenario.Seed for reproducibility.
+// Build realises the topology as a map-based graph. Random families draw
+// from rng, so callers must seed it from Scenario.Seed for reproducibility.
 func (t TopologySpec) Build(rng *rand.Rand) (*builtTopology, error) {
-	if t.Size < 2 && t.Family != FamilyLBNet {
-		return nil, fmt.Errorf("exp: %s needs size >= 2, got %d", t.Family, t.Size)
-	}
-	var (
-		g   *graph.Graph
-		err error
-	)
-	switch t.Family {
-	case FamilyPath:
-		g = graph.Path(t.Size)
-	case FamilyCycle:
-		g, err = graph.Cycle(t.Size)
-	case FamilyStar:
-		g = graph.Star(t.Size)
-	case FamilyComplete:
-		g = graph.Complete(t.Size)
-	case FamilyGrid:
-		side := int(math.Sqrt(float64(t.Size)))
-		if side < 2 {
-			return nil, fmt.Errorf("exp: grid needs size >= 4, got %d", t.Size)
-		}
-		g = graph.Grid(side, side)
-	case FamilyRandom:
-		p := t.Param
-		if p <= 0 {
-			p = 0.1
-		}
-		g = graph.RandomConnectedGraph(t.Size, p, rng)
-	case FamilyTree:
-		g = graph.RandomSpanningTree(t.Size, rng)
-	case FamilyLBNet:
-		pathLen := int(t.Param)
-		if pathLen <= 0 {
-			pathLen = 17
-		}
-		lb, lbErr := lbnetwork.New(t.Size, pathLen)
-		if lbErr != nil {
-			return nil, fmt.Errorf("exp: %v", lbErr)
+	if t.Family == FamilyLBNet {
+		lb, err := lbnetwork.New(t.Size, t.lbPathLen())
+		if err != nil {
+			return nil, fmt.Errorf("exp: %v", err)
 		}
 		return &builtTopology{Graph: lb.Graph, LB: lb}, nil
-	default:
-		return nil, fmt.Errorf("exp: unknown topology family %q", t.Family)
 	}
+	var g *graph.Graph
+	err := t.emitEdges(rng, func(n int) graph.EdgeEmitter {
+		g = graph.New(n)
+		return g.MustAddEdge
+	})
 	if err != nil {
-		return nil, fmt.Errorf("exp: %v", err)
+		return nil, err
 	}
 	if t.MaxWeight > 1 {
 		g, err = graph.AssignRandomWeights(g, t.MaxWeight, rng)
@@ -259,50 +228,94 @@ func (t TopologySpec) Streamable() bool {
 // BuildCSR realises a Streamable topology directly as a congest-ready CSR:
 // the family's edge stream feeds graph.Builder's two counting passes over
 // flat tables, so no per-vertex adjacency maps are ever materialised — the
-// constructor the million-node scenarios run through. Random families
-// consume rng exactly as Build does (the generators and the builder share
-// one edge-emitter per family), so a scenario produces bit-identical runs
-// whichever route built its topology.
+// constructor the million-node scenarios run through. Build and BuildCSR
+// read the same family table (emitEdges), so a scenario produces
+// bit-identical runs whichever route built its topology.
 func (t TopologySpec) BuildCSR(rng *rand.Rand) (*graph.CSR, error) {
-	if !t.Streamable() {
+	if t.Family == FamilyLBNet || t.MaxWeight > 1 {
 		return nil, fmt.Errorf("exp: topology %s is not streamable", t)
 	}
-	if t.Size < 2 {
-		return nil, fmt.Errorf("exp: %s needs size >= 2, got %d", t.Family, t.Size)
-	}
-	n := t.Size
-	b := graph.NewBuilder(n)
-	switch t.Family {
-	case FamilyPath:
-		graph.EmitPath(n, b.MustAddEdge)
-	case FamilyCycle:
-		if n < 3 {
-			return nil, fmt.Errorf("exp: a cycle needs at least 3 vertices, got %d", n)
-		}
-		graph.EmitCycle(n, b.MustAddEdge)
-	case FamilyStar:
-		graph.EmitStar(n, b.MustAddEdge)
-	case FamilyComplete:
-		graph.EmitComplete(n, b.MustAddEdge)
-	case FamilyGrid:
-		side := int(math.Sqrt(float64(n)))
-		if side < 2 {
-			return nil, fmt.Errorf("exp: grid needs size >= 4, got %d", n)
-		}
-		b = graph.NewBuilder(side * side)
-		graph.EmitGrid(side, side, b.MustAddEdge)
-	case FamilyRandom:
-		p := t.Param
-		if p <= 0 {
-			p = 0.1
-		}
-		graph.EmitRandomConnected(n, p, rng, b.MustAddEdge)
-	case FamilyTree:
-		graph.EmitSpanningTree(n, rng, b.MustAddEdge)
+	var b *graph.Builder
+	err := t.emitEdges(rng, func(n int) graph.EdgeEmitter {
+		b = graph.NewBuilder(n)
+		return b.MustAddEdge
+	})
+	if err != nil {
+		return nil, err
 	}
 	csr, err := b.Finish()
 	if err != nil {
 		return nil, fmt.Errorf("exp: %v", err)
 	}
 	return csr, nil
+}
+
+// emitEdges is the family table of the plain (non-lbnet) families. It
+// checks the spec, asks newGraph for a graph sized by the vertex-count rule
+// and streams the family's edges into the emitter it returns, in the
+// family's canonical order; the random families draw from rng as they
+// stream. The spec is checked before newGraph is called, so an invalid one
+// allocates nothing and both construction routes fail with the same error.
+func (t TopologySpec) emitEdges(rng *rand.Rand, newGraph func(n int) graph.EdgeEmitter) error {
+	if t.Size < 2 {
+		return fmt.Errorf("exp: %s needs size >= 2, got %d", t.Family, t.Size)
+	}
+	n := t.vertices()
+	switch t.Family {
+	case FamilyPath:
+		graph.EmitPath(n, newGraph(n))
+	case FamilyCycle:
+		if n < 3 {
+			return fmt.Errorf("exp: graph: cycle requires n >= 3, got %d", n)
+		}
+		graph.EmitCycle(n, newGraph(n))
+	case FamilyStar:
+		graph.EmitStar(n, newGraph(n))
+	case FamilyComplete:
+		graph.EmitComplete(n, newGraph(n))
+	case FamilyGrid:
+		if n < 4 {
+			return fmt.Errorf("exp: grid needs size >= 4, got %d", t.Size)
+		}
+		side := gridSide(t.Size)
+		graph.EmitGrid(side, side, newGraph(n))
+	case FamilyRandom:
+		p := t.Param
+		if p <= 0 {
+			p = 0.1
+		}
+		graph.EmitRandomConnected(n, p, rng, newGraph(n))
+	case FamilyTree:
+		graph.EmitSpanningTree(n, rng, newGraph(n))
+	default:
+		return fmt.Errorf("exp: unknown topology family %q", t.Family)
+	}
+	return nil
+}
+
+// vertices is the vertex count the topology realises: the largest square
+// not above Size for a grid, lbnetwork.VertexCount for the lower-bound
+// network (whose Size is the path count Γ), and Size otherwise.
+func (t TopologySpec) vertices() int {
+	switch t.Family {
+	case FamilyGrid:
+		side := gridSide(t.Size)
+		return side * side
+	case FamilyLBNet:
+		return lbnetwork.VertexCount(t.Size, t.lbPathLen())
+	}
+	return t.Size
+}
+
+// gridSide is the side of the largest square grid with at most size
+// vertices.
+func gridSide(size int) int { return int(math.Sqrt(float64(size))) }
+
+// lbPathLen is the lower-bound network's requested path length: Param, or
+// 17 when Param is unset.
+func (t TopologySpec) lbPathLen() int {
+	if l := int(t.Param); l > 0 {
+		return l
+	}
+	return 17
 }

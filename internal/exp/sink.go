@@ -127,11 +127,6 @@ func (s *JSONSink) Close() error {
 		// snapshot's bytes identical whether or not the sweep collected
 		// metrics, so baseline diffs never churn on observability settings.
 		s.records[i].Metrics = nil
-		// The heap high-water mark is host-dependent like wall time, so it
-		// lives in the printed roundbench table and the JSONL stream, never
-		// in a canonical snapshot (re-running roundbench -append must not
-		// change a byte when the deterministic costs are unchanged).
-		s.records[i].PeakHeapBytes = 0
 	}
 	enc := json.NewEncoder(s.w)
 	enc.SetIndent("", "  ")

@@ -13,14 +13,16 @@ var streamableSpecs = []TopologySpec{
 	{Family: FamilyStar, Size: 10},
 	{Family: FamilyComplete, Size: 6},
 	{Family: FamilyGrid, Size: 36},
+	{Family: FamilyGrid, Size: 40}, // rounds down to the 6x6 grid
 	{Family: FamilyRandom, Size: 30, Param: 0.2},
 	{Family: FamilyTree, Size: 25},
 }
 
 // TestBuildCSRMatchesBuild pins the streaming loader against the map-based
-// constructor: identical seeds must yield identical vertex counts, edge
-// counts, neighbour tables (ids, order and weights) and rng consumption, so a
-// scenario is bit-identical whichever route built its topology.
+// constructor: identical seeds must yield identical vertex counts (the
+// spec's vertex-count rule), edge counts, neighbour tables (ids, order and
+// weights) and rng consumption, so a scenario is bit-identical whichever
+// route built its topology.
 func TestBuildCSRMatchesBuild(t *testing.T) {
 	for _, spec := range streamableSpecs {
 		rngMap := rand.New(rand.NewSource(99))
@@ -34,9 +36,9 @@ func TestBuildCSRMatchesBuild(t *testing.T) {
 			t.Fatalf("%s: BuildCSR: %v", spec, err)
 		}
 		g := built.Graph
-		if csr.N() != g.N() || csr.M() != g.M() {
-			t.Fatalf("%s: CSR is %d vertices / %d edges, graph is %d / %d",
-				spec, csr.N(), csr.M(), g.N(), g.M())
+		if csr.N() != g.N() || csr.M() != g.M() || g.N() != spec.vertices() {
+			t.Fatalf("%s: CSR is %d vertices / %d edges, graph is %d / %d, vertices() is %d",
+				spec, csr.N(), csr.M(), g.N(), g.M(), spec.vertices())
 		}
 		for v := 0; v < g.N(); v++ {
 			if csr.Degree(v) != g.Degree(v) {
@@ -73,6 +75,23 @@ func TestStreamable(t *testing.T) {
 	} {
 		if spec.Streamable() {
 			t.Errorf("%s: must not be streamable", spec)
+		}
+	}
+}
+
+// TestBuildRoutesShareErrors: both routes read one family table, so an
+// invalid spec fails with the same error whichever route builds it.
+func TestBuildRoutesShareErrors(t *testing.T) {
+	for _, spec := range []TopologySpec{
+		{Family: FamilyPath, Size: 1},
+		{Family: FamilyCycle, Size: 2},
+		{Family: FamilyGrid, Size: 3},
+		{Family: "moebius", Size: 9},
+	} {
+		_, errMap := spec.Build(rand.New(rand.NewSource(1)))
+		_, errCSR := spec.BuildCSR(rand.New(rand.NewSource(1)))
+		if errMap == nil || errCSR == nil || errMap.Error() != errCSR.Error() {
+			t.Errorf("%s: Build error %v, BuildCSR error %v", spec, errMap, errCSR)
 		}
 	}
 }

@@ -27,6 +27,22 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestVertexCount pins the closed form against the constructor, including
+// path lengths that New rounds up.
+func TestVertexCount(t *testing.T) {
+	for _, gamma := range []int{2, 3, 6, 10} {
+		for _, l := range []int{1, 3, 4, 9, 10, 17, 33, 100} {
+			nw, err := New(gamma, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := VertexCount(gamma, l); got != nw.N() {
+				t.Errorf("VertexCount(%d, %d) = %d, New builds %d", gamma, l, got, nw.N())
+			}
+		}
+	}
+}
+
 // Observation D.2: the network has Θ(ΓL) vertices and diameter Θ(log L).
 func TestObservationD2SizeAndDiameter(t *testing.T) {
 	for _, tc := range []struct{ gamma, l int }{{4, 9}, {6, 17}, {8, 33}} {

@@ -70,6 +70,14 @@ func RoundedDims(pathLen int) (l, k int) {
 	return l, int(math.Round(math.Log2(float64(l - 1))))
 }
 
+// VertexCount returns the vertex count of New(gamma, pathLen) without
+// building it: Γ·L path vertices plus the highways, where highway h has
+// (L−1)/2^h + 1 vertices, which sum to L + K − 2 over h = 1..K.
+func VertexCount(gamma, pathLen int) int {
+	l, k := RoundedDims(pathLen)
+	return gamma*l + l + k - 2
+}
+
 // New builds the network with gamma paths of pathLen vertices each (pathLen
 // is rounded up so that pathLen−1 is a power of two, as in Appendix D.1).
 func New(gamma, pathLen int) (*Network, error) {

@@ -180,9 +180,12 @@ func (s *Server) adoptStateDir() error {
 		case StateDone:
 			recs, err := exp.ReadRecords(j.snapshotPath())
 			if err != nil {
-				// The terminal marker exists but its artifact does not (the
-				// daemon died between the two writes): the job never really
-				// finished, so re-run it.
+				// runJob writes the snapshot before job.json, so a daemon
+				// that dies between the two writes leaves a non-terminal job
+				// file, not this state. A done job without a readable
+				// snapshot lost it afterwards: it was deleted, or it never
+				// reached the disk, since nothing syncs it. The frozen spec
+				// reproduces it, so re-run the job.
 				s.startJob(j)
 				break
 			}

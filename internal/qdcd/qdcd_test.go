@@ -291,6 +291,43 @@ func TestRestartAdoptsDoneJob(t *testing.T) {
 	}
 }
 
+// TestRestartRerunsDoneJobWithoutSnapshot: a job whose job.json says done
+// but whose snapshot.json is gone is re-run from its frozen spec, and the
+// re-run serves the snapshot a clean unsharded run produces.
+func TestRestartRerunsDoneJobWithoutSnapshot(t *testing.T) {
+	m := testMatrix()
+	want := referenceSnapshot(t, m)
+	state := t.TempDir()
+	s1, err := New(Options{StateDir: state, Pool: 4, Spawn: healthySpawn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := s1.Submit(SubmitRequest{Spec: &m, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitTerminal(t, j); fin.State != StateDone {
+		t.Fatalf("job finished %s: %s", fin.State, fin.Error)
+	}
+	s1.Close()
+	if err := os.Remove(j.snapshotPath()); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, state, healthySpawn)
+	rerun := s2.Job("job-1")
+	if rerun == nil {
+		t.Fatal("restarted daemon does not know job-1")
+	}
+	if fin := waitTerminal(t, rerun); fin.State != StateDone {
+		t.Fatalf("re-run finished %s: %s", fin.State, fin.Error)
+	}
+	got := get(t, s2.Handler(), "/jobs/job-1/snapshot")
+	if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want) {
+		t.Error("re-run snapshot is not byte-identical to a clean unsharded run")
+	}
+}
+
 // TestRestartRerunsInterruptedJob is the crash-recovery gate: a daemon dying
 // mid-job leaves no terminal state on disk, and the next daemon re-runs the
 // job from its frozen spec to the very snapshot a clean run produces.

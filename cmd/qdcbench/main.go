@@ -191,6 +191,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: the flag modes take no positional arguments", fs.Arg(0))
+	}
 
 	if c.list {
 		for _, name := range exp.MatrixNames() {

@@ -208,6 +208,29 @@ func TestTrendCLI(t *testing.T) {
 	}
 }
 
+// TestFlagModesRejectStrayArguments: a positional word after the flags is
+// an error naming it, in every flag mode, rather than silently ignored.
+func TestFlagModesRejectStrayArguments(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-list", "roundbench"}, `"roundbench"`},
+		{[]string{"-matrix", "quick", "-json", filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")}, "b.json"},
+		{[]string{"roundbench"}, `"roundbench"`},
+	} {
+		var out bytes.Buffer
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("qdcbench %v: error %v, want one naming %s", tc.args, err, tc.want)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "a.json")); err == nil {
+		t.Error("a refused matrix run wrote its -json snapshot")
+	}
+}
+
 func TestUnknownMatrixError(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-matrix", "no-such"}, &out); err == nil {

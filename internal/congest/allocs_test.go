@@ -34,29 +34,39 @@ func TestAppendConstructorsAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hub *Context
-	if _, err := nw.Run(func(ctx *Context) Node {
-		if ctx.ID() == 0 {
-			hub = ctx
+	// A context is valid only inside its run, so the hub's factory call
+	// measures the constructors.
+	allocs := map[string]float64{}
+	if _, err := nw.Run(func(hub *Context) Node {
+		if hub.ID() == 0 {
+			var neighbors []int
+			for i := range hub.Degree() {
+				neighbors = append(neighbors, hub.NeighborAt(i))
+			}
+			var payload any = 1
+			dst := make([]Message, 0, 64)
+			cases := map[string]func(){
+				"AppendMessage":         func() { dst = AppendMessage(dst[:0], 1, payload, 8) },
+				"AppendWordMessage":     func() { dst = AppendWordMessage(dst[:0], 1, 1, 7, 0, 8) },
+				"BroadcastInto":         func() { dst = BroadcastInto(dst[:0], neighbors, payload, 8) },
+				"BroadcastWordsInto":    func() { dst = BroadcastWordsInto(dst[:0], neighbors, 1, 7, 0, 8) },
+				"BroadcastAllInto":      func() { dst = BroadcastAllInto(dst[:0], hub, payload, 8) },
+				"BroadcastAllWordsInto": func() { dst = BroadcastAllWordsInto(dst[:0], hub, 1, 7, 0, 8) },
+			}
+			for name, f := range cases {
+				allocs[name] = testing.AllocsPerRun(100, f)
+			}
 		}
 		return &benchFloodNode{rounds: 0}
 	}, Options{MaxRounds: 4}); err != nil {
 		t.Fatal(err)
 	}
-	neighbors := hub.neighbors
-	var payload any = 1
-	dst := make([]Message, 0, 64)
-	cases := map[string]func(){
-		"AppendMessage":         func() { dst = AppendMessage(dst[:0], 1, payload, 8) },
-		"AppendWordMessage":     func() { dst = AppendWordMessage(dst[:0], 1, 1, 7, 0, 8) },
-		"BroadcastInto":         func() { dst = BroadcastInto(dst[:0], neighbors, payload, 8) },
-		"BroadcastWordsInto":    func() { dst = BroadcastWordsInto(dst[:0], neighbors, 1, 7, 0, 8) },
-		"BroadcastAllInto":      func() { dst = BroadcastAllInto(dst[:0], hub, payload, 8) },
-		"BroadcastAllWordsInto": func() { dst = BroadcastAllWordsInto(dst[:0], hub, 1, 7, 0, 8) },
+	if len(allocs) != 6 {
+		t.Fatalf("measured %d constructors, want 6", len(allocs))
 	}
-	for name, f := range cases {
-		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
-			t.Errorf("%s: %.1f allocs per call into retained capacity, want 0", name, allocs)
+	for name, n := range allocs {
+		if n != 0 {
+			t.Errorf("%s: %.1f allocs per call into retained capacity, want 0", name, n)
 		}
 	}
 }

@@ -29,7 +29,11 @@
 // word-encoded in two inline uint64s instead of a boxed Payload (see
 // payload.go — Kind/W0/W1, with boxed `any` kept as the escape hatch), and
 // every topology is read by rank through Topology.Neighbor into two flat
-// arrays, with no per-node copy, sort or weight lookup.
+// arrays, with no per-node copy, sort or weight lookup. A node's Context is
+// 32 bytes, two per cache line: its ID, its lazy random source and two
+// pointers, through which it reads n, B, its neighbours, its edge weights
+// and its input from the run's shared tables and writes its output
+// straight into the run's Result.
 // Together these carry the same bit-exact accounting from the paper-sized
 // networks up to million-node topologies; see DESIGN.md, "The congest hot
 // path" and "Compact payloads and streaming topologies".
@@ -127,38 +131,29 @@ type NodeFactory func(ctx *Context) Node
 // corresponds to the paper's assumption that a node knows its own ID, the IDs
 // of its neighbours, the weights of its incident edges, the network size n,
 // and its problem-specific input, and nothing else about the topology.
+//
+// A context holds only the node's ID, its random source and two pointers:
+// every other part of the view is read from the run's shared flat tables
+// when asked for. A context is valid only inside its run, from the factory
+// call until Run returns; a node program must not keep it, or call it, after
+// that.
 type Context struct {
-	// id and n are int32 so that the sent pointer below keeps the struct
-	// at 128 bytes, two cache lines.
-	id        int32
-	n         int32
-	bandwidth int
-	neighbors []int
-	// weights[i] is the weight of the edge to neighbors[i]. The parallel
-	// sorted slices replace the old per-node map so that the hot-path
-	// lookups (IsNeighbor, EdgeWeight, the simulator's own edge indexing)
-	// are a rank scan instead of a hash.
-	weights []float64
-	input   any
-	// rng is built lazily from rngSeed on the first Rand() call: a
-	// rand.Rand is several kilobytes of generator state, which at
-	// million-node scale would dwarf the topology itself, and most node
-	// programs never draw randomness.
-	rngSeed int64
-	rng     *rand.Rand
+	st *runState
+	id int32
+	// rng is built lazily on the first Rand() call: a rand.Rand is several
+	// kilobytes of generator state, which at million-node scale would dwarf
+	// the topology itself, and most node programs never draw randomness.
+	rng *rand.Rand
 	// sent is the send log of the worker that steps this node; Outbox
 	// hands out its free tail.
 	sent *[]Message
-
-	output    any
-	outputSet bool
 }
 
 // ID returns this node's identifier (0..n-1).
 func (c *Context) ID() int { return int(c.id) }
 
 // N returns the number of nodes in the network.
-func (c *Context) N() int { return int(c.n) }
+func (c *Context) N() int { return c.st.n }
 
 // Outbox returns an empty slice over the free tail of the simulator's send
 // log, for the messages the node sends this round. A node appends its
@@ -174,58 +169,34 @@ func (c *Context) Outbox() []Message {
 }
 
 // Bandwidth returns the per-edge, per-round bit budget B.
-func (c *Context) Bandwidth() int { return c.bandwidth }
+func (c *Context) Bandwidth() int { return c.st.nw.bandwidth }
 
 // Degree returns the number of neighbours.
-func (c *Context) Degree() int { return len(c.neighbors) }
+func (c *Context) Degree() int { return len(c.neighbors()) }
 
 // NeighborAt returns the i-th neighbour in ascending-ID order, 0 <= i <
 // Degree(). A node walks its neighbours with the two, which copy nothing.
-func (c *Context) NeighborAt(i int) int { return c.neighbors[i] }
+func (c *Context) NeighborAt(i int) int { return c.neighbors()[i] }
+
+// neighbors returns the node's window of the run's neighbour table.
+func (c *Context) neighbors() []int { return c.st.neighbors(int(c.id)) }
 
 // IsNeighbor reports whether v is adjacent to this node.
-func (c *Context) IsNeighbor(v int) bool { return c.neighborRank(v) >= 0 }
+func (c *Context) IsNeighbor(v int) bool { return c.st.neighborRank(int(c.id), v) >= 0 }
 
 // EdgeWeight returns the weight of the edge to neighbour v.
 func (c *Context) EdgeWeight(v int) (float64, bool) {
-	r := c.neighborRank(v)
+	r := c.st.neighborRank(int(c.id), v)
 	if r < 0 {
 		return 0, false
 	}
-	return c.weights[r], true
-}
-
-// neighborRank returns v's index in the sorted neighbour list, or -1 when v
-// is not a neighbour. Real topologies are dominated by small degrees, where
-// a linear scan beats binary search; large degrees fall back to the search.
-func (c *Context) neighborRank(v int) int {
-	ns := c.neighbors
-	if len(ns) <= 16 {
-		for i, u := range ns {
-			if u == v {
-				return i
-			}
-		}
-		return -1
-	}
-	lo, hi := 0, len(ns)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ns[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(ns) && ns[lo] == v {
-		return lo
-	}
-	return -1
+	return c.st.wts[int(c.st.offsets[c.id])+r], true
 }
 
 // Input returns the problem-specific input assigned to this node via
-// Network.SetInput (nil if none).
-func (c *Context) Input() any { return c.input }
+// Network.SetInput (nil if none). It reads the network's inputs when
+// called, so they must not change while a run is in progress.
+func (c *Context) Input() any { return c.st.nw.inputs[int(c.id)] }
 
 // Rand returns this node's private deterministic random source. Nodes at
 // different IDs receive independent streams; re-running the same network
@@ -235,19 +206,15 @@ func (c *Context) Input() any { return c.input }
 // randomness pay nothing for it.
 func (c *Context) Rand() *rand.Rand {
 	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(c.rngSeed))
+		c.rng = rand.New(rand.NewSource(c.st.seed*1_000_003 + int64(c.id)))
 	}
 	return c.rng
 }
 
-// SetOutput records the node's final output for the problem being solved.
-func (c *Context) SetOutput(v any) {
-	c.output = v
-	c.outputSet = true
-}
-
-// Output returns the node's recorded output and whether one was set.
-func (c *Context) Output() (any, bool) { return c.output, c.outputSet }
+// SetOutput records the node's final output for the problem being solved:
+// it writes the node's entry of the run's Result.Outputs, so the last call
+// wins.
+func (c *Context) SetOutput(v any) { c.st.res.Outputs[c.id] = v }
 
 // Errors reported by the simulator.
 var (
@@ -284,12 +251,14 @@ type Topology interface {
 // Network is a configured CONGEST(B) network ready to run algorithms.
 //
 // A Network may be reused for any number of runs, concurrent ones
-// included. It keeps the working state of its last finished run (the
-// contexts with their sorted neighbour lists, the edge index, the inboxes
-// and the vertex-range partition with its send logs), and the next Run
-// resets that state in O(n) instead of rebuilding it from the topology, so
-// a multi-stage algorithm pays for the topology once. The topology must
-// therefore not change while the network is in use.
+// included. It keeps the working state of its last finished run (the flat
+// neighbour and weight tables with their edge index, the 32-byte contexts
+// that read them, the inboxes and the vertex-range partition with its send
+// logs), and the next Run resets that state in O(n) instead of rebuilding
+// it from the topology, so a multi-stage algorithm pays for the topology
+// once. The topology must therefore not change while the network is in
+// use, and the inputs must not change while a run is in progress: a
+// context reads its input when the node asks for it.
 type Network struct {
 	topo      Topology
 	bandwidth int
@@ -325,7 +294,8 @@ func NewNetwork(topo Topology, bandwidth int) (*Network, error) {
 func (nw *Network) SetSeed(seed int64) { nw.seed = seed }
 
 // SetInput assigns a problem-specific input to node id. It silently ignores
-// out-of-range ids (they cannot correspond to any node).
+// out-of-range ids (they cannot correspond to any node). Inputs must not
+// change while a run is in progress.
 func (nw *Network) SetInput(id int, input any) {
 	if id < 0 || id >= nw.topo.N() {
 		return
@@ -376,8 +346,10 @@ type Result struct {
 	// single directed edge in any single round (always <= bandwidth).
 	MaxEdgeBitsPerRound int
 	// Outputs holds each node's output recorded via Context.SetOutput,
-	// indexed by node ID, with nil where a node set none. It is the run's
-	// own slice: a later run on the same network does not touch it.
+	// indexed by node ID, with nil where a node set none. SetOutput writes
+	// it directly, so a run that stops early returns every output set
+	// before it stopped. It is the run's own slice: a later run on the
+	// same network does not touch it.
 	Outputs []any
 }
 
@@ -425,16 +397,21 @@ type Options struct {
 // run statistics. It is deterministic for a fixed seed.
 //
 // The round loop is steady-state allocation-free: the working state below
-// (contexts, CSR edge index, flat bandwidth tables, one inbox per node, one
-// send log per worker) is built once per network, kept between runs, and
-// reset in O(n) at the start of each run, and each round only resets
-// lengths and counters. A node's inbox slice is therefore valid only for
-// the duration of the Round call that receives it: the round's messages
-// are delivered into the same buffer once the node returns (payload
-// values themselves are never touched; only the []Message backing array is
-// recycled). The state of a run that a panic unwinds through is dropped,
-// and the next run builds a fresh one. See DESIGN.md, "The congest hot
-// path".
+// (contexts, flat neighbour and weight tables with their CSR edge index,
+// flat bandwidth tables, one inbox per node, one send log per worker) is
+// built once per network, kept between runs, and reset in O(n) at the
+// start of each run, and each round only resets lengths and counters. A
+// node's inbox slice is therefore valid only for the duration of the Round
+// call that receives it: the round's messages are delivered into the same
+// buffer once the node returns (payload values themselves are never
+// touched; only the []Message backing array is recycled). The contexts
+// handed to the factory are likewise valid only until Run returns, and a
+// node's SetOutput writes straight into the returned Result, so every exit
+// path, errors included, returns whatever the nodes managed to decide.
+// Contexts read the network's inputs during the run, so they must not
+// change until Run returns. The state of a run that a panic unwinds
+// through is dropped, and the next run builds a fresh one. See DESIGN.md,
+// "The congest hot path".
 func (nw *Network) Run(factory NodeFactory, opts Options) (*Result, error) {
 	st := nw.parked.Swap(nil)
 	if st == nil {
@@ -454,11 +431,15 @@ func (nw *Network) Run(factory NodeFactory, opts Options) (*Result, error) {
 }
 
 // park keeps st for the next run. It first drops the finished run's node
-// programs, options and Result, and zeroes every send log to its capacity,
-// so an idle network keeps no stage's node state, payloads or callbacks
+// programs, every context's random source, its options and its Result (and
+// with it every output), and zeroes every send log to its capacity, so an
+// idle network keeps no stage's node state, payloads or callbacks
 // reachable.
 func (nw *Network) park(st *runState) {
 	clear(st.nodes)
+	for v := range st.ctxs {
+		st.ctxs[v].rng = nil
+	}
 	for w := range st.workers {
 		clear(st.workers[w].sent[:cap(st.workers[w].sent)])
 	}
@@ -474,6 +455,9 @@ type runState struct {
 	opts Options
 	n    int
 	res  *Result
+	// seed is the network's seed as the run's start read it; every
+	// context's random stream derives from it.
+	seed int64
 
 	// ctxs holds every node's context, one slab for the whole network.
 	ctxs  []Context
@@ -491,8 +475,12 @@ type runState struct {
 
 	// The CSR edge index. Directed edge (v -> u) has slot
 	// offsets[v] + rank of u in v's sorted neighbour list; node v owns
-	// slots offsets[v]..offsets[v+1].
+	// slots offsets[v]..offsets[v+1]. nbrs and wts are the neighbour and
+	// the edge weight at each slot, the topology as read by rank: every
+	// context reads its node's neighbours and weights from them.
 	offsets []int32
+	nbrs    []int
+	wts     []float64
 
 	// edgeBits holds the bits charged to each slot this round. Only the
 	// slots on a worker's touched list are ever non-zero, and resetting
@@ -518,16 +506,14 @@ type runState struct {
 	deliverJob func(w int)
 }
 
-// newRunState builds the topology-derived working state of nw: the
-// contexts' static fields, the edge index and the per-node arrays. A
-// neighbour ID outside 0..n-1, or a neighbour list that is not strictly
-// ascending, is an error.
+// newRunState builds the topology-derived working state of nw: the flat
+// neighbour and weight tables with their edge index, the contexts and the
+// per-node arrays. A neighbour ID outside 0..n-1, or a neighbour list that
+// is not strictly ascending, is an error.
 func newRunState(nw *Network) (*runState, error) {
 	n := nw.topo.N()
 	st := &runState{nw: nw, n: n, offsets: make([]int32, n+1)}
 
-	// Every node's neighbour and weight lists are carved out of two shared
-	// flat arrays, which offsets indexes as the CSR edge index.
 	total := 0
 	for v := 0; v < n; v++ {
 		total += nw.topo.Degree(v)
@@ -546,10 +532,10 @@ func newRunState(nw *Network) (*runState, error) {
 			}
 			nbrs, wts = append(nbrs, u), append(wts, w)
 		}
-		hi := len(nbrs)
-		st.offsets[v+1] = int32(hi)
-		st.ctxs[v] = Context{id: int32(v), n: int32(n), bandwidth: nw.bandwidth, neighbors: nbrs[lo:hi:hi], weights: wts[lo:hi:hi]}
+		st.offsets[v+1] = int32(len(nbrs))
+		st.ctxs[v] = Context{st: st, id: int32(v)}
 	}
+	st.nbrs, st.wts = nbrs, wts
 	st.edgeBits = make([]int32, len(nbrs))
 
 	st.nodes = make([]Node, n)
@@ -561,9 +547,10 @@ func newRunState(nw *Network) (*runState, error) {
 }
 
 // start resets what the previous run on this state left behind and builds
-// the run's nodes: each context's input, random stream and output, every
-// inbox (a round-limit, cancel or error exit leaves messages in them), the
-// awake words, and a fresh Result, since callers keep results across runs.
+// the run's nodes: the seed, every inbox (a round-limit, cancel or error
+// exit leaves messages in them), the awake words, and a fresh Result, since
+// callers keep results across runs. The contexts need nothing: park dropped
+// their random sources, and they read everything else from the tables.
 // It partitions anew only when the worker count changed, before the
 // factory runs, so that a context's Outbox works from the first call, and
 // it starts the worker pool. done and the send logs need no reset: round 1
@@ -571,7 +558,7 @@ func newRunState(nw *Network) (*runState, error) {
 // logs. After a clean exit or a validation error every edge slot is zero
 // and every touched list empty; a panic exit's state is never reused.
 func (st *runState) start(factory NodeFactory, opts Options) error {
-	nw, n := st.nw, st.n
+	n := st.n
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 64*n + 64
 	}
@@ -580,13 +567,9 @@ func (st *runState) start(factory NodeFactory, opts Options) error {
 		st.partition(workers)
 	}
 	st.opts = opts
+	st.seed = st.nw.seed
 	st.res = &Result{Outputs: make([]any, n)}
-	for v := range st.ctxs {
-		ctx := &st.ctxs[v]
-		ctx.input = nw.inputs[v]
-		ctx.rngSeed = nw.seed*1_000_003 + int64(v)
-		ctx.rng = nil
-		ctx.output, ctx.outputSet = nil, false
+	for v := range st.inboxes {
 		st.inboxes[v] = st.inboxes[v][:0]
 	}
 	for v := range st.nodes {
@@ -622,14 +605,12 @@ func (st *runState) run() (*Result, error) {
 	res := st.res
 	for round := 1; round <= st.opts.MaxRounds; round++ {
 		if st.opts.Cancel != nil && st.opts.Cancel() {
-			st.collectOutputs()
 			return res, fmt.Errorf("%w: before round %d", ErrCancelled, round)
 		}
 		res.Rounds = round
 		st.round = round
 		quiet, err := st.runRound()
 		if err != nil {
-			st.collectOutputs()
 			return res, err
 		}
 		if quiet {
@@ -637,23 +618,43 @@ func (st *runState) run() (*Result, error) {
 			break
 		}
 	}
-	st.collectOutputs()
 	if !res.Terminated {
 		return res, fmt.Errorf("%w: after %d rounds", ErrRoundLimit, res.Rounds)
 	}
 	return res, nil
 }
 
-// collectOutputs copies every node's recorded output into the result. It
-// runs on every exit path — success, round limit, cancellation and message
-// validation errors alike — so partial results always carry whatever the
-// nodes managed to decide.
-func (st *runState) collectOutputs() {
-	for v := range st.ctxs {
-		if out, ok := st.ctxs[v].Output(); ok {
-			st.res.Outputs[v] = out
+// neighbors returns v's neighbours in ascending ID order, its window of
+// the neighbour table.
+func (st *runState) neighbors(v int) []int { return st.nbrs[st.offsets[v]:st.offsets[v+1]] }
+
+// neighborRank returns u's index in v's sorted neighbour list, or -1 when u
+// is not a neighbour of v. Real topologies are dominated by small degrees,
+// where a linear scan beats binary search; large degrees fall back to the
+// search.
+func (st *runState) neighborRank(v, u int) int {
+	ns := st.neighbors(v)
+	if len(ns) <= 16 {
+		for i, w := range ns {
+			if w == u {
+				return i
+			}
+		}
+		return -1
+	}
+	lo, hi := 0, len(ns)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ns[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
+	if lo < len(ns) && ns[lo] == u {
+		return lo
+	}
+	return -1
 }
 
 // stepAwake steps worker w's awake nodes in ID order, one run of

@@ -1,0 +1,133 @@
+package congest_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"unsafe"
+
+	"qdc/internal/congest"
+	"qdc/internal/graph"
+)
+
+// TestContextIs32Bytes pins the per-node footprint of the simulator's
+// context slab: a run state pointer, the ID, the lazy random source and
+// the send log pointer, two contexts per cache line. Everything else a node
+// knows is read from the run's shared tables.
+func TestContextIs32Bytes(t *testing.T) {
+	size := unsafe.Sizeof(congest.Context{})
+	t.Logf("congest.Context: %d bytes per node", size)
+	if size != 32 {
+		t.Errorf("congest.Context is %d bytes, want 32", size)
+	}
+}
+
+// viewNode checks its context against the topology in round 1 and records
+// what differs.
+type viewNode struct {
+	topo      congest.Topology
+	bandwidth int
+	seed      int64
+	inputs    map[int]any
+	problems  []string
+}
+
+func (*viewNode) Init(*congest.Context) {}
+
+func (vn *viewNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
+	v := ctx.ID()
+	vn.problems[v] = vn.check(ctx, v)
+	return nil, true
+}
+
+// check returns how the view of node v differs from the topology and the
+// network's settings, or "" when it does not.
+func (vn *viewNode) check(ctx *congest.Context, v int) string {
+	if ctx.N() != vn.topo.N() || ctx.Bandwidth() != vn.bandwidth {
+		return fmt.Sprintf("N %d, Bandwidth %d; want %d, %d", ctx.N(), ctx.Bandwidth(), vn.topo.N(), vn.bandwidth)
+	}
+	if ctx.Degree() != vn.topo.Degree(v) {
+		return fmt.Sprintf("Degree %d, want %d", ctx.Degree(), vn.topo.Degree(v))
+	}
+	adjacent := map[int]bool{}
+	for i := range ctx.Degree() {
+		u, w := vn.topo.Neighbor(v, i)
+		adjacent[u] = true
+		if got := ctx.NeighborAt(i); got != u {
+			return fmt.Sprintf("NeighborAt(%d) = %d, want %d", i, got, u)
+		}
+		if got, ok := ctx.EdgeWeight(u); !ok || got != w {
+			return fmt.Sprintf("EdgeWeight(%d) = %g, %v; want %g, true", u, got, ok, w)
+		}
+		if !ctx.IsNeighbor(u) {
+			return fmt.Sprintf("IsNeighbor(%d) = false for neighbour %d", u, i)
+		}
+	}
+	stranger := 0
+	for adjacent[stranger] {
+		stranger++
+	}
+	if ctx.IsNeighbor(stranger) {
+		return fmt.Sprintf("IsNeighbor(%d) = true for a non-neighbour", stranger)
+	}
+	if w, ok := ctx.EdgeWeight(stranger); ok || w != 0 {
+		return fmt.Sprintf("EdgeWeight(%d) = %g, %v for a non-neighbour; want 0, false", stranger, w, ok)
+	}
+	if got, want := ctx.Input(), vn.inputs[v]; got != want {
+		return fmt.Sprintf("Input %v, want %v", got, want)
+	}
+	want := rand.New(rand.NewSource(vn.seed*1_000_003 + int64(v))).Int63()
+	if got := ctx.Rand().Int63(); got != want {
+		return fmt.Sprintf("first Rand().Int63() = %d, want %d", got, want)
+	}
+	return ""
+}
+
+// TestContextViewMatchesTopology checks every part of every node's view,
+// read from the run's flat tables, against the topology it was built from
+// and the network's settings: on a weighted random graph and on a star
+// whose hub has more neighbours than neighbourRank scans linearly, each as
+// a *graph.Graph and as its CSR, stepping on the caller and on four
+// workers.
+func TestContextViewMatchesTopology(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	weighted, err := graph.AssignRandomWeights(graph.RandomConnectedGraph(40, 0.15, rng), 1000, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	star := graph.Star(24)
+	if star.Degree(0) <= 16 {
+		t.Fatalf("the star's hub has %d neighbours; want more than 16", star.Degree(0))
+	}
+	const bandwidth, seed = 24, 19
+	for name, g := range map[string]*graph.Graph{"weighted": weighted, "star": star} {
+		for _, topo := range []congest.Topology{g, graph.FromGraph(g)} {
+			for _, workers := range []int{1, 4} {
+				nw, err := congest.NewNetwork(topo, bandwidth)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nw.SetSeed(seed)
+				inputs := map[int]any{}
+				for v := 0; v < topo.N(); v += 3 {
+					inputs[v] = v * 7
+					nw.SetInput(v, v*7)
+				}
+				vn := &viewNode{topo: topo, bandwidth: bandwidth, seed: seed, inputs: inputs,
+					problems: make([]string, topo.N())}
+				for v := range vn.problems {
+					vn.problems[v] = "never stepped"
+				}
+				if _, err := nw.Run(func(*congest.Context) congest.Node { return vn },
+					congest.Options{Workers: workers}); err != nil {
+					t.Fatal(err)
+				}
+				for v, p := range vn.problems {
+					if p != "" {
+						t.Errorf("%s as %T, Workers=%d: node %d: %s", name, topo, workers, v, p)
+					}
+				}
+			}
+		}
+	}
+}

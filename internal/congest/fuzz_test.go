@@ -275,24 +275,27 @@ func fuzzRun(nw *Network, factory NodeFactory, opts Options, workers int) (o run
 // stepped nodes in ascending ID, outbox order within a node, so each inbox
 // fills in ascending sender ID. It has no ranges, slots or queues, and it
 // takes a copy of every outbox as its node returns it, so each context's
-// Outbox is room in one scratch slice that is never committed. It traces
-// every accepted message; opts.Trace and opts.Cancel are ignored, and
-// opts.MaxRounds must be positive.
+// Outbox is room in one scratch slice that is never committed. Its
+// contexts read a minimal run state: the static tables, the seed and the
+// Result their SetOutput writes. It traces every accepted message;
+// opts.Trace and opts.Cancel are ignored, and opts.MaxRounds must be
+// positive.
 func referenceRun(topo Topology, bandwidth int, seed int64, factory NodeFactory, opts Options) (o runOutcome) {
 	n := topo.N()
+	res := &Result{Outputs: make([]any, n)}
+	st := &runState{nw: &Network{bandwidth: bandwidth}, n: n, res: res, seed: seed, offsets: make([]int32, n+1)}
 	ctxs := make([]*Context, n)
 	isNeighbor := make([]map[int]bool, n)
 	scratch := make([]Message, 0, 4)
 	for v := 0; v < n; v++ {
-		ctx := &Context{id: int32(v), n: int32(n), bandwidth: bandwidth, rngSeed: seed*1_000_003 + int64(v), sent: &scratch}
 		isNeighbor[v] = map[int]bool{}
 		for i := range topo.Degree(v) {
 			u, w := topo.Neighbor(v, i)
-			ctx.neighbors = append(ctx.neighbors, u)
-			ctx.weights = append(ctx.weights, w)
+			st.nbrs, st.wts = append(st.nbrs, u), append(st.wts, w)
 			isNeighbor[v][u] = true
 		}
-		ctxs[v] = ctx
+		st.offsets[v+1] = int32(len(st.nbrs))
+		ctxs[v] = &Context{st: st, id: int32(v), sent: &scratch}
 	}
 	nodes := make([]Node, n)
 	for v := range nodes {
@@ -302,13 +305,7 @@ func referenceRun(topo Topology, bandwidth int, seed int64, factory NodeFactory,
 		nodes[v].Init(ctxs[v])
 	}
 
-	res := &Result{Outputs: make([]any, n)}
 	finish := func(err error) runOutcome {
-		for v, ctx := range ctxs {
-			if out, ok := ctx.Output(); ok {
-				res.Outputs[v] = out
-			}
-		}
 		o.res = res
 		o.setErr(err)
 		return o

@@ -28,8 +28,9 @@ import (
 // word is written by two workers. A round therefore costs
 // O(n/64W + awake/W + traffic/W) per worker behind two barriers. The result
 // is the same for every worker count, argued in DESIGN.md ("The congest hot
-// path"): a node's Round touches only its own state, its inbox and the
-// free tail of its own worker's send log, accounting folds per-worker sums
+// path"): a node's Round touches only its own state, its context, its
+// inbox, its own entry of the Result's outputs and the free tail of its own
+// worker's send log, accounting folds per-worker sums
 // and maxes in worker order, and ranges ascend with
 // the worker index, so the first range's direct deliveries followed by the
 // queues drained in worker order append each receiver's messages in
@@ -325,7 +326,7 @@ func (st *runState) validate(w int) (traffic RoundTraffic, maxEdgeBits int, err 
 	for i := range wk.sent {
 		msg := &wk.sent[i]
 		v, to := msg.From, msg.To
-		r := st.ctxs[v].neighborRank(to)
+		r := st.neighborRank(v, to)
 		if r < 0 {
 			err = fmt.Errorf("%w: node %d -> %d in round %d", ErrNotNeighbor, v, to, st.round)
 			return traffic, maxEdgeBits, err

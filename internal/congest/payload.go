@@ -118,21 +118,13 @@ func Broadcast(neighbors []int, payload any, bits int) []Message {
 // node's outbox), but a node that builds its messages each round should
 // use BroadcastAllInto(ctx.Outbox(), ...), which allocates nothing.
 func BroadcastAll(ctx *Context, payload any, bits int) []Message {
-	out := make([]Message, ctx.Degree())
-	for i := range out {
-		out[i] = Message{To: ctx.NeighborAt(i), Payload: payload, Bits: bits}
-	}
-	return out
+	return Broadcast(ctx.neighbors(), payload, bits)
 }
 
 // BroadcastAllWords is BroadcastAll for a word-encoded payload; its
 // allocation-free form is BroadcastAllWordsInto(ctx.Outbox(), ...).
 func BroadcastAllWords(ctx *Context, kind uint8, w0, w1 uint64, bits int) []Message {
-	out := make([]Message, ctx.Degree())
-	for i := range out {
-		out[i] = Message{To: ctx.NeighborAt(i), Kind: kind, W0: w0, W1: w1, Bits: bits}
-	}
-	return out
+	return BroadcastWordsInto(make([]Message, 0, ctx.Degree()), ctx.neighbors(), kind, w0, w1, bits)
 }
 
 // Append variants. The constructors above allocate a fresh slice per call;
@@ -180,17 +172,11 @@ func BroadcastWordsInto(dst []Message, neighbors []int, kind uint8, w0, w1 uint6
 // BroadcastAllInto appends one identical boxed message per neighbour of ctx
 // to dst and returns the extended slice.
 func BroadcastAllInto(dst []Message, ctx *Context, payload any, bits int) []Message {
-	for i, deg := 0, ctx.Degree(); i < deg; i++ {
-		dst = append(dst, Message{To: ctx.NeighborAt(i), Payload: payload, Bits: bits})
-	}
-	return dst
+	return BroadcastInto(dst, ctx.neighbors(), payload, bits)
 }
 
 // BroadcastAllWordsInto appends one identical word-encoded message per
 // neighbour of ctx to dst and returns the extended slice.
 func BroadcastAllWordsInto(dst []Message, ctx *Context, kind uint8, w0, w1 uint64, bits int) []Message {
-	for i, deg := 0, ctx.Degree(); i < deg; i++ {
-		dst = append(dst, Message{To: ctx.NeighborAt(i), Kind: kind, W0: w0, W1: w1, Bits: bits})
-	}
-	return dst
+	return BroadcastWordsInto(dst, ctx.neighbors(), kind, w0, w1, bits)
 }

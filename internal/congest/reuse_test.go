@@ -2,8 +2,10 @@ package congest
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"qdc/internal/graph"
 )
@@ -215,8 +217,9 @@ func runSetupAllocs(t *testing.T, n int, asCSR bool, workers int) (fresh, reused
 }
 
 // TestParkedStateDropsNodeState checks that an idle network keeps no node
-// program of its last run reachable, and no message in any worker's send
-// log, up to its capacity.
+// program of its last run reachable, no random source of a context (every
+// reuseNode draws from one), and no message in any worker's send log, up to
+// its capacity.
 func TestParkedStateDropsNodeState(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		nw := newReuseNetwork(t, nil)
@@ -231,6 +234,9 @@ func TestParkedStateDropsNodeState(t *testing.T) {
 			if st.nodes[v] != nil {
 				t.Fatalf("Workers=%d: parked state keeps node %d's program %v", workers, v, st.nodes[v])
 			}
+			if st.ctxs[v].rng != nil {
+				t.Fatalf("Workers=%d: parked state keeps node %d's random source", workers, v)
+			}
 		}
 		for w := range st.workers {
 			sent := st.workers[w].sent
@@ -243,5 +249,43 @@ func TestParkedStateDropsNodeState(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// pointerOutputNode outputs a fresh pointer, weakly recorded in outputs.
+type pointerOutputNode struct{ outputs []weak.Pointer[[64]byte] }
+
+func (*pointerOutputNode) Init(*Context) {}
+
+func (p *pointerOutputNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
+	out := new([64]byte)
+	p.outputs[ctx.ID()] = weak.Make(out)
+	ctx.SetOutput(out)
+	return nil, true
+}
+
+// TestParkedStateDropsOutputs checks that once a run's Result is dropped,
+// an idle network keeps none of the outputs its nodes set reachable.
+func TestParkedStateDropsOutputs(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		nw := newReuseNetwork(t, nil)
+		node := &pointerOutputNode{outputs: make([]weak.Pointer[[64]byte], nw.Size())}
+		res, err := nw.Run(func(*Context) Node { return node }, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, out := range res.Outputs {
+			if out != node.outputs[v].Value() {
+				t.Fatalf("Workers=%d: node %d's output %v is not the pointer it set", workers, v, out)
+			}
+		}
+		res = nil
+		runtime.GC()
+		for v, out := range node.outputs {
+			if out.Value() != nil {
+				t.Fatalf("Workers=%d: an idle network keeps node %d's output reachable", workers, v)
+			}
+		}
+		runtime.KeepAlive(nw)
 	}
 }

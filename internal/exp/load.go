@@ -38,8 +38,9 @@ func sortedKeys(m map[string]bool) []string {
 }
 
 // Validate checks that every axis of the matrix is non-empty and names only
-// topology families, algorithms and backends the harness knows, that sizes
-// and bandwidths are positive, and that no axis repeats a value (a repeated
+// topology families, algorithms and backends the harness knows, that every
+// topology's family can realise its size (the check its build runs), that
+// bandwidths are positive, and that no axis repeats a value (a repeated
 // cell would expand into colliding scenario names, which Compare and merge
 // both key on). It does not check cross-axis compatibility — Expand skips
 // incompatible cells by design — but it does reject a matrix whose whole
@@ -64,8 +65,8 @@ func (m Matrix) Validate() error {
 			return fmt.Errorf("matrix %q: unknown topology family %q (known: %v)",
 				m.Name, t.Family, sortedKeys(knownFamilies))
 		}
-		if t.Size < 2 {
-			return fmt.Errorf("matrix %q: topology %s needs size >= 2", m.Name, t)
+		if err := t.checkSize(); err != nil {
+			return fmt.Errorf("matrix %q: topology %s: %w", m.Name, t, err)
 		}
 		if t.Param < 0 || t.MaxWeight < 0 {
 			return fmt.Errorf("matrix %q: topology %s has a negative knob", m.Name, t)

@@ -90,6 +90,14 @@ func TestLoadMatrixErrors(t *testing.T) {
 		{"undersized topology", func(s string) string {
 			return strings.Replace(s, `"size": 9`, `"size": 1`, 1)
 		}, "size >= 2"},
+		// A size the family cannot realise fails at load, not in every
+		// scenario's build.
+		{"two-node cycle", func(s string) string {
+			return strings.Replace(s, `{"family": "path", "size": 9}`, `{"family": "cycle", "size": 2}`, 1)
+		}, "cycle needs size >= 3, got 2"},
+		{"one-vertex grid", func(s string) string {
+			return strings.Replace(s, `{"family": "path", "size": 9}`, `{"family": "grid", "size": 3}`, 1)
+		}, "grid needs size >= 4, got 3"},
 		{"non-positive bandwidth", func(s string) string {
 			return strings.Replace(s, `[32]`, `[0]`, 1)
 		}, "not positive"},

@@ -250,6 +250,22 @@ func (t TopologySpec) BuildCSR(rng *rand.Rand) (*graph.CSR, error) {
 	return csr, nil
 }
 
+// checkSize reports a size the topology's family cannot realise: every
+// family needs Size >= 2 (for lbnet, Γ >= 2), a cycle 3 vertices and a grid
+// 4. Matrix.Validate and emitEdges both call it, so a spec is refused at
+// load with the text its build would fail with.
+func (t TopologySpec) checkSize() error {
+	switch {
+	case t.Size < 2:
+		return fmt.Errorf("%s needs size >= 2, got %d", t.Family, t.Size)
+	case t.Family == FamilyCycle && t.Size < 3:
+		return fmt.Errorf("cycle needs size >= 3, got %d", t.Size)
+	case t.Family == FamilyGrid && t.vertices() < 4:
+		return fmt.Errorf("grid needs size >= 4, got %d", t.Size)
+	}
+	return nil
+}
+
 // emitEdges is the family table of the plain (non-lbnet) families. It
 // checks the spec, asks newGraph for a graph sized by the vertex-count rule
 // and streams the family's edges into the emitter it returns, in the
@@ -257,26 +273,20 @@ func (t TopologySpec) BuildCSR(rng *rand.Rand) (*graph.CSR, error) {
 // stream. The spec is checked before newGraph is called, so an invalid one
 // allocates nothing and both construction routes fail with the same error.
 func (t TopologySpec) emitEdges(rng *rand.Rand, newGraph func(n int) graph.EdgeEmitter) error {
-	if t.Size < 2 {
-		return fmt.Errorf("exp: %s needs size >= 2, got %d", t.Family, t.Size)
+	if err := t.checkSize(); err != nil {
+		return fmt.Errorf("exp: %w", err)
 	}
 	n := t.vertices()
 	switch t.Family {
 	case FamilyPath:
 		graph.EmitPath(n, newGraph(n))
 	case FamilyCycle:
-		if n < 3 {
-			return fmt.Errorf("exp: graph: cycle requires n >= 3, got %d", n)
-		}
 		graph.EmitCycle(n, newGraph(n))
 	case FamilyStar:
 		graph.EmitStar(n, newGraph(n))
 	case FamilyComplete:
 		graph.EmitComplete(n, newGraph(n))
 	case FamilyGrid:
-		if n < 4 {
-			return fmt.Errorf("exp: grid needs size >= 4, got %d", t.Size)
-		}
 		side := gridSide(t.Size)
 		graph.EmitGrid(side, side, newGraph(n))
 	case FamilyRandom:

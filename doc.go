@@ -32,10 +32,11 @@
 // # The internal/dist execution layer
 //
 // Every distributed algorithm is a CONGEST node program executed through the
-// engine.Runner interface (internal/dist/engine): RunStage installs per-node
-// inputs, runs the program to global termination, and accumulates a Stats
-// total of stages, rounds, messages and bits (classical and quantum,
-// accounted separately). The backends:
+// engine.Runner interface (internal/dist/engine): RunStage hands each node
+// its input for the stage, runs the program to global termination, and
+// accumulates a Stats total of stages, rounds, messages and bits (classical
+// and quantum, accounted separately). Every backend runs the stage through
+// one engine.Local; the re-accounting ones add a per-message trace:
 //
 //   - engine.NewLocal(topo, B, seed) — plain CONGEST(B) on any topology
 //     (engine.NewParallel is the same accounting with rounds stepped

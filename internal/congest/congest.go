@@ -31,9 +31,9 @@
 // every topology is read by rank through Topology.Neighbor into two flat
 // arrays, with no per-node copy, sort or weight lookup. A node's Context is
 // 32 bytes, two per cache line: its ID, its lazy random source and two
-// pointers, through which it reads n, B, its neighbours, its edge weights
-// and its input from the run's shared tables and writes its output
-// straight into the run's Result.
+// pointers, through which it reads n, B, its neighbours and its edge
+// weights from the run's shared tables, its input from the run's options,
+// and writes its output straight into the run's Result.
 // Together these carry the same bit-exact accounting from the paper-sized
 // networks up to million-node topologies; see DESIGN.md, "The congest hot
 // path" and "Compact payloads and streaming topologies".
@@ -193,10 +193,10 @@ func (c *Context) EdgeWeight(v int) (float64, bool) {
 	return c.st.wts[int(c.st.offsets[c.id])+r], true
 }
 
-// Input returns the problem-specific input assigned to this node via
-// Network.SetInput (nil if none). It reads the network's inputs when
-// called, so they must not change while a run is in progress.
-func (c *Context) Input() any { return c.st.nw.inputs[int(c.id)] }
+// Input returns the problem-specific input the run's Options.Inputs holds
+// for this node (nil if none). It reads the map when called, so the map
+// must not change while the run is in progress.
+func (c *Context) Input() any { return c.st.opts.Inputs[int(c.id)] }
 
 // Rand returns this node's private deterministic random source. Nodes at
 // different IDs receive independent streams; re-running the same network
@@ -257,13 +257,12 @@ type Topology interface {
 // logs), and the next Run resets that state in O(n) instead of rebuilding
 // it from the topology, so a multi-stage algorithm pays for the topology
 // once. The topology must therefore not change while the network is in
-// use, and the inputs must not change while a run is in progress: a
-// context reads its input when the node asks for it.
+// use. A network holds no per-node inputs: each run brings its own in
+// Options.Inputs, and an idle network keeps none of them reachable.
 type Network struct {
 	topo      Topology
 	bandwidth int
 	seed      int64
-	inputs    map[int]any
 	// parked is the working state of the last run that returned, or nil.
 	// Run takes it with a swap, so two runs never share one; a run that
 	// finds none builds its own.
@@ -282,31 +281,11 @@ func NewNetwork(topo Topology, bandwidth int) (*Network, error) {
 	if bandwidth <= 0 {
 		bandwidth = DefaultBandwidth
 	}
-	return &Network{
-		topo:      topo,
-		bandwidth: bandwidth,
-		seed:      1,
-		inputs:    make(map[int]any),
-	}, nil
+	return &Network{topo: topo, bandwidth: bandwidth, seed: 1}, nil
 }
 
 // SetSeed fixes the seed from which all per-node random streams are derived.
 func (nw *Network) SetSeed(seed int64) { nw.seed = seed }
-
-// SetInput assigns a problem-specific input to node id. It silently ignores
-// out-of-range ids (they cannot correspond to any node). Inputs must not
-// change while a run is in progress.
-func (nw *Network) SetInput(id int, input any) {
-	if id < 0 || id >= nw.topo.N() {
-		return
-	}
-	nw.inputs[id] = input
-}
-
-// ClearInputs removes all per-node inputs. The network keeps the room they
-// took, since a multi-stage algorithm sets about as many for its next
-// stage.
-func (nw *Network) ClearInputs() { clear(nw.inputs) }
 
 // Bandwidth returns the configured per-edge bandwidth.
 func (nw *Network) Bandwidth() int { return nw.bandwidth }
@@ -359,6 +338,11 @@ type Options struct {
 	// nodes terminate, Run returns the partial result and ErrRoundLimit.
 	// Zero means a default of 64*n + 64 rounds.
 	MaxRounds int
+	// Inputs holds the run's problem-specific input of each node by ID,
+	// which the node reads through Context.Input; a node without an entry
+	// reads nil, and keys outside 0..n-1 are ignored. Contexts read the map
+	// during the run, so it must not change until Run returns.
+	Inputs map[int]any
 	// Trace, if non-nil, is invoked for every accepted message with the
 	// round in which it was sent, in deterministic sender-ID order (outbox
 	// order within a sender). It is used by the Simulation Theorem engine
@@ -408,10 +392,10 @@ type Options struct {
 // handed to the factory are likewise valid only until Run returns, and a
 // node's SetOutput writes straight into the returned Result, so every exit
 // path, errors included, returns whatever the nodes managed to decide.
-// Contexts read the network's inputs during the run, so they must not
-// change until Run returns. The state of a run that a panic unwinds
-// through is dropped, and the next run builds a fresh one. See DESIGN.md,
-// "The congest hot path".
+// The inputs come with the run in opts.Inputs, and contexts read that map
+// during the run, so it must not change until Run returns. The state of a
+// run that a panic unwinds through is dropped, and the next run builds a
+// fresh one. See DESIGN.md, "The congest hot path".
 func (nw *Network) Run(factory NodeFactory, opts Options) (*Result, error) {
 	st := nw.parked.Swap(nil)
 	if st == nil {
@@ -431,10 +415,10 @@ func (nw *Network) Run(factory NodeFactory, opts Options) (*Result, error) {
 }
 
 // park keeps st for the next run. It first drops the finished run's node
-// programs, every context's random source, its options and its Result (and
-// with it every output), and zeroes every send log to its capacity, so an
-// idle network keeps no stage's node state, payloads or callbacks
-// reachable.
+// programs, every context's random source, its options (and with them its
+// inputs) and its Result (and with it every output), and zeroes every send
+// log to its capacity, so an idle network keeps no stage's node state,
+// inputs, payloads or callbacks reachable.
 func (nw *Network) park(st *runState) {
 	clear(st.nodes)
 	for v := range st.ctxs {

@@ -163,8 +163,6 @@ func TestContextView(t *testing.T) {
 	if nw.Bandwidth() != DefaultBandwidth {
 		t.Fatalf("bandwidth = %d, want default", nw.Bandwidth())
 	}
-	nw.SetInput(1, "hello")
-	nw.SetInput(99, "ignored")
 
 	type probe struct {
 		neighbors []int
@@ -184,7 +182,7 @@ func TestContextView(t *testing.T) {
 		probes[ctx.ID()] = p
 		return &floodMaxNode{}
 	}
-	if _, err := nw.Run(factory, Options{}); err != nil {
+	if _, err := nw.Run(factory, Options{Inputs: map[int]any{1: "hello", 99: "ignored"}}); err != nil {
 		t.Fatal(err)
 	}
 	if probes[1].input != "hello" || probes[0].input != nil {
@@ -346,21 +344,29 @@ func TestBroadcastHelper(t *testing.T) {
 	}
 }
 
-func TestClearInputs(t *testing.T) {
+// TestRunWithoutInputsSeesNone checks that inputs belong to the run that
+// brings them: a run without Inputs, on a network whose previous run had
+// some, sees none.
+func TestRunWithoutInputsSeesNone(t *testing.T) {
 	nw, _ := NewNetwork(graph.Path(2), 8)
-	nw.SetInput(0, 1)
-	nw.ClearInputs()
-	sawInput := false
+	var saw []any
 	factory := func(ctx *Context) Node {
-		if ctx.Input() != nil {
-			sawInput = true
-		}
+		saw = append(saw, ctx.Input())
 		return &floodMaxNode{}
 	}
+	if _, err := nw.Run(factory, Options{Inputs: map[int]any{0: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if saw[0] != 1 || saw[1] != nil {
+		t.Fatalf("a run with Inputs {0: 1} saw %v", saw)
+	}
+	saw = saw[:0]
 	if _, err := nw.Run(factory, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if sawInput {
-		t.Fatal("inputs should have been cleared")
+	for v, in := range saw {
+		if in != nil {
+			t.Fatalf("a run without Inputs: node %d sees input %v of the run before", v, in)
+		}
 	}
 }

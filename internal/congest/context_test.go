@@ -40,8 +40,8 @@ func (vn *viewNode) Round(ctx *congest.Context, round int, inbox []congest.Messa
 	return nil, true
 }
 
-// check returns how the view of node v differs from the topology and the
-// network's settings, or "" when it does not.
+// check returns how the view of node v differs from the topology, the
+// network's settings and the run's inputs, or "" when it does not.
 func (vn *viewNode) check(ctx *congest.Context, v int) string {
 	if ctx.N() != vn.topo.N() || ctx.Bandwidth() != vn.bandwidth {
 		return fmt.Sprintf("N %d, Bandwidth %d; want %d, %d", ctx.N(), ctx.Bandwidth(), vn.topo.N(), vn.bandwidth)
@@ -84,8 +84,8 @@ func (vn *viewNode) check(ctx *congest.Context, v int) string {
 }
 
 // TestContextViewMatchesTopology checks every part of every node's view,
-// read from the run's flat tables, against the topology it was built from
-// and the network's settings: on a weighted random graph and on a star
+// read from the run's flat tables, against the topology it was built from,
+// the network's settings and the run's inputs: on a weighted random graph and on a star
 // whose hub has more neighbours than neighbourRank scans linearly, each as
 // a *graph.Graph and as its CSR, stepping on the caller and on four
 // workers.
@@ -111,7 +111,6 @@ func TestContextViewMatchesTopology(t *testing.T) {
 				inputs := map[int]any{}
 				for v := 0; v < topo.N(); v += 3 {
 					inputs[v] = v * 7
-					nw.SetInput(v, v*7)
 				}
 				vn := &viewNode{topo: topo, bandwidth: bandwidth, seed: seed, inputs: inputs,
 					problems: make([]string, topo.N())}
@@ -119,7 +118,7 @@ func TestContextViewMatchesTopology(t *testing.T) {
 					vn.problems[v] = "never stepped"
 				}
 				if _, err := nw.Run(func(*congest.Context) congest.Node { return vn },
-					congest.Options{Workers: workers}); err != nil {
+					congest.Options{Workers: workers, Inputs: inputs}); err != nil {
 					t.Fatal(err)
 				}
 				for v, p := range vn.problems {

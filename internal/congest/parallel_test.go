@@ -59,8 +59,8 @@ func TestWorkersProduceIdenticalResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		nw.SetSeed(9)
-		nw.SetInput(5, 1000)
-		res, err := nw.Run(func(*Context) Node { return &mixerNode{rounds: 20} }, Options{Workers: workers})
+		res, err := nw.Run(func(*Context) Node { return &mixerNode{rounds: 20} },
+			Options{Workers: workers, Inputs: map[int]any{5: 1000}})
 		if err != nil {
 			t.Fatal(err)
 		}

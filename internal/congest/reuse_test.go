@@ -42,9 +42,11 @@ func (r *reuseNode) Round(ctx *Context, round int, inbox []Message) ([]Message, 
 
 func reuseFactory(*Context) Node { return &reuseNode{} }
 
+// reuseInputs are the inputs of the reuse tests' runs, on two nodes.
+var reuseInputs = map[int]any{2: 20, 50: 500}
+
 // newReuseNetwork is the network of the reuse tests: a 64-node cycle at
-// B = 16 with seed 3 and inputs on two nodes, retuned by each of tunes in
-// order.
+// B = 16 with seed 3, retuned by each of tunes in order.
 func newReuseNetwork(t *testing.T, tunes []func(*Network)) *Network {
 	t.Helper()
 	g, err := graph.Cycle(64)
@@ -56,8 +58,6 @@ func newReuseNetwork(t *testing.T, tunes []func(*Network)) *Network {
 		t.Fatal(err)
 	}
 	nw.SetSeed(3)
-	nw.SetInput(2, 20)
-	nw.SetInput(50, 500)
 	for _, tune := range tunes {
 		tune(nw)
 	}
@@ -70,8 +70,9 @@ func newReuseNetwork(t *testing.T, tunes []func(*Network)) *Network {
 // something a reused state must not carry into the next run: a node panic
 // leaves the edge slots of the ranges that validated charged, a round-limit
 // exit and a cancel leave messages in the inboxes, a validation error
-// leaves the first range's direct deliveries there, and a SetSeed and
-// SetInput between runs change every context's random stream and input.
+// leaves the first range's direct deliveries there, and a SetSeed between
+// runs changes every context's random stream while the next clean run
+// brings a changed input in its Options.Inputs.
 // Two goroutines calling Run on one network at once must each match a
 // fresh network too; run it under -race.
 func TestReusedNetworkMatchesFresh(t *testing.T) {
@@ -82,6 +83,7 @@ func TestReusedNetworkMatchesFresh(t *testing.T) {
 		cancelAt  int    // the round before which Cancel stops the run; 0 for none
 		want      string // the exit's error or panic text
 		tune      func(*Network)
+		inputs    map[int]any // the clean runs' inputs from this exit on; nil keeps them
 	}{
 		{name: "panic", factory: func(ctx *Context) Node { return &fuseNode{trigger: ctx.ID() == 4} },
 			want: "congest: node 4 panicked in round 2: short circuit"},
@@ -92,15 +94,15 @@ func TestReusedNetworkMatchesFresh(t *testing.T) {
 		{name: "cancel", factory: reuseFactory, cancelAt: 3,
 			want: "congest: run cancelled: before round 3"},
 		{name: "SetSeed", factory: reuseFactory,
-			tune: func(nw *Network) { nw.SetSeed(11); nw.SetInput(2, 21) }},
+			tune: func(nw *Network) { nw.SetSeed(11) }, inputs: map[int]any{2: 21, 50: 500}},
 	}
-	clean := Options{PerRound: true}
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			var tunes []func(*Network)
 			nw := newReuseNetwork(t, nil)
+			clean := Options{PerRound: true, Inputs: reuseInputs}
 			for _, exit := range exits {
-				opts := Options{MaxRounds: exit.maxRounds}
+				opts := Options{MaxRounds: exit.maxRounds, Inputs: reuseInputs}
 				if exit.cancelAt > 0 {
 					polls := 0
 					opts.Cancel = func() bool { polls++; return polls == exit.cancelAt }
@@ -113,6 +115,9 @@ func TestReusedNetworkMatchesFresh(t *testing.T) {
 					tunes = append(tunes, exit.tune)
 					exit.tune(nw)
 				}
+				if exit.inputs != nil {
+					clean.Inputs = exit.inputs
+				}
 				want := fuzzRun(newReuseNetwork(t, tunes), reuseFactory, clean, workers)
 				if want.err != "" || want.panic != "" {
 					t.Fatalf("after %s: fresh clean run ended with %q%q", exit.name, want.err, want.panic)
@@ -124,6 +129,7 @@ func TestReusedNetworkMatchesFresh(t *testing.T) {
 		})
 	}
 	t.Run("concurrent", func(t *testing.T) {
+		clean := Options{PerRound: true, Inputs: reuseInputs}
 		want := fuzzRun(newReuseNetwork(t, nil), reuseFactory, clean, 1)
 		nw := newReuseNetwork(t, nil)
 		var wg sync.WaitGroup
@@ -223,7 +229,7 @@ func runSetupAllocs(t *testing.T, n int, asCSR bool, workers int) (fresh, reused
 func TestParkedStateDropsNodeState(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		nw := newReuseNetwork(t, nil)
-		if _, err := nw.Run(reuseFactory, Options{Workers: workers}); err != nil {
+		if _, err := nw.Run(reuseFactory, Options{Workers: workers, Inputs: reuseInputs}); err != nil {
 			t.Fatal(err)
 		}
 		st := nw.parked.Load()
@@ -285,6 +291,36 @@ func TestParkedStateDropsOutputs(t *testing.T) {
 			if out.Value() != nil {
 				t.Fatalf("Workers=%d: an idle network keeps node %d's output reachable", workers, v)
 			}
+		}
+		runtime.KeepAlive(nw)
+	}
+}
+
+// TestParkedStateDropsInputs checks that an idle network keeps none of its
+// last run's inputs reachable: they came in the run's options, which
+// parking drops.
+func TestParkedStateDropsInputs(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		nw := newReuseNetwork(t, nil)
+		in := new([64]byte)
+		weakIn := weak.Make(in)
+		saw := false
+		factory := func(ctx *Context) Node {
+			if ctx.ID() == 3 {
+				saw = ctx.Input() == any(in)
+			}
+			return &silentNode{}
+		}
+		if _, err := nw.Run(factory, Options{Workers: workers, Inputs: map[int]any{3: in}}); err != nil {
+			t.Fatal(err)
+		}
+		if !saw {
+			t.Fatalf("Workers=%d: node 3 did not read the pointer it was given", workers)
+		}
+		in = nil
+		runtime.GC()
+		if weakIn.Value() != nil {
+			t.Fatalf("Workers=%d: an idle network keeps its last run's input reachable", workers)
 		}
 		runtime.KeepAlive(nw)
 	}

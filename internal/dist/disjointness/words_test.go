@@ -93,12 +93,11 @@ func runPathTraced(t *testing.T, nodes, bandwidth int, x, y []int, factory conge
 		t.Fatal(err)
 	}
 	nw.SetSeed(13)
-	nw.SetInput(0, pathInput{X: x})
-	nw.SetInput(nodes-1, pathInput{Y: y})
 	chunks := (len(x) + bandwidth - 1) / bandwidth
 	var evs []traceEv
 	res, err := nw.Run(factory, congest.Options{
 		MaxRounds: chunks + 2*nodes + 16,
+		Inputs:    map[int]any{0: pathInput{X: x}, nodes - 1: pathInput{Y: y}},
 		Workers:   workers,
 		Trace: func(round int, m congest.Message) {
 			evs = append(evs, traceEv{round, m.From, m.To, m.Bits, m.Quantum})

@@ -4,26 +4,30 @@
 // round/message/bit accounting, independent of the backend that actually
 // carries the messages.
 //
-// Three backends implement Runner today:
+// The paper's three cost models are one execution charged three ways, and
+// the backends say exactly that. A stage runs in one place, Local.RunTraced
+// on a congest.Network; each backend is a Local plus its accounting:
 //
-//   - NewLocal (this package) runs stages directly on a congest.Network —
-//     the plain CONGEST(B) model of Section 2.1 of the paper. Parallelism is
-//     a knob of this backend, not a backend of its own: NewParallel returns
-//     the same Local runner with rounds stepped across GOMAXPROCS worker
-//     goroutines (SetWorkers adjusts the count), bit-for-bit equivalent.
-//   - NewQuantum (this package) runs stages classically for their outputs
-//     but re-accounts every streaming stage with the distributed-Grover
-//     round formula of Example 1.1 (internal/quantum.GroverRounds): the
-//     quantum cost model under which Set Disjointness beats the classical
-//     Θ(D + b/B) pipeline at small diameters.
-//   - simulation.Runner (internal/simulation) runs the same stages on the
-//     lower-bound network while re-accounting every message to the three
+//   - NewLocal (this package) is the plain CONGEST(B) model of Section 2.1
+//     of the paper. Parallelism is a knob of this backend, not a backend of
+//     its own: NewParallel returns the same Local runner with rounds stepped
+//     across GOMAXPROCS worker goroutines (SetWorkers adjusts the count),
+//     bit-for-bit equivalent.
+//   - NewQuantum (this package) is a Local whose stages also feed a
+//     per-message trace of the stream volume, from which every streaming
+//     stage is re-accounted with the distributed-Grover round formula of
+//     Example 1.1 (internal/quantum.GroverRounds): the quantum cost model
+//     under which Set Disjointness beats the classical Θ(D + b/B) pipeline
+//     at small diameters.
+//   - simulation.Runner (internal/simulation) is a Local on the lower-bound
+//     network whose per-message trace charges every message to the three
 //     parties of the Server model (the Quantum Simulation Theorem,
 //     Theorem 3.5).
 //
-// Because all backends expose the identical RunStage contract, every
-// algorithm in internal/dist/{verify,mst,disjointness} executes unchanged
-// under any accounting; see DESIGN.md for the substitution table.
+// Because all backends run the same stage through the identical RunStage
+// contract, every algorithm in internal/dist/{verify,mst,disjointness}
+// executes unchanged under any accounting, with the same results; see
+// DESIGN.md for the substitution table.
 //
 // Every constructor takes a congest.Topology, the view that lists each
 // node's neighbours by rank. *graph.Graph satisfies it, and so does
@@ -128,11 +132,12 @@ type StageObserver interface {
 // Runner executes CONGEST node programs stage by stage on some backend.
 //
 // A stage is one complete run of a node program on every node of the
-// network: RunStage installs the per-node inputs, runs the factory's nodes
-// until global termination (or maxRounds; maxRounds <= 0 selects the
-// backend's default), and returns the per-stage result. Stats accumulate
-// across stages, so a multi-stage algorithm's total cost is the difference
-// between the Stats snapshots taken around its stages.
+// network: RunStage hands each node its entry of inputs, runs the
+// factory's nodes until global termination (or maxRounds; maxRounds <= 0
+// selects the backend's default), and returns the per-stage result. The
+// inputs belong to that stage alone. Stats accumulate across stages, so a
+// multi-stage algorithm's total cost is the difference between the Stats
+// snapshots taken around its stages.
 type Runner interface {
 	// RunStage executes one node program to completion.
 	RunStage(factory congest.NodeFactory, inputs map[int]any, maxRounds int) (*congest.Result, error)
@@ -145,9 +150,13 @@ type Runner interface {
 }
 
 // Local is the plain CONGEST(B) backend: stages run directly on a
-// congest.Network with no extra accounting. With more than one worker each
-// round splits the node IDs into one contiguous range per goroutine, and
-// every worker steps, validates and delivers for its own range
+// congest.Network with no extra accounting. It is also the one place any
+// stage runs: Quantum and simulation.Runner embed a Local and hand their
+// per-message accounting to RunTraced, so the network, the worker count,
+// the cancel poll, the observer and the classical Stats are the Local's
+// under every backend. With more than one worker each round splits the
+// node IDs into one contiguous range per goroutine, and every worker
+// steps, validates and delivers for its own range
 // (congest.Options.Workers). Because CONGEST nodes interact only through
 // messages delivered at round boundaries and every node owns a private
 // random stream, the run is bit-for-bit identical to the sequential one —
@@ -200,36 +209,31 @@ func (l *Local) SetObserver(obs StageObserver) { l.obs = obs }
 
 // RunStage implements Runner.
 func (l *Local) RunStage(factory congest.NodeFactory, inputs map[int]any, maxRounds int) (*congest.Result, error) {
-	return runNetworkStage(l.net, &l.stats, l.obs, factory, inputs, congest.Options{MaxRounds: maxRounds, Workers: l.workers, Cancel: l.cancel})
+	return l.RunTraced(factory, inputs, maxRounds, nil)
 }
 
-// runNetworkStage installs the inputs, runs one stage on a congest.Network
-// and folds the result into the runner's accumulated stats. It is shared by
-// the Local and Quantum backends, which differ only in congest.Options.
-// With an observer installed the stage also records the per-round traffic
-// split and hands the result to the observer — including partial results
-// of failed stages.
-func runNetworkStage(net *congest.Network, stats *Stats, obs StageObserver, factory congest.NodeFactory, inputs map[int]any, opts congest.Options) (*congest.Result, error) {
-	net.ClearInputs()
-	for id, in := range inputs {
-		net.SetInput(id, in)
-	}
-	if obs != nil {
-		opts.PerRound = true
-	}
-	res, err := net.Run(factory, opts)
+// RunTraced runs one stage with the given per-node inputs, calling trace
+// for every accepted message (see congest.Options.Trace; nil traces
+// nothing), and folds the result into Stats. The inputs travel with the
+// run, so the network keeps none of them once the stage ends. With an
+// observer installed the stage also records the per-round traffic split
+// and hands the result to the observer — including partial results of
+// failed stages.
+func (l *Local) RunTraced(factory congest.NodeFactory, inputs map[int]any, maxRounds int, trace func(round int, msg congest.Message)) (*congest.Result, error) {
+	res, err := l.net.Run(factory, congest.Options{MaxRounds: maxRounds, Inputs: inputs, Trace: trace,
+		Workers: l.workers, Cancel: l.cancel, PerRound: l.obs != nil})
 	if res != nil {
-		stats.Stages++
-		stats.Rounds += res.Rounds
-		stats.Messages += res.TotalMessages
-		stats.Bits += res.TotalBits
-		stats.QuantumBits += res.QuantumBits
-		if obs != nil {
-			obs.StageDone(res)
+		l.stats.Stages++
+		l.stats.Rounds += res.Rounds
+		l.stats.Messages += res.TotalMessages
+		l.stats.Bits += res.TotalBits
+		l.stats.QuantumBits += res.QuantumBits
+		if l.obs != nil {
+			l.obs.StageDone(res)
 		}
 	}
 	if err != nil {
-		return res, fmt.Errorf("engine: stage %d: %w", stats.Stages, err)
+		return res, fmt.Errorf("engine: stage %d: %w", l.stats.Stages, err)
 	}
 	return res, nil
 }

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"weak"
 
 	"qdc/internal/congest"
 	"qdc/internal/graph"
@@ -88,5 +90,37 @@ func TestRunStagePropagatesRoundLimit(t *testing.T) {
 	// The failed stage is still accounted for.
 	if st := r.Stats(); st.Stages != 1 || st.Rounds != 5 {
 		t.Fatalf("stats after failed stage: %+v", st)
+	}
+}
+
+// TestIdleRunnerDropsStageInputs checks that a runner whose stage has
+// returned keeps none of that stage's inputs reachable, under the plain and
+// the Grover-accounted backend.
+func TestIdleRunnerDropsStageInputs(t *testing.T) {
+	local, err := NewLocal(graph.Path(3), 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quantum, err := NewQuantum(graph.Path(3), 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := func(*congest.Context) congest.Node { return &echoNode{rounds: 1} }
+	for name, r := range map[string]Runner{"local": local, "quantum": quantum} {
+		in := new([64]byte)
+		weakIn := weak.Make(in)
+		res, err := r.RunStage(factory, map[int]any{1: in}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Outputs[1] != any(in) {
+			t.Fatalf("%s: node 1 output %v, not its input", name, res.Outputs[1])
+		}
+		in, res = nil, nil
+		runtime.GC()
+		if weakIn.Value() != nil {
+			t.Errorf("%s: an idle runner keeps its last stage's input reachable", name)
+		}
+		runtime.KeepAlive(r)
 	}
 }

@@ -1,16 +1,14 @@
 package engine
 
 import (
-	"fmt"
-
 	"qdc/internal/congest"
 	"qdc/internal/quantum"
 )
 
-// Quantum is the Grover re-accounting backend of Example 1.1: stages execute
-// classically on a congest.Network — so outputs, verdicts and termination
-// are identical to Local — but their cost is re-accounted under the
-// distributed-Grover protocol instead of the classical pipeline.
+// Quantum is the Grover re-accounting backend of Example 1.1: a Local whose
+// stages also trace their stream volume. Stages execute classically — so
+// outputs, verdicts and termination are identical to Local — but their cost
+// is re-accounted under the distributed-Grover protocol.
 //
 // The substitution rule is the one the paper applies to Set Disjointness: a
 // stage that classically streams a b-bit input between two players at hop
@@ -27,16 +25,16 @@ import (
 // qubits on the wire, all of them counted in Stats.QuantumBits), which is
 // what the experiment harness compares against the classical backends to
 // measure the paper's crossover diameter; the observed classical cost of
-// the same execution stays available through Report().
+// the same execution, the embedded Local's Stats, stays available through
+// Report(). The observer (SetObserver) sees the *classical* execution's
+// Result, the one whose per-round traffic actually exists — the Grover
+// re-accounting has no round-by-round trace, only the per-stage totals in
+// Stats().
 type Quantum struct {
-	net      *congest.Network
+	*Local
 	diameter int
-	cancel   func() bool
-	obs      StageObserver
-
-	stats     Stats // quantum-accounted, returned by Stats()
-	classical Stats // observed plain CONGEST cost of the same stages
-	last      GroverStage
+	stats    Stats // quantum-accounted, returned by Stats()
+	last     GroverStage
 }
 
 // GroverStage is the re-accounting of one stage under the Grover
@@ -59,26 +57,12 @@ type GroverStage struct {
 // over the given topology under Grover re-accounting. A bandwidth <= 0
 // selects congest.DefaultBandwidth.
 func NewQuantum(topo congest.Topology, bandwidth int, seed int64) (*Quantum, error) {
-	if topo == nil {
-		return nil, ErrNilTopology
-	}
-	net, err := congest.NewNetwork(topo, bandwidth)
+	l, err := NewLocal(topo, bandwidth, seed)
 	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
+		return nil, err
 	}
-	net.SetSeed(seed)
-	return &Quantum{net: net, diameter: topologyDiameter(topo)}, nil
+	return &Quantum{Local: l, diameter: topologyDiameter(topo)}, nil
 }
-
-// SetCancel installs a cancellation poll checked at every round boundary of
-// subsequent stages; see congest.Options.Cancel.
-func (q *Quantum) SetCancel(cancel func() bool) { q.cancel = cancel }
-
-// SetObserver installs a per-stage observer for subsequent stages; nil
-// removes it. The observer sees the *classical* execution's Result (the one
-// whose per-round traffic actually exists) — the Grover re-accounting has no
-// round-by-round trace, only the per-stage totals in Stats().
-func (q *Quantum) SetObserver(obs StageObserver) { q.obs = obs }
 
 // RunStage implements Runner. The stage runs classically (identical outputs
 // to Local for the same topology, bandwidth and seed); its cost is folded
@@ -89,7 +73,7 @@ func (q *Quantum) RunStage(factory congest.NodeFactory, inputs map[int]any, maxR
 	trace := func(round int, msg congest.Message) {
 		edgeBits[directed{from: msg.From, to: msg.To}] += int64(msg.Bits)
 	}
-	res, err := runNetworkStage(q.net, &q.classical, q.obs, factory, inputs, congest.Options{MaxRounds: maxRounds, Trace: trace, Cancel: q.cancel})
+	res, err := q.Local.RunTraced(factory, inputs, maxRounds, trace)
 	if res != nil {
 		var stream int64
 		for _, bits := range edgeBits {
@@ -155,12 +139,6 @@ func topologyDiameter(topo congest.Topology) int {
 	return diameter
 }
 
-// Bandwidth implements Runner.
-func (q *Quantum) Bandwidth() int { return q.net.Bandwidth() }
-
-// Size implements Runner.
-func (q *Quantum) Size() int { return q.net.Size() }
-
 // Stats implements Runner: the quantum-accounted cost.
 func (q *Quantum) Stats() Stats { return q.stats }
 
@@ -182,7 +160,7 @@ type QuantumReport struct {
 
 // Report returns the current summary.
 func (q *Quantum) Report() QuantumReport {
-	return QuantumReport{Quantum: q.stats, Classical: q.classical, Diameter: q.diameter, LastStage: q.last}
+	return QuantumReport{Quantum: q.stats, Classical: q.Local.Stats(), Diameter: q.diameter, LastStage: q.last}
 }
 
 // Compile-time interface check.

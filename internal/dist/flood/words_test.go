@@ -70,10 +70,10 @@ func runTraced(t *testing.T, topo congest.Topology, factory congest.NodeFactory,
 		t.Fatal(err)
 	}
 	nw.SetSeed(11)
-	nw.SetInput(0, true)
 	var evs []traceEv
 	res, err := nw.Run(factory, congest.Options{
 		MaxRounds: topo.N() + 2,
+		Inputs:    map[int]any{0: true},
 		Workers:   workers,
 		Trace: func(round int, m congest.Message) {
 			evs = append(evs, traceEv{round, m.From, m.To, m.Bits, m.Quantum})

@@ -1,8 +1,12 @@
 package verify_test
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
+	"qdc/internal/congest"
 	"qdc/internal/dist/engine"
 	"qdc/internal/dist/verify"
 	"qdc/internal/graph"
@@ -133,11 +137,32 @@ func TestDegreeCheckIsDiameterBound(t *testing.T) {
 	}
 }
 
-// Acceptance criterion of the dist layer: both backends implement
-// engine.Runner, and the degree-two check run under the simulation backend
-// charges Server-model cost consistent with Theorem 3.5 — at most the
-// O(B·log L) per-round bound, within the L/2 − 2 round budget.
-func TestDegreeCheckUnderBothBackends(t *testing.T) {
+// stageRecorder is an engine.StageObserver that keeps a copy of every
+// stage's Result.
+type stageRecorder struct{ stages []congest.Result }
+
+func (s *stageRecorder) StageDone(res *congest.Result) {
+	stage := *res
+	stage.PerRound = slices.Clone(res.PerRound)
+	stage.Outputs = slices.Clone(res.Outputs)
+	s.stages = append(s.stages, stage)
+}
+
+// summary prints a Result's scalar fields and the lengths of its slices.
+func summary(r congest.Result) string {
+	return fmt.Sprintf("rounds %d, terminated %v, %d messages, %d bits, %d qubits, %d max edge bits, %d per-round entries, %d outputs",
+		r.Rounds, r.Terminated, r.TotalMessages, r.TotalBits, r.QuantumBits, r.MaxEdgeBitsPerRound, len(r.PerRound), len(r.Outputs))
+}
+
+// Acceptance criterion of the dist layer: the paper's three cost models are
+// one execution charged three ways. The degree-two check runs the same
+// stages under the plain, the Theorem 3.5 and the Grover-accounted backend:
+// every stage's Result is equal field for field, per-round traffic and
+// outputs included, and so is the classical Stats the three keep. Under the
+// simulation backend it charges Server-model cost consistent with Theorem
+// 3.5 — at most the O(B·log L) per-round bound, within the L/2 − 2 round
+// budget.
+func TestDegreeCheckUnderEveryCostModel(t *testing.T) {
 	nw, err := lbnetwork.New(8, 257)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +176,6 @@ func TestDegreeCheckUnderBothBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var backends = map[string]engine.Runner{}
 	local, err := engine.NewLocal(nw.Graph, 64, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -160,23 +184,48 @@ func TestDegreeCheckUnderBothBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backends["local"], backends["simulation"] = local, sim
-
-	rounds := map[string]int{}
-	for name, r := range backends {
+	quantum, err := engine.NewQuantum(nw.Graph, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"local", "simulation", "quantum"}
+	runners := []interface {
+		engine.Runner
+		SetObserver(engine.StageObserver)
+	}{local, sim, quantum}
+	recorders := make([]stageRecorder, len(runners))
+	for i, r := range runners {
+		r.SetObserver(&recorders[i])
 		out, err := verify.DegreeTwoCheck(r, nw.Graph, emb.M)
 		if err != nil {
-			t.Fatalf("%s backend: %v", name, err)
+			t.Fatalf("%s backend: %v", names[i], err)
 		}
 		if !out.Answer {
-			t.Fatalf("%s backend rejected the embedded M", name)
+			t.Fatalf("%s backend rejected the embedded M", names[i])
 		}
-		rounds[name] = out.Stats.Rounds
 	}
-	// The same algorithm costs the same number of rounds under either
-	// backend; only the accounting differs.
-	if rounds["local"] != rounds["simulation"] {
-		t.Fatalf("round counts diverge across backends: %+v", rounds)
+	// Every backend runs the same stages; only the accounting differs.
+	want := recorders[0].stages
+	if len(want) == 0 {
+		t.Fatal("the local backend observed no stage")
+	}
+	for i := 1; i < len(runners); i++ {
+		got := recorders[i].stages
+		if len(got) != len(want) {
+			t.Fatalf("%s backend ran %d stages, local %d", names[i], len(got), len(want))
+		}
+		for s := range want {
+			if !reflect.DeepEqual(got[s], want[s]) {
+				t.Fatalf("%s backend, stage %d: Result differs from local's:\n got %s\nwant %s",
+					names[i], s+1, summary(got[s]), summary(want[s]))
+			}
+		}
+	}
+	if got, want := sim.Stats(), local.Stats(); got != want {
+		t.Fatalf("simulation Stats %+v, want local's %+v", got, want)
+	}
+	if got, want := quantum.Report().Classical, local.Stats(); got != want {
+		t.Fatalf("quantum Report().Classical %+v, want local's Stats %+v", got, want)
 	}
 
 	rep := sim.Report()

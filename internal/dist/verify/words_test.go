@@ -236,12 +236,10 @@ func runStageTraced(t *testing.T, topo congest.Topology, inputs map[int]any, fac
 		t.Fatal(err)
 	}
 	nw.SetSeed(5)
-	for v, in := range inputs {
-		nw.SetInput(v, in)
-	}
 	var evs []traceEv
 	res, err := nw.Run(factory, congest.Options{
 		MaxRounds: maxRounds,
+		Inputs:    inputs,
 		Workers:   workers,
 		Trace: func(round int, m congest.Message) {
 			evs = append(evs, traceEv{round, m.From, m.To, m.Bits, m.Quantum})

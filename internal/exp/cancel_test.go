@@ -8,22 +8,21 @@ import (
 	"qdc/internal/congest"
 )
 
-// TestRunScenarioCancelled proves the cancel poll reaches the backend's
+// TestRunScenarioCancelled proves the cancel poll reaches every backend's
 // round loop: a scenario run with an already-fired cancel stops with
 // congest.ErrCancelled instead of completing.
 func TestRunScenarioCancelled(t *testing.T) {
-	for _, backend := range []string{BackendLocal, BackendParallel, BackendQuantum} {
-		s := Scenario{
-			Name:      "cancelled-" + backend,
-			Topology:  TopologySpec{Family: FamilyPath, Size: 9},
-			Algorithm: AlgDisjointness,
-			Backend:   backend,
-			Bandwidth: 4,
-			Seed:      5,
-		}
+	path := TopologySpec{Family: FamilyPath, Size: 9}
+	for _, s := range []Scenario{
+		{Topology: path, Algorithm: AlgDisjointness, Backend: BackendLocal, Bandwidth: 4},
+		{Topology: path, Algorithm: AlgDisjointness, Backend: BackendParallel, Bandwidth: 4},
+		{Topology: path, Algorithm: AlgDisjointness, Backend: BackendQuantum, Bandwidth: 4},
+		{Topology: TopologySpec{Family: FamilyLBNet, Size: 4, Param: 9}, Algorithm: AlgVerify, Backend: BackendSimulation, Bandwidth: 32},
+	} {
+		s.Name, s.Seed = "cancelled-"+s.Backend, 5
 		rec := runScenario(s, 1, func() bool { return true }, false)
 		if rec.Error == "" || !strings.Contains(rec.Error, congest.ErrCancelled.Error()) {
-			t.Errorf("%s: record = %+v, want a %q error", backend, rec, congest.ErrCancelled)
+			t.Errorf("%s: record = %+v, want a %q error", s.Backend, rec, congest.ErrCancelled)
 		}
 	}
 }

@@ -20,7 +20,6 @@ package simulation
 
 import (
 	"errors"
-	"fmt"
 
 	"qdc/internal/congest"
 	"qdc/internal/dist/engine"
@@ -31,13 +30,14 @@ import (
 var ErrNilNetwork = errors.New("simulation: nil network")
 
 // Runner executes CONGEST stages on the lower-bound network while measuring
-// the Server-model communication of the induced three-party simulation.
+// the Server-model communication of the induced three-party simulation. It
+// is an engine.Local over the network's graph plus that accounting: each
+// stage runs through the embedded Local with a per-message trace that
+// charges the message to its owner, so the stage's Result and the Runner's
+// Stats, cancel poll, worker count and observer are the Local's.
 type Runner struct {
-	net        *lbnetwork.Network
-	congestNet *congest.Network
-	cancel     func() bool
-	obs        engine.StageObserver
-	stats      engine.Stats
+	*engine.Local
+	net *lbnetwork.Network
 
 	carolBits  int64
 	davidBits  int64
@@ -52,22 +52,17 @@ func NewRunner(net *lbnetwork.Network, bandwidth int, seed int64) (*Runner, erro
 	if net == nil {
 		return nil, ErrNilNetwork
 	}
-	cn, err := congest.NewNetwork(net.Graph, bandwidth)
+	l, err := engine.NewLocal(net.Graph, bandwidth, seed)
 	if err != nil {
-		return nil, fmt.Errorf("simulation: %w", err)
+		return nil, err
 	}
-	cn.SetSeed(seed)
-	return &Runner{net: net, congestNet: cn}, nil
+	return &Runner{Local: l, net: net}, nil
 }
 
 // RunStage implements engine.Runner. Ownership time continues across stages:
 // the t-th round of the whole multi-stage execution uses the partition S^t.
 func (r *Runner) RunStage(factory congest.NodeFactory, inputs map[int]any, maxRounds int) (*congest.Result, error) {
-	r.congestNet.ClearInputs()
-	for id, in := range inputs {
-		r.congestNet.SetInput(id, in)
-	}
-	baseRound := r.stats.Rounds
+	baseRound := r.Stats().Rounds
 	budget := r.net.MaxSimulationRounds()
 	trace := func(round int, msg congest.Message) {
 		t := baseRound + round // global 1-based round index
@@ -97,39 +92,8 @@ func (r *Runner) RunStage(factory congest.NodeFactory, inputs map[int]any, maxRo
 			r.serverBits += int64(msg.Bits)
 		}
 	}
-	res, err := r.congestNet.Run(factory, congest.Options{MaxRounds: maxRounds, Trace: trace, Cancel: r.cancel, PerRound: r.obs != nil})
-	if res != nil {
-		r.stats.Stages++
-		r.stats.Rounds += res.Rounds
-		r.stats.Messages += res.TotalMessages
-		r.stats.Bits += res.TotalBits
-		r.stats.QuantumBits += res.QuantumBits
-		if r.obs != nil {
-			r.obs.StageDone(res)
-		}
-	}
-	if err != nil {
-		return res, fmt.Errorf("simulation: stage %d: %w", r.stats.Stages, err)
-	}
-	return res, nil
+	return r.Local.RunTraced(factory, inputs, maxRounds, trace)
 }
-
-// SetCancel installs a cancellation poll checked at every round boundary of
-// subsequent stages; see congest.Options.Cancel.
-func (r *Runner) SetCancel(cancel func() bool) { r.cancel = cancel }
-
-// SetObserver installs a per-stage observer for subsequent stages; nil
-// removes it. See engine.StageObserver.
-func (r *Runner) SetObserver(obs engine.StageObserver) { r.obs = obs }
-
-// Bandwidth implements engine.Runner.
-func (r *Runner) Bandwidth() int { return r.congestNet.Bandwidth() }
-
-// Size implements engine.Runner.
-func (r *Runner) Size() int { return r.congestNet.Size() }
-
-// Stats implements engine.Runner.
-func (r *Runner) Stats() engine.Stats { return r.stats }
 
 // CarolBits returns the bits charged to Carol (messages produced by
 // Carol-owned nodes that another party had to receive).
@@ -163,13 +127,13 @@ func (r *Runner) PerRoundBound() int64 {
 // TheoremBound returns the total Server-model cost bound O(B·log L·T) for
 // the number of rounds executed so far.
 func (r *Runner) TheoremBound() int64 {
-	return r.PerRoundBound() * int64(r.stats.Rounds)
+	return r.PerRoundBound() * int64(r.Stats().Rounds)
 }
 
 // WithinRoundBudget reports whether the execution finished within the
 // L/2 − 2 round budget under which Theorem 3.5's accounting is exact.
 func (r *Runner) WithinRoundBudget() bool {
-	return r.stats.Rounds <= r.net.MaxSimulationRounds()
+	return r.Stats().Rounds <= r.net.MaxSimulationRounds()
 }
 
 // Report summarises a simulated execution for the experiment harness.
@@ -190,7 +154,7 @@ type Report struct {
 // Report returns the current summary.
 func (r *Runner) Report() Report {
 	return Report{
-		Rounds:             r.stats.Rounds,
+		Rounds:             r.Stats().Rounds,
 		CarolBits:          r.carolBits,
 		DavidBits:          r.davidBits,
 		ServerModelCost:    r.ServerModelCost(),

@@ -104,10 +104,10 @@ func RunProofPipeline(inputBits, bandwidth int, seed int64) (*ProofPipelineResul
 	}
 
 	// Embed the gadget instance into a lower-bound network whose endpoint
-	// count equals the gadget graph's vertex count.
-	endpoints := red.NumNodes()
+	// count, paths plus highways, equals the gadget graph's vertex count.
 	const pathLen = 17
-	nw, err := lbnetwork.New(endpoints-highwayCountFor(pathLen), pathLen)
+	_, highways := lbnetwork.RoundedDims(pathLen)
+	nw, err := lbnetwork.New(red.NumNodes()-highways, pathLen)
 	if err != nil {
 		return nil, err
 	}
@@ -136,16 +136,6 @@ func RunProofPipeline(inputBits, bandwidth int, seed int64) (*ProofPipelineResul
 		SimulationReport:      runner.Report(),
 		DistributedLowerBound: VerificationLowerBound(nw.N(), bandwidth),
 	}, nil
-}
-
-// highwayCountFor returns the number of highways a network with the given
-// path length will have, so callers can hit an exact endpoint count.
-func highwayCountFor(pathLen int) int {
-	nw, err := lbnetwork.New(2, pathLen)
-	if err != nil {
-		return 0
-	}
-	return nw.K
 }
 
 // MSTExperimentResult is one measured point of the Figure 3 experiment.

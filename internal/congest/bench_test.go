@@ -18,41 +18,20 @@ import (
 // flood-grid workload (perfbench/README.md) measures the wall time,
 // throughput and heap of its n=102400 cell.
 
-// benchFloodNode broadcasts a fixed payload to every neighbour each round
+// benchFloodNode broadcasts a fixed message to every neighbour each round
 // for a set number of rounds, then goes quiet. The outbox is built once in
-// Init and reused, and the payload is a small boxed int, so a steady-state
-// round allocates nothing in the node program — every measured allocation
-// belongs to the simulator.
+// Init and reused, so a steady-state round allocates nothing in the node
+// program — every measured allocation belongs to the simulator.
 type benchFloodNode struct {
 	rounds int
 	outbox []Message
 }
 
 func (f *benchFloodNode) Init(ctx *Context) {
-	f.outbox = BroadcastAll(ctx, 1, 8)
-}
-
-func (f *benchFloodNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
-	if round > f.rounds {
-		return nil, true
-	}
-	return f.outbox, false
-}
-
-// benchFloodWordsNode is benchFloodNode with a word-encoded outbox: the same
-// traffic shape carried in Message.W0 under a kind tag instead of a boxed
-// payload. Benchmarked against the boxed variant it isolates what the word
-// encoding saves on the delivery path (no interface headers in the inboxes).
-type benchFloodWordsNode struct {
-	rounds int
-	outbox []Message
-}
-
-func (f *benchFloodWordsNode) Init(ctx *Context) {
 	f.outbox = BroadcastAllWords(ctx, 1, 1, 0, 8)
 }
 
-func (f *benchFloodWordsNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
+func (f *benchFloodNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	if round > f.rounds {
 		return nil, true
 	}
@@ -75,7 +54,7 @@ func (p *benchPingPongNode) Init(ctx *Context) {
 		partner = ctx.ID() - 1
 	}
 	if partner >= 0 && partner < ctx.N() && ctx.IsNeighbor(partner) {
-		p.outbox = []Message{NewMessage(partner, 1, 8)}
+		p.outbox = []Message{NewWordMessage(partner, 1, 1, 0, 8)}
 	}
 }
 
@@ -108,7 +87,7 @@ func (p *benchPingPongOutboxNode) Round(ctx *Context, round int, inbox []Message
 	if round > p.rounds || p.partner < 0 {
 		return nil, true
 	}
-	return AppendMessage(ctx.Outbox(), p.partner, 1, 8), false
+	return AppendWordMessage(ctx.Outbox(), p.partner, 1, 1, 0, 8), false
 }
 
 // benchWaveNode is a BFS wave from node 0: a node joins when its first
@@ -186,26 +165,10 @@ func runRoundLoopBench(b *testing.B, topo Topology, workers, rounds int, factory
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(totalRounds), "allocs/round")
 }
 
-func BenchmarkRoundLoopFlood(b *testing.B) {
-	const rounds = 64
-	for _, n := range []int{1024, 10_000, 100_000} {
-		side := intSqrt(n)
-		topo := graph.Grid(side, side)
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("grid%d/workers=%d", side*side, workers), func(b *testing.B) {
-				runRoundLoopBench(b, topo, workers, rounds, func(*Context) Node {
-					return &benchFloodNode{rounds: rounds}
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkRoundLoopFloodWords is BenchmarkRoundLoopFlood with word-encoded
-// messages — the data plane the migrated internal/dist programs run on. The
-// CI bench-smoke job picks it up alongside the boxed variant via -bench
-// RoundLoop, so the word path's throughput and allocs/round are tracked on
-// every push.
+// BenchmarkRoundLoopFloodWords is the dense shape: every node broadcasts
+// to every neighbour in every round, on grids of 1024 to 100,000 nodes. The
+// CI bench-smoke job runs it with -bench RoundLoop, so its throughput and
+// allocs/round are tracked on every push.
 func BenchmarkRoundLoopFloodWords(b *testing.B) {
 	const rounds = 64
 	for _, n := range []int{1024, 10_000, 100_000} {
@@ -214,7 +177,7 @@ func BenchmarkRoundLoopFloodWords(b *testing.B) {
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("grid%d/workers=%d", side*side, workers), func(b *testing.B) {
 				runRoundLoopBench(b, topo, workers, rounds, func(*Context) Node {
-					return &benchFloodWordsNode{rounds: rounds}
+					return &benchFloodNode{rounds: rounds}
 				})
 			})
 		}

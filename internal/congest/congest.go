@@ -25,9 +25,9 @@
 // a network keeps its last run's working state for the next run instead of
 // rebuilding it, a round steps only the awake nodes (a node that
 // reports done votes to halt and sleeps until a message wakes it, so a
-// round's cost follows its traffic), messages carry small contents
-// word-encoded in two inline uint64s instead of a boxed Payload (see
-// payload.go — Kind/W0/W1, with boxed `any` kept as the escape hatch), and
+// round's cost follows its traffic), a message is one 48-byte value with
+// no pointer in it, its content in a Kind tag and two inline words (see
+// payload.go), so the collector never scans an inbox or a send log, and
 // every topology is read by rank through Topology.Neighbor into two flat
 // arrays, with no per-node copy, sort or weight lookup. A node's Context is
 // 32 bytes, two per cache line: its ID, its lazy random source and two
@@ -54,22 +54,16 @@ const DefaultBandwidth = 32
 
 // Message is a single message sent over one edge in one round.
 //
-// A message carries its content in one of two representations. Word-encoded
-// messages (Kind != KindBoxed) pack the content into the two inline words W0
-// and W1 — no heap allocation, no interface header, no type assertion on
-// delivery — and are what the hot-path algorithms in internal/dist send.
-// Boxed messages (Kind == KindBoxed) carry arbitrary structured content in
-// Payload; they remain the escape hatch for payloads that do not fit two
-// words (quantum state references, variable-length chunks). The simulator
-// treats both identically: only Bits is charged against the bandwidth
-// budget, and the merge, trace and accounting paths never look inside
-// either representation.
+// A message is bits charged to one edge in one round (Section 2.1), and it
+// has one representation: its content is the two inline words W0 and W1,
+// read under a Kind tag, so a Message holds no pointer, building one
+// allocates nothing and delivering one needs no type assertion. Content
+// wider than two words travels as several messages on the same edge in the
+// same round. Only Bits is charged against the bandwidth budget; the
+// merge, trace and accounting paths never look at Kind or the words.
 type Message struct {
 	// From and To are node IDs; To must be a neighbour of From.
 	From, To int
-	// Payload is the boxed message content, interpreted by the receiving
-	// node. It is nil for word-encoded messages.
-	Payload any
 	// Bits is the size charged against the per-edge, per-round budget.
 	Bits int
 	// Quantum marks the message as carrying qubits rather than classical
@@ -80,15 +74,13 @@ type Message struct {
 	// Grover re-accounting backend (engine.NewQuantum) and any future
 	// genuinely quantum node program feed on.
 	Quantum bool
-	// Kind tags a word-encoded message. KindBoxed (the zero value) means
-	// the content is in Payload; any other value is algorithm-defined and
-	// says how to decode W0/W1. Kinds are scoped to one node program — the
-	// simulator never interprets them — so algorithms declare their own
-	// small constants starting at 1.
+	// Kind says how to decode W0/W1. Every value, zero included, is
+	// defined by the node program: kinds are scoped to one program and the
+	// simulator never interprets them.
 	Kind uint8
-	// W0 and W1 are the inline payload words of a word-encoded message.
-	// The typed accessors (Int0, Int1, Bool0, …) and the pack helpers
-	// (PackIDs, WordFromBool) in payload.go are the supported encodings.
+	// W0 and W1 are the inline payload words. The typed accessors (Int0,
+	// Int1, Bool0, …) and the pack helpers (PackIDs, WordFromBool) in
+	// payload.go are the supported encodings.
 	W0, W1 uint64
 }
 
@@ -387,11 +379,10 @@ type Options struct {
 // start of each run, and each round only resets lengths and counters. A
 // node's inbox slice is therefore valid only for the duration of the Round
 // call that receives it: the round's messages are delivered into the same
-// buffer once the node returns (payload values themselves are never
-// touched; only the []Message backing array is recycled). The contexts
-// handed to the factory are likewise valid only until Run returns, and a
-// node's SetOutput writes straight into the returned Result, so every exit
-// path, errors included, returns whatever the nodes managed to decide.
+// buffer once the node returns. The contexts handed to the factory are
+// likewise valid only until Run returns, and a node's SetOutput writes
+// straight into the returned Result, so every exit path, errors included,
+// returns whatever the nodes managed to decide.
 // The inputs come with the run in opts.Inputs, and contexts read that map
 // during the run, so it must not change until Run returns. The state of a
 // run that a panic unwinds through is dropped, and the next run builds a
@@ -416,16 +407,13 @@ func (nw *Network) Run(factory NodeFactory, opts Options) (*Result, error) {
 
 // park keeps st for the next run. It first drops the finished run's node
 // programs, every context's random source, its options (and with them its
-// inputs) and its Result (and with it every output), and zeroes every send
-// log to its capacity, so an idle network keeps no stage's node state,
-// inputs, payloads or callbacks reachable.
+// inputs) and its Result (and with it every output), so an idle network
+// keeps no stage's node state, inputs or callbacks reachable. The send
+// logs and inboxes keep their messages: a Message holds no pointer.
 func (nw *Network) park(st *runState) {
 	clear(st.nodes)
 	for v := range st.ctxs {
 		st.ctxs[v].rng = nil
-	}
-	for w := range st.workers {
-		clear(st.workers[w].sent[:cap(st.workers[w].sent)])
 	}
 	st.opts, st.res = Options{}, nil
 	nw.parked.Store(st)

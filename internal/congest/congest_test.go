@@ -2,6 +2,7 @@ package congest
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func (f *floodMaxNode) Init(ctx *Context) {
 
 func (f *floodMaxNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	for _, m := range inbox {
-		if v, ok := m.Payload.(int); ok && v > f.best {
+		if v := m.Int0(); v > f.best {
 			f.best = v
 			f.changed = true
 		}
@@ -32,7 +33,7 @@ func (f *floodMaxNode) Round(ctx *Context, round int, inbox []Message) ([]Messag
 	if f.changed {
 		f.changed = false
 		f.quiet = 0
-		return BroadcastAll(ctx, f.best, BitsForID(ctx.N())), false
+		return BroadcastAllWords(ctx, 0, uint64(f.best), 0, BitsForID(ctx.N())), false
 	}
 	f.quiet++
 	ctx.SetOutput(f.best)
@@ -105,7 +106,7 @@ func (oversendNode) Round(ctx *Context, round int, inbox []Message) ([]Message, 
 	if ctx.Degree() == 0 {
 		return nil, true
 	}
-	return []Message{NewMessage(ctx.NeighborAt(0), 0, ctx.Bandwidth()+1)}, false
+	return []Message{NewWordMessage(ctx.NeighborAt(0), 0, 0, 0, ctx.Bandwidth()+1)}, false
 }
 
 func TestBandwidthEnforced(t *testing.T) {
@@ -122,7 +123,7 @@ type strangerNode struct{}
 func (strangerNode) Init(*Context) {}
 func (strangerNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	target := (ctx.ID() + 2) % ctx.N()
-	return []Message{NewMessage(target, 1, 1)}, false
+	return []Message{NewWordMessage(target, 0, 1, 0, 1)}, false
 }
 
 func TestNonNeighborRejected(t *testing.T) {
@@ -338,9 +339,10 @@ func TestBitsHelpers(t *testing.T) {
 }
 
 func TestBroadcastHelper(t *testing.T) {
-	msgs := Broadcast([]int{3, 5}, "x", 4)
-	if len(msgs) != 2 || msgs[0].To != 3 || msgs[1].To != 5 || msgs[0].Bits != 4 {
-		t.Fatalf("broadcast = %+v", msgs)
+	msgs := BroadcastWordsInto(nil, []int{3, 5}, 2, 7, 9, 4)
+	want := []Message{{To: 3, Bits: 4, Kind: 2, W0: 7, W1: 9}, {To: 5, Bits: 4, Kind: 2, W0: 7, W1: 9}}
+	if !slices.Equal(msgs, want) {
+		t.Fatalf("broadcast = %+v, want %+v", msgs, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package congest_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -19,6 +20,27 @@ func TestContextIs32Bytes(t *testing.T) {
 	t.Logf("congest.Context: %d bytes per node", size)
 	if size != 32 {
 		t.Errorf("congest.Context is %d bytes, want 32", size)
+	}
+}
+
+// TestMessageIs48BytesWithoutPointers pins the message layout: IDs, bits,
+// the quantum mark, the kind and two content words, 48 bytes with no field
+// that can hold a pointer, so the collector never scans an inbox or a send
+// log, and a parked network's logs reach nothing.
+func TestMessageIs48BytesWithoutPointers(t *testing.T) {
+	typ := reflect.TypeFor[congest.Message]()
+	t.Logf("congest.Message: %d bytes per message", typ.Size())
+	if typ.Size() != 48 {
+		t.Errorf("congest.Message is %d bytes, want 48", typ.Size())
+	}
+	for i := range typ.NumField() {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("congest.Message.%s is a %s, which can hold a pointer", f.Name, f.Type)
+		}
 	}
 }
 

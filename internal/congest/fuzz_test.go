@@ -12,11 +12,12 @@ import (
 // FuzzRunMatchesReference runs a node program derived from the fuzz input
 // on a small topology at every worker count and holds Result, trace stream
 // and error or panic text to referenceRun, an independent statement of the
-// round semantics. The program mixes word, boxed and qubit messages,
-// oversize messages and messages to non-neighbours, done votes and
-// wake-ups, and optionally a node panic, and it hands its messages back in
-// every outbox shape (see fuzzNode.Round); the seed corpus under
-// testdata/fuzz covers each of these. Every input runs twice on the same
+// round semantics. The program mixes classical messages of several kinds,
+// kind zero included, qubit messages, oversize messages and messages to
+// non-neighbours, done votes and wake-ups, and optionally a node panic,
+// and it hands its messages back in every outbox shape (see
+// fuzzNode.Round); the seed corpus under testdata/fuzz covers each of
+// these. Every input runs twice on the same
 // network, so the second run starts from whatever state the first one's
 // exit left behind and must still match.
 func FuzzRunMatchesReference(f *testing.F) {
@@ -136,9 +137,6 @@ func newFuzzProgram(n int, seed int64, mix uint32) *fuzzProgram {
 	return p
 }
 
-// fuzzBoxed is the boxed payload of fuzzNode's messages.
-type fuzzBoxed struct{ Round, Tag int }
-
 // fuzzNode folds everything it receives, in order, into a digest it
 // outputs with its step count, so every output depends on which rounds
 // stepped the node and on the exact order of its inboxes.
@@ -156,12 +154,6 @@ func (f *fuzzNode) Round(ctx *Context, round int, inbox []Message) ([]Message, b
 	for i := range inbox {
 		m := &inbox[i]
 		x := uint64(m.From)<<48 ^ uint64(m.Bits)<<32 ^ uint64(m.Kind)<<24 ^ m.W0 ^ m.W1<<1
-		switch v := m.Payload.(type) {
-		case fuzzBoxed:
-			x ^= uint64(v.Round)<<8 ^ uint64(v.Tag)
-		case int:
-			x ^= uint64(v) << 16
-		}
 		if m.Quantum {
 			x = ^x
 		}
@@ -219,7 +211,8 @@ func (f *fuzzNode) Round(ctx *Context, round int, inbox []Message) ([]Message, b
 // out of its outbox: sent, it would fail validation.
 var fuzzJunk = Message{To: -1, Bits: 1 << 20, Kind: 1}
 
-// message builds one message from the hash h: a word, boxed or qubit
+// message builds one message from the hash h: a classical message of kind
+// 1..4 carrying the hash, one of kind zero carrying the round, or a qubit
 // message, usually to a neighbour within B/4 bits, now and then to a
 // non-neighbour or an ID outside the network, oversize, or with negative
 // Bits.
@@ -240,9 +233,9 @@ func (f *fuzzNode) message(ctx *Context, round int, h uint64) Message {
 	case 0:
 		return NewWordMessage(to, uint8(1+h>>56&3), h, uint64(round), bits)
 	case 1:
-		return NewMessage(to, fuzzBoxed{Round: round, Tag: int(h >> 56)}, bits)
+		return NewWordMessage(to, 0, uint64(round)<<8, h>>56, bits)
 	default:
-		return NewQubitMessage(to, ctx.Rand().Intn(1000), bits)
+		return NewQubitMessage(to, 0, uint64(ctx.Rand().Intn(1000))<<16, 0, bits)
 	}
 }
 

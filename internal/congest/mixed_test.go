@@ -5,26 +5,24 @@ import (
 	"testing"
 )
 
-// mixedBoxed is the boxed payload of the mixed workload, a struct so the
-// message genuinely round-trips through the interface path.
-type mixedBoxed struct {
-	Round int
-	Hops  int
-}
-
-// mixedPayloadNode sends word-encoded, boxed and quantum messages side by
-// side in the same rounds: per neighbour the class rotates with the round, so
-// every inbox interleaves all three representations. The node folds what it
-// receives into a running digest it outputs at the end, which makes the
-// outputs sensitive to every delivered message of every class.
+// mixedPayloadNode sends four classes of message side by side in the same
+// rounds: packed IDs, flags, a (round, hops) pair under kind zero, and
+// qubits. Per neighbour the class rotates with the round, so every inbox
+// interleaves all four. The node folds what it receives into a running
+// digest it outputs at the end, which makes the outputs sensitive to every
+// delivered message of every class.
 type mixedPayloadNode struct {
 	rounds int
 	digest uint64
 }
 
+// The kinds of the mixed workload. Kind zero is a program's value like any
+// other.
 const (
-	kindMixedInts  uint8 = 2
-	kindMixedFlags uint8 = 3
+	kindMixedPair   uint8 = 0
+	kindMixedQubits uint8 = 1
+	kindMixedInts   uint8 = 2
+	kindMixedFlags  uint8 = 3
 )
 
 func (m *mixedPayloadNode) Init(*Context) {}
@@ -32,17 +30,16 @@ func (m *mixedPayloadNode) Init(*Context) {}
 func (m *mixedPayloadNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	for i := range inbox {
 		msg := &inbox[i]
-		switch {
-		case msg.Kind == kindMixedInts:
+		switch msg.Kind {
+		case kindMixedInts:
 			u, v := UnpackIDs(msg.W0)
 			m.digest = m.digest*31 + uint64(u) + uint64(v)<<8 + msg.W1
-		case msg.Kind == kindMixedFlags:
+		case kindMixedFlags:
 			m.digest = m.digest*31 + WordFromBool(msg.Bool0()) + 2*WordFromBool(msg.Bool1())
-		case msg.Quantum:
-			m.digest = m.digest*31 + uint64(msg.Payload.(int))
-		default:
-			b := msg.Payload.(mixedBoxed)
-			m.digest = m.digest*31 + uint64(b.Round)<<4 + uint64(b.Hops)
+		case kindMixedQubits:
+			m.digest = m.digest*31 + msg.W0
+		case kindMixedPair:
+			m.digest = m.digest*31 + msg.W0<<4 + msg.W1
 		}
 	}
 	if round > m.rounds {
@@ -59,18 +56,18 @@ func (m *mixedPayloadNode) Round(ctx *Context, round int, inbox []Message) ([]Me
 			out = AppendWordMessage(out, u, kindMixedFlags,
 				WordFromBool(round%2 == 0), WordFromBool(ctx.ID() < u), 2)
 		case 2:
-			out = append(out, NewQubitMessage(u, 3+ctx.Rand().Intn(5), 3+round%3))
+			out = append(out, NewQubitMessage(u, kindMixedQubits, uint64(3+ctx.Rand().Intn(5)), 0, 3+round%3))
 		default:
-			out = AppendMessage(out, u, mixedBoxed{Round: round, Hops: ctx.ID() % 5}, 4+round%5)
+			out = AppendWordMessage(out, u, kindMixedPair, uint64(round), uint64(ctx.ID()%5), 4+round%5)
 		}
 	}
 	return out, false
 }
 
 // runMixed executes the mixed workload and returns the Result plus the full
-// traced message stream — Kind, W0/W1, Payload and Quantum included, since
-// every worker count runs the same program and must agree on the
-// representation itself, not just the accounting projection.
+// traced message stream — Kind, W0/W1 and Quantum included, since every
+// worker count runs the same program and must agree on the content itself,
+// not just the accounting projection.
 func runMixed(t *testing.T, workers int) (*Result, []traceEvent) {
 	t.Helper()
 	nw, err := NewNetwork(ring(41), 64)
@@ -94,27 +91,28 @@ func runMixed(t *testing.T, workers int) (*Result, []traceEvent) {
 }
 
 // TestMixedPayloadsIdenticalAcrossWorkers pins the data plane's contract for
-// a workload that interleaves word-encoded, boxed and quantum messages in the
-// same rounds: the full Result (rounds, bit and message totals, the quantum
-// split, per-round traffic, the digest outputs) and the complete trace stream
-// are identical whether the round runs on one range or on a worker pool.
+// a workload that interleaves classical messages of several kinds, kind zero
+// included, with quantum ones in the same rounds: the full Result (rounds,
+// bit and message totals, the quantum split, per-round traffic, the digest
+// outputs) and the complete trace stream are identical whether the round
+// runs on one range or on a worker pool.
 func TestMixedPayloadsIdenticalAcrossWorkers(t *testing.T) {
 	seqRes, seqEvents := runMixed(t, 0)
 
-	// The workload must genuinely mix all three representations.
-	var words, boxed, quantum int
+	// The workload must genuinely mix all three classes.
+	var words, pairs, quantum int
 	for _, ev := range seqEvents {
 		switch {
-		case ev.Msg.IsWord():
-			words++
 		case ev.Msg.Quantum:
 			quantum++
+		case ev.Msg.Kind == kindMixedPair:
+			pairs++
 		default:
-			boxed++
+			words++
 		}
 	}
-	if words == 0 || boxed == 0 || quantum == 0 {
-		t.Fatalf("workload must mix word/boxed/quantum traffic, got %d/%d/%d", words, boxed, quantum)
+	if words == 0 || pairs == 0 || quantum == 0 {
+		t.Fatalf("workload must mix word/kind-zero/quantum traffic, got %d/%d/%d", words, pairs, quantum)
 	}
 	if seqRes.QuantumBits == 0 || seqRes.QuantumBits >= seqRes.TotalBits {
 		t.Fatalf("quantum accounting off: %d of %d bits", seqRes.QuantumBits, seqRes.TotalBits)

@@ -21,17 +21,15 @@ type mixerNode struct {
 func (m *mixerNode) Init(ctx *Context) { m.sum = ctx.ID() }
 
 func (m *mixerNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
-	for _, msg := range inbox {
-		if v, ok := msg.Payload.(int); ok {
-			m.sum += v
-		}
+	for i := range inbox {
+		m.sum += inbox[i].Int0()
 	}
 	m.sum += ctx.Rand().Intn(8)
 	if round >= m.rounds {
 		ctx.SetOutput(m.sum)
 		return nil, true
 	}
-	return BroadcastAll(ctx, m.sum%1024, 10), false
+	return BroadcastAllWordsInto(ctx.Outbox(), ctx, 0, uint64(m.sum%1024), 0, 10), false
 }
 
 // ring is the cycle topology on n >= 3 nodes in which node v lists v-1 and
@@ -92,9 +90,9 @@ func (h *hybridNode) Round(ctx *Context, round int, inbox []Message) ([]Message,
 	for i := 0; i < ctx.Degree(); i++ {
 		u := ctx.NeighborAt(i)
 		if (ctx.ID()+u+round)%3 == 0 {
-			out = append(out, NewQubitMessage(u, round, 3+ctx.Rand().Intn(3)))
+			out = append(out, NewQubitMessage(u, 1, uint64(round), 0, 3+ctx.Rand().Intn(3)))
 		} else {
-			out = append(out, NewMessage(u, round, 2+(ctx.ID()+round)%5))
+			out = append(out, NewWordMessage(u, 0, uint64(round), 0, 2+(ctx.ID()+round)%5))
 		}
 	}
 	return out, false
@@ -155,14 +153,14 @@ func (r *roguePeer) Round(ctx *Context, round int, inbox []Message) ([]Message, 
 	}
 	if r.rogue && round == 3 {
 		if r.overrun {
-			return []Message{NewMessage(r.partner, 0, 9), NewMessage(r.partner, 0, 9)}, false
+			return []Message{NewWordMessage(r.partner, 0, 0, 0, 9), NewWordMessage(r.partner, 0, 0, 0, 9)}, false
 		}
-		return []Message{NewMessage(r.stranger, 0, 1)}, false
+		return []Message{NewWordMessage(r.stranger, 0, 0, 0, 1)}, false
 	}
 	if round >= 5 {
 		return nil, true
 	}
-	return []Message{NewMessage(r.partner, round, 4)}, false
+	return []Message{NewWordMessage(r.partner, 0, uint64(round), 0, 4)}, false
 }
 
 // rogueRun is what a roguePeer run on ring(32) at B = 16 stops with, at
@@ -278,7 +276,7 @@ func (f *fuseNode) Round(ctx *Context, round int, inbox []Message) ([]Message, b
 	if round >= 3 {
 		return nil, true
 	}
-	return BroadcastAll(ctx, 0, 1), false
+	return BroadcastAllWordsInto(ctx.Outbox(), ctx, 0, 0, 0, 1), false
 }
 
 func TestNodePanicsPropagateDeterministically(t *testing.T) {
@@ -412,12 +410,12 @@ func (r *replyNode) Round(ctx *Context, round int, inbox []Message) ([]Message, 
 		ctx.SetOutput(ctx.ID())
 	}
 	if r.rogue && round == 3 {
-		return []Message{NewMessage(inbox[0].From, round, 4)}, false
+		return []Message{NewWordMessage(inbox[0].From, 0, uint64(round), 0, 4)}, false
 	}
 	if round > 4 {
 		return nil, true
 	}
-	return BroadcastAll(ctx, round, 3+ctx.ID()%4), false
+	return BroadcastAllWordsInto(ctx.Outbox(), ctx, 0, uint64(round), 0, 3+ctx.ID()%4), false
 }
 
 // TestPartitionAsymmetricTopology runs a topology whose neighbour lists are

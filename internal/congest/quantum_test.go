@@ -19,8 +19,8 @@ func (m *mixedTrafficNode) Round(ctx *Context, round int, inbox []Message) ([]Me
 		return nil, true
 	}
 	return []Message{
-		NewMessage(1, "c", 3),
-		NewQubitMessage(1, "q", 2),
+		NewWordMessage(1, 0, 'c', 0, 3),
+		NewQubitMessage(1, 0, 'q', 0, 2),
 	}, round >= m.rounds
 }
 

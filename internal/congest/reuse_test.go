@@ -223,9 +223,10 @@ func runSetupAllocs(t *testing.T, n int, asCSR bool, workers int) (fresh, reused
 }
 
 // TestParkedStateDropsNodeState checks that an idle network keeps no node
-// program of its last run reachable, no random source of a context (every
-// reuseNode draws from one), and no message in any worker's send log, up to
-// its capacity.
+// program of its last run reachable and no random source of a context
+// (every reuseNode draws from one), and that every worker keeps its send
+// log's room for the next run. The messages left in a send log reach
+// nothing: TestMessageIs48BytesWithoutPointers holds Message pointer-free.
 func TestParkedStateDropsNodeState(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		nw := newReuseNetwork(t, nil)
@@ -245,14 +246,8 @@ func TestParkedStateDropsNodeState(t *testing.T) {
 			}
 		}
 		for w := range st.workers {
-			sent := st.workers[w].sent
-			if cap(sent) == 0 {
+			if cap(st.workers[w].sent) == 0 {
 				t.Fatalf("Workers=%d: worker %d's send log has no room after a run that sent", workers, w)
-			}
-			for i, m := range sent[:cap(sent)] {
-				if m != (Message{}) {
-					t.Fatalf("Workers=%d: worker %d's parked send log keeps %+v at %d", workers, w, m, i)
-				}
 			}
 		}
 	}

@@ -51,7 +51,7 @@ func (b *burstNode) Round(ctx *Context, round int, inbox []Message) ([]Message, 
 		b.left = b.burst
 		switch b.fault {
 		case faultStranger:
-			return []Message{NewMessage(ctx.ID()+2, round, 4)}, false
+			return []Message{NewWordMessage(ctx.ID()+2, 0, uint64(round), 0, 4)}, false
 		case faultPanic:
 			panic("woken")
 		}

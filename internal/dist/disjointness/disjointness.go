@@ -84,7 +84,7 @@ type Result struct {
 	Stats engine.Stats
 }
 
-// Payloads of the pipelined protocol. Unlike the multi-payload stages of
+// Messages of the pipelined protocol. Unlike the multi-payload stages of
 // verify and mst, no engine.TagBits are charged: on a path the direction of
 // travel already distinguishes the two message kinds (data flows rightwards,
 // the answer leftwards), so a type tag would carry zero information — and
@@ -92,16 +92,15 @@ type Result struct {
 // Example 1.1 is stated at. (Message.Kind is simulator-local routing
 // metadata, not wire content; the charged Bits are unchanged.)
 //
-// A chunk of at most 128 bits travels word-encoded, bit-packed into the two
-// payload words with Message.Bits doubling as the chunk length; wider
-// bandwidths fall back to the boxed chunkMsg. The answer is always a
-// word-encoded flag.
-type chunkMsg struct{ Bits []int } // boxed fallback for chunks wider than two words
-
+// A chunk travels bit-packed into the two payload words, with Message.Bits
+// doubling as its length. At bandwidths above 128 bits a round's chunk
+// goes as several such messages on the same edge, in order, which the
+// per-edge budget charges together as one B-bit chunk. The answer is a
+// flag.
 const (
 	kindChunk  uint8 = 1
 	kindAnswer uint8 = 2
-	// maxWordChunk is the widest chunk the two payload words can carry.
+	// maxWordChunk is the widest chunk one message carries.
 	maxWordChunk = 128
 )
 
@@ -159,45 +158,32 @@ func (p *pathNode) Round(ctx *congest.Context, round int, inbox []congest.Messag
 
 	for i := range inbox {
 		m := &inbox[i]
-		switch {
-		case m.Kind == kindChunk:
+		switch m.Kind {
+		case kindChunk:
 			if id == last {
 				p.received = appendUnpacked(p.received, m.W0, m.W1, m.Bits)
 			} else {
 				// Forward the stream rightwards, one hop per round.
 				out = congest.AppendWordMessage(out, id+1, kindChunk, m.W0, m.W1, m.Bits)
 			}
-		case m.Kind == kindAnswer:
+		case kindAnswer:
 			p.answered = true
 			ctx.SetOutput(m.Bool0())
 			if id > 0 {
 				out = congest.AppendWordMessage(out, id-1, kindAnswer, m.W0, 0, congest.BitsForBool)
 			}
-		default:
-			if payload, ok := m.Payload.(chunkMsg); ok {
-				if id == last {
-					p.received = append(p.received, payload.Bits...)
-				} else {
-					out = congest.AppendMessage(out, id+1, payload, len(payload.Bits))
-				}
-			}
 		}
 	}
 
-	// Left endpoint: stream the next chunk of X.
+	// Left endpoint: stream the next B bits of X, at most 128 a message.
 	if id == 0 && p.sent < len(p.x) {
-		hi := p.sent + ctx.Bandwidth()
-		if hi > len(p.x) {
-			hi = len(p.x)
-		}
-		chunk := p.x[p.sent:hi]
-		p.sent = hi
-		if len(chunk) <= maxWordChunk {
+		hi := min(p.sent+ctx.Bandwidth(), len(p.x))
+		for lo := p.sent; lo < hi; lo += maxWordChunk {
+			chunk := p.x[lo:min(lo+maxWordChunk, hi)]
 			w0, w1 := packChunk(chunk)
 			out = congest.AppendWordMessage(out, 1, kindChunk, w0, w1, len(chunk))
-		} else {
-			out = congest.AppendMessage(out, 1, chunkMsg{Bits: chunk}, len(chunk))
 		}
+		p.sent = hi
 	}
 
 	// Right endpoint: once X has fully arrived, decide and answer.

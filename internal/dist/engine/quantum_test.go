@@ -25,7 +25,7 @@ func (s *streamNode) Round(ctx *congest.Context, round int, inbox []congest.Mess
 	var out []congest.Message
 	for _, m := range inbox {
 		if id != last {
-			out = append(out, congest.NewMessage(id+1, m.Payload, m.Bits))
+			out = congest.AppendWordMessage(out, id+1, m.Kind, m.W0, m.W1, m.Bits)
 		}
 	}
 	if id == 0 && s.sent < s.total {
@@ -34,7 +34,7 @@ func (s *streamNode) Round(ctx *congest.Context, round int, inbox []congest.Mess
 			chunk = s.total - s.sent
 		}
 		s.sent += chunk
-		out = append(out, congest.NewMessage(1, "chunk", chunk))
+		out = congest.AppendWordMessage(out, 1, 0, uint64(s.sent), 0, chunk)
 	}
 	if len(out) > 0 {
 		s.idle = 0

@@ -36,9 +36,9 @@ type Result struct {
 	Stats engine.Stats
 }
 
-// kindDist tags the protocol's only message, word-encoded: W0 is the
-// sender's adopted distance. The wire size is unchanged from the old boxed
-// encoding, so the migration is invisible to the accounting.
+// kindDist tags the protocol's only message: W0 is the sender's adopted
+// distance, charged distBits. The golden digests in words_test.go hold the
+// accounting.
 const kindDist uint8 = 1
 
 func distBits(n int) int { return engine.TagBits + congest.BitsForID(n) }

@@ -1,105 +1,58 @@
 package flood
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"qdc/internal/congest"
 	"qdc/internal/graph"
 )
 
-// The word-encoding equivalence pin: the migrated node program must produce
-// a Result bit-for-bit identical to the pre-refactor boxed implementation —
-// same rounds, bits, outputs and trace stream — on sequential and parallel
-// merges alike. boxedDistMsg/boxedNode below are the pre-refactor program,
-// kept verbatim.
+// The word-encoding pin. A fixture's full Result and its trace hash to one
+// digest at Workers 0, 1 and 4. The digests were recorded while the
+// program still ran beside a verbatim replica of its pre-refactor boxed
+// form and both produced them, so any change to the program's rounds,
+// bits, outputs or traffic shows here.
 
-type boxedDistMsg struct{ Dist int }
-
-type boxedNode struct {
-	source bool
-	dist   int
-	outbox []congest.Message
-	sent   bool
-}
-
-func (f *boxedNode) Init(ctx *congest.Context) {
-	f.source, _ = ctx.Input().(bool)
-	f.dist = -1
-	if f.source {
-		f.dist = 0
-	}
-}
-
-func (f *boxedNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
-	if f.dist == -1 {
-		for i := range inbox {
-			if m, ok := inbox[i].Payload.(boxedDistMsg); ok {
-				f.dist = m.Dist + 1
-				break
-			}
-		}
-	}
-	if f.dist == -1 {
-		return nil, false
-	}
-	if f.sent {
-		ctx.SetOutput(f.dist)
-		return nil, true
-	}
-	f.sent = true
-	if f.outbox == nil {
-		f.outbox = congest.BroadcastAll(ctx, boxedDistMsg{Dist: f.dist}, distBits(ctx.N()))
-	}
-	return f.outbox, false
-}
-
-// traceEv is the accounting-visible view of one traced message: everything
-// the trace consumers (simulation, quantum re-accounting) read. The payload
-// representation intentionally differs between the two programs.
-type traceEv struct {
-	Round, From, To, Bits int
-	Quantum               bool
-}
-
-func runTraced(t *testing.T, topo congest.Topology, factory congest.NodeFactory, workers int) (*congest.Result, []traceEv) {
+// traceDigest runs factory on a fresh network and returns its Result and
+// the SHA-256 of that Result and of its trace, one (round, From, To, Bits,
+// Quantum) line per message.
+func traceDigest(t *testing.T, topo congest.Topology, bandwidth int, seed int64, factory congest.NodeFactory, opts congest.Options) (*congest.Result, string) {
 	t.Helper()
-	nw, err := congest.NewNetwork(topo, 64)
+	nw, err := congest.NewNetwork(topo, bandwidth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.SetSeed(11)
-	var evs []traceEv
-	res, err := nw.Run(factory, congest.Options{
-		MaxRounds: topo.N() + 2,
-		Inputs:    map[int]any{0: true},
-		Workers:   workers,
-		Trace: func(round int, m congest.Message) {
-			evs = append(evs, traceEv{round, m.From, m.To, m.Bits, m.Quantum})
-		},
-	})
+	nw.SetSeed(seed)
+	h := sha256.New()
+	opts.Trace = func(round int, m congest.Message) { fmt.Fprintln(h, round, m.From, m.To, m.Bits, m.Quantum) }
+	res, err := nw.Run(factory, opts)
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatalf("workers=%d: %v", opts.Workers, err)
 	}
-	return res, evs
+	fmt.Fprintf(h, "%#v\n", *res)
+	return res, hex.EncodeToString(h.Sum(nil))
 }
 
 func TestWordEncodingMatchesBoxed(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	topos := map[string]congest.Topology{
-		"grid":   graph.Grid(8, 9),
-		"random": graph.RandomConnectedGraph(60, 0.08, rng),
-	}
-	for name, topo := range topos {
+	for _, c := range []struct {
+		name   string
+		topo   congest.Topology
+		digest string
+	}{
+		{"grid", graph.Grid(8, 9), "4fc456c71591508831d4acf80f861cb7fc8dd73ecaad022edfc1ca2513804951"},
+		{"random", graph.RandomConnectedGraph(60, 0.08, rng), "fedde80c27894cd39d574c6fc6912a1b9c8afdfa3cb89d4ac4749ff6a428ea9d"},
+	} {
 		for _, workers := range []int{0, 1, 4} {
-			wordRes, wordEvs := runTraced(t, topo, func(*congest.Context) congest.Node { return &node{} }, workers)
-			boxedRes, boxedEvs := runTraced(t, topo, func(*congest.Context) congest.Node { return &boxedNode{} }, workers)
-			if !reflect.DeepEqual(wordRes, boxedRes) {
-				t.Errorf("%s workers=%d: results differ\n word:  %+v\n boxed: %+v", name, workers, wordRes, boxedRes)
-			}
-			if !reflect.DeepEqual(wordEvs, boxedEvs) {
-				t.Errorf("%s workers=%d: trace streams differ (%d vs %d events)", name, workers, len(wordEvs), len(boxedEvs))
+			opts := congest.Options{MaxRounds: c.topo.N() + 2, Inputs: map[int]any{0: true}, Workers: workers}
+			res, got := traceDigest(t, c.topo, 64, 11, func(*congest.Context) congest.Node { return &node{} }, opts)
+			if got != c.digest {
+				t.Errorf("%s workers=%d: digest %s, want %s (rounds %d, messages %d, bits %d)",
+					c.name, workers, got, c.digest, res.Rounds, res.TotalMessages, res.TotalBits)
 			}
 		}
 	}

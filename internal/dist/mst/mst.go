@@ -180,9 +180,8 @@ func treeAdjacency(g *graph.Graph, chosen *graph.EdgeSet) [][]int {
 
 const tagBits = engine.TagBits
 
-// Word-encoded message kinds of the two stages. Every kind charges the same
-// bits as the boxed struct it replaced, so the accounting of both stages is
-// unchanged by the migration.
+// Message kinds of the two stages. Every kind charges a type tag plus its
+// fields' bits; the golden digests in words_test.go hold the accounting.
 const (
 	// kindFrag propagates (label, distance-from-leader): W0 label, W1 dist.
 	kindFrag uint8 = 1

@@ -1,173 +1,53 @@
 package mst
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"qdc/internal/congest"
 	"qdc/internal/graph"
 )
 
-// Word-encoding equivalence pins for both mst stages: the migrated node
-// programs must produce Results bit-for-bit identical to the pre-refactor
-// boxed implementations — same rounds, bits, outputs and trace stream — on
-// sequential and parallel merges alike. The boxed* nodes below are the
-// pre-refactor programs, kept verbatim; fragMsg/nbrMsg/candMsg still exist
-// as in-memory structs and double here as the boxed payloads they once were.
+// Word-encoding pins for both mst stages. A stage's full Result and its
+// trace hash to one digest at Workers 0, 1 and 4. The digests were
+// recorded while the programs still ran beside verbatim replicas of their
+// pre-refactor boxed forms and both produced them, so any change to a
+// stage's rounds, bits, outputs or traffic shows here.
 
-type boxedFragNode struct {
-	treeNbrs []int
-	label    int
-	dist     int
-	sent     fragMsg
-}
-
-func (f *boxedFragNode) Init(ctx *congest.Context) {
-	in, _ := ctx.Input().(fragInput)
-	f.treeNbrs = in.TreeNbrs
-	f.label = ctx.ID()
-	f.dist = 0
-	f.sent = fragMsg{Label: -1}
-}
-
-func (f *boxedFragNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
-	for _, m := range inbox {
-		if p, ok := m.Payload.(fragMsg); ok {
-			if p.Label < f.label || (p.Label == f.label && p.Dist+1 < f.dist) {
-				f.label = p.Label
-				f.dist = p.Dist + 1
-			}
-		}
-	}
-	n := ctx.N()
-	if round > n {
-		ctx.SetOutput(fragState{Label: f.label, Dist: f.dist, TreeNbrs: f.treeNbrs})
-		return nil, true
-	}
-	if cur := (fragMsg{Label: f.label, Dist: f.dist}); cur != f.sent {
-		f.sent = cur
-		bits := tagBits + congest.BitsForID(n) + congest.BitsForInt(f.dist)
-		return congest.Broadcast(f.treeNbrs, cur, bits), false
-	}
-	return nil, false
-}
-
-type boxedMoeNode struct {
-	st   fragState
-	keys keyFunc
-
-	parent   int
-	children int
-	best     candMsg
-	received int
-	oriented bool
-	finished bool
-}
-
-func (m *boxedMoeNode) Init(*congest.Context) {}
-
-func (m *boxedMoeNode) candBits(n int, c candMsg) int {
-	bits := tagBits + congest.BitsForBool
-	if c.Has {
-		bits += 2*congest.BitsForID(n) + m.keys.keyBits(c.Key)
-	}
-	return bits
-}
-
-func (m *boxedMoeNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
-	n := ctx.N()
-	if round == 1 {
-		bits := tagBits + congest.BitsForID(n) + congest.BitsForInt(m.st.Dist)
-		return congest.BroadcastAll(ctx, nbrMsg{Label: m.st.Label, Dist: m.st.Dist}, bits), false
-	}
-
-	for _, msg := range inbox {
-		switch p := msg.Payload.(type) {
-		case nbrMsg:
-			if p.Label != m.st.Label {
-				if w, ok := ctx.EdgeWeight(msg.From); ok {
-					u, v := ctx.ID(), msg.From
-					if u > v {
-						u, v = v, u
-					}
-					cand := candMsg{Has: true, U: u, V: v, Key: m.keys.key(w)}
-					if better(cand, m.best) {
-						m.best = cand
-					}
-				}
-			} else if isTreeNbr(m.st.TreeNbrs, msg.From) {
-				switch p.Dist {
-				case m.st.Dist - 1:
-					m.parent = msg.From
-				case m.st.Dist + 1:
-					m.children++
-				}
-			}
-		case candMsg:
-			m.received++
-			if better(p, m.best) {
-				m.best = p
-			}
-		}
-	}
-
-	if round == 2 {
-		m.oriented = true
-	}
-
-	var out []congest.Message
-	if m.oriented && !m.finished && m.received == m.children {
-		m.finished = true
-		if m.st.Label == ctx.ID() {
-			ctx.SetOutput(moeOutput{Has: m.best.Has, U: m.best.U, V: m.best.V})
-		} else {
-			out = append(out, congest.NewMessage(m.parent, m.best, m.candBits(n, m.best)))
-		}
-	}
-	return out, m.finished
-}
-
-// traceEv is the accounting-visible view of one traced message. The payload
-// representation intentionally differs between the two programs, so Kind,
-// the words and Payload are excluded from the comparison.
-type traceEv struct {
-	Round, From, To, Bits int
-	Quantum               bool
-}
-
-func runStageTraced(t *testing.T, topo congest.Topology, inputs map[int]any, factory congest.NodeFactory, workers int) (*congest.Result, []traceEv) {
+// traceDigest runs factory on a fresh network and returns its Result and
+// the SHA-256 of that Result and of its trace, one (round, From, To, Bits,
+// Quantum) line per message.
+func traceDigest(t *testing.T, topo congest.Topology, inputs map[int]any, factory congest.NodeFactory, workers int) (*congest.Result, string) {
 	t.Helper()
 	nw, err := congest.NewNetwork(topo, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nw.SetSeed(9)
-	var evs []traceEv
+	h := sha256.New()
 	res, err := nw.Run(factory, congest.Options{
 		MaxRounds: topo.N() + 8,
 		Inputs:    inputs,
 		Workers:   workers,
-		Trace: func(round int, m congest.Message) {
-			evs = append(evs, traceEv{round, m.From, m.To, m.Bits, m.Quantum})
-		},
+		Trace:     func(round int, m congest.Message) { fmt.Fprintln(h, round, m.From, m.To, m.Bits, m.Quantum) },
 	})
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	return res, evs
+	fmt.Fprintf(h, "%#v\n", *res)
+	return res, hex.EncodeToString(h.Sum(nil))
 }
 
-func comparePrograms(t *testing.T, name string, topo congest.Topology, inputs map[int]any, word, boxed congest.NodeFactory) {
+// checkDigest requires the stage to hash to want at every worker count.
+func checkDigest(t *testing.T, name string, topo congest.Topology, inputs map[int]any, factory congest.NodeFactory, want string) {
 	t.Helper()
 	for _, workers := range []int{0, 1, 4} {
-		wordRes, wordEvs := runStageTraced(t, topo, inputs, word, workers)
-		boxedRes, boxedEvs := runStageTraced(t, topo, inputs, boxed, workers)
-		if !reflect.DeepEqual(wordRes, boxedRes) {
-			t.Errorf("%s workers=%d: results differ\n word:  %+v\n boxed: %+v", name, workers, wordRes, boxedRes)
-		}
-		if !reflect.DeepEqual(wordEvs, boxedEvs) {
-			t.Errorf("%s workers=%d: trace streams differ (%d vs %d events)", name, workers, len(wordEvs), len(boxedEvs))
+		if res, got := traceDigest(t, topo, inputs, factory, workers); got != want {
+			t.Errorf("%s workers=%d: digest %s, want %s (rounds %d, messages %d, bits %d)",
+				name, workers, got, want, res.Rounds, res.TotalMessages, res.TotalBits)
 		}
 	}
 }
@@ -212,38 +92,41 @@ func moeFixture(t *testing.T) (*graph.Graph, [][]int) {
 	return g, treeAdjacency(g, chosen)
 }
 
-func TestFragmentStageMatchesBoxed(t *testing.T) {
-	g, treeAdj := moeFixture(t)
-	inputs := make(map[int]any, g.N())
+// fragInputs are the fragment stage's inputs on the fixture's forest.
+func fragInputs(treeAdj [][]int) map[int]any {
+	inputs := make(map[int]any, len(treeAdj))
 	for v := range treeAdj {
 		inputs[v] = fragInput{TreeNbrs: treeAdj[v]}
 	}
-	comparePrograms(t, "fragments", g, inputs,
+	return inputs
+}
+
+func TestFragmentStageMatchesBoxed(t *testing.T) {
+	g, treeAdj := moeFixture(t)
+	checkDigest(t, "fragments", g, fragInputs(treeAdj),
 		func(*congest.Context) congest.Node { return &fragNode{} },
-		func(*congest.Context) congest.Node { return &boxedFragNode{} })
+		"225144a18b1627de3582b434de657f34b091be38f1494ff8e91f35adad1d9eaf")
 }
 
 func TestMOEStageMatchesBoxed(t *testing.T) {
 	g, treeAdj := moeFixture(t)
-	fragInputs := make(map[int]any, g.N())
-	for v := range treeAdj {
-		fragInputs[v] = fragInput{TreeNbrs: treeAdj[v]}
-	}
-	// Fragment states from a boxed labelling run feed both moe programs.
-	res, _ := runStageTraced(t, g, fragInputs, func(*congest.Context) congest.Node { return &boxedFragNode{} }, 0)
+	// Fragment states from a labelling run, pinned above, feed the stage.
+	res, _ := traceDigest(t, g, fragInputs(treeAdj), func(*congest.Context) congest.Node { return &fragNode{} }, 0)
 	moeInputs := make(map[int]any, g.N())
 	for v := 0; v < g.N(); v++ {
 		moeInputs[v] = res.Outputs[v]
 	}
-	for name, keys := range map[string]keyFunc{"exact": exactKeys(), "approx": approxKeys(2)} {
-		word := func(ctx *congest.Context) congest.Node {
+	for _, c := range []struct {
+		name   string
+		keys   keyFunc
+		digest string
+	}{
+		{"exact", exactKeys(), "40fd3f3a1c2293a10036a1ce68bd15e3af365977f0b14634a41bc694f2073649"},
+		{"approx", approxKeys(2), "576cc46f2105cc2e064674470c501e0993b93105072fb549b8486e20fb18eb83"},
+	} {
+		checkDigest(t, "moe/"+c.name, g, moeInputs, func(ctx *congest.Context) congest.Node {
 			st, _ := ctx.Input().(fragState)
-			return &moeNode{st: st, keys: keys, parent: -1}
-		}
-		boxed := func(ctx *congest.Context) congest.Node {
-			st, _ := ctx.Input().(fragState)
-			return &boxedMoeNode{st: st, keys: keys, parent: -1}
-		}
-		comparePrograms(t, "moe/"+name, g, moeInputs, word, boxed)
+			return &moeNode{st: st, keys: c.keys, parent: -1}
+		}, c.digest)
 	}
 }

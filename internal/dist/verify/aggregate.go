@@ -32,10 +32,9 @@ func combine(a, b agg) agg {
 	}
 }
 
-// Word-encoded message kinds of the aggregation stage. Every message
-// charges a small type tag (2 bits) plus its fields, exactly as the boxed
-// structs they replaced did; the representation change is invisible to the
-// accounting.
+// Message kinds of the aggregation stage. Every message charges a small
+// type tag (2 bits) plus its fields; the golden digests in words_test.go
+// hold the accounting.
 const (
 	kindToken uint8 = 4 // BFS wave; W0 is the receiver's depth
 	kindChild uint8 = 5 // reply to a token; W0 is the is-child flag

@@ -24,9 +24,9 @@ func mAdjacency(g *graph.Graph, m *graph.EdgeSet) [][]int {
 // labelInput is the per-node input of the component-labelling stage.
 type labelInput struct{ MNbrs []int }
 
-// Word-encoded payload kinds of the labelling and colouring stages. The
-// bare-int and struct payloads these replace travelled boxed; the word forms
-// charge the exact same bits, so the stages' accounting is unchanged.
+// Message kinds of the labelling and colouring stages. Each charges a type
+// tag plus its field's bits; the golden digests in words_test.go hold the
+// accounting.
 const (
 	kindLabel uint8 = 1 // W0: the sender's component label
 	kindDist  uint8 = 2 // W0: the sender's M-BFS distance

@@ -37,7 +37,14 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
-// Validate checks that every axis of the matrix is non-empty and names only
+// MaxMatrixCells bounds a matrix's cells, the product of its four axis
+// lengths: Validate refuses a larger matrix before anything expands it, so
+// a spec of a few kilobytes cannot make a loader build millions of
+// scenarios. The largest registered matrix, default, has 256 cells.
+const MaxMatrixCells = 1 << 16
+
+// Validate checks that every axis of the matrix is non-empty, that the
+// matrix has at most MaxMatrixCells cells, that its axes name only
 // topology families, algorithms and backends the harness knows, that every
 // topology's family can realise its size (the check its build runs), that
 // bandwidths are positive, and that no axis repeats a value (a repeated
@@ -58,6 +65,14 @@ func (m Matrix) Validate() error {
 	}
 	if len(m.Algorithms) == 0 {
 		return fmt.Errorf("matrix %q has no algorithms", m.Name)
+	}
+	cells := 1
+	for _, axis := range []int{len(m.Topologies), len(m.Bandwidths), len(m.Backends), len(m.Algorithms)} {
+		if cells > MaxMatrixCells/axis {
+			return fmt.Errorf("matrix %q has %d topologies × %d bandwidths × %d backends × %d algorithms, more than %d cells",
+				m.Name, len(m.Topologies), len(m.Bandwidths), len(m.Backends), len(m.Algorithms), MaxMatrixCells)
+		}
+		cells *= axis
 	}
 	seenTopo := make(map[string]bool)
 	for _, t := range m.Topologies {

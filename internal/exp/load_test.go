@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -98,6 +100,10 @@ func TestLoadMatrixErrors(t *testing.T) {
 		{"one-vertex grid", func(s string) string {
 			return strings.Replace(s, `{"family": "path", "size": 9}`, `{"family": "grid", "size": 3}`, 1)
 		}, "grid needs size >= 4, got 3"},
+		// Rounding a path this long up to 2^k+1 would never end.
+		{"endless lbnet path", func(s string) string {
+			return strings.Replace(s, `{"family": "path", "size": 9}`, `{"family": "lbnet", "size": 2, "param": 5e18}`, 1)
+		}, "lbnet needs a path length of at most 1073741824, got 5e+18"},
 		{"non-positive bandwidth", func(s string) string {
 			return strings.Replace(s, `[32]`, `[0]`, 1)
 		}, "not positive"},
@@ -126,6 +132,54 @@ func TestLoadMatrixErrors(t *testing.T) {
 
 	if _, err := LoadMatrix(filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Error("LoadMatrix accepted a missing file")
+	}
+}
+
+// wideMatrix is a valid matrix of the paths on 2..topologies+1 nodes and
+// the bandwidths 1..bandwidths under the given backends and algorithms.
+func wideMatrix(topologies, bandwidths int, backends, algorithms []string) Matrix {
+	m := Matrix{Name: "wide", Backends: backends, Algorithms: algorithms, BaseSeed: 1}
+	for i := range topologies {
+		m.Topologies = append(m.Topologies, TopologySpec{Family: FamilyPath, Size: i + 2})
+	}
+	for b := range bandwidths {
+		m.Bandwidths = append(m.Bandwidths, b+1)
+	}
+	return m
+}
+
+// overCapMatrix is a valid spec of 66,560 cells, over MaxMatrixCells.
+func overCapMatrix() Matrix {
+	return wideMatrix(64, 52, sortedKeys(knownBackends), sortedKeys(knownAlgorithms))
+}
+
+// TestLoadMatrixRefusesTooManyCells: a spec whose axes multiply past
+// MaxMatrixCells is refused before anything expands it, whatever else is
+// wrong with it, and a spec at the cap loads.
+func TestLoadMatrixRefusesTooManyCells(t *testing.T) {
+	over := overCapMatrix()
+	data, err := json.Marshal(over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Four axes of 2^16 values each, whose product wraps an int to zero.
+	repeat := func(v string) string { return "[" + strings.Repeat(v+",", 1<<16-1) + v + "]" }
+	wrapping := fmt.Sprintf(`{"topologies": %s, "bandwidths": %s, "backends": %s, "algorithms": %s}`,
+		repeat("{}"), repeat("0"), repeat(`""`), repeat(`""`))
+	for name, spec := range map[string]string{"wide": string(data), "wrapping": wrapping} {
+		_, err := LoadMatrix(writeSpec(t, "m.json", spec))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("more than %d cells", MaxMatrixCells)) {
+			t.Errorf("%s: LoadMatrix of a %d-byte spec over the cap returned %v", name, len(spec), err)
+		}
+	}
+
+	at := wideMatrix(64, 64, sortedKeys(knownBackends), []string{AlgVerify, AlgFlood, AlgMST, AlgMSTApprox})
+	path := filepath.Join(t.TempDir(), "at.json")
+	if err := SaveMatrix(path, at); err != nil {
+		t.Fatalf("a matrix of exactly %d cells: %v", MaxMatrixCells, err)
+	}
+	if _, err := LoadMatrix(path); err != nil {
+		t.Fatalf("a matrix of exactly %d cells: %v", MaxMatrixCells, err)
 	}
 }
 
@@ -187,4 +241,38 @@ func TestSaveMatrixRoundTrip(t *testing.T) {
 	if err := SaveMatrix(filepath.Join(t.TempDir(), "bad.json"), Matrix{Name: "empty"}); err == nil {
 		t.Error("SaveMatrix must refuse an invalid matrix")
 	}
+}
+
+// FuzzLoadMatrix feeds arbitrary bytes to LoadMatrix. It must never panic,
+// and a spec it accepts must round-trip through SaveMatrix and LoadMatrix
+// to an identical Matrix with an identical expansion. The seed corpus under
+// testdata/fuzz holds examples/matrix.json, every registered matrix as
+// SaveMatrix writes it, a spec over MaxMatrixCells and an lbnet path too
+// long to round.
+func FuzzLoadMatrix(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec []byte) {
+		dir := t.TempDir()
+		first := filepath.Join(dir, "spec.json")
+		if err := os.WriteFile(first, spec, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := LoadMatrix(first)
+		if err != nil {
+			return
+		}
+		saved := filepath.Join(dir, "saved.json")
+		if err := SaveMatrix(saved, m); err != nil {
+			t.Fatalf("SaveMatrix refused a loaded matrix: %v", err)
+		}
+		again, err := LoadMatrix(saved)
+		if err != nil {
+			t.Fatalf("LoadMatrix refused what SaveMatrix wrote: %v", err)
+		}
+		if !reflect.DeepEqual(again, m) {
+			t.Fatalf("round trip changed the matrix:\n got %+v\nwant %+v", again, m)
+		}
+		if !reflect.DeepEqual(again.Expand(), m.Expand()) {
+			t.Fatal("round trip changed the expansion")
+		}
+	})
 }

@@ -250,14 +250,22 @@ func (t TopologySpec) BuildCSR(rng *rand.Rand) (*graph.CSR, error) {
 	return csr, nil
 }
 
+// maxLBPathLen is the longest lower-bound path a spec may ask for.
+// lbnetwork rounds the length up to 2^k+1 by doubling, which never ends
+// once the doubling passes the largest int.
+const maxLBPathLen = 1 << 30
+
 // checkSize reports a size the topology's family cannot realise: every
 // family needs Size >= 2 (for lbnet, Γ >= 2), a cycle 3 vertices and a grid
-// 4. Matrix.Validate and emitEdges both call it, so a spec is refused at
-// load with the text its build would fail with.
+// 4, and an lbnet path is at most maxLBPathLen long. Matrix.Validate and
+// emitEdges both call it, so a spec is refused at load with the text its
+// build would fail with.
 func (t TopologySpec) checkSize() error {
 	switch {
 	case t.Size < 2:
 		return fmt.Errorf("%s needs size >= 2, got %d", t.Family, t.Size)
+	case t.Family == FamilyLBNet && t.Param > maxLBPathLen:
+		return fmt.Errorf("lbnet needs a path length of at most %d, got %g", maxLBPathLen, t.Param)
 	case t.Family == FamilyCycle && t.Size < 3:
 		return fmt.Errorf("cycle needs size >= 3, got %d", t.Size)
 	case t.Family == FamilyGrid && t.vertices() < 4:

@@ -33,6 +33,22 @@ func testMatrix() exp.Matrix {
 	}
 }
 
+// overCapMatrix is a valid spec of 64 paths × 52 bandwidths × 4 backends
+// × 5 algorithms, 66,560 cells: more than exp.MaxMatrixCells.
+func overCapMatrix() exp.Matrix {
+	m := testMatrix()
+	m.Topologies, m.Bandwidths = nil, nil
+	for i := range 64 {
+		m.Topologies = append(m.Topologies, exp.TopologySpec{Family: exp.FamilyPath, Size: i + 2})
+	}
+	for b := range 52 {
+		m.Bandwidths = append(m.Bandwidths, b+1)
+	}
+	m.Backends = []string{exp.BackendLocal, exp.BackendParallel, exp.BackendSimulation, exp.BackendQuantum}
+	m.Algorithms = []string{exp.AlgVerify, exp.AlgMST, exp.AlgMSTApprox, exp.AlgDisjointness, exp.AlgFlood}
+	return m
+}
+
 // referenceSnapshot renders the matrix the way an unsharded -json run
 // would: every scenario executed in one process, canonical sorted output.
 func referenceSnapshot(t *testing.T, m exp.Matrix) []byte {
@@ -371,6 +387,95 @@ func TestRestartRerunsInterruptedJob(t *testing.T) {
 	}
 }
 
+// TestRestartRerunsJobPastGapAndStrayStream covers two more partial state
+// dirs at once: a gap in the id sequence, and a torn stream the dead daemon
+// left in an interrupted job's streams dir. The state dir holds a done
+// job-1 and an interrupted job-3, with job-2 gone. A restarted daemon
+// adopts job-1, re-runs job-3 to the clean unsharded snapshot without
+// reading the stray stream, and gives the next submission job-4.
+func TestRestartRerunsJobPastGapAndStrayStream(t *testing.T) {
+	m := testMatrix()
+	want := referenceSnapshot(t, m)
+	state := t.TempDir()
+
+	// job-3's workers never finish: it is mid-sweep until Close kills it.
+	spawned := make(chan struct{}, 8)
+	s1, err := New(Options{StateDir: state, Pool: 4, Spawn: func(j JobView) fanout.SpawnFunc {
+		if j.ID != "job-3" {
+			return healthySpawn(j)
+		}
+		return func(int, int, string) (fanout.Worker, error) {
+			spawned <- struct{}{}
+			return newStubWorker(), nil
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		j, err := s1.Submit(SubmitRequest{Spec: &m, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin := waitTerminal(t, j); fin.State != StateDone {
+			t.Fatalf("%s finished %s: %s", j.ID, fin.State, fin.Error)
+		}
+	}
+	interrupted, err := s1.Submit(SubmitRequest{Spec: &m, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-spawned
+	s1.Close()
+	if interrupted.ID != "job-3" {
+		t.Fatalf("third job got id %s, want job-3", interrupted.ID)
+	}
+	if err := os.RemoveAll(filepath.Join(state, "jobs", "job-2")); err != nil {
+		t.Fatal(err)
+	}
+	// One whole record and a torn one, as a worker killed mid-write leaves
+	// its stream.
+	scenarios := m.Expand()
+	first, err := json.Marshal(exp.RunScenario(scenarios[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := json.Marshal(exp.RunScenario(scenarios[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := append(append(first, '\n'), second[:len(second)/2]...)
+	if err := os.WriteFile(filepath.Join(interrupted.streamDir(), "shard-1-attempt-1.jsonl"), torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, state, healthySpawn)
+	if st := s2.Job("job-1").Status(); st.State != StateDone {
+		t.Errorf("job-1 is %s after the restart, want done", st.State)
+	}
+	if j := s2.Job("job-2"); j != nil {
+		t.Errorf("the removed job-2 is known again, in state %s", j.Status().State)
+	}
+	rerun := s2.Job("job-3")
+	if rerun == nil {
+		t.Fatal("restarted daemon does not know the interrupted job-3")
+	}
+	if fin := waitTerminal(t, rerun); fin.State != StateDone {
+		t.Fatalf("re-run finished %s: %s", fin.State, fin.Error)
+	}
+	if got := get(t, s2.Handler(), "/jobs/job-3/snapshot"); !bytes.Equal(got.Body.Bytes(), want) {
+		t.Error("re-run snapshot is not byte-identical to a clean unsharded run")
+	}
+	next, err := s2.Submit(SubmitRequest{Spec: &m, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.ID != "job-4" {
+		t.Errorf("the submission after job-3 got id %s, want job-4", next.ID)
+	}
+	waitTerminal(t, next)
+}
+
 // TestRestartSkipsOversizedJobFile: a state dir holding a job file with more
 // shards than scenarios (written before Submit bounded the count) starts
 // cleanly. The job is not adopted, so its shard count never reaches the
@@ -448,6 +553,17 @@ func TestSubmitValidationAndErrors(t *testing.T) {
 	}
 	if _, err := s.Submit(SubmitRequest{Spec: &m, Shards: len(m.Expand()) + 1}); err == nil {
 		t.Error("more shards than scenarios must be rejected")
+	}
+	wide := overCapMatrix()
+	if _, err := s.Submit(SubmitRequest{Spec: &wide, Shards: 1}); err == nil || !strings.Contains(err.Error(), "cells") {
+		t.Errorf("an inline spec over exp.MaxMatrixCells: %v", err)
+	}
+	body, err := json.Marshal(SubmitRequest{Spec: &wide, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := post(string(body)); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "cells") {
+		t.Errorf("POST /jobs of a %d-byte spec over the cap = %d %s, want 400", len(body), rec.Code, rec.Body)
 	}
 	if jobs := s.Jobs(); len(jobs) != 0 {
 		t.Errorf("rejected submissions left %d jobs behind", len(jobs))

@@ -28,12 +28,14 @@
 // round's cost follows its traffic), a message is one 48-byte value with
 // no pointer in it, its content in a Kind tag and two inline words (see
 // payload.go), so the collector never scans an inbox or a send log, and
-// every topology is read by rank through Topology.Neighbor into two flat
-// arrays, with no per-node copy, sort or weight lookup. A node's Context is
-// 32 bytes, two per cache line: its ID, its lazy random source and two
-// pointers, through which it reads n, B, its neighbours and its edge
-// weights from the run's shared tables, its input from the run's options,
-// and writes its output straight into the run's Result.
+// every topology is read by rank through Topology.Neighbor into one flat
+// int32 neighbour table, with no per-node copy, sort or weight lookup; an
+// edge weight is read back through the topology when a node asks for it. A
+// node's Context is 32 bytes, two per cache line: its ID, its lazy random
+// source and two pointers, through which it reads n, B and its neighbours
+// from the run's shared tables, its edge weights from the topology, its
+// input from the run's options, and writes its output straight into the
+// run's Result.
 // Together these carry the same bit-exact accounting from the paper-sized
 // networks up to million-node topologies; see DESIGN.md, "The congest hot
 // path" and "Compact payloads and streaming topologies".
@@ -42,6 +44,7 @@ package congest
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"sync/atomic"
@@ -125,10 +128,10 @@ type NodeFactory func(ctx *Context) Node
 // and its problem-specific input, and nothing else about the topology.
 //
 // A context holds only the node's ID, its random source and two pointers:
-// every other part of the view is read from the run's shared flat tables
-// when asked for. A context is valid only inside its run, from the factory
-// call until Run returns; a node program must not keep it, or call it, after
-// that.
+// every other part of the view is read from the run's shared flat tables,
+// or for an edge weight from the topology, when asked for. A context is
+// valid only inside its run, from the factory call until Run returns; a
+// node program must not keep it, or call it, after that.
 type Context struct {
 	st *runState
 	id int32
@@ -168,21 +171,24 @@ func (c *Context) Degree() int { return len(c.neighbors()) }
 
 // NeighborAt returns the i-th neighbour in ascending-ID order, 0 <= i <
 // Degree(). A node walks its neighbours with the two, which copy nothing.
-func (c *Context) NeighborAt(i int) int { return c.neighbors()[i] }
+func (c *Context) NeighborAt(i int) int { return int(c.neighbors()[i]) }
 
 // neighbors returns the node's window of the run's neighbour table.
-func (c *Context) neighbors() []int { return c.st.neighbors(int(c.id)) }
+func (c *Context) neighbors() []int32 { return c.st.neighbors(int(c.id)) }
 
 // IsNeighbor reports whether v is adjacent to this node.
 func (c *Context) IsNeighbor(v int) bool { return c.st.neighborRank(int(c.id), v) >= 0 }
 
-// EdgeWeight returns the weight of the edge to neighbour v.
+// EdgeWeight returns the weight of the edge to neighbour v. The run keeps
+// no weight table: the weight is read from the topology, by the
+// neighbour's rank, when asked for.
 func (c *Context) EdgeWeight(v int) (float64, bool) {
 	r := c.st.neighborRank(int(c.id), v)
 	if r < 0 {
 		return 0, false
 	}
-	return c.st.wts[int(c.st.offsets[c.id])+r], true
+	_, w := c.st.nw.topo.Neighbor(int(c.id), r)
+	return w, true
 }
 
 // Input returns the problem-specific input the run's Options.Inputs holds
@@ -229,7 +235,9 @@ var (
 // needs: each vertex's neighbours by rank, in strictly ascending ID order,
 // with the weights of the connecting edges. *graph.Graph and *graph.CSR
 // satisfy it. The simulator checks the order, and the range of every ID,
-// before round 1 and reports a topology that breaks either as an error.
+// before round 1 and reports a topology that breaks either as an error, as
+// it does one with more than math.MaxInt32 vertices or directed edges, which
+// its int32 tables cannot index.
 type Topology interface {
 	// N returns the number of vertices.
 	N() int
@@ -244,8 +252,8 @@ type Topology interface {
 //
 // A Network may be reused for any number of runs, concurrent ones
 // included. It keeps the working state of its last finished run (the flat
-// neighbour and weight tables with their edge index, the 32-byte contexts
-// that read them, the inboxes and the vertex-range partition with its send
+// neighbour table with its edge index, the 32-byte contexts that read it,
+// the inboxes and the vertex-range partition with its send
 // logs), and the next Run resets that state in O(n) instead of rebuilding
 // it from the topology, so a multi-stage algorithm pays for the topology
 // once. The topology must therefore not change while the network is in
@@ -373,7 +381,7 @@ type Options struct {
 // run statistics. It is deterministic for a fixed seed.
 //
 // The round loop is steady-state allocation-free: the working state below
-// (contexts, flat neighbour and weight tables with their CSR edge index,
+// (contexts, the flat neighbour table with its CSR edge index,
 // flat bandwidth tables, one inbox per node, one send log per worker) is
 // built once per network, kept between runs, and reset in O(n) at the
 // start of each run, and each round only resets lengths and counters. A
@@ -447,12 +455,13 @@ type runState struct {
 
 	// The CSR edge index. Directed edge (v -> u) has slot
 	// offsets[v] + rank of u in v's sorted neighbour list; node v owns
-	// slots offsets[v]..offsets[v+1]. nbrs and wts are the neighbour and
-	// the edge weight at each slot, the topology as read by rank: every
-	// context reads its node's neighbours and weights from them.
+	// slots offsets[v]..offsets[v+1]. nbrs is the neighbour at each slot,
+	// the topology as read by rank, four bytes a slot like graph.CSR's
+	// targets: every context reads its node's neighbours from it. There is
+	// no weight table; Context.EdgeWeight asks the topology for the weight
+	// at the neighbour's rank.
 	offsets []int32
-	nbrs    []int
-	wts     []float64
+	nbrs    []int32
 
 	// edgeBits holds the bits charged to each slot this round. Only the
 	// slots on a worker's touched list are ever non-zero, and resetting
@@ -479,35 +488,45 @@ type runState struct {
 }
 
 // newRunState builds the topology-derived working state of nw: the flat
-// neighbour and weight tables with their edge index, the contexts and the
-// per-node arrays. A neighbour ID outside 0..n-1, or a neighbour list that
-// is not strictly ascending, is an error.
+// int32 neighbour table with its edge index, the contexts and the per-node
+// arrays. A neighbour ID outside 0..n-1, or a neighbour list that is not
+// strictly ascending, is an error. So are more than math.MaxInt32 vertices
+// or directed edges, which the int32 IDs and offsets cannot hold; that is
+// checked from N and Degree alone, before anything is allocated.
 func newRunState(nw *Network) (*runState, error) {
 	n := nw.topo.N()
-	st := &runState{nw: nw, n: n, offsets: make([]int32, n+1)}
-
+	if n < 0 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("congest: %d nodes; the int32 tables hold 0..%d", n, math.MaxInt32)
+	}
 	total := 0
 	for v := 0; v < n; v++ {
-		total += nw.topo.Degree(v)
+		d := nw.topo.Degree(v)
+		if d < 0 || d > math.MaxInt32-total {
+			return nil, fmt.Errorf("congest: node %d has degree %d after %d directed edges; the int32 tables hold at most %d",
+				v, d, total, math.MaxInt32)
+		}
+		total += d
 	}
-	nbrs, wts := make([]int, 0, total), make([]float64, 0, total)
+
+	st := &runState{nw: nw, n: n, offsets: make([]int32, n+1)}
+	nbrs := make([]int32, 0, total)
 	st.ctxs = make([]Context, n)
 	for v := 0; v < n; v++ {
 		lo := len(nbrs)
 		for i := range nw.topo.Degree(v) {
-			u, w := nw.topo.Neighbor(v, i)
+			u, _ := nw.topo.Neighbor(v, i)
 			if uint(u) >= uint(n) {
 				return nil, fmt.Errorf("congest: node %d lists neighbour %d outside 0..%d", v, u, n-1)
 			}
-			if len(nbrs) > lo && u <= nbrs[len(nbrs)-1] {
+			if len(nbrs) > lo && int32(u) <= nbrs[len(nbrs)-1] {
 				return nil, fmt.Errorf("congest: node %d lists neighbour %d after %d; neighbours must be strictly ascending", v, u, nbrs[len(nbrs)-1])
 			}
-			nbrs, wts = append(nbrs, u), append(wts, w)
+			nbrs = append(nbrs, int32(u))
 		}
 		st.offsets[v+1] = int32(len(nbrs))
 		st.ctxs[v] = Context{st: st, id: int32(v)}
 	}
-	st.nbrs, st.wts = nbrs, wts
+	st.nbrs = nbrs
 	st.edgeBits = make([]int32, len(nbrs))
 
 	st.nodes = make([]Node, n)
@@ -598,17 +617,21 @@ func (st *runState) run() (*Result, error) {
 
 // neighbors returns v's neighbours in ascending ID order, its window of
 // the neighbour table.
-func (st *runState) neighbors(v int) []int { return st.nbrs[st.offsets[v]:st.offsets[v+1]] }
+func (st *runState) neighbors(v int) []int32 { return st.nbrs[st.offsets[v]:st.offsets[v+1]] }
 
 // neighborRank returns u's index in v's sorted neighbour list, or -1 when u
-// is not a neighbour of v. Real topologies are dominated by small degrees,
-// where a linear scan beats binary search; large degrees fall back to the
-// search.
+// is not a neighbour of v. An ID outside 0..n-1 is no neighbour; any other
+// fits an int32 and is compared as one. Real topologies are dominated by
+// small degrees, where a linear scan beats binary search; large degrees
+// fall back to the search.
 func (st *runState) neighborRank(v, u int) int {
-	ns := st.neighbors(v)
+	if uint(u) >= uint(st.n) {
+		return -1
+	}
+	ns, x := st.neighbors(v), int32(u)
 	if len(ns) <= 16 {
 		for i, w := range ns {
-			if w == u {
+			if w == x {
 				return i
 			}
 		}
@@ -617,13 +640,13 @@ func (st *runState) neighborRank(v, u int) int {
 	lo, hi := 0, len(ns)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if ns[mid] < u {
+		if ns[mid] < x {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(ns) && ns[lo] == u {
+	if lo < len(ns) && ns[lo] == x {
 		return lo
 	}
 	return -1

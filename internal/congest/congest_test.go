@@ -2,6 +2,7 @@ package congest
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -281,6 +282,43 @@ func TestOutOfRangeNeighborRejected(t *testing.T) {
 				t.Errorf("%v Workers=%d: result %+v, error %v; want no result and an error naming %q",
 					tc.topo, workers, res, err, tc.want)
 			}
+		}
+	}
+}
+
+// hugeTopology stores nothing and reports n vertices of the given degree
+// each. It has no neighbour to list, so Neighbor panics.
+type hugeTopology struct{ n, degree int }
+
+func (h hugeTopology) N() int                           { return h.n }
+func (h hugeTopology) Degree(int) int                   { return h.degree }
+func (h hugeTopology) Neighbor(int, int) (int, float64) { panic("hugeTopology lists no neighbours") }
+
+// TestOversizedTopologyRefused: node IDs and edge offsets are int32, so a
+// topology with more than math.MaxInt32 vertices or directed edges is an
+// error, found from N and Degree before the run state allocates anything.
+func TestOversizedTopologyRefused(t *testing.T) {
+	for _, tc := range []struct {
+		topo hugeTopology
+		want string
+	}{
+		{hugeTopology{n: 2, degree: 1 << 31}, "node 0 has degree 2147483648 after 0 directed edges; the int32 tables hold at most 2147483647"},
+		{hugeTopology{n: 3, degree: 1 << 30}, "node 1 has degree 1073741824 after 1073741824 directed edges"},
+		{hugeTopology{n: 1 << 31}, "2147483648 nodes; the int32 tables hold 0..2147483647"},
+	} {
+		nw, err := NewNetwork(tc.topo, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := nw.Run(func(*Context) Node { return &hybridNode{rounds: 3} }, Options{})
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || res != nil {
+			t.Errorf("%+v: result %+v, error %v; want no result and an error naming %q", tc.topo, res, err, tc.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("%+v: Run allocated %d bytes before refusing the topology", tc.topo, grew)
 		}
 	}
 }

@@ -269,22 +269,22 @@ func fuzzRun(nw *Network, factory NodeFactory, opts Options, workers int) (o run
 // fills in ascending sender ID. It has no ranges, slots or queues, and it
 // takes a copy of every outbox as its node returns it, so each context's
 // Outbox is room in one scratch slice that is never committed. Its
-// contexts read a minimal run state: the static tables, the seed and the
-// Result their SetOutput writes. It traces every accepted message;
-// opts.Trace and opts.Cancel are ignored, and opts.MaxRounds must be
-// positive.
+// contexts read a minimal run state: the neighbour table, the topology,
+// the seed and the Result their SetOutput writes. It traces every accepted
+// message; opts.Trace and opts.Cancel are ignored, and opts.MaxRounds must
+// be positive.
 func referenceRun(topo Topology, bandwidth int, seed int64, factory NodeFactory, opts Options) (o runOutcome) {
 	n := topo.N()
 	res := &Result{Outputs: make([]any, n)}
-	st := &runState{nw: &Network{bandwidth: bandwidth}, n: n, res: res, seed: seed, offsets: make([]int32, n+1)}
+	st := &runState{nw: &Network{topo: topo, bandwidth: bandwidth}, n: n, res: res, seed: seed, offsets: make([]int32, n+1)}
 	ctxs := make([]*Context, n)
 	isNeighbor := make([]map[int]bool, n)
 	scratch := make([]Message, 0, 4)
 	for v := 0; v < n; v++ {
 		isNeighbor[v] = map[int]bool{}
 		for i := range topo.Degree(v) {
-			u, w := topo.Neighbor(v, i)
-			st.nbrs, st.wts = append(st.nbrs, u), append(st.wts, w)
+			u, _ := topo.Neighbor(v, i)
+			st.nbrs = append(st.nbrs, int32(u))
 			isNeighbor[v][u] = true
 		}
 		st.offsets[v+1] = int32(len(st.nbrs))

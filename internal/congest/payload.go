@@ -96,7 +96,7 @@ func NewQubitMessage(to int, kind uint8, w0, w1 uint64, qubits int) Message {
 // ascending neighbour order, in a fresh slice; its allocation-free form is
 // BroadcastAllWordsInto(ctx.Outbox(), ...).
 func BroadcastAllWords(ctx *Context, kind uint8, w0, w1 uint64, bits int) []Message {
-	return BroadcastWordsInto(make([]Message, 0, ctx.Degree()), ctx.neighbors(), kind, w0, w1, bits)
+	return BroadcastAllWordsInto(make([]Message, 0, ctx.Degree()), ctx, kind, w0, w1, bits)
 }
 
 // Append variants. BroadcastAllWords allocates a fresh slice per call; a
@@ -127,7 +127,11 @@ func BroadcastWordsInto(dst []Message, neighbors []int, kind uint8, w0, w1 uint6
 }
 
 // BroadcastAllWordsInto appends one identical message per neighbour of ctx
-// to dst and returns the extended slice.
+// to dst and returns the extended slice. It walks the node's window of the
+// run's int32 neighbour table.
 func BroadcastAllWordsInto(dst []Message, ctx *Context, kind uint8, w0, w1 uint64, bits int) []Message {
-	return BroadcastWordsInto(dst, ctx.neighbors(), kind, w0, w1, bits)
+	for _, v := range ctx.neighbors() {
+		dst = append(dst, Message{To: int(v), Kind: kind, W0: w0, W1: w1, Bits: bits})
+	}
+	return dst
 }

@@ -46,15 +46,13 @@ func distBits(n int) int { return engine.TagBits + congest.BitsForID(n) }
 // node is the flooding node program: adopt the first announced distance + 1,
 // re-announce once, terminate. A node the wave has not reached yet reports
 // done, so it sleeps until the wave's first message wakes it and a round
-// steps only the wave.
+// steps only the wave. The program sets no output: Run reads dist from the
+// node slab once the stage returns, so no distance is boxed into an
+// interface, and dist stays -1 at a node the wave never reached.
 type node struct {
 	source bool
 	dist   int
 	sent   bool
-	// done records that the output is set: boxing dist into the output's
-	// interface allocates once it passes the runtime's small-integer cache,
-	// so the terminating round records it and a later wake-up leaves it.
-	done bool
 }
 
 func (f *node) Init(ctx *congest.Context) {
@@ -74,14 +72,7 @@ func (f *node) Round(ctx *congest.Context, round int, inbox []congest.Message) (
 			}
 		}
 	}
-	if f.dist == -1 {
-		return nil, true
-	}
-	if f.sent {
-		if !f.done {
-			ctx.SetOutput(f.dist)
-			f.done = true
-		}
+	if f.dist == -1 || f.sent {
 		return nil, true
 	}
 	f.sent = true
@@ -110,12 +101,11 @@ func Run(r engine.Runner, source int) (*Result, error) {
 		Rounds: res.Rounds,
 		Stats:  r.Stats().Sub(before),
 	}
-	for v := 0; v < n; v++ {
-		d, ok := res.Outputs[v].(int)
-		if !ok {
+	for v := range nodes {
+		if nodes[v].dist < 0 {
 			return nil, fmt.Errorf("flood: node %d produced no distance", v)
 		}
-		out.Dist[v] = d
+		out.Dist[v] = nodes[v].dist
 	}
 	return out, nil
 }

@@ -11,16 +11,19 @@ import (
 	"qdc/internal/graph"
 )
 
-// The word-encoding pin. A fixture's full Result and its trace hash to one
-// digest at Workers 0, 1 and 4. The digests were recorded while the
-// program still ran beside a verbatim replica of its pre-refactor boxed
-// form and both produced them, so any change to the program's rounds,
-// bits, outputs or traffic shows here.
+// The word-encoding pin. A fixture's run hashes to one digest at Workers 0,
+// 1 and 4: its trace, its Result with Outputs cleared, and every node's
+// dist, read from the slab the factory handed the nodes out of, which is
+// where Run reads the distances. The program sets no output, so Outputs is
+// left out; the form of the program that also boxed each distance into
+// Outputs gives the same digests. Any change to the program's rounds, bits,
+// distances or traffic shows here.
 
-// traceDigest runs factory on a fresh network and returns its Result and
-// the SHA-256 of that Result and of its trace, one (round, From, To, Bits,
-// Quantum) line per message.
-func traceDigest(t *testing.T, topo congest.Topology, bandwidth int, seed int64, factory congest.NodeFactory, opts congest.Options) (*congest.Result, string) {
+// traceDigest runs the flood program on a fresh network, its node programs
+// carved from one slab, and returns the Result and the SHA-256 of the
+// trace, one (round, From, To, Bits, Quantum) line per message, of the
+// Result with Outputs cleared, and of every node's dist in the slab.
+func traceDigest(t *testing.T, topo congest.Topology, bandwidth int, seed int64, opts congest.Options) (*congest.Result, string) {
 	t.Helper()
 	nw, err := congest.NewNetwork(topo, bandwidth)
 	if err != nil {
@@ -29,11 +32,18 @@ func traceDigest(t *testing.T, topo congest.Topology, bandwidth int, seed int64,
 	nw.SetSeed(seed)
 	h := sha256.New()
 	opts.Trace = func(round int, m congest.Message) { fmt.Fprintln(h, round, m.From, m.To, m.Bits, m.Quantum) }
-	res, err := nw.Run(factory, opts)
+	nodes := make([]node, topo.N())
+	res, err := nw.Run(func(ctx *congest.Context) congest.Node { return &nodes[ctx.ID()] }, opts)
 	if err != nil {
 		t.Fatalf("workers=%d: %v", opts.Workers, err)
 	}
-	fmt.Fprintf(h, "%#v\n", *res)
+	dists := make([]int, len(nodes))
+	for v := range nodes {
+		dists[v] = nodes[v].dist
+	}
+	cleared := *res
+	cleared.Outputs = nil
+	fmt.Fprintf(h, "%#v\n%v\n", cleared, dists)
 	return res, hex.EncodeToString(h.Sum(nil))
 }
 
@@ -44,12 +54,12 @@ func TestWordEncodingMatchesBoxed(t *testing.T) {
 		topo   congest.Topology
 		digest string
 	}{
-		{"grid", graph.Grid(8, 9), "4fc456c71591508831d4acf80f861cb7fc8dd73ecaad022edfc1ca2513804951"},
-		{"random", graph.RandomConnectedGraph(60, 0.08, rng), "fedde80c27894cd39d574c6fc6912a1b9c8afdfa3cb89d4ac4749ff6a428ea9d"},
+		{"grid", graph.Grid(8, 9), "dd438547311b2969d15281737c5d91dd0fad3bc0d5264e73b4cf4c2cf77a7de2"},
+		{"random", graph.RandomConnectedGraph(60, 0.08, rng), "e3524d092489803c88a4ae89aa9da10599bb135bd2f2689691201f385a169763"},
 	} {
 		for _, workers := range []int{0, 1, 4} {
 			opts := congest.Options{MaxRounds: c.topo.N() + 2, Inputs: map[int]any{0: true}, Workers: workers}
-			res, got := traceDigest(t, c.topo, 64, 11, func(*congest.Context) congest.Node { return &node{} }, opts)
+			res, got := traceDigest(t, c.topo, 64, 11, opts)
 			if got != c.digest {
 				t.Errorf("%s workers=%d: digest %s, want %s (rounds %d, messages %d, bits %d)",
 					c.name, workers, got, c.digest, res.Rounds, res.TotalMessages, res.TotalBits)

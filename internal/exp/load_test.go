@@ -100,7 +100,8 @@ func TestLoadMatrixErrors(t *testing.T) {
 		{"one-vertex grid", func(s string) string {
 			return strings.Replace(s, `{"family": "path", "size": 9}`, `{"family": "grid", "size": 3}`, 1)
 		}, "grid needs size >= 4, got 3"},
-		// Rounding a path this long up to 2^k+1 would never end.
+		// A path this long has no rounded length 2^k+1 in an int;
+		// lbnetwork.New refuses it too.
 		{"endless lbnet path", func(s string) string {
 			return strings.Replace(s, `{"family": "path", "size": 9}`, `{"family": "lbnet", "size": 2, "param": 5e18}`, 1)
 		}, "lbnet needs a path length of at most 1073741824, got 5e+18"},

@@ -193,7 +193,7 @@ func (t TopologySpec) Build(rng *rand.Rand) (*builtTopology, error) {
 		return &builtTopology{Graph: lb.Graph, LB: lb}, nil
 	}
 	var g *graph.Graph
-	err := t.emitEdges(rng, func(n int) graph.EdgeEmitter {
+	err := t.emitEdges(rng, func(n, _ int) graph.EdgeEmitter {
 		g = graph.New(n)
 		return g.MustAddEdge
 	})
@@ -228,7 +228,9 @@ func (t TopologySpec) Streamable() bool {
 // BuildCSR realises a Streamable topology directly as a congest-ready CSR:
 // the family's edge stream feeds graph.Builder's two counting passes over
 // flat tables, so no per-vertex adjacency maps are ever materialised — the
-// constructor the million-node scenarios run through. Build and BuildCSR
+// constructor the million-node scenarios run through. The builder reserves
+// the family's edge count up front (exact for every deterministic family and
+// the tree), so the stream fills arrays allocated once. Build and BuildCSR
 // read the same family table (emitEdges), so a scenario produces
 // bit-identical runs whichever route built its topology.
 func (t TopologySpec) BuildCSR(rng *rand.Rand) (*graph.CSR, error) {
@@ -236,8 +238,8 @@ func (t TopologySpec) BuildCSR(rng *rand.Rand) (*graph.CSR, error) {
 		return nil, fmt.Errorf("exp: topology %s is not streamable", t)
 	}
 	var b *graph.Builder
-	err := t.emitEdges(rng, func(n int) graph.EdgeEmitter {
-		b = graph.NewBuilder(n)
+	err := t.emitEdges(rng, func(n, m int) graph.EdgeEmitter {
+		b = graph.NewBuilder(n, m)
 		return b.MustAddEdge
 	})
 	if err != nil {
@@ -250,22 +252,17 @@ func (t TopologySpec) BuildCSR(rng *rand.Rand) (*graph.CSR, error) {
 	return csr, nil
 }
 
-// maxLBPathLen is the longest lower-bound path a spec may ask for.
-// lbnetwork rounds the length up to 2^k+1 by doubling, which never ends
-// once the doubling passes the largest int.
-const maxLBPathLen = 1 << 30
-
 // checkSize reports a size the topology's family cannot realise: every
 // family needs Size >= 2 (for lbnet, Γ >= 2), a cycle 3 vertices and a grid
-// 4, and an lbnet path is at most maxLBPathLen long. Matrix.Validate and
-// emitEdges both call it, so a spec is refused at load with the text its
+// 4, and an lbnet path is at most lbnetwork.MaxPathLen long. Matrix.Validate
+// and emitEdges both call it, so a spec is refused at load with the text its
 // build would fail with.
 func (t TopologySpec) checkSize() error {
 	switch {
 	case t.Size < 2:
 		return fmt.Errorf("%s needs size >= 2, got %d", t.Family, t.Size)
-	case t.Family == FamilyLBNet && t.Param > maxLBPathLen:
-		return fmt.Errorf("lbnet needs a path length of at most %d, got %g", maxLBPathLen, t.Param)
+	case t.Family == FamilyLBNet && t.Param > lbnetwork.MaxPathLen:
+		return fmt.Errorf("lbnet needs a path length of at most %d, got %g", lbnetwork.MaxPathLen, t.Param)
 	case t.Family == FamilyCycle && t.Size < 3:
 		return fmt.Errorf("cycle needs size >= 3, got %d", t.Size)
 	case t.Family == FamilyGrid && t.vertices() < 4:
@@ -275,36 +272,39 @@ func (t TopologySpec) checkSize() error {
 }
 
 // emitEdges is the family table of the plain (non-lbnet) families. It
-// checks the spec, asks newGraph for a graph sized by the vertex-count rule
-// and streams the family's edges into the emitter it returns, in the
-// family's canonical order; the random families draw from rng as they
-// stream. The spec is checked before newGraph is called, so an invalid one
-// allocates nothing and both construction routes fail with the same error.
-func (t TopologySpec) emitEdges(rng *rand.Rand, newGraph func(n int) graph.EdgeEmitter) error {
+// checks the spec, asks newGraph for a graph sized by the vertex-count rule,
+// with the family's edge count m, and streams the family's edges into the
+// emitter it returns, in the family's canonical order; the random families
+// draw from rng as they stream. m is exact for every deterministic family
+// and the tree, and the spanning tree's n−1 for random, which adds a random
+// number of edges on top. The spec is checked before newGraph is called,
+// so an invalid one allocates nothing and both construction routes fail
+// with the same error.
+func (t TopologySpec) emitEdges(rng *rand.Rand, newGraph func(n, m int) graph.EdgeEmitter) error {
 	if err := t.checkSize(); err != nil {
 		return fmt.Errorf("exp: %w", err)
 	}
 	n := t.vertices()
 	switch t.Family {
 	case FamilyPath:
-		graph.EmitPath(n, newGraph(n))
+		graph.EmitPath(n, newGraph(n, n-1))
 	case FamilyCycle:
-		graph.EmitCycle(n, newGraph(n))
+		graph.EmitCycle(n, newGraph(n, n))
 	case FamilyStar:
-		graph.EmitStar(n, newGraph(n))
+		graph.EmitStar(n, newGraph(n, n-1))
 	case FamilyComplete:
-		graph.EmitComplete(n, newGraph(n))
+		graph.EmitComplete(n, newGraph(n, n*(n-1)/2))
 	case FamilyGrid:
 		side := gridSide(t.Size)
-		graph.EmitGrid(side, side, newGraph(n))
+		graph.EmitGrid(side, side, newGraph(n, 2*side*(side-1)))
 	case FamilyRandom:
 		p := t.Param
 		if p <= 0 {
 			p = 0.1
 		}
-		graph.EmitRandomConnected(n, p, rng, newGraph(n))
+		graph.EmitRandomConnected(n, p, rng, newGraph(n, n-1))
 	case FamilyTree:
-		graph.EmitSpanningTree(n, rng, newGraph(n))
+		graph.EmitSpanningTree(n, rng, newGraph(n, n-1))
 	default:
 		return fmt.Errorf("exp: unknown topology family %q", t.Family)
 	}

@@ -3,6 +3,8 @@ package exp
 import (
 	"math/rand"
 	"testing"
+
+	"qdc/internal/graph"
 )
 
 // streamableSpecs covers every family Streamable admits, including the ones
@@ -75,6 +77,45 @@ func TestStreamable(t *testing.T) {
 	} {
 		if spec.Streamable() {
 			t.Errorf("%s: must not be streamable", spec)
+		}
+	}
+}
+
+// TestEmitEdgesReservesFamilyEdgeCount: the family table hands the builder
+// the exact edge count of every family but random, whose n−1 tree edges
+// are a lower bound, so a streamed CSR fills arrays allocated once.
+func TestEmitEdgesReservesFamilyEdgeCount(t *testing.T) {
+	for _, spec := range streamableSpecs {
+		var reserved, emitted int
+		err := spec.emitEdges(rand.New(rand.NewSource(5)), func(n, m int) graph.EdgeEmitter {
+			reserved = m
+			return func(int, int, float64) { emitted++ }
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if emitted != reserved && (spec.Family != FamilyRandom || emitted < reserved) {
+			t.Errorf("%s: reserved %d edges, streamed %d", spec, reserved, emitted)
+		}
+	}
+}
+
+// TestBuildCSRAllocsBounded gates a streamed CSR build at 16 objects, on a
+// 64x64 grid as on a 320x320 one: the builder's three edge arrays are
+// allocated once at the family's edge count, then Finish's CSR, tables and
+// cursor. Arrays grown by append while the edges stream in take several
+// objects each, more on the larger grid.
+func TestBuildCSRAllocsBounded(t *testing.T) {
+	for _, size := range []int{4096, 102400} {
+		spec := TopologySpec{Family: FamilyGrid, Size: size}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := spec.BuildCSR(nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f objects", spec, allocs)
+		if allocs > 16 {
+			t.Errorf("BuildCSR(%s) allocates %.0f objects, want at most 16", spec, allocs)
 		}
 	}
 }

@@ -91,12 +91,12 @@ type Builder struct {
 	ws []float64
 }
 
-// NewBuilder returns an empty builder for a graph on n vertices.
-func NewBuilder(n int) *Builder {
-	if n < 0 {
-		n = 0
-	}
-	return &Builder{n: n}
+// NewBuilder returns an empty builder for a graph on n vertices with room
+// for m edges. A stream of up to m edges then fills arrays allocated once;
+// a longer one grows them as append does, and m <= 0 reserves nothing.
+func NewBuilder(n, m int) *Builder {
+	n, m = max(n, 0), max(m, 0)
+	return &Builder{n: n, us: make([]int32, 0, m), vs: make([]int32, 0, m), ws: make([]float64, 0, m)}
 }
 
 // N returns the number of vertices.
@@ -201,7 +201,7 @@ func (s csrBucket) Swap(i, j int) {
 // Finish pass the streaming path uses, so both construction routes yield
 // byte-identical tables for the same edge set.
 func FromGraph(g *Graph) *CSR {
-	b := NewBuilder(g.N())
+	b := NewBuilder(g.N(), g.M())
 	for _, e := range g.Edges() {
 		b.MustAddEdge(e.U, e.V, e.Weight)
 	}

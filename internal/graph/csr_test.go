@@ -44,7 +44,9 @@ func csrFamilies() []csrFamily {
 // every generator family, the CSR built by streaming edges into a Builder is
 // byte-identical (offsets, targets, weights) to the CSR converted from the
 // map-built Graph, and the random families leave both rngs in the same
-// state, proving identical stream consumption.
+// state, proving identical stream consumption. The streamed builder starts
+// with no room and grows, while FromGraph reserves the graph's edge count,
+// so the two growth paths are compared too.
 func TestBuilderMatchesMapPath(t *testing.T) {
 	for _, f := range csrFamilies() {
 		t.Run(f.name, func(t *testing.T) {
@@ -52,7 +54,7 @@ func TestBuilderMatchesMapPath(t *testing.T) {
 			rngB := rand.New(rand.NewSource(42))
 			g := f.mapped(rngA)
 			fromMap := FromGraph(g)
-			b := NewBuilder(f.n)
+			b := NewBuilder(f.n, 0)
 			f.stream(b, rngB)
 			streamed, err := b.Finish()
 			if err != nil {
@@ -115,7 +117,7 @@ func TestCSRMatchesGraphSemantics(t *testing.T) {
 }
 
 func TestBuilderValidation(t *testing.T) {
-	b := NewBuilder(4)
+	b := NewBuilder(4, 2)
 	if err := b.AddEdge(0, 4, 1); !errors.Is(err, ErrVertexOutOfRange) {
 		t.Errorf("out of range: got %v", err)
 	}
@@ -133,7 +135,7 @@ func TestBuilderValidation(t *testing.T) {
 }
 
 func TestBuilderEmpty(t *testing.T) {
-	c, err := NewBuilder(3).Finish()
+	c, err := NewBuilder(3, 0).Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +154,7 @@ func TestBuilderEmpty(t *testing.T) {
 func TestBuilderFinishAllocsIndependentOfN(t *testing.T) {
 	var allocs []float64
 	for _, side := range []int{64, 320} {
-		b := NewBuilder(side * side)
+		b := NewBuilder(side*side, 2*side*(side-1))
 		EmitGrid(side, side, b.MustAddEdge)
 		allocs = append(allocs, testing.AllocsPerRun(3, func() {
 			if _, err := b.Finish(); err != nil {

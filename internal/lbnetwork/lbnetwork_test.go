@@ -10,20 +10,29 @@ import (
 	"qdc/internal/graph"
 )
 
+// TestRoundUpPathLength pins RoundedDims's rounding: the smallest L >= the
+// requested length with L−1 a power of two and L >= 3, and K = log₂(L−1),
+// up to MaxPathLen.
 func TestRoundUpPathLength(t *testing.T) {
-	tests := []struct{ in, want int }{
-		{1, 3}, {3, 3}, {4, 5}, {5, 5}, {6, 9}, {9, 9}, {10, 17}, {17, 17}, {100, 129},
+	tests := []struct{ in, l, k int }{
+		{-5, 3, 1}, {1, 3, 1}, {3, 3, 1}, {4, 5, 2}, {5, 5, 2}, {6, 9, 3}, {9, 9, 3}, {10, 17, 4},
+		{17, 17, 4}, {100, 129, 7}, {MaxPathLen/2 + 1, MaxPathLen/2 + 1, 29}, {MaxPathLen, MaxPathLen + 1, 30},
 	}
 	for _, tc := range tests {
-		if got := roundUpPathLength(tc.in); got != tc.want {
-			t.Errorf("roundUpPathLength(%d) = %d, want %d", tc.in, got, tc.want)
+		if l, k := RoundedDims(tc.in); l != tc.l || k != tc.k {
+			t.Errorf("RoundedDims(%d) = %d, %d; want %d, %d", tc.in, l, k, tc.l, tc.k)
 		}
 	}
 }
 
+// TestNewValidation: fewer than two paths, and a path longer than
+// MaxPathLen, are refused before anything is built; 5e18 and MaxInt have
+// no rounded length 2^k+1 in an int.
 func TestNewValidation(t *testing.T) {
-	if _, err := New(1, 9); !errors.Is(err, ErrBadParams) {
-		t.Fatalf("err = %v, want ErrBadParams", err)
+	for _, tc := range []struct{ gamma, pathLen int }{{1, 9}, {2, 5e18}, {2, math.MaxInt}, {2, MaxPathLen + 1}} {
+		if _, err := New(tc.gamma, tc.pathLen); !errors.Is(err, ErrBadParams) {
+			t.Errorf("New(%d, %d): err = %v, want ErrBadParams", tc.gamma, tc.pathLen, err)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ package lbnetwork
 import (
 	"errors"
 	"fmt"
-	"math"
+	"math/bits"
 
 	"qdc/internal/graph"
 )
@@ -46,28 +46,22 @@ type Network struct {
 	positions    []int   // positions[v]: column position of vertex v
 }
 
-// roundUpPathLength returns the smallest L' >= L with L'-1 a power of two
-// and L' >= 3.
-func roundUpPathLength(l int) int {
-	if l < 3 {
-		l = 3
-	}
-	p := 1
-	for p+1 < l {
-		p <<= 1
-	}
-	return p + 1
-}
+// MaxPathLen is the longest path New accepts. Rounding a longer one up to
+// 2^k+1 would leave no room in an int long before the network could be
+// built.
+const MaxPathLen = 1 << 30
 
 // RoundedDims returns the path length L and highway count K that
 // New(gamma, pathLen) will realise: pathLen rounded up so that L−1 is a
 // power of two (and L >= 3), and K = log₂(L−1). Callers that need to size
 // resources for a network before (or without) building it — e.g. the
 // experiment harness's ID-width bound — must use this instead of
-// re-deriving the rounding rule.
+// re-deriving the rounding rule. K is the bit length of max(pathLen, 3)−2,
+// so no input loops; the dims are meaningful up to MaxPathLen, the longest
+// path New builds.
 func RoundedDims(pathLen int) (l, k int) {
-	l = roundUpPathLength(pathLen)
-	return l, int(math.Round(math.Log2(float64(l - 1))))
+	k = bits.Len(uint(max(pathLen, 3) - 2))
+	return 1<<k + 1, k
 }
 
 // VertexCount returns the vertex count of New(gamma, pathLen) without
@@ -80,9 +74,13 @@ func VertexCount(gamma, pathLen int) int {
 
 // New builds the network with gamma paths of pathLen vertices each (pathLen
 // is rounded up so that pathLen−1 is a power of two, as in Appendix D.1).
+// A path longer than MaxPathLen is refused before it is rounded.
 func New(gamma, pathLen int) (*Network, error) {
 	if gamma < 2 {
 		return nil, fmt.Errorf("%w: need at least 2 paths, got %d", ErrBadParams, gamma)
+	}
+	if pathLen > MaxPathLen {
+		return nil, fmt.Errorf("%w: path length %d is above %d", ErrBadParams, pathLen, MaxPathLen)
 	}
 	l, k := RoundedDims(pathLen)
 

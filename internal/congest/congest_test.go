@@ -118,20 +118,29 @@ func TestBandwidthEnforced(t *testing.T) {
 	}
 }
 
-// strangerNode sends to a node that is not its neighbour.
-type strangerNode struct{}
+// strangerNode sends to a node that is not its neighbour: the node two
+// hops ahead or, with alias set, its first neighbour's ID plus 2^32, which
+// is that neighbour once cut to the neighbour table's int32.
+type strangerNode struct{ alias bool }
 
 func (strangerNode) Init(*Context) {}
-func (strangerNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
+func (s strangerNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	target := (ctx.ID() + 2) % ctx.N()
+	if s.alias {
+		target = ctx.NeighborAt(0) + 1<<32
+	}
 	return []Message{NewWordMessage(target, 0, 1, 0, 1)}, false
 }
 
 func TestNonNeighborRejected(t *testing.T) {
-	nw, _ := NewNetwork(graph.Path(5), 8)
-	_, err := nw.Run(func(*Context) Node { return strangerNode{} }, Options{})
-	if !errors.Is(err, ErrNotNeighbor) {
-		t.Fatalf("err = %v, want ErrNotNeighbor", err)
+	for _, alias := range []bool{false, true} {
+		for _, workers := range []int{0, 2} {
+			nw, _ := NewNetwork(graph.Path(5), 8)
+			_, err := nw.Run(func(*Context) Node { return strangerNode{alias} }, Options{Workers: workers})
+			if !errors.Is(err, ErrNotNeighbor) {
+				t.Errorf("alias=%v workers=%d: err = %v, want ErrNotNeighbor", alias, workers, err)
+			}
+		}
 	}
 }
 

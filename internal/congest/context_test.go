@@ -95,6 +95,16 @@ func (vn *viewNode) check(ctx *congest.Context, v int) string {
 	if w, ok := ctx.EdgeWeight(stranger); ok || w != 0 {
 		return fmt.Sprintf("EdgeWeight(%d) = %g, %v for a non-neighbour; want 0, false", stranger, w, ok)
 	}
+	// IDs that are a neighbour's once cut to the table's int32 are not
+	// neighbours.
+	for i := range ctx.Degree() {
+		u := ctx.NeighborAt(i)
+		for _, alias := range []int{u + 1<<32, u - 1<<32} {
+			if _, ok := ctx.EdgeWeight(alias); ok || ctx.IsNeighbor(alias) {
+				return fmt.Sprintf("ID %d, neighbour %d plus a multiple of 2^32, reads as a neighbour", alias, u)
+			}
+		}
+	}
 	if got, want := ctx.Input(), vn.inputs[v]; got != want {
 		return fmt.Sprintf("Input %v, want %v", got, want)
 	}

@@ -33,9 +33,9 @@
 // edge weight is read back through the topology when a node asks for it. A
 // node's Context is 32 bytes, two per cache line: its ID, its lazy random
 // source and two pointers, through which it reads n, B and its neighbours
-// from the run's shared tables, its edge weights from the topology, its
-// input from the run's options, and writes its output straight into the
-// run's Result.
+// from the run's shared tables, its edge weights from the topology and its
+// input from the run's options. A node program keeps its results in its own
+// state, where the caller that built it reads them once Run returns.
 // Together these carry the same bit-exact accounting from the paper-sized
 // networks up to million-node topologies; see DESIGN.md, "The congest hot
 // path" and "Compact payloads and streaming topologies".
@@ -209,11 +209,6 @@ func (c *Context) Rand() *rand.Rand {
 	return c.rng
 }
 
-// SetOutput records the node's final output for the problem being solved:
-// it writes the node's entry of the run's Result.Outputs, so the last call
-// wins.
-func (c *Context) SetOutput(v any) { c.st.res.Outputs[c.id] = v }
-
 // Errors reported by the simulator.
 var (
 	// ErrBandwidthExceeded reports that a node attempted to send more than B
@@ -324,12 +319,6 @@ type Result struct {
 	// MaxEdgeBitsPerRound is the maximum number of bits observed on any
 	// single directed edge in any single round (always <= bandwidth).
 	MaxEdgeBitsPerRound int
-	// Outputs holds each node's output recorded via Context.SetOutput,
-	// indexed by node ID, with nil where a node set none. SetOutput writes
-	// it directly, so a run that stops early returns every output set
-	// before it stopped. It is the run's own slice: a later run on the
-	// same network does not touch it.
-	Outputs []any
 }
 
 // Options configures a run.
@@ -378,7 +367,10 @@ type Options struct {
 }
 
 // Run executes the algorithm produced by factory on every node and returns
-// run statistics. It is deterministic for a fixed seed.
+// run statistics. It is deterministic for a fixed seed. A run returns no
+// per-node results: each node program keeps its own, and the caller reads
+// them from the programs its factory handed out once Run returns, on every
+// exit path, errors included.
 //
 // The round loop is steady-state allocation-free: the working state below
 // (contexts, the flat neighbour table with its CSR edge index,
@@ -388,9 +380,7 @@ type Options struct {
 // node's inbox slice is therefore valid only for the duration of the Round
 // call that receives it: the round's messages are delivered into the same
 // buffer once the node returns. The contexts handed to the factory are
-// likewise valid only until Run returns, and a node's SetOutput writes
-// straight into the returned Result, so every exit path, errors included,
-// returns whatever the nodes managed to decide.
+// likewise valid only until Run returns.
 // The inputs come with the run in opts.Inputs, and contexts read that map
 // during the run, so it must not change until Run returns. The state of a
 // run that a panic unwinds through is dropped, and the next run builds a
@@ -415,9 +405,9 @@ func (nw *Network) Run(factory NodeFactory, opts Options) (*Result, error) {
 
 // park keeps st for the next run. It first drops the finished run's node
 // programs, every context's random source, its options (and with them its
-// inputs) and its Result (and with it every output), so an idle network
-// keeps no stage's node state, inputs or callbacks reachable. The send
-// logs and inboxes keep their messages: a Message holds no pointer.
+// inputs) and its Result, so an idle network keeps no stage's node state,
+// inputs or callbacks reachable. The send logs and inboxes keep their
+// messages: a Message holds no pointer.
 func (nw *Network) park(st *runState) {
 	clear(st.nodes)
 	for v := range st.ctxs {
@@ -540,7 +530,8 @@ func newRunState(nw *Network) (*runState, error) {
 // start resets what the previous run on this state left behind and builds
 // the run's nodes: the seed, every inbox (a round-limit, cancel or error
 // exit leaves messages in them), the awake words, and a fresh Result, since
-// callers keep results across runs. The contexts need nothing: park dropped
+// callers keep results across runs; a Result holds no per-node field, so it
+// costs the same whatever n. The contexts need nothing: park dropped
 // their random sources, and they read everything else from the tables.
 // It partitions anew only when the worker count changed, before the
 // factory runs, so that a context's Outbox works from the first call, and
@@ -559,7 +550,7 @@ func (st *runState) start(factory NodeFactory, opts Options) error {
 	}
 	st.opts = opts
 	st.seed = st.nw.seed
-	st.res = &Result{Outputs: make([]any, n)}
+	st.res = &Result{}
 	for v := range st.inboxes {
 		st.inboxes[v] = st.inboxes[v][:0]
 	}

@@ -10,8 +10,8 @@ import (
 	"qdc/internal/graph"
 )
 
-// floodMaxNode floods the maximum ID seen so far; after diameter+1 rounds of
-// silence it terminates with the maximum as output. It is the classic
+// floodMaxNode floods the maximum ID seen so far; after n+1 rounds of
+// silence it terminates, its result the maximum in best. It is the classic
 // "leader election by flooding" used here to exercise the simulator.
 type floodMaxNode struct {
 	best    int
@@ -37,19 +37,39 @@ func (f *floodMaxNode) Round(ctx *Context, round int, inbox []Message) ([]Messag
 		return BroadcastAllWords(ctx, 0, uint64(f.best), 0, BitsForID(ctx.N())), false
 	}
 	f.quiet++
-	ctx.SetOutput(f.best)
 	return nil, f.quiet > ctx.N()
 }
 
-// setOutputs counts the nodes whose output res holds.
-func setOutputs(res *Result) int {
-	set := 0
-	for _, out := range res.Outputs {
-		if out != nil {
-			set++
-		}
+// slab carves the node programs of one run from a slice, as the
+// internal/dist algorithms do: node v runs &nodes[v], first set to
+// newNode(ctx). A test reads each node's result from nodes once the run
+// has returned.
+func slab[T any, P interface {
+	*T
+	Node
+}](n int, newNode func(ctx *Context) T) (nodes []T, factory NodeFactory) {
+	nodes = make([]T, n)
+	return nodes, func(ctx *Context) Node {
+		nodes[ctx.ID()] = newNode(ctx)
+		return P(&nodes[ctx.ID()])
 	}
-	return set
+}
+
+// program builds the node programs of one run on n nodes from a fresh
+// slab. It returns their factory and read, which returns the per-node
+// results a test compares, read from the slab once the run has returned.
+type program func(n int) (factory NodeFactory, read func() any)
+
+// slabOf is the program whose node v runs element v of a fresh slab, first
+// set to newNode(ctx), and whose results are the whole slab.
+func slabOf[T any, P interface {
+	*T
+	Node
+}](newNode func(ctx *Context) T) program {
+	return func(n int) (NodeFactory, func() any) {
+		nodes, factory := slab[T, P](n, newNode)
+		return factory, func() any { return nodes }
+	}
 }
 
 func TestFloodingFindsMaximum(t *testing.T) {
@@ -58,20 +78,18 @@ func TestFloodingFindsMaximum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := nw.Run(func(*Context) Node { return &floodMaxNode{} }, Options{})
+	nodes, factory := slab(topo.N(), func(*Context) floodMaxNode { return floodMaxNode{} })
+	res, err := nw.Run(factory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Terminated {
 		t.Fatal("run did not terminate")
 	}
-	for id, out := range res.Outputs {
-		if out.(int) != 9 {
-			t.Fatalf("node %d output %v, want 9", id, out)
+	for id, f := range nodes {
+		if f.best != 9 || f.quiet <= topo.N() {
+			t.Fatalf("node %d ended with best %d after %d quiet rounds, want 9 after more than %d", id, f.best, f.quiet, topo.N())
 		}
-	}
-	if got := setOutputs(res); got != 10 {
-		t.Fatalf("outputs from %d nodes, want 10", got)
 	}
 	if res.TotalMessages == 0 || res.TotalBits == 0 {
 		t.Fatal("message accounting is empty")

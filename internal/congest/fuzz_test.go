@@ -10,11 +10,12 @@ import (
 )
 
 // FuzzRunMatchesReference runs a node program derived from the fuzz input
-// on a small topology at every worker count and holds Result, trace stream
-// and error or panic text to referenceRun, an independent statement of the
-// round semantics. The program mixes classical messages of several kinds,
-// kind zero included, qubit messages, oversize messages and messages to
-// non-neighbours, done votes and wake-ups, and optionally a node panic,
+// on a small topology at every worker count and holds Result, every node's
+// (digest, calls) pair, trace stream and error or panic text to
+// referenceRun, an independent statement of the round semantics. The
+// program mixes classical messages of several kinds, kind zero included,
+// qubit messages, oversize messages and messages to non-neighbours, done
+// votes and wake-ups, and optionally a node panic,
 // and it hands its messages back in every outbox shape (see
 // fuzzNode.Round); the seed corpus under testdata/fuzz covers each of
 // these. Every input runs twice on the same
@@ -24,10 +25,9 @@ func FuzzRunMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape, size uint8, seed int64, mix uint32) {
 		topo := fuzzTopology(shape, size, mix)
 		p := newFuzzProgram(topo.N(), seed, mix)
-		factory := func(*Context) Node { return &fuzzNode{p: p} }
 		opts := Options{MaxRounds: p.maxRounds, PerRound: mix&1 != 0}
 
-		want := referenceRun(topo, p.bandwidth, seed, factory, opts)
+		want := referenceRun(topo, p.bandwidth, seed, p.nodes, opts)
 		for _, workers := range []int{0, 1, 2, 3, 4} {
 			nw, err := NewNetwork(topo, p.bandwidth)
 			if err != nil {
@@ -35,7 +35,7 @@ func FuzzRunMatchesReference(f *testing.F) {
 			}
 			nw.SetSeed(seed)
 			for _, run := range []string{"first run", "rerun"} {
-				if diff := sameOutcome(fuzzRun(nw, factory, opts, workers), want); diff != "" {
+				if diff := sameOutcome(fuzzRun(nw, p.nodes, opts, workers), want); diff != "" {
 					t.Fatalf("Workers=%d, %s: %s", workers, run, diff)
 				}
 			}
@@ -43,11 +43,13 @@ func FuzzRunMatchesReference(f *testing.F) {
 	})
 }
 
-// runOutcome is everything a run reports: its Result, its trace stream,
-// its error text ("" for none) and the text it panicked with ("" for
-// none).
+// runOutcome is everything a run reports: its Result, its node results as
+// its program reads them from the slab (nil after a panic), its trace
+// stream, its error text ("" for none) and the text it panicked with (""
+// for none).
 type runOutcome struct {
 	res    *Result
+	nodes  any
 	events []traceEvent
 	err    string
 	panic  string
@@ -62,6 +64,8 @@ func sameOutcome(got, want runOutcome) string {
 		return fmt.Sprintf("error %q, want %q", got.err, want.err)
 	case !reflect.DeepEqual(got.res, want.res):
 		return fmt.Sprintf("Result diverged:\ngot  %+v\nwant %+v", got.res, want.res)
+	case !reflect.DeepEqual(got.nodes, want.nodes):
+		return fmt.Sprintf("node results diverged:\ngot  %v\nwant %v", got.nodes, want.nodes)
 	case !reflect.DeepEqual(got.events, want.events):
 		return fmt.Sprintf("trace diverged (%d vs %d events)", len(got.events), len(want.events))
 	}
@@ -137,8 +141,21 @@ func newFuzzProgram(n int, seed int64, mix uint32) *fuzzProgram {
 	return p
 }
 
-// fuzzNode folds everything it receives, in order, into a digest it
-// outputs with its step count, so every output depends on which rounds
+// nodes is the fuzz program's slab: node v runs element v, and each node's
+// result is its (digest, calls) pair.
+func (p *fuzzProgram) nodes(n int) (NodeFactory, func() any) {
+	nodes, factory := slab(n, func(*Context) fuzzNode { return fuzzNode{p: p} })
+	return factory, func() any {
+		pairs := make([][2]uint64, n)
+		for v := range nodes {
+			pairs[v] = [2]uint64{nodes[v].digest, uint64(nodes[v].calls)}
+		}
+		return pairs
+	}
+}
+
+// fuzzNode folds everything it receives, in order, into a digest, and
+// counts its steps in calls, so every node's result depends on which rounds
 // stepped the node and on the exact order of its inboxes.
 type fuzzNode struct {
 	p      *fuzzProgram
@@ -160,7 +177,6 @@ func (f *fuzzNode) Round(ctx *Context, round int, inbox []Message) ([]Message, b
 		f.digest = mix64(f.digest ^ x)
 	}
 	f.calls++
-	ctx.SetOutput([2]uint64{f.digest, uint64(f.calls)})
 	if ctx.ID() == p.panicNode && round == p.panicRound {
 		panic(fmt.Sprintf("fuzz node %d, digest %x", ctx.ID(), f.digest))
 	}
@@ -248,8 +264,8 @@ func mix64(x uint64) uint64 {
 	return x ^ x>>31
 }
 
-// fuzzRun runs factory on nw through Network.Run with a recording Trace.
-func fuzzRun(nw *Network, factory NodeFactory, opts Options, workers int) (o runOutcome) {
+// fuzzRun runs prog on nw through Network.Run with a recording Trace.
+func fuzzRun(nw *Network, prog program, opts Options, workers int) (o runOutcome) {
 	opts.Workers = workers
 	opts.Trace = o.record
 	defer func() {
@@ -257,8 +273,9 @@ func fuzzRun(nw *Network, factory NodeFactory, opts Options, workers int) (o run
 			o.panic = fmt.Sprint(p)
 		}
 	}()
+	factory, read := prog(nw.Size())
 	res, err := nw.Run(factory, opts)
-	o.res = res
+	o.res, o.nodes = res, read()
 	o.setErr(err)
 	return o
 }
@@ -269,14 +286,13 @@ func fuzzRun(nw *Network, factory NodeFactory, opts Options, workers int) (o run
 // fills in ascending sender ID. It has no ranges, slots or queues, and it
 // takes a copy of every outbox as its node returns it, so each context's
 // Outbox is room in one scratch slice that is never committed. Its
-// contexts read a minimal run state: the neighbour table, the topology,
-// the seed and the Result their SetOutput writes. It traces every accepted
-// message; opts.Trace and opts.Cancel are ignored, and opts.MaxRounds must
-// be positive.
-func referenceRun(topo Topology, bandwidth int, seed int64, factory NodeFactory, opts Options) (o runOutcome) {
+// contexts read a minimal run state: the neighbour table, the topology and
+// the seed. It traces every accepted message; opts.Trace and opts.Cancel
+// are ignored, and opts.MaxRounds must be positive.
+func referenceRun(topo Topology, bandwidth int, seed int64, prog program, opts Options) (o runOutcome) {
 	n := topo.N()
-	res := &Result{Outputs: make([]any, n)}
-	st := &runState{nw: &Network{topo: topo, bandwidth: bandwidth}, n: n, res: res, seed: seed, offsets: make([]int32, n+1)}
+	res := &Result{}
+	st := &runState{nw: &Network{topo: topo, bandwidth: bandwidth}, n: n, seed: seed, offsets: make([]int32, n+1)}
 	ctxs := make([]*Context, n)
 	isNeighbor := make([]map[int]bool, n)
 	scratch := make([]Message, 0, 4)
@@ -290,6 +306,7 @@ func referenceRun(topo Topology, bandwidth int, seed int64, factory NodeFactory,
 		st.offsets[v+1] = int32(len(st.nbrs))
 		ctxs[v] = &Context{st: st, id: int32(v), sent: &scratch}
 	}
+	factory, read := prog(n)
 	nodes := make([]Node, n)
 	for v := range nodes {
 		nodes[v] = factory(ctxs[v])
@@ -299,7 +316,7 @@ func referenceRun(topo Topology, bandwidth int, seed int64, factory NodeFactory,
 	}
 
 	finish := func(err error) runOutcome {
-		o.res = res
+		o.res, o.nodes = res, read()
 		o.setErr(err)
 		return o
 	}

@@ -9,8 +9,8 @@ import (
 // rounds: packed IDs, flags, a (round, hops) pair under kind zero, and
 // qubits. Per neighbour the class rotates with the round, so every inbox
 // interleaves all four. The node folds what it receives into a running
-// digest it outputs at the end, which makes the outputs sensitive to every
-// delivered message of every class.
+// digest, its result, which makes the results sensitive to every delivered
+// message of every class.
 type mixedPayloadNode struct {
 	rounds int
 	digest uint64
@@ -43,7 +43,6 @@ func (m *mixedPayloadNode) Round(ctx *Context, round int, inbox []Message) ([]Me
 		}
 	}
 	if round > m.rounds {
-		ctx.SetOutput(m.digest)
 		return nil, true
 	}
 	var out []Message
@@ -64,11 +63,11 @@ func (m *mixedPayloadNode) Round(ctx *Context, round int, inbox []Message) ([]Me
 	return out, false
 }
 
-// runMixed executes the mixed workload and returns the Result plus the full
-// traced message stream — Kind, W0/W1 and Quantum included, since every
-// worker count runs the same program and must agree on the content itself,
-// not just the accounting projection.
-func runMixed(t *testing.T, workers int) (*Result, []traceEvent) {
+// runMixed executes the mixed workload and returns the Result, the node
+// slab and the full traced message stream — Kind, W0/W1 and Quantum
+// included, since every worker count runs the same program and must agree
+// on the content itself, not just the accounting projection.
+func runMixed(t *testing.T, workers int) (*Result, []mixedPayloadNode, []traceEvent) {
 	t.Helper()
 	nw, err := NewNetwork(ring(41), 64)
 	if err != nil {
@@ -76,7 +75,8 @@ func runMixed(t *testing.T, workers int) (*Result, []traceEvent) {
 	}
 	nw.SetSeed(29)
 	var events []traceEvent
-	res, err := nw.Run(func(*Context) Node { return &mixedPayloadNode{rounds: 17} },
+	nodes, factory := slab(41, func(*Context) mixedPayloadNode { return mixedPayloadNode{rounds: 17} })
+	res, err := nw.Run(factory,
 		Options{
 			Workers:  workers,
 			PerRound: true,
@@ -87,17 +87,17 @@ func runMixed(t *testing.T, workers int) (*Result, []traceEvent) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, events
+	return res, nodes, events
 }
 
 // TestMixedPayloadsIdenticalAcrossWorkers pins the data plane's contract for
 // a workload that interleaves classical messages of several kinds, kind zero
 // included, with quantum ones in the same rounds: the full Result (rounds,
-// bit and message totals, the quantum split, per-round traffic, the digest
-// outputs) and the complete trace stream are identical whether the round
-// runs on one range or on a worker pool.
+// bit and message totals, the quantum split, per-round traffic), the digest
+// every node ends with and the complete trace stream are identical whether
+// the round runs on one range or on a worker pool.
 func TestMixedPayloadsIdenticalAcrossWorkers(t *testing.T) {
-	seqRes, seqEvents := runMixed(t, 0)
+	seqRes, seqNodes, seqEvents := runMixed(t, 0)
 
 	// The workload must genuinely mix all three classes.
 	var words, pairs, quantum int
@@ -122,9 +122,12 @@ func TestMixedPayloadsIdenticalAcrossWorkers(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		res, events := runMixed(t, workers)
+		res, nodes, events := runMixed(t, workers)
 		if !reflect.DeepEqual(seqRes, res) {
 			t.Errorf("Workers=%d: Result diverged from sequential:\nseq %+v\ngot %+v", workers, seqRes, res)
+		}
+		if !reflect.DeepEqual(seqNodes, nodes) {
+			t.Errorf("Workers=%d: node digests diverged from sequential:\nseq %+v\ngot %+v", workers, seqNodes, nodes)
 		}
 		if !reflect.DeepEqual(seqEvents, events) {
 			t.Errorf("Workers=%d: trace stream diverged (%d vs %d events)", workers, len(seqEvents), len(events))

@@ -12,7 +12,8 @@ import (
 )
 
 // mixerNode sums everything it hears with a private random increment each
-// round — a worst case for accidental cross-node state sharing.
+// round — a worst case for accidental cross-node state sharing. Its result
+// is sum.
 type mixerNode struct {
 	sum    int
 	rounds int
@@ -26,7 +27,6 @@ func (m *mixerNode) Round(ctx *Context, round int, inbox []Message) ([]Message, 
 	}
 	m.sum += ctx.Rand().Intn(8)
 	if round >= m.rounds {
-		ctx.SetOutput(m.sum)
 		return nil, true
 	}
 	return BroadcastAllWordsInto(ctx.Outbox(), ctx, 0, uint64(m.sum%1024), 0, 10), false
@@ -50,32 +50,43 @@ func sortedPair(a, b, i int) int {
 	return [2]int{min(a, b), max(a, b)}[i]
 }
 
+// newMixer is the node of a mixerNode run of the given length.
+func newMixer(rounds int) func(*Context) mixerNode {
+	return func(*Context) mixerNode { return mixerNode{rounds: rounds} }
+}
+
 func TestWorkersProduceIdenticalResults(t *testing.T) {
-	run := func(workers int) *Result {
+	run := func(workers int) (*Result, []mixerNode) {
 		nw, err := NewNetwork(ring(37), 16)
 		if err != nil {
 			t.Fatal(err)
 		}
 		nw.SetSeed(9)
-		res, err := nw.Run(func(*Context) Node { return &mixerNode{rounds: 20} },
-			Options{Workers: workers, Inputs: map[int]any{5: 1000}})
+		nodes, factory := slab(37, newMixer(20))
+		res, err := nw.Run(factory, Options{Workers: workers, Inputs: map[int]any{5: 1000}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, nodes
 	}
-	sequential := run(0)
+	seqRes, seqNodes := run(0)
 	for _, workers := range []int{1, 2, 8, 64} {
-		if got := run(workers); !reflect.DeepEqual(sequential, got) {
-			t.Errorf("Workers=%d diverged from sequential:\nseq %+v\ngot %+v", workers, sequential, got)
+		if res, nodes := run(workers); !reflect.DeepEqual(seqRes, res) || !reflect.DeepEqual(seqNodes, nodes) {
+			t.Errorf("Workers=%d diverged from sequential:\nseq %+v %+v\ngot %+v %+v", workers, seqRes, seqNodes, res, nodes)
 		}
 	}
 }
 
 // hybridNode exercises every accounted quantity at once: classical and
-// quantum messages of uneven sizes, per-round traffic splits, outputs, and
-// private randomness. Used to pin full-Result equality across worker counts.
-type hybridNode struct{ rounds int }
+// quantum messages of uneven sizes, per-round traffic splits, a per-node
+// result, and private randomness. Used to pin full-Result equality across
+// worker counts. Its result is heard, the size of its inbox in its last
+// sending round.
+type hybridNode struct{ rounds, heard int }
+
+func newHybrid(rounds int) func(*Context) hybridNode {
+	return func(*Context) hybridNode { return hybridNode{rounds: rounds} }
+}
 
 func (h *hybridNode) Init(*Context) {}
 
@@ -84,7 +95,7 @@ func (h *hybridNode) Round(ctx *Context, round int, inbox []Message) ([]Message,
 		return nil, true
 	}
 	if round == h.rounds {
-		ctx.SetOutput([2]int{ctx.ID(), len(inbox)})
+		h.heard = len(inbox)
 	}
 	var out []Message
 	for i := 0; i < ctx.Degree(); i++ {
@@ -100,23 +111,23 @@ func (h *hybridNode) Round(ctx *Context, round int, inbox []Message) ([]Message,
 
 func TestWorkersIdenticalFullResult(t *testing.T) {
 	// Bit-for-bit equality of the whole Result — rounds, message and bit
-	// totals, the quantum split, the per-round traffic breakdown, the
-	// per-edge maximum and the outputs map — between one range on the
-	// calling goroutine and ranges on the worker pool.
-	run := func(workers int) *Result {
+	// totals, the quantum split, the per-round traffic breakdown and the
+	// per-edge maximum — and of every node's result between one range on
+	// the calling goroutine and ranges on the worker pool.
+	run := func(workers int) (*Result, []hybridNode) {
 		nw, err := NewNetwork(ring(53), 64)
 		if err != nil {
 			t.Fatal(err)
 		}
 		nw.SetSeed(17)
-		res, err := nw.Run(func(*Context) Node { return &hybridNode{rounds: 24} },
-			Options{Workers: workers, PerRound: true})
+		nodes, factory := slab(53, newHybrid(24))
+		res, err := nw.Run(factory, Options{Workers: workers, PerRound: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, nodes
 	}
-	sequential := run(0)
+	sequential, seqNodes := run(0)
 	if sequential.QuantumBits == 0 || sequential.QuantumBits == sequential.TotalBits {
 		t.Fatalf("workload must mix quantum and classical traffic, got %d of %d quantum",
 			sequential.QuantumBits, sequential.TotalBits)
@@ -125,21 +136,28 @@ func TestWorkersIdenticalFullResult(t *testing.T) {
 		t.Fatalf("PerRound has %d entries for %d rounds", len(sequential.PerRound), sequential.Rounds)
 	}
 	for _, workers := range []int{1, 4} {
-		if got := run(workers); !reflect.DeepEqual(sequential, got) {
-			t.Errorf("Workers=%d diverged from sequential:\nseq %+v\ngot %+v", workers, sequential, got)
+		if got, nodes := run(workers); !reflect.DeepEqual(sequential, got) || !reflect.DeepEqual(seqNodes, nodes) {
+			t.Errorf("Workers=%d diverged from sequential:\nseq %+v %+v\ngot %+v %+v", workers, sequential, seqNodes, got, nodes)
 		}
 	}
 }
 
 // roguePeer floods legally until round 3, when one designated node breaks a
 // rule: addressing a non-neighbour or overrunning the bandwidth budget.
-// Every node records an output in round 1, before the violation, so the
-// partial result's Outputs map is non-trivial at error time.
+// Every node counts its steps, so the slab of a run that stopped at the
+// violation shows which rounds stepped each node.
 type roguePeer struct {
 	rogue    bool
 	overrun  bool
 	partner  int
 	stranger int
+	steps    int
+}
+
+// newRogue is the node of a roguePeer run whose node 7 breaks the rule
+// overrun selects.
+func newRogue(overrun bool) func(*Context) roguePeer {
+	return func(ctx *Context) roguePeer { return roguePeer{rogue: ctx.ID() == 7, overrun: overrun} }
 }
 
 func (r *roguePeer) Init(ctx *Context) {
@@ -148,9 +166,7 @@ func (r *roguePeer) Init(ctx *Context) {
 }
 
 func (r *roguePeer) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
-	if round == 1 {
-		ctx.SetOutput(ctx.ID() * 10)
-	}
+	r.steps++
 	if r.rogue && round == 3 {
 		if r.overrun {
 			return []Message{NewWordMessage(r.partner, 0, 0, 0, 9), NewWordMessage(r.partner, 0, 0, 0, 9)}, false
@@ -166,8 +182,8 @@ func (r *roguePeer) Round(ctx *Context, round int, inbox []Message) ([]Message, 
 // rogueRun is what a roguePeer run on ring(32) at B = 16 stops with, at
 // every worker count: the error, plus the two clean rounds' traffic and the
 // round-3 messages of nodes 0..6 and of node 7 before its violation. The
-// failing round adds no PerRound entry, and the outputs every node recorded
-// in round 1 are collected.
+// failing round adds no PerRound entry, and every node has stepped in all
+// three rounds.
 var rogueRuns = []struct {
 	overrun     bool
 	err         string
@@ -183,8 +199,8 @@ var rogueRuns = []struct {
 }
 
 // runRogue runs roguePeer on ring(32) with per-round traffic and, when
-// traced is set, a recording Trace.
-func runRogue(t *testing.T, overrun, traced bool, workers int) (*Result, []traceEvent, error) {
+// traced is set, a recording Trace, and returns the slab with the run.
+func runRogue(t *testing.T, overrun, traced bool, workers int) (*Result, []roguePeer, []traceEvent, error) {
 	t.Helper()
 	nw, err := NewNetwork(ring(32), 16)
 	if err != nil {
@@ -197,20 +213,19 @@ func runRogue(t *testing.T, overrun, traced bool, workers int) (*Result, []trace
 			events = append(events, traceEvent{Round: round, Msg: msg})
 		}
 	}
-	res, err := nw.Run(func(ctx *Context) Node {
-		return &roguePeer{rogue: ctx.ID() == 7, overrun: overrun}
-	}, opts)
-	return res, events, err
+	nodes, factory := slab(32, newRogue(overrun))
+	res, err := nw.Run(factory, opts)
+	return res, nodes, events, err
 }
 
 // TestErrorPathsIdenticalAcrossWorkers pins the partial result of a run
 // that fails validation to absolute numbers at every worker count: the
-// error text, the traffic accounted before the violation and the outputs
-// recorded before it.
+// error text, the traffic accounted before the violation and the steps
+// every node took up to it.
 func TestErrorPathsIdenticalAcrossWorkers(t *testing.T) {
 	for _, want := range rogueRuns {
 		for _, workers := range []int{0, 1, 2, 4} {
-			res, _, err := runRogue(t, want.overrun, false, workers)
+			res, nodes, _, err := runRogue(t, want.overrun, false, workers)
 			if !errors.Is(err, want.is) || err.Error() != want.err {
 				t.Errorf("overrun=%v Workers=%d: error %v, want %s", want.overrun, workers, err, want.err)
 			}
@@ -220,9 +235,11 @@ func TestErrorPathsIdenticalAcrossWorkers(t *testing.T) {
 					want.overrun, workers, res.Rounds, res.TotalMessages, res.TotalBits, res.MaxEdgeBitsPerRound, len(res.PerRound),
 					want.rounds, want.messages, want.bits, want.maxEdgeBits, want.perRound)
 			}
-			if got := setOutputs(res); got != 32 {
-				t.Errorf("overrun=%v Workers=%d: error return collected %d outputs, want all 32",
-					want.overrun, workers, got)
+			for v := range nodes {
+				if nodes[v].steps != want.rounds {
+					t.Errorf("overrun=%v Workers=%d: node %d stepped %d times before the error, want %d",
+						want.overrun, workers, v, nodes[v].steps, want.rounds)
+				}
 			}
 		}
 	}
@@ -243,9 +260,8 @@ func TestErrorReturnZeroesEdgeBits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := st.start(func(ctx *Context) Node {
-				return &roguePeer{rogue: ctx.ID() == 7, overrun: want.overrun}
-			}, Options{Workers: workers}); err != nil {
+			_, factory := slab(32, newRogue(want.overrun))
+			if err := st.start(factory, Options{Workers: workers}); err != nil {
 				t.Fatal(err)
 			}
 			_, err = st.run()
@@ -307,42 +323,45 @@ func TestNodePanicsPropagateDeterministically(t *testing.T) {
 
 func TestWorkersDeterministicAcrossRepeats(t *testing.T) {
 	// The per-node random streams must not depend on scheduling: hammer the
-	// parallel path repeatedly and require byte-identical outputs.
-	var first []any
+	// parallel path repeatedly and require identical node results.
+	var first []mixerNode
 	for i := 0; i < 10; i++ {
 		nw, err := NewNetwork(ring(24), 16)
 		if err != nil {
 			t.Fatal(err)
 		}
 		nw.SetSeed(rand.New(rand.NewSource(4)).Int63())
-		res, err := nw.Run(func(*Context) Node { return &mixerNode{rounds: 15} }, Options{Workers: 6})
-		if err != nil {
+		nodes, factory := slab(24, newMixer(15))
+		if _, err := nw.Run(factory, Options{Workers: 6}); err != nil {
 			t.Fatal(err)
 		}
 		if first == nil {
-			first = res.Outputs
-		} else if !reflect.DeepEqual(first, res.Outputs) {
-			t.Fatalf("repeat %d produced different outputs", i)
+			first = nodes
+		} else if !reflect.DeepEqual(first, nodes) {
+			t.Fatalf("repeat %d produced different node results", i)
 		}
 	}
 }
 
-// requireSequentialRun checks a run at each worker count against the
-// sequential one — same Result, same event stream, same error text — and
-// returns the sequential run's error.
-func requireSequentialRun(t *testing.T, topo Topology, workerCounts []int, factory NodeFactory) error {
+// requireSequentialRun checks a run of prog at each worker count against
+// the sequential one — same Result, same node results, same event stream,
+// same error text — and returns the sequential run's error.
+func requireSequentialRun(t *testing.T, topo Topology, workerCounts []int, prog program) error {
 	t.Helper()
-	seqRes, seqEvents, seqErr := tracedRun(t, topo, 0, factory)
+	seqRes, seqNodes, seqEvents, seqErr := tracedRun(t, topo, 0, prog)
 	if len(seqEvents) == 0 {
 		t.Fatal("workload produced no trace events")
 	}
 	for _, workers := range workerCounts {
-		res, events, err := tracedRun(t, topo, workers, factory)
+		res, nodes, events, err := tracedRun(t, topo, workers, prog)
 		if (err == nil) != (seqErr == nil) || (err != nil && err.Error() != seqErr.Error()) {
 			t.Errorf("Workers=%d: error %v, want %v", workers, err, seqErr)
 		}
 		if !reflect.DeepEqual(seqRes, res) {
 			t.Errorf("Workers=%d: Result diverged:\nseq %+v\ngot %+v", workers, seqRes, res)
+		}
+		if !reflect.DeepEqual(seqNodes, nodes) {
+			t.Errorf("Workers=%d: node results diverged:\nseq %+v\ngot %+v", workers, seqNodes, nodes)
 		}
 		if !reflect.DeepEqual(seqEvents, events) {
 			t.Errorf("Workers=%d: event stream diverged (%d vs %d events)",
@@ -361,7 +380,7 @@ func requireSequentialRun(t *testing.T, topo Topology, workerCounts []int, facto
 func TestPartitionStarUnevenWorkers(t *testing.T) {
 	const n = 50
 	topo := graph.Star(n)
-	factory := func(*Context) Node { return &mixedPayloadNode{rounds: 12} }
+	prog := slabOf(func(*Context) mixedPayloadNode { return mixedPayloadNode{rounds: 12} })
 
 	nw, err := NewNetwork(topo, 64)
 	if err != nil {
@@ -371,6 +390,7 @@ func TestPartitionStarUnevenWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	factory, _ := prog(n)
 	if err := st.start(factory, Options{Workers: 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +399,7 @@ func TestPartitionStarUnevenWorkers(t *testing.T) {
 		t.Fatalf("Workers=8 ranges start at %v: want the hub alone, then an empty range", st.starts)
 	}
 
-	if err := requireSequentialRun(t, topo, []int{3, 4, 7, 8}, factory); err != nil {
+	if err := requireSequentialRun(t, topo, []int{3, 4, 7, 8}, prog); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -400,15 +420,16 @@ func (r skewRing) Neighbor(v, i int) (int, float64) {
 
 // replyNode sends to every listed neighbour for four rounds. The rogue node
 // instead answers its first sender in round 3, a node it does not list on a
-// skewRing.
-type replyNode struct{ rogue bool }
+// skewRing. Every node counts its steps.
+type replyNode struct {
+	rogue bool
+	steps int
+}
 
 func (r *replyNode) Init(*Context) {}
 
 func (r *replyNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
-	if round == 1 {
-		ctx.SetOutput(ctx.ID())
-	}
+	r.steps++
 	if r.rogue && round == 3 {
 		return []Message{NewWordMessage(inbox[0].From, 0, uint64(round), 0, 4)}, false
 	}
@@ -426,14 +447,13 @@ func TestPartitionAsymmetricTopology(t *testing.T) {
 	topo := skewRing(29)
 	workerCounts := []int{1, 2, 3, 4, 7}
 	t.Run("clean", func(t *testing.T) {
-		factory := func(*Context) Node { return &hybridNode{rounds: 10} }
-		if err := requireSequentialRun(t, topo, workerCounts, factory); err != nil {
+		if err := requireSequentialRun(t, topo, workerCounts, slabOf(newHybrid(10))); err != nil {
 			t.Fatal(err)
 		}
 	})
 	t.Run("reply-to-in-neighbour", func(t *testing.T) {
-		factory := func(ctx *Context) Node { return &replyNode{rogue: ctx.ID() == 9} }
-		if err := requireSequentialRun(t, topo, workerCounts, factory); !errors.Is(err, ErrNotNeighbor) {
+		prog := slabOf(func(ctx *Context) replyNode { return replyNode{rogue: ctx.ID() == 9} })
+		if err := requireSequentialRun(t, topo, workerCounts, prog); !errors.Is(err, ErrNotNeighbor) {
 			t.Fatalf("sequential run: error %v, want ErrNotNeighbor", err)
 		}
 	})

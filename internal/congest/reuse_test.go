@@ -12,9 +12,9 @@ import (
 
 // reuseNode is the clean program of the reuse tests. For three rounds every
 // node sends B bits to each neighbour, so a bit a previous run left charged
-// on any edge slot overruns the budget. Its output folds its input, a draw
+// on any edge slot overruns the budget. Its digest folds its input, a draw
 // from its random stream per round and every inbox, in order, so a stale
-// input, seed or inbox shows in the outputs.
+// input, seed or inbox shows in the digests.
 type reuseNode struct {
 	digest uint64
 	out    []Message
@@ -32,7 +32,6 @@ func (r *reuseNode) Round(ctx *Context, round int, inbox []Message) ([]Message, 
 		r.digest = mix64(r.digest ^ uint64(inbox[i].From)<<40 ^ inbox[i].W0)
 	}
 	if round > 3 {
-		ctx.SetOutput(r.digest)
 		return nil, true
 	}
 	r.digest = mix64(r.digest ^ uint64(ctx.Rand().Int63()))
@@ -40,7 +39,8 @@ func (r *reuseNode) Round(ctx *Context, round int, inbox []Message) ([]Message, 
 	return r.out, false
 }
 
-func reuseFactory(*Context) Node { return &reuseNode{} }
+// reuseProgram carves reuseNodes from a slab.
+var reuseProgram = slabOf(func(*Context) reuseNode { return reuseNode{} })
 
 // reuseInputs are the inputs of the reuse tests' runs, on two nodes.
 var reuseInputs = map[int]any{2: 20, 50: 500}
@@ -65,8 +65,8 @@ func newReuseNetwork(t *testing.T, tunes []func(*Network)) *Network {
 }
 
 // TestReusedNetworkMatchesFresh runs every kind of exit on one network,
-// each followed by a clean run, and holds every clean run's Result and
-// trace stream to the same run on a fresh network. Each exit leaves
+// each followed by a clean run, and holds every clean run's Result, node
+// digests and trace stream to the same run on a fresh network. Each exit leaves
 // something a reused state must not carry into the next run: a node panic
 // leaves the edge slots of the ranges that validated charged, a round-limit
 // exit and a cancel leave messages in the inboxes, a validation error
@@ -78,22 +78,22 @@ func newReuseNetwork(t *testing.T, tunes []func(*Network)) *Network {
 func TestReusedNetworkMatchesFresh(t *testing.T) {
 	exits := []struct {
 		name      string
-		factory   NodeFactory
+		prog      program
 		maxRounds int
 		cancelAt  int    // the round before which Cancel stops the run; 0 for none
 		want      string // the exit's error or panic text
 		tune      func(*Network)
 		inputs    map[int]any // the clean runs' inputs from this exit on; nil keeps them
 	}{
-		{name: "panic", factory: func(ctx *Context) Node { return &fuseNode{trigger: ctx.ID() == 4} },
+		{name: "panic", prog: slabOf(func(ctx *Context) fuseNode { return fuseNode{trigger: ctx.ID() == 4} }),
 			want: "congest: node 4 panicked in round 2: short circuit"},
-		{name: "round limit", factory: reuseFactory, maxRounds: 2,
+		{name: "round limit", prog: reuseProgram, maxRounds: 2,
 			want: "congest: round limit reached before termination: after 2 rounds"},
-		{name: "validation error", factory: func(ctx *Context) Node { return &roguePeer{rogue: ctx.ID() == 7} },
+		{name: "validation error", prog: slabOf(newRogue(false)),
 			want: "congest: message to non-neighbour: node 7 -> 39 in round 3"},
-		{name: "cancel", factory: reuseFactory, cancelAt: 3,
+		{name: "cancel", prog: reuseProgram, cancelAt: 3,
 			want: "congest: run cancelled: before round 3"},
-		{name: "SetSeed", factory: reuseFactory,
+		{name: "SetSeed", prog: reuseProgram,
 			tune: func(nw *Network) { nw.SetSeed(11) }, inputs: map[int]any{2: 21, 50: 500}},
 	}
 	for _, workers := range []int{1, 2, 4} {
@@ -107,7 +107,7 @@ func TestReusedNetworkMatchesFresh(t *testing.T) {
 					polls := 0
 					opts.Cancel = func() bool { polls++; return polls == exit.cancelAt }
 				}
-				ended := fuzzRun(nw, exit.factory, opts, workers)
+				ended := fuzzRun(nw, exit.prog, opts, workers)
 				if got := ended.panic + ended.err; got != exit.want {
 					t.Fatalf("%s: run ended with %q, want %q", exit.name, got, exit.want)
 				}
@@ -118,11 +118,11 @@ func TestReusedNetworkMatchesFresh(t *testing.T) {
 				if exit.inputs != nil {
 					clean.Inputs = exit.inputs
 				}
-				want := fuzzRun(newReuseNetwork(t, tunes), reuseFactory, clean, workers)
+				want := fuzzRun(newReuseNetwork(t, tunes), reuseProgram, clean, workers)
 				if want.err != "" || want.panic != "" {
 					t.Fatalf("after %s: fresh clean run ended with %q%q", exit.name, want.err, want.panic)
 				}
-				if diff := sameOutcome(fuzzRun(nw, reuseFactory, clean, workers), want); diff != "" {
+				if diff := sameOutcome(fuzzRun(nw, reuseProgram, clean, workers), want); diff != "" {
 					t.Errorf("after %s: reused network's clean run: %s", exit.name, diff)
 				}
 			}
@@ -130,7 +130,7 @@ func TestReusedNetworkMatchesFresh(t *testing.T) {
 	}
 	t.Run("concurrent", func(t *testing.T) {
 		clean := Options{PerRound: true, Inputs: reuseInputs}
-		want := fuzzRun(newReuseNetwork(t, nil), reuseFactory, clean, 1)
+		want := fuzzRun(newReuseNetwork(t, nil), reuseProgram, clean, 1)
 		nw := newReuseNetwork(t, nil)
 		var wg sync.WaitGroup
 		for _, workers := range []int{1, 4} {
@@ -138,7 +138,7 @@ func TestReusedNetworkMatchesFresh(t *testing.T) {
 			go func(workers int) {
 				defer wg.Done()
 				for i := 0; i < 20; i++ {
-					if diff := sameOutcome(fuzzRun(nw, reuseFactory, clean, workers), want); diff != "" {
+					if diff := sameOutcome(fuzzRun(nw, reuseProgram, clean, workers), want); diff != "" {
 						t.Errorf("Workers=%d, run %d: %s", workers, i, diff)
 						return
 					}
@@ -165,18 +165,19 @@ func (s *silentNode) Round(*Context, int, []Message) ([]Message, bool) {
 // network reads every topology by rank into flat arrays, so NewNetwork and
 // its first run allocate the same count whatever n. A network that has run
 // before only resets its kept state, so with node programs carved from a
-// slab a run allocates a fixed handful of objects (the Result, its Outputs
-// and, with workers, the pool).
+// slab a run allocates a fixed handful of objects (the Result and, with
+// workers, the pool), and no more than 1 KiB more on the larger cycle: a
+// Result holds no per-node field.
 func TestReusedRunAllocsIndependentOfN(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
 		most    float64
 	}{{1, 8}, {4, 40}} {
 		for _, asCSR := range []bool{false, true} {
-			var fresh, reused []float64
+			var fresh, reused, reusedBytes []float64
 			for _, n := range []int{64, 4096} {
-				f, r := runSetupAllocs(t, n, asCSR, tc.workers)
-				fresh, reused = append(fresh, f), append(reused, r)
+				f, r, b := runSetupAllocs(t, n, asCSR, tc.workers)
+				fresh, reused, reusedBytes = append(fresh, f), append(reused, r), append(reusedBytes, b)
 			}
 			if fresh[0] != fresh[1] {
 				t.Errorf("Workers=%d, CSR %v: a fresh network and its first run allocate %.0f objects on Cycle(64) and %.0f on Cycle(4096); want the same count",
@@ -186,15 +187,21 @@ func TestReusedRunAllocsIndependentOfN(t *testing.T) {
 				t.Errorf("Workers=%d, CSR %v: a reused run allocates %.0f objects on Cycle(64) and %.0f on Cycle(4096); want the same count, at most %.0f",
 					tc.workers, asCSR, reused[0], reused[1], tc.most)
 			}
+			if reusedBytes[1] > reusedBytes[0]+1024 {
+				t.Errorf("Workers=%d, CSR %v: a reused run allocates %.0f bytes on Cycle(64) and %.0f on Cycle(4096); want at most 1 KiB more",
+					tc.workers, asCSR, reusedBytes[0], reusedBytes[1])
+			}
 		}
 	}
 }
 
-// runSetupAllocs returns the objects a silent slab program's run allocates
-// on Cycle(n), given as its CSR when asCSR is set: fresh counts NewNetwork
-// and the network's first run, reused a run on a network that has run
-// before.
-func runSetupAllocs(t *testing.T, n int, asCSR bool, workers int) (fresh, reused float64) {
+// runSetupAllocs returns what a silent slab program's run allocates on
+// Cycle(n), given as its CSR when asCSR is set: fresh counts the objects of
+// NewNetwork and the network's first run, reused the objects of a run on a
+// network that has run before, and reusedBytes the bytes of such a run,
+// read from runtime.MemStats.TotalAlloc over a batch of runs at
+// GOMAXPROCS 1, as testing.AllocsPerRun counts objects.
+func runSetupAllocs(t *testing.T, n int, asCSR bool, workers int) (fresh, reused, reusedBytes float64) {
 	g, err := graph.Cycle(n)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +226,16 @@ func runSetupAllocs(t *testing.T, n int, asCSR bool, workers int) (fresh, reused
 		run()
 	})
 	// nw has run, so every measured run reuses its state.
-	return fresh, testing.AllocsPerRun(20, run)
+	reused = testing.AllocsPerRun(20, run)
+	const batch = 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range batch {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return fresh, reused, float64(after.TotalAlloc-before.TotalAlloc) / batch
 }
 
 // TestParkedStateDropsNodeState checks that an idle network keeps no node
@@ -230,7 +246,8 @@ func runSetupAllocs(t *testing.T, n int, asCSR bool, workers int) (fresh, reused
 func TestParkedStateDropsNodeState(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		nw := newReuseNetwork(t, nil)
-		if _, err := nw.Run(reuseFactory, Options{Workers: workers, Inputs: reuseInputs}); err != nil {
+		factory, _ := reuseProgram(nw.Size())
+		if _, err := nw.Run(factory, Options{Workers: workers, Inputs: reuseInputs}); err != nil {
 			t.Fatal(err)
 		}
 		st := nw.parked.Load()
@@ -250,44 +267,6 @@ func TestParkedStateDropsNodeState(t *testing.T) {
 				t.Fatalf("Workers=%d: worker %d's send log has no room after a run that sent", workers, w)
 			}
 		}
-	}
-}
-
-// pointerOutputNode outputs a fresh pointer, weakly recorded in outputs.
-type pointerOutputNode struct{ outputs []weak.Pointer[[64]byte] }
-
-func (*pointerOutputNode) Init(*Context) {}
-
-func (p *pointerOutputNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
-	out := new([64]byte)
-	p.outputs[ctx.ID()] = weak.Make(out)
-	ctx.SetOutput(out)
-	return nil, true
-}
-
-// TestParkedStateDropsOutputs checks that once a run's Result is dropped,
-// an idle network keeps none of the outputs its nodes set reachable.
-func TestParkedStateDropsOutputs(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		nw := newReuseNetwork(t, nil)
-		node := &pointerOutputNode{outputs: make([]weak.Pointer[[64]byte], nw.Size())}
-		res, err := nw.Run(func(*Context) Node { return node }, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v, out := range res.Outputs {
-			if out != node.outputs[v].Value() {
-				t.Fatalf("Workers=%d: node %d's output %v is not the pointer it set", workers, v, out)
-			}
-		}
-		res = nil
-		runtime.GC()
-		for v, out := range node.outputs {
-			if out.Value() != nil {
-				t.Fatalf("Workers=%d: an idle network keeps node %d's output reachable", workers, v)
-			}
-		}
-		runtime.KeepAlive(nw)
 	}
 }
 

@@ -15,19 +15,20 @@ type traceEvent struct {
 }
 
 // collectTrace runs the hybrid workload with a recording Trace callback and
-// returns the full event stream plus the run's Result.
-func collectTrace(t *testing.T, workers int) ([]traceEvent, *Result) {
+// returns the full event stream plus the run's Result and node results.
+func collectTrace(t *testing.T, workers int) ([]traceEvent, *Result, any) {
 	t.Helper()
-	res, events, err := tracedRun(t, ring(53), workers, func(*Context) Node { return &hybridNode{rounds: 24} })
+	res, nodes, events, err := tracedRun(t, ring(53), workers, slabOf(newHybrid(24)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return events, res
+	return events, res, nodes
 }
 
-// tracedRun runs factory on topo with per-round traffic and a recording
-// Trace, returning the result, the event stream and the run's error.
-func tracedRun(t *testing.T, topo Topology, workers int, factory NodeFactory) (*Result, []traceEvent, error) {
+// tracedRun runs prog on topo with per-round traffic and a recording
+// Trace, returning the result, the node results, the event stream and the
+// run's error.
+func tracedRun(t *testing.T, topo Topology, workers int, prog program) (*Result, any, []traceEvent, error) {
 	t.Helper()
 	nw, err := NewNetwork(topo, 64)
 	if err != nil {
@@ -35,6 +36,7 @@ func tracedRun(t *testing.T, topo Topology, workers int, factory NodeFactory) (*
 	}
 	nw.SetSeed(17)
 	var events []traceEvent
+	factory, read := prog(topo.N())
 	res, err := nw.Run(factory, Options{
 		Workers:  workers,
 		PerRound: true,
@@ -42,15 +44,16 @@ func tracedRun(t *testing.T, topo Topology, workers int, factory NodeFactory) (*
 			events = append(events, traceEvent{Round: round, Msg: msg})
 		},
 	})
-	return res, events, err
+	return res, read(), events, err
 }
 
 // TestTraceIdenticalAcrossWorkers pins the parallel round tracer's contract:
 // the event stream observed through Options.Trace is identical — same
 // events, same order — whether the round runs on one range or on a worker
-// pool, and enabling tracing does not perturb the Result.
+// pool, and enabling tracing does not perturb the Result or the node
+// results.
 func TestTraceIdenticalAcrossWorkers(t *testing.T) {
-	seqEvents, seqRes := collectTrace(t, 0)
+	seqEvents, seqRes, seqNodes := collectTrace(t, 0)
 	if len(seqEvents) == 0 {
 		t.Fatal("workload produced no trace events")
 	}
@@ -58,7 +61,7 @@ func TestTraceIdenticalAcrossWorkers(t *testing.T) {
 		t.Fatalf("trace saw %d events for %d delivered messages", len(seqEvents), seqRes.TotalMessages)
 	}
 	for _, workers := range []int{1, 4, 8} {
-		events, res := collectTrace(t, workers)
+		events, res, nodes := collectTrace(t, workers)
 		if !reflect.DeepEqual(seqEvents, events) {
 			for i := range seqEvents {
 				if i < len(events) && !reflect.DeepEqual(seqEvents[i], events[i]) {
@@ -69,8 +72,8 @@ func TestTraceIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatalf("Workers=%d: event stream diverged (%d vs %d events)",
 				workers, len(seqEvents), len(events))
 		}
-		if !reflect.DeepEqual(seqRes, res) {
-			t.Errorf("Workers=%d: traced Result diverged from sequential", workers)
+		if !reflect.DeepEqual(seqRes, res) || !reflect.DeepEqual(seqNodes, nodes) {
+			t.Errorf("Workers=%d: traced Result or node results diverged from sequential", workers)
 		}
 	}
 }
@@ -89,8 +92,8 @@ func TestTraceFillsPerWorkerBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	traced := 0
-	if err := st.start(func(*Context) Node { return &hybridNode{rounds: 2} },
-		Options{Workers: 4, Trace: func(int, Message) { traced++ }}); err != nil {
+	_, factory := slab(16, newHybrid(2))
+	if err := st.start(factory, Options{Workers: 4, Trace: func(int, Message) { traced++ }}); err != nil {
 		t.Fatal(err)
 	}
 	defer st.close()
@@ -119,12 +122,13 @@ func TestTraceFillsPerWorkerBuffers(t *testing.T) {
 // TestTraceErrorPathsIdenticalAcrossWorkers extends the pinned error
 // paths to the tracer: at every worker count the stream holds exactly the
 // messages accounted before the violation, in sender order within each
-// round, and tracing leaves the partial Result unchanged.
+// round, and tracing leaves the partial Result and the node results
+// unchanged.
 func TestTraceErrorPathsIdenticalAcrossWorkers(t *testing.T) {
 	for _, want := range rogueRuns {
-		plain, _, _ := runRogue(t, want.overrun, false, 0)
+		plain, plainNodes, _, _ := runRogue(t, want.overrun, false, 0)
 		for _, workers := range []int{0, 1, 2, 4} {
-			res, events, err := runRogue(t, want.overrun, true, workers)
+			res, nodes, events, err := runRogue(t, want.overrun, true, workers)
 			if err == nil || err.Error() != want.err {
 				t.Errorf("overrun=%v Workers=%d: error %v, want %s", want.overrun, workers, err, want.err)
 			}
@@ -137,7 +141,7 @@ func TestTraceErrorPathsIdenticalAcrossWorkers(t *testing.T) {
 						want.overrun, workers, i, ev.Round, ev.Msg.From, prev.Round, prev.Msg.From)
 				}
 			}
-			if !reflect.DeepEqual(res, plain) {
+			if !reflect.DeepEqual(res, plain) || !reflect.DeepEqual(nodes, plainNodes) {
 				t.Errorf("overrun=%v Workers=%d: traced partial result diverged from the untraced one", want.overrun, workers)
 			}
 		}

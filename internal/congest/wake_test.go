@@ -12,8 +12,8 @@ import (
 // done while idle until its left neighbour's first message wakes it. A
 // started node v < n-1 sends to v+1 once per round for burstLen(v) rounds,
 // reporting not done until its last send, which reports done in the same
-// round. The last node only receives. Each node records how many times its
-// Round was called as its output.
+// round. The last node only receives. Each node counts in calls how many
+// times its Round was called.
 type burstNode struct {
 	burst   int
 	fault   string
@@ -45,7 +45,6 @@ func (b *burstNode) Init(ctx *Context) {
 
 func (b *burstNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	b.calls++
-	ctx.SetOutput(b.calls)
 	if !b.started && (len(inbox) > 0 || round == 1 && ctx.ID() == 0) {
 		b.started = true
 		b.left = b.burst
@@ -63,14 +62,14 @@ func (b *burstNode) Round(ctx *Context, round int, inbox []Message) ([]Message, 
 	return b.outbox, b.left == 0
 }
 
-// burstFactory builds burstNodes, giving node faulty the fault.
-func burstFactory(faulty int, fault string) NodeFactory {
-	return func(ctx *Context) Node {
+// burstProgram carves burstNodes from a slab, giving node faulty the fault.
+func burstProgram(faulty int, fault string) program {
+	return slabOf(func(ctx *Context) burstNode {
 		if ctx.ID() == faulty {
-			return &burstNode{fault: fault}
+			return burstNode{fault: fault}
 		}
-		return &burstNode{}
-	}
+		return burstNode{}
+	})
 }
 
 // TestVoteToHalt pins which rounds call a node's Round. Node v >= 1 is
@@ -86,11 +85,11 @@ func TestVoteToHalt(t *testing.T) {
 	workerCounts := []int{1, 2, 3, 4, 7}
 
 	t.Run("clean", func(t *testing.T) {
-		factory := burstFactory(-1, "")
-		if err := requireSequentialRun(t, topo, workerCounts, factory); err != nil {
+		prog := burstProgram(-1, "")
+		if err := requireSequentialRun(t, topo, workerCounts, prog); err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := tracedRun(t, topo, 0, factory)
+		res, nodes, _, err := tracedRun(t, topo, 0, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,14 +109,14 @@ func TestVoteToHalt(t *testing.T) {
 			if v > 0 {
 				want += max(burstLen(v, n), burstLen(v-1, n))
 			}
-			if got := res.Outputs[v]; got != want {
-				t.Errorf("node %d: Round called %v times, want %d", v, got, want)
+			if got := nodes.([]burstNode)[v].calls; got != want {
+				t.Errorf("node %d: Round called %d times, want %d", v, got, want)
 			}
 		}
 	})
 
 	t.Run("woken-node-sends-to-stranger", func(t *testing.T) {
-		err := requireSequentialRun(t, topo, workerCounts, burstFactory(13, faultStranger))
+		err := requireSequentialRun(t, topo, workerCounts, burstProgram(13, faultStranger))
 		want := "congest: message to non-neighbour: node 13 -> 15 in round 14"
 		if !errors.Is(err, ErrNotNeighbor) || err.Error() != want {
 			t.Fatalf("sequential run: error %v, want %s", err, want)
@@ -127,21 +126,22 @@ func TestVoteToHalt(t *testing.T) {
 	t.Run("woken-node-panics", func(t *testing.T) {
 		want := "congest: node 13 panicked in round 14: woken"
 		for _, workers := range append([]int{0}, workerCounts...) {
-			if got := runRecovered(t, topo, workers, burstFactory(13, faultPanic)); got != want {
+			if got := runRecovered(t, topo, workers, burstProgram(13, faultPanic)); got != want {
 				t.Errorf("Workers=%d: panic %v, want %s", workers, got, want)
 			}
 		}
 	})
 }
 
-// runRecovered runs factory on topo and returns the value the run panicked
+// runRecovered runs prog on topo and returns the value the run panicked
 // with, or nil.
-func runRecovered(t *testing.T, topo Topology, workers int, factory NodeFactory) (p any) {
+func runRecovered(t *testing.T, topo Topology, workers int, prog program) (p any) {
 	t.Helper()
 	nw, err := NewNetwork(topo, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
+	factory, _ := prog(topo.N())
 	defer func() { p = recover() }()
 	nw.Run(factory, Options{Workers: workers})
 	return nil

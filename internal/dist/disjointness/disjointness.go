@@ -140,11 +140,14 @@ type pathInput struct{ X, Y []int }
 // B-bit chunks, interior nodes forward the stream rightwards, the right
 // endpoint reassembles X, intersects it with Y and floods the one-bit
 // answer back; every node terminates once the answer passes through it.
+// A node sets disjoint in the round it answers, and votes done only from
+// then on, so RunOn reads node 0's verdict from the node slab.
 type pathNode struct {
 	x, y     []int
 	sent     int
 	received []int
 	answered bool
+	disjoint bool
 }
 
 func (p *pathNode) Init(ctx *congest.Context) {
@@ -167,8 +170,7 @@ func (p *pathNode) Round(ctx *congest.Context, round int, inbox []congest.Messag
 				out = congest.AppendWordMessage(out, id+1, kindChunk, m.W0, m.W1, m.Bits)
 			}
 		case kindAnswer:
-			p.answered = true
-			ctx.SetOutput(m.Bool0())
+			p.answered, p.disjoint = true, m.Bool0()
 			if id > 0 {
 				out = congest.AppendWordMessage(out, id-1, kindAnswer, m.W0, 0, congest.BitsForBool)
 			}
@@ -195,8 +197,7 @@ func (p *pathNode) Round(ctx *congest.Context, round int, inbox []congest.Messag
 				break
 			}
 		}
-		p.answered = true
-		ctx.SetOutput(disjoint)
+		p.answered, p.disjoint = true, disjoint
 		out = congest.AppendWordMessage(out, id-1, kindAnswer, congest.WordFromBool(disjoint), 0, congest.BitsForBool)
 	}
 
@@ -244,14 +245,10 @@ func RunOn(r engine.Runner, x, y []int) (*Result, error) {
 	chunks := (len(x) + r.Bandwidth() - 1) / r.Bandwidth()
 	maxRounds := chunks + 2*nodes + 16
 	before := r.Stats()
-	res, err := r.RunStage(func(*congest.Context) congest.Node { return &pathNode{} }, inputs, maxRounds)
-	if err != nil {
+	path := make([]pathNode, nodes)
+	if _, err := r.RunStage(func(ctx *congest.Context) congest.Node { return &path[ctx.ID()] }, inputs, maxRounds); err != nil {
 		return nil, err
 	}
-	verdict, ok := res.Outputs[0].(bool)
-	if !ok {
-		return nil, fmt.Errorf("disjointness: protocol produced no verdict")
-	}
 	stats := r.Stats().Sub(before)
-	return &Result{Disjoint: verdict, Rounds: stats.Rounds, Stats: stats}, nil
+	return &Result{Disjoint: path[0].disjoint, Rounds: stats.Rounds, Stats: stats}, nil
 }

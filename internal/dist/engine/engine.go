@@ -27,7 +27,11 @@
 // Because all backends run the same stage through the identical RunStage
 // contract, every algorithm in internal/dist/{verify,mst,disjointness}
 // executes unchanged under any accounting, with the same results; see
-// DESIGN.md for the substitution table.
+// DESIGN.md for the substitution table. A stage has one way in and one way
+// out: each node's input travels in RunStage's map, and each node's result
+// stays in its node program, which the algorithm allocates from one slab
+// and reads once RunStage returns. The congest.Result a stage returns holds
+// its costs only.
 //
 // Every constructor takes a congest.Topology, the view that lists each
 // node's neighbours by rank. *graph.Graph satisfies it, and so does
@@ -61,26 +65,6 @@ func UniformInputs[In any](vals []In) map[int]any {
 		out[v] = val
 	}
 	return out
-}
-
-// RunUniform executes one stage in which every node receives inputs[v] and
-// is expected to output a value of type Out; `what` names the output in the
-// error when a node fails to produce one.
-func RunUniform[In any, Out any](r Runner, inputs []In, factory congest.NodeFactory, maxRounds int, what string) ([]Out, error) {
-	res, err := r.RunStage(factory, UniformInputs(inputs), maxRounds)
-	if err != nil {
-		return nil, err
-	}
-	n := r.Size()
-	out := make([]Out, n)
-	for v := 0; v < n; v++ {
-		o, ok := res.Outputs[v].(Out)
-		if !ok {
-			return nil, fmt.Errorf("engine: node %d produced no %s", v, what)
-		}
-		out[v] = o
-	}
-	return out, nil
 }
 
 // Stats aggregates the cost of every stage executed by a Runner so far.
@@ -119,9 +103,9 @@ func (s Stats) Sub(prev Stats) Stats {
 // internal/exp) uses to feed per-round traffic histograms without touching
 // the accounting: backends with an observer installed record the per-round
 // classical/quantum split (congest.Options.PerRound), which changes no field
-// the Stats fold reads, so observed and unobserved runs produce identical
-// Stats and outputs. Observers run on the stage's goroutine; a nil observer
-// costs nothing.
+// the Stats fold reads and nothing a node program sees, so observed and
+// unobserved runs produce identical Stats and node results. Observers run on
+// the stage's goroutine; a nil observer costs nothing.
 type StageObserver interface {
 	// StageDone is called once per completed stage with the stage's result.
 	// The Result (including PerRound) is owned by the caller afterwards only
@@ -160,8 +144,8 @@ type Runner interface {
 // (congest.Options.Workers). Because CONGEST nodes interact only through
 // messages delivered at round boundaries and every node owns a private
 // random stream, the run is bit-for-bit identical to the sequential one —
-// same Stats, outputs and verdicts (TestNewParallelMatchesLocal pins this,
-// and the whole suite runs under -race in CI).
+// same Stats, node results and verdicts (TestNewParallelMatchesLocal pins
+// this, and the whole suite runs under -race in CI).
 type Local struct {
 	net     *congest.Network
 	workers int

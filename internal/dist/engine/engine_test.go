@@ -10,18 +10,31 @@ import (
 	"qdc/internal/graph"
 )
 
-// echoNode outputs its input and terminates after a fixed number of rounds,
-// broadcasting one small message per round until then.
-type echoNode struct{ rounds int }
+// echoNode records its input as its result and terminates after a fixed
+// number of rounds, broadcasting one small message per round until then.
+type echoNode struct {
+	rounds int
+	echo   any
+}
 
 func (e *echoNode) Init(*congest.Context) {}
 
 func (e *echoNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
 	if round >= e.rounds {
-		ctx.SetOutput(ctx.Input())
+		e.echo = ctx.Input()
 		return nil, true
 	}
 	return congest.BroadcastAllWordsInto(ctx.Outbox(), ctx, 0, uint64(round), 0, 4), false
+}
+
+// echoSlab returns n echoNodes that terminate after the given number of
+// rounds, carved from one slab, and the factory that hands them out.
+func echoSlab(n, rounds int) ([]echoNode, congest.NodeFactory) {
+	nodes := make([]echoNode, n)
+	return nodes, func(ctx *congest.Context) congest.Node {
+		nodes[ctx.ID()] = echoNode{rounds: rounds}
+		return &nodes[ctx.ID()]
+	}
 }
 
 func TestNewLocalValidation(t *testing.T) {
@@ -45,14 +58,14 @@ func TestStatsAccumulateAcrossStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := func(*congest.Context) congest.Node { return &echoNode{rounds: 3} }
+	nodes, factory := echoSlab(3, 3)
 
 	res, err := r.RunStage(factory, map[int]any{1: "in"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outputs[1] != "in" || res.Outputs[0] != nil {
-		t.Fatalf("inputs not delivered: %+v", res.Outputs)
+	if nodes[1].echo != "in" || nodes[0].echo != nil || nodes[2].echo != nil {
+		t.Fatalf("inputs not delivered: %v, %v, %v", nodes[0].echo, nodes[1].echo, nodes[2].echo)
 	}
 	first := r.Stats()
 	if first.Stages != 1 || first.Rounds != res.Rounds || first.Messages == 0 || first.Bits == 0 {
@@ -64,7 +77,7 @@ func TestStatsAccumulateAcrossStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Outputs[1] != nil {
+	if nodes[1].echo != nil {
 		t.Fatal("inputs from the previous stage leaked into the next stage")
 	}
 	second := r.Stats()
@@ -83,7 +96,7 @@ func TestRunStagePropagatesRoundLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := func(*congest.Context) congest.Node { return &echoNode{rounds: 100} }
+	_, factory := echoSlab(3, 100)
 	if _, err := r.RunStage(factory, nil, 5); !errors.Is(err, congest.ErrRoundLimit) {
 		t.Fatalf("err = %v, want ErrRoundLimit", err)
 	}
@@ -105,18 +118,18 @@ func TestIdleRunnerDropsStageInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := func(*congest.Context) congest.Node { return &echoNode{rounds: 1} }
 	for name, r := range map[string]Runner{"local": local, "quantum": quantum} {
+		nodes, factory := echoSlab(3, 1)
 		in := new([64]byte)
 		weakIn := weak.Make(in)
-		res, err := r.RunStage(factory, map[int]any{1: in}, 0)
-		if err != nil {
+		if _, err := r.RunStage(factory, map[int]any{1: in}, 0); err != nil {
 			t.Fatal(err)
 		}
-		if res.Outputs[1] != any(in) {
-			t.Fatalf("%s: node 1 output %v, not its input", name, res.Outputs[1])
+		if nodes[1].echo != any(in) {
+			t.Fatalf("%s: node 1 echoed %v, not its input", name, nodes[1].echo)
 		}
-		in, res = nil, nil
+		// The test's own reference goes; the runner must hold none.
+		in, nodes[1].echo = nil, nil
 		runtime.GC()
 		if weakIn.Value() != nil {
 			t.Errorf("%s: an idle runner keeps its last stage's input reachable", name)

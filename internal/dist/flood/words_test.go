@@ -12,17 +12,15 @@ import (
 )
 
 // The word-encoding pin. A fixture's run hashes to one digest at Workers 0,
-// 1 and 4: its trace, its Result with Outputs cleared, and every node's
-// dist, read from the slab the factory handed the nodes out of, which is
-// where Run reads the distances. The program sets no output, so Outputs is
-// left out; the form of the program that also boxed each distance into
-// Outputs gives the same digests. Any change to the program's rounds, bits,
-// distances or traffic shows here.
+// 1 and 4: its trace, its Result's fields, and every node's dist, read from
+// the slab the factory handed the nodes out of, which is where Run reads
+// the distances. Any change to the program's rounds, bits, distances or
+// traffic shows here.
 
 // traceDigest runs the flood program on a fresh network, its node programs
 // carved from one slab, and returns the Result and the SHA-256 of the
 // trace, one (round, From, To, Bits, Quantum) line per message, of the
-// Result with Outputs cleared, and of every node's dist in the slab.
+// Result's fields, named one by one, and of every node's dist in the slab.
 func traceDigest(t *testing.T, topo congest.Topology, bandwidth int, seed int64, opts congest.Options) (*congest.Result, string) {
 	t.Helper()
 	nw, err := congest.NewNetwork(topo, bandwidth)
@@ -37,13 +35,11 @@ func traceDigest(t *testing.T, topo congest.Topology, bandwidth int, seed int64,
 	if err != nil {
 		t.Fatalf("workers=%d: %v", opts.Workers, err)
 	}
-	dists := make([]int, len(nodes))
+	fmt.Fprintf(h, "rounds %d, terminated %v, messages %d, bits %d, qubits %d, per round %v, max edge bits %d\n",
+		res.Rounds, res.Terminated, res.TotalMessages, res.TotalBits, res.QuantumBits, res.PerRound, res.MaxEdgeBitsPerRound)
 	for v := range nodes {
-		dists[v] = nodes[v].dist
+		fmt.Fprintln(h, v, nodes[v].dist)
 	}
-	cleared := *res
-	cleared.Outputs = nil
-	fmt.Fprintf(h, "%#v\n%v\n", cleared, dists)
 	return res, hex.EncodeToString(h.Sum(nil))
 }
 
@@ -54,8 +50,8 @@ func TestWordEncodingMatchesBoxed(t *testing.T) {
 		topo   congest.Topology
 		digest string
 	}{
-		{"grid", graph.Grid(8, 9), "dd438547311b2969d15281737c5d91dd0fad3bc0d5264e73b4cf4c2cf77a7de2"},
-		{"random", graph.RandomConnectedGraph(60, 0.08, rng), "e3524d092489803c88a4ae89aa9da10599bb135bd2f2689691201f385a169763"},
+		{"grid", graph.Grid(8, 9), "a0c574c3ba596c8c59172058b8116676d174d6a3f61e1f3fed89b67980bcfbb1"},
+		{"random", graph.RandomConnectedGraph(60, 0.08, rng), "3f7b1546d705b2d7473eb233924c49a3fbe2a2c2fe68140e128fb95ff5a7419f"},
 	} {
 		for _, workers := range []int{0, 1, 4} {
 			opts := congest.Options{MaxRounds: c.topo.N() + 2, Inputs: map[int]any{0: true}, Workers: workers}

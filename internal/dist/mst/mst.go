@@ -212,7 +212,9 @@ type fragMsg struct{ Label, Dist int }
 // fragNode floods the minimum node ID of its fragment together with the
 // tree distance to that leader, as kindFrag word messages. Chosen edges
 // always form a forest, so the distance converges to the unique tree
-// distance within n rounds.
+// distance within n rounds. runFragments reads label and dist from the
+// node slab: a node votes done only in round n+1, once nothing can change
+// them.
 type fragNode struct {
 	treeNbrs []int
 	label    int
@@ -240,7 +242,6 @@ func (f *fragNode) Round(ctx *congest.Context, round int, inbox []congest.Messag
 	}
 	n := ctx.N()
 	if round > n {
-		ctx.SetOutput(fragState{Label: f.label, Dist: f.dist, TreeNbrs: f.treeNbrs})
 		return nil, true
 	}
 	if cur := (fragMsg{Label: f.label, Dist: f.dist}); cur != f.sent {
@@ -251,13 +252,23 @@ func (f *fragNode) Round(ctx *congest.Context, round int, inbox []congest.Messag
 	return nil, false
 }
 
+// runFragments executes the fragment-labelling stage and returns every
+// node's fragment state, read from the node slab.
 func runFragments(r engine.Runner, treeAdj [][]int) ([]fragState, error) {
 	inputs := make([]fragInput, len(treeAdj))
 	for v := range treeAdj {
 		inputs[v] = fragInput{TreeNbrs: treeAdj[v]}
 	}
-	factory := func(*congest.Context) congest.Node { return &fragNode{} }
-	return engine.RunUniform[fragInput, fragState](r, inputs, factory, r.Size()+8, "fragment state")
+	nodes := make([]fragNode, r.Size())
+	factory := func(ctx *congest.Context) congest.Node { return &nodes[ctx.ID()] }
+	if _, err := r.RunStage(factory, engine.UniformInputs(inputs), r.Size()+8); err != nil {
+		return nil, err
+	}
+	frag := make([]fragState, len(nodes))
+	for v, f := range nodes {
+		frag[v] = fragState{Label: f.label, Dist: f.dist, TreeNbrs: f.treeNbrs}
+	}
+	return frag, nil
 }
 
 // In-memory values of the minimum-outgoing-edge stage. On the wire they
@@ -308,18 +319,14 @@ func better(a, b candMsg) bool {
 	return a.V < b.V
 }
 
-// moeOutput is a fragment leader's announcement.
-type moeOutput struct {
-	Has  bool
-	U, V int
-}
-
 // moeNode finds its fragment's minimum outgoing edge: round 1 exchanges
 // fragment labels and leader distances with every neighbour, round 2 fixes
 // the fragment-tree orientation (the parent is the unique tree neighbour
 // closer to the leader) together with the best local outgoing edge, and an
 // event-driven convergecast then delivers the fragment-wide minimum to the
-// leader, who announces it as the node output.
+// leader, whose best is its announcement. A node votes done only once it
+// has finished, after its last candidate arrived, so runMOE reads each
+// leader's best from the node slab.
 type moeNode struct {
 	st   fragState
 	keys keyFunc
@@ -388,9 +395,7 @@ func (m *moeNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 	out := ctx.Outbox()
 	if m.oriented && !m.finished && m.received == m.children {
 		m.finished = true
-		if m.st.Label == ctx.ID() {
-			ctx.SetOutput(moeOutput{Has: m.best.Has, U: m.best.U, V: m.best.V})
-		} else {
+		if m.st.Label != ctx.ID() {
 			kind, w0, w1 := encodeCand(m.best)
 			out = congest.AppendWordMessage(out, m.parent, kind, w0, w1, m.candBits(n, m.best))
 		}
@@ -408,22 +413,23 @@ func isTreeNbr(nbrs []int, v int) bool {
 }
 
 // runMOE executes one minimum-outgoing-edge stage and returns the edges the
-// fragment leaders announced.
+// fragment leaders announced, read from the node slab.
 func runMOE(r engine.Runner, frag []fragState, keys keyFunc) ([][2]int, error) {
 	n := r.Size()
 	inputs := engine.UniformInputs(frag)
+	nodes := make([]moeNode, n)
 	factory := func(ctx *congest.Context) congest.Node {
 		st, _ := ctx.Input().(fragState)
-		return &moeNode{st: st, keys: keys, parent: -1}
+		nodes[ctx.ID()] = moeNode{st: st, keys: keys, parent: -1}
+		return &nodes[ctx.ID()]
 	}
-	res, err := r.RunStage(factory, inputs, n+8)
-	if err != nil {
+	if _, err := r.RunStage(factory, inputs, n+8); err != nil {
 		return nil, err
 	}
 	var moes [][2]int
-	for v := 0; v < n; v++ {
-		if out, ok := res.Outputs[v].(moeOutput); ok && out.Has {
-			moes = append(moes, [2]int{out.U, out.V})
+	for v, m := range nodes {
+		if m.st.Label == v && m.best.Has {
+			moes = append(moes, [2]int{m.best.U, m.best.V})
 		}
 	}
 	return moes, nil

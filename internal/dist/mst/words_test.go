@@ -11,16 +11,51 @@ import (
 	"qdc/internal/graph"
 )
 
-// Word-encoding pins for both mst stages. A stage's full Result and its
-// trace hash to one digest at Workers 0, 1 and 4. The digests were
-// recorded while the programs still ran beside verbatim replicas of their
-// pre-refactor boxed forms and both produced them, so any change to a
-// stage's rounds, bits, outputs or traffic shows here.
+// Word-encoding pins for both mst stages. A stage's Result, every node's
+// result and the stage's trace hash to one digest at Workers 0, 1 and 4.
+// The programs then still ran beside verbatim replicas of their
+// pre-refactor boxed forms, which gave the same Results, results and
+// traces, so any change to a stage's rounds, bits, results or traffic
+// shows here.
 
-// traceDigest runs factory on a fresh network and returns its Result and
-// the SHA-256 of that Result and of its trace, one (round, From, To, Bits,
-// Quantum) line per message.
-func traceDigest(t *testing.T, topo congest.Topology, inputs map[int]any, factory congest.NodeFactory, workers int) (*congest.Result, string) {
+// stage carves one run's node programs of a stage from a fresh slab of n:
+// it returns their factory and value, which reads node v's result from the
+// slab once the run has returned.
+type stage func(n int) (factory congest.NodeFactory, value func(v int) any)
+
+func fragStage(n int) (congest.NodeFactory, func(int) any) {
+	nodes := make([]fragNode, n)
+	return func(ctx *congest.Context) congest.Node { return &nodes[ctx.ID()] },
+		func(v int) any {
+			f := &nodes[v]
+			return fragState{Label: f.label, Dist: f.dist, TreeNbrs: f.treeNbrs}
+		}
+}
+
+// moeStage's result is a fragment leader's announcement, (Has, U, V) of
+// its best candidate; other nodes announce nothing.
+func moeStage(keys keyFunc) stage {
+	return func(n int) (congest.NodeFactory, func(int) any) {
+		nodes := make([]moeNode, n)
+		return func(ctx *congest.Context) congest.Node {
+				st, _ := ctx.Input().(fragState)
+				nodes[ctx.ID()] = moeNode{st: st, keys: keys, parent: -1}
+				return &nodes[ctx.ID()]
+			},
+			func(v int) any {
+				if m := &nodes[v]; m.st.Label == v {
+					return fmt.Sprint(m.best.Has, m.best.U, m.best.V)
+				}
+				return nil
+			}
+	}
+}
+
+// traceDigest runs s on a fresh network and returns its Result, the value
+// reader of its slab and the SHA-256 of its trace, one (round, From, To,
+// Bits, Quantum) line per message, of the Result's fields, named one by
+// one, and of every node's result.
+func traceDigest(t *testing.T, topo congest.Topology, inputs map[int]any, s stage, workers int) (*congest.Result, func(v int) any, string) {
 	t.Helper()
 	nw, err := congest.NewNetwork(topo, 128)
 	if err != nil {
@@ -28,6 +63,7 @@ func traceDigest(t *testing.T, topo congest.Topology, inputs map[int]any, factor
 	}
 	nw.SetSeed(9)
 	h := sha256.New()
+	factory, value := s(topo.N())
 	res, err := nw.Run(factory, congest.Options{
 		MaxRounds: topo.N() + 8,
 		Inputs:    inputs,
@@ -37,15 +73,19 @@ func traceDigest(t *testing.T, topo congest.Topology, inputs map[int]any, factor
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	fmt.Fprintf(h, "%#v\n", *res)
-	return res, hex.EncodeToString(h.Sum(nil))
+	fmt.Fprintf(h, "rounds %d, terminated %v, messages %d, bits %d, qubits %d, per round %v, max edge bits %d\n",
+		res.Rounds, res.Terminated, res.TotalMessages, res.TotalBits, res.QuantumBits, res.PerRound, res.MaxEdgeBitsPerRound)
+	for v := range topo.N() {
+		fmt.Fprintln(h, v, value(v))
+	}
+	return res, value, hex.EncodeToString(h.Sum(nil))
 }
 
 // checkDigest requires the stage to hash to want at every worker count.
-func checkDigest(t *testing.T, name string, topo congest.Topology, inputs map[int]any, factory congest.NodeFactory, want string) {
+func checkDigest(t *testing.T, name string, topo congest.Topology, inputs map[int]any, s stage, want string) {
 	t.Helper()
 	for _, workers := range []int{0, 1, 4} {
-		if res, got := traceDigest(t, topo, inputs, factory, workers); got != want {
+		if res, _, got := traceDigest(t, topo, inputs, s, workers); got != want {
 			t.Errorf("%s workers=%d: digest %s, want %s (rounds %d, messages %d, bits %d)",
 				name, workers, got, want, res.Rounds, res.TotalMessages, res.TotalBits)
 		}
@@ -103,30 +143,26 @@ func fragInputs(treeAdj [][]int) map[int]any {
 
 func TestFragmentStageMatchesBoxed(t *testing.T) {
 	g, treeAdj := moeFixture(t)
-	checkDigest(t, "fragments", g, fragInputs(treeAdj),
-		func(*congest.Context) congest.Node { return &fragNode{} },
-		"225144a18b1627de3582b434de657f34b091be38f1494ff8e91f35adad1d9eaf")
+	checkDigest(t, "fragments", g, fragInputs(treeAdj), fragStage,
+		"588be3f5729f3debd84f4b6f89b0760497f3963a0377b894b79361bda6464379")
 }
 
 func TestMOEStageMatchesBoxed(t *testing.T) {
 	g, treeAdj := moeFixture(t)
 	// Fragment states from a labelling run, pinned above, feed the stage.
-	res, _ := traceDigest(t, g, fragInputs(treeAdj), func(*congest.Context) congest.Node { return &fragNode{} }, 0)
+	_, frag, _ := traceDigest(t, g, fragInputs(treeAdj), fragStage, 0)
 	moeInputs := make(map[int]any, g.N())
 	for v := 0; v < g.N(); v++ {
-		moeInputs[v] = res.Outputs[v]
+		moeInputs[v] = frag(v)
 	}
 	for _, c := range []struct {
 		name   string
 		keys   keyFunc
 		digest string
 	}{
-		{"exact", exactKeys(), "40fd3f3a1c2293a10036a1ce68bd15e3af365977f0b14634a41bc694f2073649"},
-		{"approx", approxKeys(2), "576cc46f2105cc2e064674470c501e0993b93105072fb549b8486e20fb18eb83"},
+		{"exact", exactKeys(), "9b6dfc2f3d64065ac1fc282c503d40d2aaeef9fc4da129818afe7c5b67eee4fd"},
+		{"approx", approxKeys(2), "51dba9021e2ccd200d60a6abe8d46dd1932d82c9d3e7c68313f88377f80a028d"},
 	} {
-		checkDigest(t, "moe/"+c.name, g, moeInputs, func(ctx *congest.Context) congest.Node {
-			st, _ := ctx.Input().(fragState)
-			return &moeNode{st: st, keys: c.keys, parent: -1}
-		}, c.digest)
+		checkDigest(t, "moe/"+c.name, g, moeInputs, moeStage(c.keys), c.digest)
 	}
 }

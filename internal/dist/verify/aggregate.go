@@ -1,8 +1,6 @@
 package verify
 
 import (
-	"fmt"
-
 	"qdc/internal/congest"
 	"qdc/internal/dist/engine"
 )
@@ -78,7 +76,9 @@ type aggInput struct{ Local agg }
 // bottom-up along the tree, the root evaluates the decision predicate, and
 // the one-bit verdict is broadcast back down. Every message is O(log n)
 // bits, so the whole stage fits the CONGEST budget and — crucially for the
-// degree-two check of Theorem 3.5 — finishes in O(D) rounds.
+// degree-two check of Theorem 3.5 — finishes in O(D) rounds. A node votes
+// done only once it has answered, and it sets answer before that, so
+// runAggregate reads the root's answer from the node slab.
 type aggNode struct {
 	decide func(agg) bool
 
@@ -94,12 +94,9 @@ type aggNode struct {
 	answered   bool
 }
 
-func newAggNode(ctx *congest.Context, decide func(agg) bool) *aggNode {
-	in, _ := ctx.Input().(aggInput)
-	return &aggNode{decide: decide, acc: in.Local, dist: -1, parent: -1}
-}
-
 func (a *aggNode) Init(ctx *congest.Context) {
+	in, _ := ctx.Input().(aggInput)
+	a.acc, a.dist, a.parent = in.Local, -1, -1
 	if ctx.ID() == 0 {
 		a.dist = 0
 	}
@@ -193,7 +190,6 @@ func (a *aggNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 		for _, c := range a.children {
 			out = congest.AppendWordMessage(out, c, kindDown, congest.WordFromBool(a.answer), 0, downBits)
 		}
-		ctx.SetOutput(a.answer)
 	}
 
 	return out, a.answered
@@ -201,22 +197,23 @@ func (a *aggNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 
 // runAggregate executes one aggregation stage on the runner: every node
 // contributes local(v), the root evaluates decide over the combined
-// aggregate, and the verdict every node agreed on is returned. It costs
-// O(D) rounds and O(log n) bits per message.
+// aggregate, and the verdict every node agreed on is returned, read from
+// the root's slot of the node slab. It costs O(D) rounds and O(log n) bits
+// per message.
 func runAggregate(r engine.Runner, local func(v int) agg, decide func(agg) bool) (bool, error) {
 	n := r.Size()
 	inputs := make(map[int]any, n)
 	for v := 0; v < n; v++ {
 		inputs[v] = aggInput{Local: local(v)}
 	}
-	factory := func(ctx *congest.Context) congest.Node { return newAggNode(ctx, decide) }
-	res, err := r.RunStage(factory, inputs, 0)
-	if err != nil {
+	nodes := make([]aggNode, n)
+	factory := func(ctx *congest.Context) congest.Node {
+		a := &nodes[ctx.ID()]
+		a.decide = decide
+		return a
+	}
+	if _, err := r.RunStage(factory, inputs, 0); err != nil {
 		return false, err
 	}
-	out, ok := res.Outputs[0].(bool)
-	if !ok {
-		return false, fmt.Errorf("verify: aggregation root produced no verdict")
-	}
-	return out, nil
+	return nodes[0].answer, nil
 }

@@ -37,7 +37,9 @@ const (
 // which every node's label is the smallest ID in its M-component (the
 // M-diameter is at most n−1, so n propagation rounds always suffice). The
 // component leaders — nodes whose label equals their own ID — then identify
-// the components for the aggregation stage.
+// the components for the aggregation stage. runLabels reads label from the
+// node slab: a node votes done only in round n+1, once nothing can change
+// it.
 type labelNode struct {
 	mNbrs    []int
 	label    int
@@ -61,7 +63,6 @@ func (l *labelNode) Round(ctx *congest.Context, round int, inbox []congest.Messa
 	}
 	n := ctx.N()
 	if round > n {
-		ctx.SetOutput(l.label)
 		return nil, true
 	}
 	if l.label != l.lastSent {
@@ -73,14 +74,22 @@ func (l *labelNode) Round(ctx *congest.Context, round int, inbox []congest.Messa
 }
 
 // runLabels executes the component-labelling stage and returns the label of
-// every node.
+// every node, read from the node slab.
 func runLabels(r engine.Runner, mAdj [][]int) ([]int, error) {
 	inputs := make([]labelInput, len(mAdj))
 	for v := range mAdj {
 		inputs[v] = labelInput{MNbrs: mAdj[v]}
 	}
-	factory := func(*congest.Context) congest.Node { return &labelNode{} }
-	return engine.RunUniform[labelInput, int](r, inputs, factory, r.Size()+8, "component label")
+	nodes := make([]labelNode, r.Size())
+	factory := func(ctx *congest.Context) congest.Node { return &nodes[ctx.ID()] }
+	if _, err := r.RunStage(factory, engine.UniformInputs(inputs), r.Size()+8); err != nil {
+		return nil, err
+	}
+	labels := make([]int, len(nodes))
+	for v := range nodes {
+		labels[v] = nodes[v].label
+	}
+	return labels, nil
 }
 
 // colorInput is the per-node input of the 2-colouring stage.
@@ -94,7 +103,9 @@ type colorInput struct {
 // node's colour is its distance parity, and one final exchange over M-edges
 // detects monochromatic edges — which exist iff the component contains an
 // odd cycle (iff M is not bipartite). Both message kinds travel
-// word-encoded (kindDist, kindColor).
+// word-encoded (kindDist, kindColor). runColors reads conflict from the
+// node slab: a node votes done only in round n+2, after the colour
+// exchange of round n+1 has reached it.
 type colorNode struct {
 	mNbrs    []int
 	dist     int
@@ -145,18 +156,25 @@ func (c *colorNode) Round(ctx *congest.Context, round int, inbox []congest.Messa
 		bits := tagBits + congest.BitsForBool
 		return congest.BroadcastWordsInto(ctx.Outbox(), c.mNbrs, kindColor, uint64(c.color()), 0, bits), false
 	default:
-		ctx.SetOutput(c.conflict)
 		return nil, true
 	}
 }
 
 // runColors executes the 2-colouring stage and returns, per node, whether it
-// saw a monochromatic M-edge.
+// saw a monochromatic M-edge, read from the node slab.
 func runColors(r engine.Runner, mAdj [][]int, labels []int) ([]bool, error) {
 	inputs := make([]colorInput, len(mAdj))
 	for v := range mAdj {
 		inputs[v] = colorInput{MNbrs: mAdj[v], IsLeader: labels[v] == v}
 	}
-	factory := func(*congest.Context) congest.Node { return &colorNode{} }
-	return engine.RunUniform[colorInput, bool](r, inputs, factory, r.Size()+8, "colouring verdict")
+	nodes := make([]colorNode, r.Size())
+	factory := func(ctx *congest.Context) congest.Node { return &nodes[ctx.ID()] }
+	if _, err := r.RunStage(factory, engine.UniformInputs(inputs), r.Size()+8); err != nil {
+		return nil, err
+	}
+	conflicts := make([]bool, len(nodes))
+	for v := range nodes {
+		conflicts[v] = nodes[v].conflict
+	}
+	return conflicts, nil
 }

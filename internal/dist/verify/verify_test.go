@@ -144,21 +144,21 @@ type stageRecorder struct{ stages []congest.Result }
 func (s *stageRecorder) StageDone(res *congest.Result) {
 	stage := *res
 	stage.PerRound = slices.Clone(res.PerRound)
-	stage.Outputs = slices.Clone(res.Outputs)
 	s.stages = append(s.stages, stage)
 }
 
 // summary prints a Result's scalar fields and the lengths of its slices.
 func summary(r congest.Result) string {
-	return fmt.Sprintf("rounds %d, terminated %v, %d messages, %d bits, %d qubits, %d max edge bits, %d per-round entries, %d outputs",
-		r.Rounds, r.Terminated, r.TotalMessages, r.TotalBits, r.QuantumBits, r.MaxEdgeBitsPerRound, len(r.PerRound), len(r.Outputs))
+	return fmt.Sprintf("rounds %d, terminated %v, %d messages, %d bits, %d qubits, %d max edge bits, %d per-round entries",
+		r.Rounds, r.Terminated, r.TotalMessages, r.TotalBits, r.QuantumBits, r.MaxEdgeBitsPerRound, len(r.PerRound))
 }
 
 // Acceptance criterion of the dist layer: the paper's three cost models are
 // one execution charged three ways. The degree-two check runs the same
 // stages under the plain, the Theorem 3.5 and the Grover-accounted backend:
-// every stage's Result is equal field for field, per-round traffic and
-// outputs included, and so is the classical Stats the three keep. Under the
+// every stage's Result is equal field for field, per-round traffic
+// included, every backend accepts M, and the classical Stats the three keep
+// are equal. Under the
 // simulation backend it charges Server-model cost consistent with Theorem
 // 3.5 — at most the O(B·log L) per-round bound, within the L/2 − 2 round
 // budget.

@@ -11,16 +11,46 @@ import (
 	"qdc/internal/graph"
 )
 
-// Word-encoding pins for all three verify stages. A stage's full Result
-// and its trace hash to one digest at Workers 0, 1 and 4. The digests were
-// recorded while the programs still ran beside verbatim replicas of their
-// pre-refactor boxed forms and both produced them, so any change to a
-// stage's rounds, bits, outputs or traffic shows here.
+// Word-encoding pins for all three verify stages. A stage's Result, every
+// node's result and the stage's trace hash to one digest at Workers 0, 1
+// and 4. The programs then still ran beside verbatim replicas of their
+// pre-refactor boxed forms, which gave the same Results, results and
+// traces, so any change to a stage's rounds, bits, results or traffic
+// shows here.
 
-// traceDigest runs factory on a fresh network and returns its Result and
-// the SHA-256 of that Result and of its trace, one (round, From, To, Bits,
-// Quantum) line per message.
-func traceDigest(t *testing.T, topo congest.Topology, inputs map[int]any, factory congest.NodeFactory, workers, maxRounds int) (*congest.Result, string) {
+// stage carves one run's node programs of a stage from a fresh slab of n:
+// it returns their factory and value, which reads node v's result from the
+// slab once the run has returned.
+type stage func(n int) (factory congest.NodeFactory, value func(v int) any)
+
+func labelStage(n int) (congest.NodeFactory, func(int) any) {
+	nodes := make([]labelNode, n)
+	return func(ctx *congest.Context) congest.Node { return &nodes[ctx.ID()] },
+		func(v int) any { return nodes[v].label }
+}
+
+func colorStage(n int) (congest.NodeFactory, func(int) any) {
+	nodes := make([]colorNode, n)
+	return func(ctx *congest.Context) congest.Node { return &nodes[ctx.ID()] },
+		func(v int) any { return nodes[v].conflict }
+}
+
+func aggStage(decide func(agg) bool) stage {
+	return func(n int) (congest.NodeFactory, func(int) any) {
+		nodes := make([]aggNode, n)
+		return func(ctx *congest.Context) congest.Node {
+				nodes[ctx.ID()].decide = decide
+				return &nodes[ctx.ID()]
+			},
+			func(v int) any { return nodes[v].answer }
+	}
+}
+
+// traceDigest runs s on a fresh network and returns its Result, the value
+// reader of its slab and the SHA-256 of its trace, one (round, From, To,
+// Bits, Quantum) line per message, of the Result's fields, named one by
+// one, and of every node's result.
+func traceDigest(t *testing.T, topo congest.Topology, inputs map[int]any, s stage, workers, maxRounds int) (*congest.Result, func(v int) any, string) {
 	t.Helper()
 	nw, err := congest.NewNetwork(topo, 64)
 	if err != nil {
@@ -28,6 +58,7 @@ func traceDigest(t *testing.T, topo congest.Topology, inputs map[int]any, factor
 	}
 	nw.SetSeed(5)
 	h := sha256.New()
+	factory, value := s(topo.N())
 	res, err := nw.Run(factory, congest.Options{
 		MaxRounds: maxRounds,
 		Inputs:    inputs,
@@ -37,15 +68,19 @@ func traceDigest(t *testing.T, topo congest.Topology, inputs map[int]any, factor
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	fmt.Fprintf(h, "%#v\n", *res)
-	return res, hex.EncodeToString(h.Sum(nil))
+	fmt.Fprintf(h, "rounds %d, terminated %v, messages %d, bits %d, qubits %d, per round %v, max edge bits %d\n",
+		res.Rounds, res.Terminated, res.TotalMessages, res.TotalBits, res.QuantumBits, res.PerRound, res.MaxEdgeBitsPerRound)
+	for v := range topo.N() {
+		fmt.Fprintln(h, v, value(v))
+	}
+	return res, value, hex.EncodeToString(h.Sum(nil))
 }
 
 // checkDigest requires the stage to hash to want at every worker count.
-func checkDigest(t *testing.T, name string, topo congest.Topology, inputs map[int]any, factory congest.NodeFactory, maxRounds int, want string) {
+func checkDigest(t *testing.T, name string, topo congest.Topology, inputs map[int]any, s stage, maxRounds int, want string) {
 	t.Helper()
 	for _, workers := range []int{0, 1, 4} {
-		if res, got := traceDigest(t, topo, inputs, factory, workers, maxRounds); got != want {
+		if res, _, got := traceDigest(t, topo, inputs, s, workers, maxRounds); got != want {
 			t.Errorf("%s workers=%d: digest %s, want %s (rounds %d, messages %d, bits %d)",
 				name, workers, got, want, res.Rounds, res.TotalMessages, res.TotalBits)
 		}
@@ -80,22 +115,20 @@ func labelInputs(mAdj [][]int) map[int]any {
 
 func TestLabelStageMatchesBoxed(t *testing.T) {
 	g, mAdj := stageFixture(t)
-	checkDigest(t, "labels", g, labelInputs(mAdj),
-		func(*congest.Context) congest.Node { return &labelNode{} }, g.N()+8,
-		"61368e77f47569824f23f58730f2321494ab073d4e8c7d886782af7e83a61cbf")
+	checkDigest(t, "labels", g, labelInputs(mAdj), labelStage, g.N()+8,
+		"c86dbe7efefe1b342ae87022f270f2752c83f45ec16cad388558cc088ddef0e0")
 }
 
 func TestColorStageMatchesBoxed(t *testing.T) {
 	g, mAdj := stageFixture(t)
 	// Leaders from a label run, pinned above.
-	res, _ := traceDigest(t, g, labelInputs(mAdj), func(*congest.Context) congest.Node { return &labelNode{} }, 0, g.N()+8)
+	_, label, _ := traceDigest(t, g, labelInputs(mAdj), labelStage, 0, g.N()+8)
 	inputs := make(map[int]any, g.N())
 	for v := range mAdj {
-		inputs[v] = colorInput{MNbrs: mAdj[v], IsLeader: res.Outputs[v].(int) == v}
+		inputs[v] = colorInput{MNbrs: mAdj[v], IsLeader: label(v) == v}
 	}
-	checkDigest(t, "colors", g, inputs,
-		func(*congest.Context) congest.Node { return &colorNode{} }, g.N()+8,
-		"087d9f14c8927efde989c0ec2079db24f6225b7805b322420a87ca03b624d419")
+	checkDigest(t, "colors", g, inputs, colorStage, g.N()+8,
+		"733bd892699ae7f5de910ec692d8dcdcdfb586a995f373f170e03ca0635c1e6c")
 }
 
 func TestAggregateStageMatchesBoxed(t *testing.T) {
@@ -111,9 +144,8 @@ func TestAggregateStageMatchesBoxed(t *testing.T) {
 		}}
 	}
 	decide := func(a agg) bool { return a.OK && a.Leaders == 1 }
-	checkDigest(t, "aggregate", g, inputs,
-		func(ctx *congest.Context) congest.Node { return newAggNode(ctx, decide) }, 0,
-		"f4171d329c097d867dc206e71a367b897feec200dd8adab6b3f150929034dd25")
+	checkDigest(t, "aggregate", g, inputs, aggStage(decide), 0,
+		"33d39daeeb75b5887c9bb5b6bc45f41848abafb93ebc38a6040810bce68b8182")
 }
 
 func boolToInt(b bool) int {

@@ -129,8 +129,8 @@ func TestLBSizeUpperBound(t *testing.T) {
 			t.Errorf("Γ=%d L=%d: bound %d is below the realised vertex count %d",
 				c.gamma, pathLen, bound, nw.N())
 		}
-		if got := spec.vertices(); got != nw.N() {
-			t.Errorf("Γ=%d L=%d: vertices() = %d, the network has %d", c.gamma, pathLen, got, nw.N())
+		if got, _ := spec.size(); got != nw.N() {
+			t.Errorf("Γ=%d L=%d: size() counts %d vertices, the network has %d", c.gamma, pathLen, got, nw.N())
 		}
 		if want := c.gamma * (2*nw.L + nw.K); bound != want {
 			t.Errorf("Γ=%d L=%d: bound %d, want the documented Γ·(2L+log L) = %d",

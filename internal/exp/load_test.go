@@ -105,6 +105,18 @@ func TestLoadMatrixErrors(t *testing.T) {
 		{"endless lbnet path", func(s string) string {
 			return strings.Replace(s, `{"family": "path", "size": 9}`, `{"family": "lbnet", "size": 2, "param": 5e18}`, 1)
 		}, "lbnet needs a path length of at most 1073741824, got 5e+18"},
+		// Topologies the simulator's int32 tables cannot index are refused
+		// before anything asks for their memory (over 100 GB for the grid).
+		{"grid above 2^31 vertices", func(s string) string {
+			return strings.Replace(s, `{"family": "path", "size": 9}`, `{"family": "grid", "size": 5000000000}`, 1)
+		}, "grid of size 5000000000 has 4999904100 vertices, more than 2147483647"},
+		{"complete graph above 2^30 edges", func(s string) string {
+			return strings.Replace(s, `{"family": "path", "size": 9}`, `{"family": "complete", "size": 100000}`, 1)
+		}, "complete of size 100000 has 4999950000 edges, more than 1073741823"},
+		// Γ·L would wrap an int here; Γ alone is refused first.
+		{"lbnet above 2^31 paths", func(s string) string {
+			return strings.Replace(s, `{"family": "path", "size": 9}`, `{"family": "lbnet", "size": 4611686018427387904, "param": 1073741824}`, 1)
+		}, "lbnet of size 4611686018427387904 has more than 2147483647 vertices"},
 		{"non-positive bandwidth", func(s string) string {
 			return strings.Replace(s, `[32]`, `[0]`, 1)
 		}, "not positive"},

@@ -45,7 +45,8 @@ func (r Record) Failed() bool { return r.Error != "" || !r.OK }
 // nodeRounds is the record's simulated work: rounds times the realised
 // vertex count.
 func (r Record) nodeRounds() int64 {
-	return int64(r.Stats.Rounds) * int64(r.Scenario.Topology.vertices())
+	n, _ := r.Scenario.Topology.size()
+	return int64(r.Stats.Rounds) * int64(n)
 }
 
 // NodeRoundsPerSec returns the record's simulation throughput in

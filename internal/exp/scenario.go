@@ -254,8 +254,13 @@ func (t TopologySpec) BuildCSR(rng *rand.Rand) (*graph.CSR, error) {
 
 // checkSize reports a size the topology's family cannot realise: every
 // family needs Size >= 2 (for lbnet, Γ >= 2), a cycle 3 vertices and a grid
-// 4, and an lbnet path is at most lbnetwork.MaxPathLen long. Matrix.Validate
-// and emitEdges both call it, so a spec is refused at load with the text its
+// 4, and an lbnet path is at most lbnetwork.MaxPathLen long. It also
+// refuses a topology the simulator could never run, before anything asks
+// for its memory: more than math.MaxInt32 vertices, or more than
+// math.MaxInt32/2 edges, each two directed slots of the simulator's int32
+// tables. Every family but the grid realises at least Size vertices, so a
+// larger Size is refused before lbnet's Γ·L can wrap. Matrix.Validate and
+// emitEdges both call it, so a spec is refused at load with the text its
 // build would fail with.
 func (t TopologySpec) checkSize() error {
 	switch {
@@ -265,64 +270,78 @@ func (t TopologySpec) checkSize() error {
 		return fmt.Errorf("lbnet needs a path length of at most %d, got %g", lbnetwork.MaxPathLen, t.Param)
 	case t.Family == FamilyCycle && t.Size < 3:
 		return fmt.Errorf("cycle needs size >= 3, got %d", t.Size)
-	case t.Family == FamilyGrid && t.vertices() < 4:
+	}
+	if t.Family != FamilyGrid && t.Size > math.MaxInt32 {
+		return fmt.Errorf("%s of size %d has more than %d vertices", t.Family, t.Size, math.MaxInt32)
+	}
+	switch n, m := t.size(); {
+	case t.Family == FamilyGrid && n < 4:
 		return fmt.Errorf("grid needs size >= 4, got %d", t.Size)
+	case n > math.MaxInt32:
+		return fmt.Errorf("%s of size %d has %d vertices, more than %d", t.Family, t.Size, n, math.MaxInt32)
+	case m > math.MaxInt32/2:
+		return fmt.Errorf("%s of size %d has %d edges, more than %d", t.Family, t.Size, m, math.MaxInt32/2)
 	}
 	return nil
 }
 
 // emitEdges is the family table of the plain (non-lbnet) families. It
-// checks the spec, asks newGraph for a graph sized by the vertex-count rule,
-// with the family's edge count m, and streams the family's edges into the
-// emitter it returns, in the family's canonical order; the random families
-// draw from rng as they stream. m is exact for every deterministic family
-// and the tree, and the spanning tree's n−1 for random, which adds a random
-// number of edges on top. The spec is checked before newGraph is called,
-// so an invalid one allocates nothing and both construction routes fail
-// with the same error.
+// checks the spec, asks newGraph for a graph with the topology's size,
+// and streams the family's edges into the emitter it returns, in the
+// family's canonical order; the random families draw from rng as they
+// stream. The spec is checked before newGraph is called, so an invalid one
+// allocates nothing and both construction routes fail with the same error.
 func (t TopologySpec) emitEdges(rng *rand.Rand, newGraph func(n, m int) graph.EdgeEmitter) error {
 	if err := t.checkSize(); err != nil {
 		return fmt.Errorf("exp: %w", err)
 	}
-	n := t.vertices()
+	n, m := t.size()
 	switch t.Family {
 	case FamilyPath:
-		graph.EmitPath(n, newGraph(n, n-1))
+		graph.EmitPath(n, newGraph(n, m))
 	case FamilyCycle:
-		graph.EmitCycle(n, newGraph(n, n))
+		graph.EmitCycle(n, newGraph(n, m))
 	case FamilyStar:
-		graph.EmitStar(n, newGraph(n, n-1))
+		graph.EmitStar(n, newGraph(n, m))
 	case FamilyComplete:
-		graph.EmitComplete(n, newGraph(n, n*(n-1)/2))
+		graph.EmitComplete(n, newGraph(n, m))
 	case FamilyGrid:
 		side := gridSide(t.Size)
-		graph.EmitGrid(side, side, newGraph(n, 2*side*(side-1)))
+		graph.EmitGrid(side, side, newGraph(n, m))
 	case FamilyRandom:
 		p := t.Param
 		if p <= 0 {
 			p = 0.1
 		}
-		graph.EmitRandomConnected(n, p, rng, newGraph(n, n-1))
+		graph.EmitRandomConnected(n, p, rng, newGraph(n, m))
 	case FamilyTree:
-		graph.EmitSpanningTree(n, rng, newGraph(n, n-1))
+		graph.EmitSpanningTree(n, rng, newGraph(n, m))
 	default:
 		return fmt.Errorf("exp: unknown topology family %q", t.Family)
 	}
 	return nil
 }
 
-// vertices is the vertex count the topology realises: the largest square
-// not above Size for a grid, lbnetwork.VertexCount for the lower-bound
-// network (whose Size is the path count Γ), and Size otherwise.
-func (t TopologySpec) vertices() int {
+// size returns the vertex count n the topology realises and the edge count
+// m its family streams. n is the largest square not above Size for a grid,
+// lbnetwork.VertexCount for the lower-bound network (whose Size is the
+// path count Γ), and Size otherwise. m is exact for the path (n−1), cycle
+// (n), star (n−1), complete graph (n(n−1)/2), s×s grid (2s(s−1)) and tree
+// (n−1); for random it is the spanning tree's n−1, below the random edges
+// added on top, and lbnet's, which lbnetwork.New builds, is left at 0.
+func (t TopologySpec) size() (n, m int) {
 	switch t.Family {
 	case FamilyGrid:
 		side := gridSide(t.Size)
-		return side * side
+		return side * side, 2 * side * (side - 1)
 	case FamilyLBNet:
-		return lbnetwork.VertexCount(t.Size, t.lbPathLen())
+		return lbnetwork.VertexCount(t.Size, t.lbPathLen()), 0
+	case FamilyCycle:
+		return t.Size, t.Size
+	case FamilyComplete:
+		return t.Size, t.Size * (t.Size - 1) / 2
 	}
-	return t.Size
+	return t.Size, t.Size - 1
 }
 
 // gridSide is the side of the largest square grid with at most size

@@ -38,9 +38,9 @@ func TestBuildCSRMatchesBuild(t *testing.T) {
 			t.Fatalf("%s: BuildCSR: %v", spec, err)
 		}
 		g := built.Graph
-		if csr.N() != g.N() || csr.M() != g.M() || g.N() != spec.vertices() {
-			t.Fatalf("%s: CSR is %d vertices / %d edges, graph is %d / %d, vertices() is %d",
-				spec, csr.N(), csr.M(), g.N(), g.M(), spec.vertices())
+		if n, _ := spec.size(); csr.N() != g.N() || csr.M() != g.M() || g.N() != n {
+			t.Fatalf("%s: CSR is %d vertices / %d edges, graph is %d / %d, size() counts %d vertices",
+				spec, csr.N(), csr.M(), g.N(), g.M(), n)
 		}
 		for v := 0; v < g.N(); v++ {
 			if csr.Degree(v) != g.Degree(v) {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -476,45 +477,102 @@ func TestRestartRerunsJobPastGapAndStrayStream(t *testing.T) {
 	waitTerminal(t, next)
 }
 
-// TestRestartSkipsOversizedJobFile: a state dir holding a job file with more
-// shards than scenarios (written before Submit bounded the count) starts
-// cleanly. The job is not adopted, so its shard count never reaches the
-// supervisor, and the daemon keeps serving new jobs. Its id stays taken: the
-// next submission is job-2 and leaves the skipped dir's files alone.
+// TestRestartSkipsOversizedJobFile: a state dir whose job-1 holds no
+// adoptable job file starts cleanly. The cases are a job file with more
+// shards than scenarios (written before Submit bounded the count), so its
+// shard count never reaches the supervisor; a torn job.json, cut off
+// mid-object, beside the complete job.json.tmp of a write that never
+// renamed it; and an empty job.json. The job is not adopted and the daemon
+// keeps serving new jobs. Its id stays taken: the next submission is job-2
+// and leaves every file of the skipped dir as it was.
 func TestRestartSkipsOversizedJobFile(t *testing.T) {
 	m := testMatrix()
-	state := t.TempDir()
-	dir := filepath.Join(state, "jobs", "job-1")
-	if err := os.MkdirAll(filepath.Join(dir, "streams"), 0o755); err != nil {
+	valid := jobFile{ID: "job-1", Matrix: m.Name, Shards: 2, Total: len(m.Expand())}
+	for _, c := range []struct {
+		name string
+		// write leaves job-1's job files in dir.
+		write func(t *testing.T, dir string)
+	}{
+		{"oversized", func(t *testing.T, dir string) {
+			oversized := valid
+			oversized.Shards = 1 << 62
+			if err := writeJobFile(dir, oversized); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"torn", func(t *testing.T, dir string) {
+			if err := writeJobFile(dir, valid); err != nil {
+				t.Fatal(err)
+			}
+			whole, err := os.ReadFile(filepath.Join(dir, "job.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeFile(t, filepath.Join(dir, "job.json.tmp"), whole)
+			writeFile(t, filepath.Join(dir, "job.json"), whole[:len(whole)/2])
+		}},
+		{"empty", func(t *testing.T, dir string) {
+			writeFile(t, filepath.Join(dir, "job.json"), nil)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			state := t.TempDir()
+			dir := filepath.Join(state, "jobs", "job-1")
+			if err := os.MkdirAll(filepath.Join(dir, "streams"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := exp.SaveMatrix(filepath.Join(dir, "matrix.json"), m); err != nil {
+				t.Fatal(err)
+			}
+			c.write(t, dir)
+			skipped := dirContents(t, dir)
+			s := newTestServer(t, state, healthySpawn)
+			if j := s.Job("job-1"); j != nil {
+				t.Fatalf("job-1 was adopted in state %s", j.Status().State)
+			}
+			j, err := s.Submit(SubmitRequest{Spec: &m, Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.ID != "job-2" {
+				t.Errorf("job after the skipped job-1 got id %s, want job-2", j.ID)
+			}
+			if fin := waitTerminal(t, j); fin.State != StateDone {
+				t.Fatalf("job after the skipped one finished %s: %s", fin.State, fin.Error)
+			}
+			if got := dirContents(t, dir); !reflect.DeepEqual(got, skipped) {
+				t.Errorf("the skipped dir changed:\nbefore %q\nafter  %q", skipped, got)
+			}
+		})
+	}
+}
+
+// writeFile writes data to path.
+func writeFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := exp.SaveMatrix(filepath.Join(dir, "matrix.json"), m); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeJobFile(dir, jobFile{ID: "job-1", Matrix: m.Name, Shards: 1 << 62, Total: len(m.Expand())}); err != nil {
-		t.Fatal(err)
-	}
-	skipped, err := os.ReadFile(filepath.Join(dir, "job.json"))
+}
+
+// dirContents maps every file and directory under dir, by its path
+// relative to dir, to the file's bytes ("" for a directory).
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			files[path[len(dir):]] = ""
+			return err
+		}
+		data, err := os.ReadFile(path)
+		files[path[len(dir):]] = string(data)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newTestServer(t, state, healthySpawn)
-	if j := s.Job("job-1"); j != nil {
-		t.Fatalf("oversized job was adopted in state %s", j.Status().State)
-	}
-	j, err := s.Submit(SubmitRequest{Spec: &m, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.ID != "job-2" {
-		t.Errorf("job after the skipped job-1 got id %s, want job-2", j.ID)
-	}
-	if fin := waitTerminal(t, j); fin.State != StateDone {
-		t.Fatalf("job after the skipped one finished %s: %s", fin.State, fin.Error)
-	}
-	if got, err := os.ReadFile(filepath.Join(dir, "job.json")); err != nil || !bytes.Equal(got, skipped) {
-		t.Errorf("the skipped dir's job.json changed (err %v):\n%s", err, got)
-	}
+	return files
 }
 
 // TestSubmitValidationAndErrors pins the API's failure modes.

@@ -32,8 +32,9 @@
 // # The internal/dist execution layer
 //
 // Every distributed algorithm is a CONGEST node program executed through the
-// engine.Runner interface (internal/dist/engine): RunStage hands each node
-// its input for the stage, runs the program to global termination, and
+// engine.Runner interface (internal/dist/engine): RunStage builds every
+// node through the algorithm's factory, which hands each node program its
+// input for the stage, runs the program to global termination, and
 // accumulates a Stats total of stages, rounds, messages and bits (classical
 // and quantum, accounted separately). Every backend runs the stage through
 // one engine.Local; the re-accounting ones add a per-message trace:

@@ -15,7 +15,7 @@ func measureRunAllocs(t *testing.T, topo Topology, workers, rounds int) float64 
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := func(*Context) Node { return &benchFloodNode{rounds: rounds} }
+	factory := newBenchFlood(rounds)
 	opts := Options{MaxRounds: rounds + 2, Workers: workers}
 	return testing.AllocsPerRun(5, func() {
 		if _, err := nw.Run(factory, opts); err != nil {

@@ -19,16 +19,20 @@ import (
 // throughput and heap of its n=102400 cell.
 
 // benchFloodNode broadcasts a fixed message to every neighbour each round
-// for a set number of rounds, then goes quiet. The outbox is built once in
-// Init and reused, so a steady-state round allocates nothing in the node
-// program — every measured allocation belongs to the simulator.
+// for a set number of rounds, then goes quiet. Its factory builds the
+// outbox once and the node reuses it, so a steady-state round allocates
+// nothing in the node program — every measured allocation belongs to the
+// simulator.
 type benchFloodNode struct {
 	rounds int
 	outbox []Message
 }
 
-func (f *benchFloodNode) Init(ctx *Context) {
-	f.outbox = BroadcastAllWords(ctx, 1, 1, 0, 8)
+// newBenchFlood is the factory of a benchFloodNode run of the given length.
+func newBenchFlood(rounds int) NodeFactory {
+	return func(ctx *Context) Node {
+		return &benchFloodNode{rounds: rounds, outbox: BroadcastAllWordsInto(make([]Message, 0, ctx.Degree()), ctx, 1, 1, 0, 8)}
+	}
 }
 
 func (f *benchFloodNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
@@ -48,13 +52,28 @@ type benchPingPongNode struct {
 	outbox []Message
 }
 
-func (p *benchPingPongNode) Init(ctx *Context) {
+// pingPongPartner is node ctx's partner, 2k for 2k+1 and back, or -1 when
+// the partner is not its neighbour.
+func pingPongPartner(ctx *Context) int {
 	partner := ctx.ID() + 1
 	if ctx.ID()%2 == 1 {
 		partner = ctx.ID() - 1
 	}
-	if partner >= 0 && partner < ctx.N() && ctx.IsNeighbor(partner) {
-		p.outbox = []Message{NewWordMessage(partner, 1, 1, 0, 8)}
+	if !ctx.IsNeighbor(partner) {
+		return -1
+	}
+	return partner
+}
+
+// newBenchPingPong is the factory of a benchPingPongNode run of the given
+// length, which builds each node's one-message outbox.
+func newBenchPingPong(rounds int) NodeFactory {
+	return func(ctx *Context) Node {
+		p := &benchPingPongNode{rounds: rounds}
+		if partner := pingPongPartner(ctx); partner >= 0 {
+			p.outbox = []Message{NewWordMessage(partner, 1, 1, 0, 8)}
+		}
+		return p
 	}
 }
 
@@ -71,16 +90,6 @@ func (p *benchPingPongNode) Round(ctx *Context, round int, inbox []Message) ([]M
 // copy a returned slice of the node's own costs.
 type benchPingPongOutboxNode struct {
 	rounds, partner int
-}
-
-func (p *benchPingPongOutboxNode) Init(ctx *Context) {
-	p.partner = ctx.ID() + 1
-	if ctx.ID()%2 == 1 {
-		p.partner = ctx.ID() - 1
-	}
-	if p.partner >= ctx.N() || !ctx.IsNeighbor(p.partner) {
-		p.partner = -1
-	}
 }
 
 func (p *benchPingPongOutboxNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
@@ -100,9 +109,10 @@ type benchWaveNode struct {
 	outbox  []Message
 }
 
-func (f *benchWaveNode) Init(ctx *Context) {
-	f.reached = ctx.ID() == 0
-	f.outbox = BroadcastAllWords(ctx, 1, 0, 0, 8)
+// newBenchWave is the factory of a benchWaveNode run from node 0, which
+// builds each node's outbox.
+func newBenchWave(ctx *Context) Node {
+	return &benchWaveNode{reached: ctx.ID() == 0, outbox: BroadcastAllWordsInto(make([]Message, 0, ctx.Degree()), ctx, 1, 0, 0, 8)}
 }
 
 func (f *benchWaveNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
@@ -119,8 +129,6 @@ func (f *benchWaveNode) Round(ctx *Context, round int, inbox []Message) ([]Messa
 type benchWaveOutboxNode struct {
 	reached, sent bool
 }
-
-func (f *benchWaveOutboxNode) Init(ctx *Context) { f.reached = ctx.ID() == 0 }
 
 func (f *benchWaveOutboxNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	f.reached = f.reached || len(inbox) > 0
@@ -176,9 +184,7 @@ func BenchmarkRoundLoopFloodWords(b *testing.B) {
 		topo := graph.Grid(side, side)
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("grid%d/workers=%d", side*side, workers), func(b *testing.B) {
-				runRoundLoopBench(b, topo, workers, rounds, func(*Context) Node {
-					return &benchFloodNode{rounds: rounds}
-				})
+				runRoundLoopBench(b, topo, workers, rounds, newBenchFlood(rounds))
 			})
 		}
 	}
@@ -194,13 +200,11 @@ func BenchmarkRoundLoopWave(b *testing.B) {
 	topo := graph.Grid(side, side)
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("grid%d/workers=%d", side*side, workers), func(b *testing.B) {
-			runRoundLoopBench(b, topo, workers, 2*side, func(*Context) Node {
-				return &benchWaveNode{}
-			})
+			runRoundLoopBench(b, topo, workers, 2*side, newBenchWave)
 		})
 		b.Run(fmt.Sprintf("grid%d/outbox/workers=%d", side*side, workers), func(b *testing.B) {
-			runRoundLoopBench(b, topo, workers, 2*side, func(*Context) Node {
-				return &benchWaveOutboxNode{}
+			runRoundLoopBench(b, topo, workers, 2*side, func(ctx *Context) Node {
+				return &benchWaveOutboxNode{reached: ctx.ID() == 0}
 			})
 		})
 	}
@@ -214,13 +218,11 @@ func BenchmarkRoundLoopPingPong(b *testing.B) {
 	topo := graph.Path(1024)
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("path1024/workers=%d", workers), func(b *testing.B) {
-			runRoundLoopBench(b, topo, workers, rounds, func(*Context) Node {
-				return &benchPingPongNode{rounds: rounds}
-			})
+			runRoundLoopBench(b, topo, workers, rounds, newBenchPingPong(rounds))
 		})
 		b.Run(fmt.Sprintf("path1024/outbox/workers=%d", workers), func(b *testing.B) {
-			runRoundLoopBench(b, topo, workers, rounds, func(*Context) Node {
-				return &benchPingPongOutboxNode{rounds: rounds}
+			runRoundLoopBench(b, topo, workers, rounds, func(ctx *Context) Node {
+				return &benchPingPongOutboxNode{rounds: rounds, partner: pingPongPartner(ctx)}
 			})
 		})
 	}
@@ -243,9 +245,7 @@ func BenchmarkRoundLoopScaleMatrix(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			runRoundLoopBench(b, tc.topo, 1, rounds, func(*Context) Node {
-				return &benchFloodNode{rounds: rounds}
-			})
+			runRoundLoopBench(b, tc.topo, 1, rounds, newBenchFlood(rounds))
 		})
 	}
 }

@@ -33,9 +33,10 @@
 // edge weight is read back through the topology when a node asks for it. A
 // node's Context is 32 bytes, two per cache line: its ID, its lazy random
 // source and two pointers, through which it reads n, B and its neighbours
-// from the run's shared tables, its edge weights from the topology and its
-// input from the run's options. A node program keeps its results in its own
-// state, where the caller that built it reads them once Run returns.
+// from the run's shared tables and its edge weights from the topology. A
+// run has one way in and one way out: the caller's NodeFactory builds each
+// node program with that node's input, and the program keeps its results
+// in its own state, where the caller reads them once Run returns.
 // Together these carry the same bit-exact accounting from the paper-sized
 // networks up to million-node topologies; see DESIGN.md, "The congest hot
 // path" and "Compact payloads and streaming topologies".
@@ -87,17 +88,17 @@ type Message struct {
 	W0, W1 uint64
 }
 
-// Node is the per-processor state machine supplied by an algorithm.
+// Node is the per-processor state machine supplied by an algorithm. Its
+// starting state, the node's share of the problem input included, is set
+// by the NodeFactory that built it; everything else it learns from its
+// Context and its inbox.
 //
-// The simulator calls Init exactly once before the first round. Reporting
-// done is a vote to halt: a node's Round is called in round 1, in every
-// round after one in which it reported not done, and in every round in
-// which a message is delivered to it. A node that reports done and receives
-// nothing sleeps until a message wakes it. The run ends when every node is
-// done and no message is in flight, or at the round limit.
+// Reporting done is a vote to halt: a node's Round is called in round 1, in
+// every round after one in which it reported not done, and in every round
+// in which a message is delivered to it. A node that reports done and
+// receives nothing sleeps until a message wakes it. The run ends when every
+// node is done and no message is in flight, or at the round limit.
 type Node interface {
-	// Init is called once with the node's static context before round 1.
-	Init(ctx *Context)
 	// Round is called with the messages delivered this round (i.e. sent
 	// during the previous round). It returns the messages to send this round
 	// and whether the node is done. A done node may be woken by a later
@@ -117,14 +118,19 @@ type Node interface {
 	Round(ctx *Context, round int, inbox []Message) (outbox []Message, done bool)
 }
 
-// NodeFactory builds the Node that will run at the given context's node.
-// The context is fully initialised (ID, neighbours, input) when the factory
-// is invoked.
+// NodeFactory builds the Node that will run at the given context's node,
+// with that node's starting state: its input is whatever the factory hands
+// it, usually the ID-th entry of the caller's per-node inputs. Run calls
+// the factory once per node, in ascending ID order, on the goroutine that
+// called Run, before round 1, so a factory may write to its caller's
+// variables without synchronisation. The context is fully usable (ID, n, B,
+// neighbours, edge weights, random source) when the factory is invoked.
 type NodeFactory func(ctx *Context) Node
 
-// Context is the static, per-node view of the network handed to a Node. It
-// corresponds to the paper's assumption that a node knows its own ID, the IDs
-// of its neighbours, the weights of its incident edges, the network size n,
+// Context is the static, per-node view of the network handed to a Node's
+// factory and to every Round call. With the input the factory supplies,
+// it is the paper's assumption that a node knows its own ID, the IDs of
+// its neighbours, the weights of its incident edges, the network size n,
 // and its problem-specific input, and nothing else about the topology.
 //
 // A context holds only the node's ID, its random source and two pointers:
@@ -191,11 +197,6 @@ func (c *Context) EdgeWeight(v int) (float64, bool) {
 	return w, true
 }
 
-// Input returns the problem-specific input the run's Options.Inputs holds
-// for this node (nil if none). It reads the map when called, so the map
-// must not change while the run is in progress.
-func (c *Context) Input() any { return c.st.opts.Inputs[int(c.id)] }
-
 // Rand returns this node's private deterministic random source. Nodes at
 // different IDs receive independent streams; re-running the same network
 // with the same seed reproduces the same stream (the paper's algorithms are
@@ -252,8 +253,9 @@ type Topology interface {
 // logs), and the next Run resets that state in O(n) instead of rebuilding
 // it from the topology, so a multi-stage algorithm pays for the topology
 // once. The topology must therefore not change while the network is in
-// use. A network holds no per-node inputs: each run brings its own in
-// Options.Inputs, and an idle network keeps none of them reachable.
+// use. A network holds no per-node inputs: each run's factory hands every
+// node program its own, and an idle network keeps no node program, and so
+// no input, reachable.
 type Network struct {
 	topo      Topology
 	bandwidth int
@@ -327,11 +329,6 @@ type Options struct {
 	// nodes terminate, Run returns the partial result and ErrRoundLimit.
 	// Zero means a default of 64*n + 64 rounds.
 	MaxRounds int
-	// Inputs holds the run's problem-specific input of each node by ID,
-	// which the node reads through Context.Input; a node without an entry
-	// reads nil, and keys outside 0..n-1 are ignored. Contexts read the map
-	// during the run, so it must not change until Run returns.
-	Inputs map[int]any
 	// Trace, if non-nil, is invoked for every accepted message with the
 	// round in which it was sent, in deterministic sender-ID order (outbox
 	// order within a sender). It is used by the Simulation Theorem engine
@@ -367,10 +364,12 @@ type Options struct {
 }
 
 // Run executes the algorithm produced by factory on every node and returns
-// run statistics. It is deterministic for a fixed seed. A run returns no
-// per-node results: each node program keeps its own, and the caller reads
-// them from the programs its factory handed out once Run returns, on every
-// exit path, errors included.
+// run statistics. It is deterministic for a fixed seed. It calls factory
+// once per node, in ascending ID order, on the calling goroutine, before
+// round 1; the factory builds each node program with that node's input. A
+// run returns no per-node results: each node program keeps its own, and the
+// caller reads them from the programs its factory handed out once Run
+// returns, on every exit path, errors included.
 //
 // The round loop is steady-state allocation-free: the working state below
 // (contexts, the flat neighbour table with its CSR edge index,
@@ -380,11 +379,9 @@ type Options struct {
 // node's inbox slice is therefore valid only for the duration of the Round
 // call that receives it: the round's messages are delivered into the same
 // buffer once the node returns. The contexts handed to the factory are
-// likewise valid only until Run returns.
-// The inputs come with the run in opts.Inputs, and contexts read that map
-// during the run, so it must not change until Run returns. The state of a
-// run that a panic unwinds through is dropped, and the next run builds a
-// fresh one. See DESIGN.md, "The congest hot path".
+// likewise valid only until Run returns. The state of a run that a panic
+// unwinds through is dropped, and the next run builds a fresh one. See
+// DESIGN.md, "The congest hot path".
 func (nw *Network) Run(factory NodeFactory, opts Options) (*Result, error) {
 	st := nw.parked.Swap(nil)
 	if st == nil {
@@ -404,10 +401,10 @@ func (nw *Network) Run(factory NodeFactory, opts Options) (*Result, error) {
 }
 
 // park keeps st for the next run. It first drops the finished run's node
-// programs, every context's random source, its options (and with them its
-// inputs) and its Result, so an idle network keeps no stage's node state,
-// inputs or callbacks reachable. The send logs and inboxes keep their
-// messages: a Message holds no pointer.
+// programs (and with them every input their factory handed them), every
+// context's random source, its options and its Result, so an idle network
+// keeps no stage's node state, inputs or callbacks reachable. The send logs
+// and inboxes keep their messages: a Message holds no pointer.
 func (nw *Network) park(st *runState) {
 	clear(st.nodes)
 	for v := range st.ctxs {
@@ -528,14 +525,15 @@ func newRunState(nw *Network) (*runState, error) {
 }
 
 // start resets what the previous run on this state left behind and builds
-// the run's nodes: the seed, every inbox (a round-limit, cancel or error
-// exit leaves messages in them), the awake words, and a fresh Result, since
-// callers keep results across runs; a Result holds no per-node field, so it
-// costs the same whatever n. The contexts need nothing: park dropped
-// their random sources, and they read everything else from the tables.
-// It partitions anew only when the worker count changed, before the
-// factory runs, so that a context's Outbox works from the first call, and
-// it starts the worker pool. done and the send logs need no reset: round 1
+// the run's nodes, one factory call per node in ID order: the seed, every
+// inbox (a round-limit, cancel or error exit leaves messages in them), the
+// awake words, and a fresh Result, since callers keep results across runs;
+// a Result holds no per-node field, so it costs the same whatever n. The
+// contexts need nothing: park dropped their random sources, and they read
+// everything else from the tables. It partitions anew only when the worker
+// count changed, before the factory runs, so that a context's Outbox works
+// from the first call, and it starts the worker pool after the factory
+// calls. done and the send logs need no reset: round 1
 // steps every node before anything reads done, and every round resets the
 // logs. After a clean exit or a validation error every edge slot is zero
 // and every touched list empty; a panic exit's state is never reused.
@@ -560,10 +558,6 @@ func (st *runState) start(factory NodeFactory, opts Options) error {
 			return fmt.Errorf("congest: factory returned nil node for id %d", v)
 		}
 	}
-	for v := range st.nodes {
-		st.nodes[v].Init(&st.ctxs[v])
-	}
-
 	for w := range st.workers {
 		st.workers[w].wakeAll(st.starts[w+1] - st.starts[w])
 	}

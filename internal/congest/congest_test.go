@@ -12,17 +12,17 @@ import (
 
 // floodMaxNode floods the maximum ID seen so far; after n+1 rounds of
 // silence it terminates, its result the maximum in best. It is the classic
-// "leader election by flooding" used here to exercise the simulator.
+// "leader election by flooding" used here to exercise the simulator. It
+// builds its broadcasts in a slice of its own, which the simulator copies.
 type floodMaxNode struct {
 	best    int
 	changed bool
 	quiet   int
+	out     []Message
 }
 
-func (f *floodMaxNode) Init(ctx *Context) {
-	f.best = ctx.ID()
-	f.changed = true
-}
+// newFloodMax is node ctx's floodMaxNode, which starts from its own ID.
+func newFloodMax(ctx *Context) floodMaxNode { return floodMaxNode{best: ctx.ID(), changed: true} }
 
 func (f *floodMaxNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	for _, m := range inbox {
@@ -34,7 +34,8 @@ func (f *floodMaxNode) Round(ctx *Context, round int, inbox []Message) ([]Messag
 	if f.changed {
 		f.changed = false
 		f.quiet = 0
-		return BroadcastAllWords(ctx, 0, uint64(f.best), 0, BitsForID(ctx.N())), false
+		f.out = BroadcastAllWordsInto(f.out[:0], ctx, 0, uint64(f.best), 0, BitsForID(ctx.N()))
+		return f.out, false
 	}
 	f.quiet++
 	return nil, f.quiet > ctx.N()
@@ -78,7 +79,7 @@ func TestFloodingFindsMaximum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, factory := slab(topo.N(), func(*Context) floodMaxNode { return floodMaxNode{} })
+	nodes, factory := slab(topo.N(), newFloodMax)
 	res, err := nw.Run(factory, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -104,11 +105,13 @@ func TestFloodingRoundsScaleWithDiameter(t *testing.T) {
 	long := graph.Path(50)
 	nwShort, _ := NewNetwork(short, 16)
 	nwLong, _ := NewNetwork(long, 16)
-	rs, err := nwShort.Run(func(*Context) Node { return &floodMaxNode{} }, Options{})
+	_, shortFactory := slab(short.N(), newFloodMax)
+	_, longFactory := slab(long.N(), newFloodMax)
+	rs, err := nwShort.Run(shortFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := nwLong.Run(func(*Context) Node { return &floodMaxNode{} }, Options{})
+	rl, err := nwLong.Run(longFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +123,6 @@ func TestFloodingRoundsScaleWithDiameter(t *testing.T) {
 // oversendNode violates the bandwidth constraint on purpose.
 type oversendNode struct{}
 
-func (oversendNode) Init(*Context) {}
 func (oversendNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	if ctx.Degree() == 0 {
 		return nil, true
@@ -141,7 +143,6 @@ func TestBandwidthEnforced(t *testing.T) {
 // is that neighbour once cut to the neighbour table's int32.
 type strangerNode struct{ alias bool }
 
-func (strangerNode) Init(*Context) {}
 func (s strangerNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	target := (ctx.ID() + 2) % ctx.N()
 	if s.alias {
@@ -165,7 +166,6 @@ func TestNonNeighborRejected(t *testing.T) {
 // chattyNode never terminates.
 type chattyNode struct{}
 
-func (chattyNode) Init(*Context) {}
 func (chattyNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	return nil, false
 }
@@ -200,8 +200,11 @@ func TestContextView(t *testing.T) {
 		n         int
 	}
 	probes := make([]probe, 3)
+	// A node's input is what its factory hands it: the entry of its ID.
+	inputs := map[int]any{1: "hello"}
+	_, flood := slab(3, newFloodMax)
 	factory := func(ctx *Context) Node {
-		p := probe{input: ctx.Input(), n: ctx.N()}
+		p := probe{input: inputs[ctx.ID()], n: ctx.N()}
 		for i := range ctx.Degree() {
 			p.neighbors = append(p.neighbors, ctx.NeighborAt(i))
 		}
@@ -209,9 +212,9 @@ func TestContextView(t *testing.T) {
 			p.weight = w
 		}
 		probes[ctx.ID()] = p
-		return &floodMaxNode{}
+		return flood(ctx)
 	}
-	if _, err := nw.Run(factory, Options{Inputs: map[int]any{1: "hello", 99: "ignored"}}); err != nil {
+	if _, err := nw.Run(factory, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if probes[1].input != "hello" || probes[0].input != nil {
@@ -230,9 +233,10 @@ func TestDeterministicRand(t *testing.T) {
 		nw, _ := NewNetwork(graph.Complete(4), 16)
 		nw.SetSeed(seed)
 		var draws []int
+		_, flood := slab(4, newFloodMax)
 		factory := func(ctx *Context) Node {
 			draws = append(draws, ctx.Rand().Intn(1_000_000))
-			return &floodMaxNode{}
+			return flood(ctx)
 		}
 		if _, err := nw.Run(factory, Options{}); err != nil {
 			t.Fatal(err)
@@ -411,29 +415,35 @@ func TestBroadcastHelper(t *testing.T) {
 	}
 }
 
-// TestRunWithoutInputsSeesNone checks that inputs belong to the run that
-// brings them: a run without Inputs, on a network whose previous run had
-// some, sees none.
-func TestRunWithoutInputsSeesNone(t *testing.T) {
-	nw, _ := NewNetwork(graph.Path(2), 8)
-	var saw []any
-	factory := func(ctx *Context) Node {
-		saw = append(saw, ctx.Input())
-		return &floodMaxNode{}
-	}
-	if _, err := nw.Run(factory, Options{Inputs: map[int]any{0: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if saw[0] != 1 || saw[1] != nil {
-		t.Fatalf("a run with Inputs {0: 1} saw %v", saw)
-	}
-	saw = saw[:0]
-	if _, err := nw.Run(factory, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	for v, in := range saw {
-		if in != nil {
-			t.Fatalf("a run without Inputs: node %d sees input %v of the run before", v, in)
+// TestFactoryBuildsEachNodeOnceInIDOrder pins the contract a node's
+// starting state rests on: Run calls the factory once per node, in
+// ascending ID order, before any node steps in round 1, at one worker and
+// on the pool.
+func TestFactoryBuildsEachNodeOnceInIDOrder(t *testing.T) {
+	const n = 12
+	for _, workers := range []int{1, 4} {
+		nw, err := NewNetwork(ring(n), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := make([]silentNode, n)
+		var built []int
+		factory := func(ctx *Context) Node {
+			if v := slices.IndexFunc(nodes, func(s silentNode) bool { return s.steps != 0 }); v >= 0 {
+				t.Errorf("Workers=%d: node %d stepped before the factory built node %d", workers, v, ctx.ID())
+			}
+			built = append(built, ctx.ID())
+			return &nodes[ctx.ID()]
+		}
+		if _, err := nw.Run(factory, Options{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]int, n)
+		for v := range want {
+			want[v] = v
+		}
+		if !slices.Equal(built, want) {
+			t.Errorf("Workers=%d: the factory built nodes %v, want %v", workers, built, want)
 		}
 	}
 }

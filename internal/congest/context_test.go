@@ -44,9 +44,10 @@ func TestMessageIs48BytesWithoutPointers(t *testing.T) {
 	}
 }
 
-// viewNode checks its context against the topology in round 1 and records
-// what differs.
-type viewNode struct {
+// view is what every node of a run checks its context against: the
+// topology, the network's settings and the run's inputs. problems[v] is
+// what node v found to differ.
+type view struct {
 	topo      congest.Topology
 	bandwidth int
 	seed      int64
@@ -54,7 +55,13 @@ type viewNode struct {
 	problems  []string
 }
 
-func (*viewNode) Init(*congest.Context) {}
+// viewNode checks its context against the run's view in round 1 and
+// records what differs. input is what its factory built it with, from the
+// context the factory was handed.
+type viewNode struct {
+	*view
+	input any
+}
 
 func (vn *viewNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
 	v := ctx.ID()
@@ -105,8 +112,8 @@ func (vn *viewNode) check(ctx *congest.Context, v int) string {
 			}
 		}
 	}
-	if got, want := ctx.Input(), vn.inputs[v]; got != want {
-		return fmt.Sprintf("Input %v, want %v", got, want)
+	if got, want := vn.input, vn.inputs[v]; got != want {
+		return fmt.Sprintf("input %v, want %v", got, want)
 	}
 	want := rand.New(rand.NewSource(vn.seed*1_000_003 + int64(v))).Int63()
 	if got := ctx.Rand().Int63(); got != want {
@@ -117,10 +124,12 @@ func (vn *viewNode) check(ctx *congest.Context, v int) string {
 
 // TestContextViewMatchesTopology checks every part of every node's view,
 // read from the run's flat tables, against the topology it was built from,
-// the network's settings and the run's inputs: on a weighted random graph and on a star
-// whose hub has more neighbours than neighbourRank scans linearly, each as
-// a *graph.Graph and as its CSR, stepping on the caller and on four
-// workers.
+// the network's settings and the run's inputs, which the factory hands
+// each node by the ID of the context it was called with, so the node
+// stepped with context v is the one built for v: on a weighted random
+// graph and on a star whose hub has more neighbours than neighbourRank
+// scans linearly, each as a *graph.Graph and as its CSR, stepping on the
+// caller and on four workers.
 func TestContextViewMatchesTopology(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	weighted, err := graph.AssignRandomWeights(graph.RandomConnectedGraph(40, 0.15, rng), 1000, rng)
@@ -144,16 +153,18 @@ func TestContextViewMatchesTopology(t *testing.T) {
 				for v := 0; v < topo.N(); v += 3 {
 					inputs[v] = v * 7
 				}
-				vn := &viewNode{topo: topo, bandwidth: bandwidth, seed: seed, inputs: inputs,
+				vw := &view{topo: topo, bandwidth: bandwidth, seed: seed, inputs: inputs,
 					problems: make([]string, topo.N())}
-				for v := range vn.problems {
-					vn.problems[v] = "never stepped"
+				for v := range vw.problems {
+					vw.problems[v] = "never stepped"
 				}
-				if _, err := nw.Run(func(*congest.Context) congest.Node { return vn },
-					congest.Options{Workers: workers, Inputs: inputs}); err != nil {
+				factory := func(ctx *congest.Context) congest.Node {
+					return &viewNode{view: vw, input: inputs[ctx.ID()]}
+				}
+				if _, err := nw.Run(factory, congest.Options{Workers: workers}); err != nil {
 					t.Fatal(err)
 				}
-				for v, p := range vn.problems {
+				for v, p := range vw.problems {
 					if p != "" {
 						t.Errorf("%s as %T, Workers=%d: node %d: %s", name, topo, workers, v, p)
 					}

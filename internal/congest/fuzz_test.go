@@ -141,10 +141,10 @@ func newFuzzProgram(n int, seed int64, mix uint32) *fuzzProgram {
 	return p
 }
 
-// nodes is the fuzz program's slab: node v runs element v, and each node's
-// result is its (digest, calls) pair.
+// nodes is the fuzz program's slab: node v runs element v, its digest
+// starting from v, and each node's result is its (digest, calls) pair.
 func (p *fuzzProgram) nodes(n int) (NodeFactory, func() any) {
-	nodes, factory := slab(n, func(*Context) fuzzNode { return fuzzNode{p: p} })
+	nodes, factory := slab(n, func(ctx *Context) fuzzNode { return fuzzNode{p: p, digest: uint64(ctx.ID())} })
 	return factory, func() any {
 		pairs := make([][2]uint64, n)
 		for v := range nodes {
@@ -163,8 +163,6 @@ type fuzzNode struct {
 	calls  int
 	out    []Message
 }
-
-func (f *fuzzNode) Init(ctx *Context) { f.digest = uint64(ctx.ID()) }
 
 func (f *fuzzNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	p := f.p
@@ -310,9 +308,6 @@ func referenceRun(topo Topology, bandwidth int, seed int64, prog program, opts O
 	nodes := make([]Node, n)
 	for v := range nodes {
 		nodes[v] = factory(ctxs[v])
-	}
-	for v := range nodes {
-		nodes[v].Init(ctxs[v])
 	}
 
 	finish := func(err error) runOutcome {

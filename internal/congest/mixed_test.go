@@ -25,8 +25,6 @@ const (
 	kindMixedFlags  uint8 = 3
 )
 
-func (m *mixedPayloadNode) Init(*Context) {}
-
 func (m *mixedPayloadNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	for i := range inbox {
 		msg := &inbox[i]

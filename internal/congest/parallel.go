@@ -29,8 +29,8 @@ import (
 // O(n/64W + awake/W + traffic/W) per worker behind two barriers. The result
 // is the same for every worker count, argued in DESIGN.md ("The congest hot
 // path"): a node's Round touches only its own state, its context, its
-// inbox, its own entry of the Result's outputs and the free tail of its own
-// worker's send log, accounting folds per-worker sums
+// inbox and the free tail of its own worker's send log, accounting folds
+// per-worker sums
 // and maxes in worker order, and ranges ascend with
 // the worker index, so the first range's direct deliveries followed by the
 // queues drained in worker order append each receiver's messages in

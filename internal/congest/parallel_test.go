@@ -19,8 +19,6 @@ type mixerNode struct {
 	rounds int
 }
 
-func (m *mixerNode) Init(ctx *Context) { m.sum = ctx.ID() }
-
 func (m *mixerNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	for i := range inbox {
 		m.sum += inbox[i].Int0()
@@ -50,9 +48,10 @@ func sortedPair(a, b, i int) int {
 	return [2]int{min(a, b), max(a, b)}[i]
 }
 
-// newMixer is the node of a mixerNode run of the given length.
+// newMixer is the node of a mixerNode run of the given length, whose sum
+// starts from its ID.
 func newMixer(rounds int) func(*Context) mixerNode {
-	return func(*Context) mixerNode { return mixerNode{rounds: rounds} }
+	return func(ctx *Context) mixerNode { return mixerNode{rounds: rounds, sum: ctx.ID()} }
 }
 
 func TestWorkersProduceIdenticalResults(t *testing.T) {
@@ -63,7 +62,7 @@ func TestWorkersProduceIdenticalResults(t *testing.T) {
 		}
 		nw.SetSeed(9)
 		nodes, factory := slab(37, newMixer(20))
-		res, err := nw.Run(factory, Options{Workers: workers, Inputs: map[int]any{5: 1000}})
+		res, err := nw.Run(factory, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,8 +86,6 @@ type hybridNode struct{ rounds, heard int }
 func newHybrid(rounds int) func(*Context) hybridNode {
 	return func(*Context) hybridNode { return hybridNode{rounds: rounds} }
 }
-
-func (h *hybridNode) Init(*Context) {}
 
 func (h *hybridNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	if round > h.rounds {
@@ -155,14 +152,13 @@ type roguePeer struct {
 }
 
 // newRogue is the node of a roguePeer run whose node 7 breaks the rule
-// overrun selects.
+// overrun selects. A node's partner is its first neighbour, and its
+// stranger the node half the ring away.
 func newRogue(overrun bool) func(*Context) roguePeer {
-	return func(ctx *Context) roguePeer { return roguePeer{rogue: ctx.ID() == 7, overrun: overrun} }
-}
-
-func (r *roguePeer) Init(ctx *Context) {
-	r.partner = ctx.NeighborAt(0)
-	r.stranger = (ctx.ID() + ctx.N()/2) % ctx.N()
+	return func(ctx *Context) roguePeer {
+		return roguePeer{rogue: ctx.ID() == 7, overrun: overrun,
+			partner: ctx.NeighborAt(0), stranger: (ctx.ID() + ctx.N()/2) % ctx.N()}
+	}
 }
 
 func (r *roguePeer) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
@@ -282,8 +278,6 @@ func TestErrorReturnZeroesEdgeBits(t *testing.T) {
 
 // fuseNode panics at its trigger round on one node.
 type fuseNode struct{ trigger bool }
-
-func (f *fuseNode) Init(*Context) {}
 
 func (f *fuseNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	if f.trigger && round == 2 {
@@ -425,8 +419,6 @@ type replyNode struct {
 	rogue bool
 	steps int
 }
-
-func (r *replyNode) Init(*Context) {}
 
 func (r *replyNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	r.steps++

@@ -92,16 +92,8 @@ func NewQubitMessage(to int, kind uint8, w0, w1 uint64, qubits int) Message {
 	return Message{To: to, Kind: kind, W0: w0, W1: w1, Bits: qubits, Quantum: true}
 }
 
-// BroadcastAllWords builds one identical message per neighbour of ctx, in
-// ascending neighbour order, in a fresh slice; its allocation-free form is
-// BroadcastAllWordsInto(ctx.Outbox(), ...).
-func BroadcastAllWords(ctx *Context, kind uint8, w0, w1 uint64, bits int) []Message {
-	return BroadcastAllWordsInto(make([]Message, 0, ctx.Degree()), ctx, kind, w0, w1, bits)
-}
-
-// Append variants. BroadcastAllWords allocates a fresh slice per call; a
-// node should instead append its messages with the Into forms below into
-// ctx.Outbox(), room in the simulator's send log:
+// Append constructors. A node appends its messages with the forms below
+// into ctx.Outbox(), room in the simulator's send log:
 //
 //	return congest.BroadcastAllWordsInto(ctx.Outbox(), ctx, kind, w0, w1, bits), false
 //

@@ -12,8 +12,6 @@ import (
 // neighbour for a fixed number of rounds, then terminates.
 type mixedTrafficNode struct{ rounds int }
 
-func (m *mixedTrafficNode) Init(*Context) {}
-
 func (m *mixedTrafficNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	if round > m.rounds || ctx.ID() != 0 {
 		return nil, true
@@ -93,7 +91,6 @@ func TestQubitsChargeBandwidth(t *testing.T) {
 // via MaxRounds or cancellation.
 type stubbornNode struct{}
 
-func (stubbornNode) Init(*Context) {}
 func (stubbornNode) Round(*Context, int, []Message) ([]Message, bool) {
 	return nil, false
 }

@@ -20,13 +20,6 @@ type reuseNode struct {
 	out    []Message
 }
 
-func (r *reuseNode) Init(ctx *Context) {
-	r.digest = uint64(ctx.ID())
-	if in, ok := ctx.Input().(int); ok {
-		r.digest ^= uint64(in) << 32
-	}
-}
-
 func (r *reuseNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	for i := range inbox {
 		r.digest = mix64(r.digest ^ uint64(inbox[i].From)<<40 ^ inbox[i].W0)
@@ -39,11 +32,16 @@ func (r *reuseNode) Round(ctx *Context, round int, inbox []Message) ([]Message, 
 	return r.out, false
 }
 
-// reuseProgram carves reuseNodes from a slab.
-var reuseProgram = slabOf(func(*Context) reuseNode { return reuseNode{} })
+// reuseProgram carves reuseNodes from a slab, node v's digest starting
+// from its ID and its input inputs[v].
+func reuseProgram(inputs map[int]int) program {
+	return slabOf(func(ctx *Context) reuseNode {
+		return reuseNode{digest: uint64(ctx.ID()) ^ uint64(inputs[ctx.ID()])<<32}
+	})
+}
 
 // reuseInputs are the inputs of the reuse tests' runs, on two nodes.
-var reuseInputs = map[int]any{2: 20, 50: 500}
+var reuseInputs = map[int]int{2: 20, 50: 500}
 
 // newReuseNetwork is the network of the reuse tests: a 64-node cycle at
 // B = 16 with seed 3, retuned by each of tunes in order.
@@ -71,8 +69,8 @@ func newReuseNetwork(t *testing.T, tunes []func(*Network)) *Network {
 // leaves the edge slots of the ranges that validated charged, a round-limit
 // exit and a cancel leave messages in the inboxes, a validation error
 // leaves the first range's direct deliveries there, and a SetSeed between
-// runs changes every context's random stream while the next clean run
-// brings a changed input in its Options.Inputs.
+// runs changes every context's random stream while the next clean run's
+// factory builds its nodes with a changed input.
 // Two goroutines calling Run on one network at once must each match a
 // fresh network too; run it under -race.
 func TestReusedNetworkMatchesFresh(t *testing.T) {
@@ -83,26 +81,26 @@ func TestReusedNetworkMatchesFresh(t *testing.T) {
 		cancelAt  int    // the round before which Cancel stops the run; 0 for none
 		want      string // the exit's error or panic text
 		tune      func(*Network)
-		inputs    map[int]any // the clean runs' inputs from this exit on; nil keeps them
+		inputs    map[int]int // the clean runs' inputs from this exit on; nil keeps them
 	}{
 		{name: "panic", prog: slabOf(func(ctx *Context) fuseNode { return fuseNode{trigger: ctx.ID() == 4} }),
 			want: "congest: node 4 panicked in round 2: short circuit"},
-		{name: "round limit", prog: reuseProgram, maxRounds: 2,
+		{name: "round limit", prog: reuseProgram(reuseInputs), maxRounds: 2,
 			want: "congest: round limit reached before termination: after 2 rounds"},
 		{name: "validation error", prog: slabOf(newRogue(false)),
 			want: "congest: message to non-neighbour: node 7 -> 39 in round 3"},
-		{name: "cancel", prog: reuseProgram, cancelAt: 3,
+		{name: "cancel", prog: reuseProgram(reuseInputs), cancelAt: 3,
 			want: "congest: run cancelled: before round 3"},
-		{name: "SetSeed", prog: reuseProgram,
-			tune: func(nw *Network) { nw.SetSeed(11) }, inputs: map[int]any{2: 21, 50: 500}},
+		{name: "SetSeed", prog: reuseProgram(reuseInputs),
+			tune: func(nw *Network) { nw.SetSeed(11) }, inputs: map[int]int{2: 21, 50: 500}},
 	}
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			var tunes []func(*Network)
 			nw := newReuseNetwork(t, nil)
-			clean := Options{PerRound: true, Inputs: reuseInputs}
+			clean, cleanProg := Options{PerRound: true}, reuseProgram(reuseInputs)
 			for _, exit := range exits {
-				opts := Options{MaxRounds: exit.maxRounds, Inputs: reuseInputs}
+				opts := Options{MaxRounds: exit.maxRounds}
 				if exit.cancelAt > 0 {
 					polls := 0
 					opts.Cancel = func() bool { polls++; return polls == exit.cancelAt }
@@ -116,21 +114,21 @@ func TestReusedNetworkMatchesFresh(t *testing.T) {
 					exit.tune(nw)
 				}
 				if exit.inputs != nil {
-					clean.Inputs = exit.inputs
+					cleanProg = reuseProgram(exit.inputs)
 				}
-				want := fuzzRun(newReuseNetwork(t, tunes), reuseProgram, clean, workers)
+				want := fuzzRun(newReuseNetwork(t, tunes), cleanProg, clean, workers)
 				if want.err != "" || want.panic != "" {
 					t.Fatalf("after %s: fresh clean run ended with %q%q", exit.name, want.err, want.panic)
 				}
-				if diff := sameOutcome(fuzzRun(nw, reuseProgram, clean, workers), want); diff != "" {
+				if diff := sameOutcome(fuzzRun(nw, cleanProg, clean, workers), want); diff != "" {
 					t.Errorf("after %s: reused network's clean run: %s", exit.name, diff)
 				}
 			}
 		})
 	}
 	t.Run("concurrent", func(t *testing.T) {
-		clean := Options{PerRound: true, Inputs: reuseInputs}
-		want := fuzzRun(newReuseNetwork(t, nil), reuseProgram, clean, 1)
+		clean, cleanProg := Options{PerRound: true}, reuseProgram(reuseInputs)
+		want := fuzzRun(newReuseNetwork(t, nil), cleanProg, clean, 1)
 		nw := newReuseNetwork(t, nil)
 		var wg sync.WaitGroup
 		for _, workers := range []int{1, 4} {
@@ -138,7 +136,7 @@ func TestReusedNetworkMatchesFresh(t *testing.T) {
 			go func(workers int) {
 				defer wg.Done()
 				for i := 0; i < 20; i++ {
-					if diff := sameOutcome(fuzzRun(nw, reuseProgram, clean, workers), want); diff != "" {
+					if diff := sameOutcome(fuzzRun(nw, cleanProg, clean, workers), want); diff != "" {
 						t.Errorf("Workers=%d, run %d: %s", workers, i, diff)
 						return
 					}
@@ -151,8 +149,6 @@ func TestReusedNetworkMatchesFresh(t *testing.T) {
 
 // silentNode counts its steps, sends nothing and votes done.
 type silentNode struct{ steps int }
-
-func (*silentNode) Init(*Context) {}
 
 func (s *silentNode) Round(*Context, int, []Message) ([]Message, bool) {
 	s.steps++
@@ -246,8 +242,8 @@ func runSetupAllocs(t *testing.T, n int, asCSR bool, workers int) (fresh, reused
 func TestParkedStateDropsNodeState(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		nw := newReuseNetwork(t, nil)
-		factory, _ := reuseProgram(nw.Size())
-		if _, err := nw.Run(factory, Options{Workers: workers, Inputs: reuseInputs}); err != nil {
+		factory, _ := reuseProgram(reuseInputs)(nw.Size())
+		if _, err := nw.Run(factory, Options{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		st := nw.parked.Load()
@@ -270,31 +266,39 @@ func TestParkedStateDropsNodeState(t *testing.T) {
 	}
 }
 
+// holderNode holds the input its factory built it with and votes done.
+type holderNode struct{ in *[64]byte }
+
+func (*holderNode) Round(*Context, int, []Message) ([]Message, bool) { return nil, true }
+
 // TestParkedStateDropsInputs checks that an idle network keeps none of its
-// last run's inputs reachable: they came in the run's options, which
-// parking drops.
+// last run's inputs reachable: a node program holds the input its factory
+// built it with, and parking drops every node program, so once the caller
+// drops its slab nothing keeps the input.
 func TestParkedStateDropsInputs(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		nw := newReuseNetwork(t, nil)
-		in := new([64]byte)
-		weakIn := weak.Make(in)
-		saw := false
-		factory := func(ctx *Context) Node {
-			if ctx.ID() == 3 {
-				saw = ctx.Input() == any(in)
+		// The slab, its factory and the input live in this call alone, so
+		// once it returns only the network could keep them reachable.
+		weakIn := func() weak.Pointer[[64]byte] {
+			in := new([64]byte)
+			nodes, factory := slab(nw.Size(), func(ctx *Context) holderNode {
+				if ctx.ID() == 3 {
+					return holderNode{in: in}
+				}
+				return holderNode{}
+			})
+			if _, err := nw.Run(factory, Options{Workers: workers}); err != nil {
+				t.Fatal(err)
 			}
-			return &silentNode{}
-		}
-		if _, err := nw.Run(factory, Options{Workers: workers, Inputs: map[int]any{3: in}}); err != nil {
-			t.Fatal(err)
-		}
-		if !saw {
-			t.Fatalf("Workers=%d: node 3 did not read the pointer it was given", workers)
-		}
-		in = nil
+			if nodes[3].in != in {
+				t.Fatalf("Workers=%d: node 3 does not hold the pointer it was built with", workers)
+			}
+			return weak.Make(in)
+		}()
 		runtime.GC()
 		if weakIn.Value() != nil {
-			t.Fatalf("Workers=%d: an idle network keeps its last run's input reachable", workers)
+			t.Fatalf("Workers=%d: an idle network keeps its last run's node programs, and their inputs, reachable", workers)
 		}
 		runtime.KeepAlive(nw)
 	}

@@ -159,7 +159,7 @@ func TestTraceSteadyStateAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		factory := func(*Context) Node { return &benchFloodNode{rounds: rounds} }
+		factory := newBenchFlood(rounds)
 		opts := Options{
 			MaxRounds: rounds + 2,
 			Workers:   workers,

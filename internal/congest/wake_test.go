@@ -36,13 +36,6 @@ func burstLen(v, n int) int {
 	return 1 + v%3
 }
 
-func (b *burstNode) Init(ctx *Context) {
-	b.burst = burstLen(ctx.ID(), ctx.N())
-	if b.burst > 0 {
-		b.outbox = []Message{NewWordMessage(ctx.ID()+1, 1, uint64(ctx.ID()), 0, 4)}
-	}
-}
-
 func (b *burstNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	b.calls++
 	if !b.started && (len(inbox) > 0 || round == 1 && ctx.ID() == 0) {
@@ -62,13 +55,19 @@ func (b *burstNode) Round(ctx *Context, round int, inbox []Message) ([]Message, 
 	return b.outbox, b.left == 0
 }
 
-// burstProgram carves burstNodes from a slab, giving node faulty the fault.
+// burstProgram carves burstNodes from a slab, each with its burst length
+// and prebuilt message to its right neighbour, giving node faulty the
+// fault.
 func burstProgram(faulty int, fault string) program {
 	return slabOf(func(ctx *Context) burstNode {
-		if ctx.ID() == faulty {
-			return burstNode{fault: fault}
+		b := burstNode{burst: burstLen(ctx.ID(), ctx.N())}
+		if b.burst > 0 {
+			b.outbox = []Message{NewWordMessage(ctx.ID()+1, 1, uint64(ctx.ID()), 0, 4)}
 		}
-		return burstNode{}
+		if ctx.ID() == faulty {
+			b.fault = fault
+		}
+		return b
 	})
 }
 

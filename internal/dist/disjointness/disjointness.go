@@ -133,9 +133,6 @@ func appendUnpacked(dst []int, w0, w1 uint64, length int) []int {
 	return dst
 }
 
-// pathInput assigns the endpoint inputs.
-type pathInput struct{ X, Y []int }
-
 // pathNode runs the pipelined protocol: the left endpoint streams X in
 // B-bit chunks, interior nodes forward the stream rightwards, the right
 // endpoint reassembles X, intersects it with Y and floods the one-bit
@@ -148,11 +145,6 @@ type pathNode struct {
 	received []int
 	answered bool
 	disjoint bool
-}
-
-func (p *pathNode) Init(ctx *congest.Context) {
-	in, _ := ctx.Input().(pathInput)
-	p.x, p.y = in.X, in.Y
 }
 
 func (p *pathNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
@@ -238,15 +230,12 @@ func RunOn(r engine.Runner, x, y []int) (*Result, error) {
 	if nodes < 2 {
 		return nil, fmt.Errorf("%w: runner has %d nodes", ErrBadInput, nodes)
 	}
-	inputs := map[int]any{
-		0:         pathInput{X: x},
-		nodes - 1: pathInput{Y: y},
-	}
 	chunks := (len(x) + r.Bandwidth() - 1) / r.Bandwidth()
 	maxRounds := chunks + 2*nodes + 16
 	before := r.Stats()
 	path := make([]pathNode, nodes)
-	if _, err := r.RunStage(func(ctx *congest.Context) congest.Node { return &path[ctx.ID()] }, inputs, maxRounds); err != nil {
+	path[0].x, path[nodes-1].y = x, y
+	if _, err := r.RunStage(func(ctx *congest.Context) congest.Node { return &path[ctx.ID()] }, nil, maxRounds); err != nil {
 		return nil, err
 	}
 	stats := r.Stats().Sub(before)

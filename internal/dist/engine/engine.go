@@ -28,10 +28,10 @@
 // contract, every algorithm in internal/dist/{verify,mst,disjointness}
 // executes unchanged under any accounting, with the same results; see
 // DESIGN.md for the substitution table. A stage has one way in and one way
-// out: each node's input travels in RunStage's map, and each node's result
-// stays in its node program, which the algorithm allocates from one slab
-// and reads once RunStage returns. The congest.Result a stage returns holds
-// its costs only.
+// out: the algorithm allocates its node programs from one slab, its factory
+// builds node v in the slab from v's input, and each node's result stays in
+// its node program, which the algorithm reads once RunStage returns. The
+// congest.Result a stage returns holds its costs only.
 //
 // Every constructor takes a congest.Topology, the view that lists each
 // node's neighbours by rank. *graph.Graph satisfies it, and so does
@@ -53,19 +53,13 @@ import (
 // ErrNilTopology reports a local runner constructed without a topology.
 var ErrNilTopology = errors.New("engine: nil topology")
 
+// ErrStageInputs reports a stage handed a non-empty inputs map: a node
+// program gets its input from the factory that builds it.
+var ErrStageInputs = errors.New("engine: non-empty stage inputs; the factory builds each node's input into its program")
+
 // TagBits is the message-type tag size every dist algorithm charges on top
 // of a payload's fields, so mixed-payload stages stay honestly accounted.
 const TagBits = 2
-
-// UniformInputs spreads one input value per node into the map RunStage
-// expects.
-func UniformInputs[In any](vals []In) map[int]any {
-	out := make(map[int]any, len(vals))
-	for v, val := range vals {
-		out[v] = val
-	}
-	return out
-}
 
 // Stats aggregates the cost of every stage executed by a Runner so far.
 type Stats struct {
@@ -116,14 +110,17 @@ type StageObserver interface {
 // Runner executes CONGEST node programs stage by stage on some backend.
 //
 // A stage is one complete run of a node program on every node of the
-// network: RunStage hands each node its entry of inputs, runs the
-// factory's nodes until global termination (or maxRounds; maxRounds <= 0
-// selects the backend's default), and returns the per-stage result. The
-// inputs belong to that stage alone. Stats accumulate across stages, so a
-// multi-stage algorithm's total cost is the difference between the Stats
-// snapshots taken around its stages.
+// network: RunStage builds every node through the factory, which hands
+// each node program its input, runs the nodes until global termination (or
+// maxRounds; maxRounds <= 0 selects the backend's default), and returns
+// the per-stage result. Stats accumulate across stages, so a multi-stage
+// algorithm's total cost is the difference between the Stats snapshots
+// taken around its stages.
 type Runner interface {
-	// RunStage executes one node program to completion.
+	// RunStage executes one node program to completion. inputs must be
+	// empty: every backend refuses a non-empty map with ErrStageInputs
+	// before the stage runs. The parameter remains because perfbench's
+	// timedRunner, in its own module, implements Runner with it.
 	RunStage(factory congest.NodeFactory, inputs map[int]any, maxRounds int) (*congest.Result, error)
 	// Bandwidth returns the per-edge, per-round bit budget B.
 	Bandwidth() int
@@ -196,15 +193,19 @@ func (l *Local) RunStage(factory congest.NodeFactory, inputs map[int]any, maxRou
 	return l.RunTraced(factory, inputs, maxRounds, nil)
 }
 
-// RunTraced runs one stage with the given per-node inputs, calling trace
-// for every accepted message (see congest.Options.Trace; nil traces
-// nothing), and folds the result into Stats. The inputs travel with the
-// run, so the network keeps none of them once the stage ends. With an
-// observer installed the stage also records the per-round traffic split
-// and hands the result to the observer — including partial results of
-// failed stages.
+// RunTraced runs one stage, calling trace for every accepted message (see
+// congest.Options.Trace; nil traces nothing), and folds the result into
+// Stats. Every backend runs its stages here. The factory builds each node
+// program with its input, so a non-empty inputs map reaches no node: it is
+// refused with ErrStageInputs before anything runs, and Stats stay as they
+// were. With an observer installed the stage also records the per-round
+// traffic split and hands the result to the observer — including partial
+// results of failed stages.
 func (l *Local) RunTraced(factory congest.NodeFactory, inputs map[int]any, maxRounds int, trace func(round int, msg congest.Message)) (*congest.Result, error) {
-	res, err := l.net.Run(factory, congest.Options{MaxRounds: maxRounds, Inputs: inputs, Trace: trace,
+	if len(inputs) > 0 {
+		return nil, fmt.Errorf("%w: got %d entries", ErrStageInputs, len(inputs))
+	}
+	res, err := l.net.Run(factory, congest.Options{MaxRounds: maxRounds, Trace: trace,
 		Workers: l.workers, Cancel: l.cancel, PerRound: l.obs != nil})
 	if res != nil {
 		l.stats.Stages++

@@ -10,29 +10,28 @@ import (
 	"qdc/internal/graph"
 )
 
-// echoNode records its input as its result and terminates after a fixed
-// number of rounds, broadcasting one small message per round until then.
+// echoNode holds the input its factory built it with as its result and
+// terminates after a fixed number of rounds, broadcasting one small message
+// per round until then.
 type echoNode struct {
 	rounds int
 	echo   any
 }
 
-func (e *echoNode) Init(*congest.Context) {}
-
 func (e *echoNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
 	if round >= e.rounds {
-		e.echo = ctx.Input()
 		return nil, true
 	}
 	return congest.BroadcastAllWordsInto(ctx.Outbox(), ctx, 0, uint64(round), 0, 4), false
 }
 
 // echoSlab returns n echoNodes that terminate after the given number of
-// rounds, carved from one slab, and the factory that hands them out.
-func echoSlab(n, rounds int) ([]echoNode, congest.NodeFactory) {
+// rounds, carved from one slab, and the factory that builds node v with
+// input inputs[v].
+func echoSlab(n, rounds int, inputs map[int]any) ([]echoNode, congest.NodeFactory) {
 	nodes := make([]echoNode, n)
 	return nodes, func(ctx *congest.Context) congest.Node {
-		nodes[ctx.ID()] = echoNode{rounds: rounds}
+		nodes[ctx.ID()] = echoNode{rounds: rounds, echo: inputs[ctx.ID()]}
 		return &nodes[ctx.ID()]
 	}
 }
@@ -58,9 +57,9 @@ func TestStatsAccumulateAcrossStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, factory := echoSlab(3, 3)
+	nodes, factory := echoSlab(3, 3, map[int]any{1: "in"})
 
-	res, err := r.RunStage(factory, map[int]any{1: "in"}, 0)
+	res, err := r.RunStage(factory, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +71,11 @@ func TestStatsAccumulateAcrossStages(t *testing.T) {
 		t.Fatalf("stats after one stage: %+v", first)
 	}
 
-	// A second stage must clear the previous inputs and add to the stats.
+	// A second stage adds to the stats.
+	_, factory = echoSlab(3, 3, nil)
 	res2, err := r.RunStage(factory, nil, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if nodes[1].echo != nil {
-		t.Fatal("inputs from the previous stage leaked into the next stage")
 	}
 	second := r.Stats()
 	if second.Stages != 2 || second.Rounds != first.Rounds+res2.Rounds {
@@ -96,7 +93,7 @@ func TestRunStagePropagatesRoundLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, factory := echoSlab(3, 100)
+	_, factory := echoSlab(3, 100, nil)
 	if _, err := r.RunStage(factory, nil, 5); !errors.Is(err, congest.ErrRoundLimit) {
 		t.Fatalf("err = %v, want ErrRoundLimit", err)
 	}
@@ -107,8 +104,9 @@ func TestRunStagePropagatesRoundLimit(t *testing.T) {
 }
 
 // TestIdleRunnerDropsStageInputs checks that a runner whose stage has
-// returned keeps none of that stage's inputs reachable, under the plain and
-// the Grover-accounted backend.
+// returned keeps none of that stage's node programs, and so none of the
+// inputs their factory built them with, reachable once the caller drops
+// its slab, under the plain and the Grover-accounted backend.
 func TestIdleRunnerDropsStageInputs(t *testing.T) {
 	local, err := NewLocal(graph.Path(3), 16, 1)
 	if err != nil {
@@ -119,20 +117,22 @@ func TestIdleRunnerDropsStageInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, r := range map[string]Runner{"local": local, "quantum": quantum} {
-		nodes, factory := echoSlab(3, 1)
-		in := new([64]byte)
-		weakIn := weak.Make(in)
-		if _, err := r.RunStage(factory, map[int]any{1: in}, 0); err != nil {
-			t.Fatal(err)
-		}
-		if nodes[1].echo != any(in) {
-			t.Fatalf("%s: node 1 echoed %v, not its input", name, nodes[1].echo)
-		}
-		// The test's own reference goes; the runner must hold none.
-		in, nodes[1].echo = nil, nil
+		// The slab, its factory and the input live in this call alone, so
+		// once it returns only the runner could keep them reachable.
+		weakIn := func() weak.Pointer[[64]byte] {
+			in := new([64]byte)
+			nodes, factory := echoSlab(3, 1, map[int]any{1: in})
+			if _, err := r.RunStage(factory, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+			if nodes[1].echo != any(in) {
+				t.Fatalf("%s: node 1 holds %v, not its input", name, nodes[1].echo)
+			}
+			return weak.Make(in)
+		}()
 		runtime.GC()
 		if weakIn.Value() != nil {
-			t.Errorf("%s: an idle runner keeps its last stage's input reachable", name)
+			t.Errorf("%s: an idle runner keeps its last stage's node programs reachable", name)
 		}
 		runtime.KeepAlive(r)
 	}

@@ -17,13 +17,6 @@ type gossipNode struct {
 	rounds int
 }
 
-func (g *gossipNode) Init(ctx *congest.Context) {
-	g.best = ctx.Rand().Intn(1 << 16)
-	if in, ok := ctx.Input().(int); ok && in > g.best {
-		g.best = in
-	}
-}
-
 func (g *gossipNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
 	for i := range inbox {
 		if v := inbox[i].Int0(); v > g.best {
@@ -37,14 +30,15 @@ func (g *gossipNode) Round(ctx *congest.Context, round int, inbox []congest.Mess
 }
 
 // gossipStage runs one gossip stage of the given length on r, its node
-// programs carved from one slab, and returns the stage's Result and the
+// programs carved from one slab, node v starting from the larger of its
+// first random draw and inputs[v], and returns the stage's Result and the
 // slab.
-func gossipStage(r Runner, rounds int, inputs map[int]any) (*congest.Result, []gossipNode, error) {
+func gossipStage(r Runner, rounds int, inputs map[int]int) (*congest.Result, []gossipNode, error) {
 	nodes := make([]gossipNode, r.Size())
 	res, err := r.RunStage(func(ctx *congest.Context) congest.Node {
-		nodes[ctx.ID()] = gossipNode{rounds: rounds}
+		nodes[ctx.ID()] = gossipNode{rounds: rounds, best: max(ctx.Rand().Intn(1<<16), inputs[ctx.ID()])}
 		return &nodes[ctx.ID()]
-	}, inputs, 0)
+	}, nil, 0)
 	return res, nodes, err
 }
 
@@ -54,7 +48,7 @@ func gossipStage(r Runner, rounds int, inputs map[int]any) (*congest.Result, []g
 func TestNewParallelMatchesLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := graph.RandomConnectedGraph(40, 0.1, rng)
-	inputs := map[int]any{3: 1 << 20, 17: 1 << 19}
+	inputs := map[int]int{3: 1 << 20, 17: 1 << 19}
 
 	local, err := NewLocal(g, 32, 5)
 	if err != nil {

@@ -18,8 +18,6 @@ type streamNode struct {
 	idle  int
 }
 
-func (s *streamNode) Init(*congest.Context) {}
-
 func (s *streamNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
 	id, last := ctx.ID(), ctx.N()-1
 	var out []congest.Message

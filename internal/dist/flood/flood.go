@@ -50,17 +50,8 @@ func distBits(n int) int { return engine.TagBits + congest.BitsForID(n) }
 // node slab once the stage returns, so no distance is boxed into an
 // interface, and dist stays -1 at a node the wave never reached.
 type node struct {
-	source bool
-	dist   int
-	sent   bool
-}
-
-func (f *node) Init(ctx *congest.Context) {
-	f.source, _ = ctx.Input().(bool)
-	f.dist = -1
-	if f.source {
-		f.dist = 0
-	}
+	dist int
+	sent bool
 }
 
 func (f *node) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
@@ -90,8 +81,14 @@ func Run(r engine.Runner, source int) (*Result, error) {
 	}
 	before := r.Stats()
 	nodes := make([]node, n)
-	res, err := r.RunStage(func(ctx *congest.Context) congest.Node { return &nodes[ctx.ID()] },
-		map[int]any{source: true}, n+2)
+	res, err := r.RunStage(func(ctx *congest.Context) congest.Node {
+		v := ctx.ID()
+		nodes[v].dist = -1
+		if v == source {
+			nodes[v].dist = 0
+		}
+		return &nodes[v]
+	}, nil, n+2)
 	if err != nil {
 		return nil, err
 	}

@@ -203,9 +203,6 @@ type fragState struct {
 	TreeNbrs []int
 }
 
-// fragInput is the per-node input of the fragment-labelling stage.
-type fragInput struct{ TreeNbrs []int }
-
 // fragMsg propagates (label, distance-from-leader) along chosen edges.
 type fragMsg struct{ Label, Dist int }
 
@@ -220,14 +217,6 @@ type fragNode struct {
 	label    int
 	dist     int
 	sent     fragMsg
-}
-
-func (f *fragNode) Init(ctx *congest.Context) {
-	in, _ := ctx.Input().(fragInput)
-	f.treeNbrs = in.TreeNbrs
-	f.label = ctx.ID()
-	f.dist = 0
-	f.sent = fragMsg{Label: -1}
 }
 
 func (f *fragNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
@@ -255,13 +244,13 @@ func (f *fragNode) Round(ctx *congest.Context, round int, inbox []congest.Messag
 // runFragments executes the fragment-labelling stage and returns every
 // node's fragment state, read from the node slab.
 func runFragments(r engine.Runner, treeAdj [][]int) ([]fragState, error) {
-	inputs := make([]fragInput, len(treeAdj))
-	for v := range treeAdj {
-		inputs[v] = fragInput{TreeNbrs: treeAdj[v]}
-	}
 	nodes := make([]fragNode, r.Size())
-	factory := func(ctx *congest.Context) congest.Node { return &nodes[ctx.ID()] }
-	if _, err := r.RunStage(factory, engine.UniformInputs(inputs), r.Size()+8); err != nil {
+	factory := func(ctx *congest.Context) congest.Node {
+		v := ctx.ID()
+		nodes[v] = fragNode{treeNbrs: treeAdj[v], label: v, sent: fragMsg{Label: -1}}
+		return &nodes[v]
+	}
+	if _, err := r.RunStage(factory, nil, r.Size()+8); err != nil {
 		return nil, err
 	}
 	frag := make([]fragState, len(nodes))
@@ -339,8 +328,6 @@ type moeNode struct {
 	finished bool
 }
 
-func (m *moeNode) Init(*congest.Context) {}
-
 func (m *moeNode) candBits(n int, c candMsg) int {
 	bits := tagBits + congest.BitsForBool
 	if c.Has {
@@ -416,14 +403,12 @@ func isTreeNbr(nbrs []int, v int) bool {
 // fragment leaders announced, read from the node slab.
 func runMOE(r engine.Runner, frag []fragState, keys keyFunc) ([][2]int, error) {
 	n := r.Size()
-	inputs := engine.UniformInputs(frag)
 	nodes := make([]moeNode, n)
 	factory := func(ctx *congest.Context) congest.Node {
-		st, _ := ctx.Input().(fragState)
-		nodes[ctx.ID()] = moeNode{st: st, keys: keys, parent: -1}
+		nodes[ctx.ID()] = moeNode{st: frag[ctx.ID()], keys: keys, parent: -1}
 		return &nodes[ctx.ID()]
 	}
-	if _, err := r.RunStage(factory, inputs, n+8); err != nil {
+	if _, err := r.RunStage(factory, nil, n+8); err != nil {
 		return nil, err
 	}
 	var moes [][2]int

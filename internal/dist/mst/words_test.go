@@ -4,90 +4,86 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"math/rand"
 	"testing"
 
 	"qdc/internal/congest"
+	"qdc/internal/dist/engine"
 	"qdc/internal/graph"
 )
 
-// Word-encoding pins for both mst stages. A stage's Result, every node's
-// result and the stage's trace hash to one digest at Workers 0, 1 and 4.
-// The programs then still ran beside verbatim replicas of their
-// pre-refactor boxed forms, which gave the same Results, results and
-// traces, so any change to a stage's rounds, bits, results or traffic
-// shows here.
+// Word-encoding pins for both mst stages. Each stage runs through the
+// function Run calls it with (runFragments, runMOE), so the factory that
+// builds every node program with its input is pinned with the program. A
+// stage's Result, every node's result and the stage's trace hash to one
+// digest at Workers 0, 1 and 4. The programs then still ran beside
+// verbatim replicas of their pre-refactor boxed forms, which gave the same
+// Results, results and traces, so any change to a stage's rounds, bits,
+// results or traffic shows here.
 
-// stage carves one run's node programs of a stage from a fresh slab of n:
-// it returns their factory and value, which reads node v's result from the
-// slab once the run has returned.
-type stage func(n int) (factory congest.NodeFactory, value func(v int) any)
-
-func fragStage(n int) (congest.NodeFactory, func(int) any) {
-	nodes := make([]fragNode, n)
-	return func(ctx *congest.Context) congest.Node { return &nodes[ctx.ID()] },
-		func(v int) any {
-			f := &nodes[v]
-			return fragState{Label: f.label, Dist: f.dist, TreeNbrs: f.treeNbrs}
-		}
+// digestRunner is the engine.Runner the pins run their stages on: a Local
+// over a fresh network at one worker count that keeps the node programs
+// the stage's factory built for the last stage and hashes that stage's
+// trace, one (round, From, To, Bits, Quantum) line per message.
+type digestRunner struct {
+	*engine.Local
+	h     hash.Hash
+	nodes []congest.Node
+	res   *congest.Result
 }
 
-// moeStage's result is a fragment leader's announcement, (Has, U, V) of
-// its best candidate; other nodes announce nothing.
-func moeStage(keys keyFunc) stage {
-	return func(n int) (congest.NodeFactory, func(int) any) {
-		nodes := make([]moeNode, n)
-		return func(ctx *congest.Context) congest.Node {
-				st, _ := ctx.Input().(fragState)
-				nodes[ctx.ID()] = moeNode{st: st, keys: keys, parent: -1}
-				return &nodes[ctx.ID()]
-			},
-			func(v int) any {
-				if m := &nodes[v]; m.st.Label == v {
-					return fmt.Sprint(m.best.Has, m.best.U, m.best.V)
-				}
-				return nil
-			}
-	}
-}
-
-// traceDigest runs s on a fresh network and returns its Result, the value
-// reader of its slab and the SHA-256 of its trace, one (round, From, To,
-// Bits, Quantum) line per message, of the Result's fields, named one by
-// one, and of every node's result.
-func traceDigest(t *testing.T, topo congest.Topology, inputs map[int]any, s stage, workers int) (*congest.Result, func(v int) any, string) {
+func newDigestRunner(t *testing.T, topo congest.Topology, workers int) *digestRunner {
 	t.Helper()
-	nw, err := congest.NewNetwork(topo, 128)
+	l, err := engine.NewLocal(topo, 128, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.SetSeed(9)
-	h := sha256.New()
-	factory, value := s(topo.N())
-	res, err := nw.Run(factory, congest.Options{
-		MaxRounds: topo.N() + 8,
-		Inputs:    inputs,
-		Workers:   workers,
-		Trace:     func(round int, m congest.Message) { fmt.Fprintln(h, round, m.From, m.To, m.Bits, m.Quantum) },
-	})
-	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
-	}
-	fmt.Fprintf(h, "rounds %d, terminated %v, messages %d, bits %d, qubits %d, per round %v, max edge bits %d\n",
-		res.Rounds, res.Terminated, res.TotalMessages, res.TotalBits, res.QuantumBits, res.PerRound, res.MaxEdgeBitsPerRound)
-	for v := range topo.N() {
-		fmt.Fprintln(h, v, value(v))
-	}
-	return res, value, hex.EncodeToString(h.Sum(nil))
+	l.SetWorkers(workers)
+	return &digestRunner{Local: l}
 }
 
-// checkDigest requires the stage to hash to want at every worker count.
-func checkDigest(t *testing.T, name string, topo congest.Topology, inputs map[int]any, s stage, want string) {
+// RunStage runs the stage on the Local, recording the node program the
+// factory builds for every node and the stage's trace.
+func (d *digestRunner) RunStage(factory congest.NodeFactory, inputs map[int]any, maxRounds int) (*congest.Result, error) {
+	d.h, d.nodes = sha256.New(), make([]congest.Node, d.Size())
+	record := func(ctx *congest.Context) congest.Node {
+		d.nodes[ctx.ID()] = factory(ctx)
+		return d.nodes[ctx.ID()]
+	}
+	var err error
+	d.res, err = d.RunTraced(record, inputs, maxRounds, func(round int, m congest.Message) {
+		fmt.Fprintln(d.h, round, m.From, m.To, m.Bits, m.Quantum)
+	})
+	return d.res, err
+}
+
+// digest returns the SHA-256 of the last stage's trace, of its Result's
+// fields, named one by one, and of every node's result, read by value from
+// the node's program.
+func (d *digestRunner) digest(value func(v int, nd congest.Node) any) string {
+	res := d.res
+	fmt.Fprintf(d.h, "rounds %d, terminated %v, messages %d, bits %d, qubits %d, per round %v, max edge bits %d\n",
+		res.Rounds, res.Terminated, res.TotalMessages, res.TotalBits, res.QuantumBits, res.PerRound, res.MaxEdgeBitsPerRound)
+	for v, nd := range d.nodes {
+		fmt.Fprintln(d.h, v, value(v, nd))
+	}
+	return hex.EncodeToString(d.h.Sum(nil))
+}
+
+// checkDigest requires the stage that run drives to hash to want at every
+// worker count.
+func checkDigest(t *testing.T, name string, topo congest.Topology, run func(engine.Runner) error,
+	value func(v int, nd congest.Node) any, want string) {
 	t.Helper()
 	for _, workers := range []int{0, 1, 4} {
-		if res, _, got := traceDigest(t, topo, inputs, s, workers); got != want {
+		d := newDigestRunner(t, topo, workers)
+		if err := run(d); err != nil {
+			t.Fatalf("%s workers=%d: %v", name, workers, err)
+		}
+		if got := d.digest(value); got != want {
 			t.Errorf("%s workers=%d: digest %s, want %s (rounds %d, messages %d, bits %d)",
-				name, workers, got, want, res.Rounds, res.TotalMessages, res.TotalBits)
+				name, workers, got, want, d.res.Rounds, d.res.TotalMessages, d.res.TotalBits)
 		}
 	}
 }
@@ -132,28 +128,31 @@ func moeFixture(t *testing.T) (*graph.Graph, [][]int) {
 	return g, treeAdjacency(g, chosen)
 }
 
-// fragInputs are the fragment stage's inputs on the fixture's forest.
-func fragInputs(treeAdj [][]int) map[int]any {
-	inputs := make(map[int]any, len(treeAdj))
-	for v := range treeAdj {
-		inputs[v] = fragInput{TreeNbrs: treeAdj[v]}
-	}
-	return inputs
-}
-
 func TestFragmentStageMatchesBoxed(t *testing.T) {
 	g, treeAdj := moeFixture(t)
-	checkDigest(t, "fragments", g, fragInputs(treeAdj), fragStage,
+	checkDigest(t, "fragments", g,
+		func(r engine.Runner) error { _, err := runFragments(r, treeAdj); return err },
+		func(_ int, nd congest.Node) any {
+			f := nd.(*fragNode)
+			return fragState{Label: f.label, Dist: f.dist, TreeNbrs: f.treeNbrs}
+		},
 		"588be3f5729f3debd84f4b6f89b0760497f3963a0377b894b79361bda6464379")
 }
 
 func TestMOEStageMatchesBoxed(t *testing.T) {
 	g, treeAdj := moeFixture(t)
 	// Fragment states from a labelling run, pinned above, feed the stage.
-	_, frag, _ := traceDigest(t, g, fragInputs(treeAdj), fragStage, 0)
-	moeInputs := make(map[int]any, g.N())
-	for v := 0; v < g.N(); v++ {
-		moeInputs[v] = frag(v)
+	frag, err := runFragments(newDigestRunner(t, g, 0), treeAdj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A node's result is a fragment leader's announcement, (Has, U, V) of
+	// its best candidate; other nodes announce nothing.
+	announcement := func(v int, nd congest.Node) any {
+		if m := nd.(*moeNode); m.st.Label == v {
+			return fmt.Sprint(m.best.Has, m.best.U, m.best.V)
+		}
+		return nil
 	}
 	for _, c := range []struct {
 		name   string
@@ -163,6 +162,8 @@ func TestMOEStageMatchesBoxed(t *testing.T) {
 		{"exact", exactKeys(), "9b6dfc2f3d64065ac1fc282c503d40d2aaeef9fc4da129818afe7c5b67eee4fd"},
 		{"approx", approxKeys(2), "51dba9021e2ccd200d60a6abe8d46dd1932d82c9d3e7c68313f88377f80a028d"},
 	} {
-		checkDigest(t, "moe/"+c.name, g, moeInputs, moeStage(c.keys), c.digest)
+		checkDigest(t, "moe/"+c.name, g,
+			func(r engine.Runner) error { _, err := runMOE(r, frag, c.keys); return err },
+			announcement, c.digest)
 	}
 }

@@ -66,11 +66,6 @@ const (
 	downBits  = tagBits + congest.BitsForBool
 )
 
-// aggInput is the per-node input of the aggregation stage: the node's local
-// contribution, computed from its own problem input (and the outputs of its
-// earlier stages, fed back to the same node).
-type aggInput struct{ Local agg }
-
 // aggNode implements the O(D)-round global aggregation: a BFS tree is grown
 // from node 0 with explicit child detection, the aggregates are combined
 // bottom-up along the tree, the root evaluates the decision predicate, and
@@ -92,14 +87,6 @@ type aggNode struct {
 	answer     bool
 	haveAnswer bool
 	answered   bool
-}
-
-func (a *aggNode) Init(ctx *congest.Context) {
-	in, _ := ctx.Input().(aggInput)
-	a.acc, a.dist, a.parent = in.Local, -1, -1
-	if ctx.ID() == 0 {
-		a.dist = 0
-	}
 }
 
 func (a *aggNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
@@ -198,21 +185,21 @@ func (a *aggNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 // runAggregate executes one aggregation stage on the runner: every node
 // contributes local(v), the root evaluates decide over the combined
 // aggregate, and the verdict every node agreed on is returned, read from
-// the root's slot of the node slab. It costs O(D) rounds and O(log n) bits
-// per message.
+// the root's slot of the node slab. local(v) is node v's input: its
+// contribution, computed from its own problem input and the results of its
+// earlier stages. Node 0 is the BFS root. It costs O(D) rounds and
+// O(log n) bits per message.
 func runAggregate(r engine.Runner, local func(v int) agg, decide func(agg) bool) (bool, error) {
-	n := r.Size()
-	inputs := make(map[int]any, n)
-	for v := 0; v < n; v++ {
-		inputs[v] = aggInput{Local: local(v)}
-	}
-	nodes := make([]aggNode, n)
+	nodes := make([]aggNode, r.Size())
 	factory := func(ctx *congest.Context) congest.Node {
-		a := &nodes[ctx.ID()]
-		a.decide = decide
-		return a
+		v := ctx.ID()
+		nodes[v] = aggNode{decide: decide, acc: local(v), dist: -1, parent: -1}
+		if v == 0 {
+			nodes[v].dist = 0
+		}
+		return &nodes[v]
 	}
-	if _, err := r.RunStage(factory, inputs, 0); err != nil {
+	if _, err := r.RunStage(factory, nil, 0); err != nil {
 		return false, err
 	}
 	return nodes[0].answer, nil

@@ -21,9 +21,6 @@ func mAdjacency(g *graph.Graph, m *graph.EdgeSet) [][]int {
 	return adj
 }
 
-// labelInput is the per-node input of the component-labelling stage.
-type labelInput struct{ MNbrs []int }
-
 // Message kinds of the labelling and colouring stages. Each charges a type
 // tag plus its field's bits; the golden digests in words_test.go hold the
 // accounting.
@@ -44,13 +41,6 @@ type labelNode struct {
 	mNbrs    []int
 	label    int
 	lastSent int
-}
-
-func (l *labelNode) Init(ctx *congest.Context) {
-	in, _ := ctx.Input().(labelInput)
-	l.mNbrs = in.MNbrs
-	l.label = ctx.ID()
-	l.lastSent = -1
 }
 
 func (l *labelNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
@@ -76,13 +66,13 @@ func (l *labelNode) Round(ctx *congest.Context, round int, inbox []congest.Messa
 // runLabels executes the component-labelling stage and returns the label of
 // every node, read from the node slab.
 func runLabels(r engine.Runner, mAdj [][]int) ([]int, error) {
-	inputs := make([]labelInput, len(mAdj))
-	for v := range mAdj {
-		inputs[v] = labelInput{MNbrs: mAdj[v]}
-	}
 	nodes := make([]labelNode, r.Size())
-	factory := func(ctx *congest.Context) congest.Node { return &nodes[ctx.ID()] }
-	if _, err := r.RunStage(factory, engine.UniformInputs(inputs), r.Size()+8); err != nil {
+	factory := func(ctx *congest.Context) congest.Node {
+		v := ctx.ID()
+		nodes[v] = labelNode{mNbrs: mAdj[v], label: v, lastSent: -1}
+		return &nodes[v]
+	}
+	if _, err := r.RunStage(factory, nil, r.Size()+8); err != nil {
 		return nil, err
 	}
 	labels := make([]int, len(nodes))
@@ -90,12 +80,6 @@ func runLabels(r engine.Runner, mAdj [][]int) ([]int, error) {
 		labels[v] = nodes[v].label
 	}
 	return labels, nil
-}
-
-// colorInput is the per-node input of the 2-colouring stage.
-type colorInput struct {
-	MNbrs    []int
-	IsLeader bool
 }
 
 // colorNode 2-colours each M-component by BFS-layer parity: component
@@ -111,16 +95,6 @@ type colorNode struct {
 	dist     int
 	lastSent int
 	conflict bool
-}
-
-func (c *colorNode) Init(ctx *congest.Context) {
-	in, _ := ctx.Input().(colorInput)
-	c.mNbrs = in.MNbrs
-	c.dist = -1
-	c.lastSent = -1
-	if in.IsLeader {
-		c.dist = 0
-	}
 }
 
 func (c *colorNode) color() int {
@@ -161,15 +135,19 @@ func (c *colorNode) Round(ctx *congest.Context, round int, inbox []congest.Messa
 }
 
 // runColors executes the 2-colouring stage and returns, per node, whether it
-// saw a monochromatic M-edge, read from the node slab.
+// saw a monochromatic M-edge, read from the node slab. Each component's
+// leader is the root of its M-BFS, at distance 0.
 func runColors(r engine.Runner, mAdj [][]int, labels []int) ([]bool, error) {
-	inputs := make([]colorInput, len(mAdj))
-	for v := range mAdj {
-		inputs[v] = colorInput{MNbrs: mAdj[v], IsLeader: labels[v] == v}
-	}
 	nodes := make([]colorNode, r.Size())
-	factory := func(ctx *congest.Context) congest.Node { return &nodes[ctx.ID()] }
-	if _, err := r.RunStage(factory, engine.UniformInputs(inputs), r.Size()+8); err != nil {
+	factory := func(ctx *congest.Context) congest.Node {
+		v := ctx.ID()
+		nodes[v] = colorNode{mNbrs: mAdj[v], dist: -1, lastSent: -1}
+		if labels[v] == v {
+			nodes[v].dist = 0
+		}
+		return &nodes[v]
+	}
+	if _, err := r.RunStage(factory, nil, r.Size()+8); err != nil {
 		return nil, err
 	}
 	conflicts := make([]bool, len(nodes))

@@ -99,24 +99,40 @@ func TestCompatibleRules(t *testing.T) {
 	}
 }
 
-// TestLBSizeUpperBound pins the ID-sizing bound for the lower-bound network
-// against the constructor's real vertex counts: for every spec the bound
-// must dominate lbnetwork.New's N() (so the exact-MST bandwidth check never
-// under-requires, even at large Γ where the old hardcoded estimate fell
-// short), and it must follow the documented Γ·(2L+log L) shape.
-func TestLBSizeUpperBound(t *testing.T) {
+// TestExactMSTSizedByRealisedVertices: Compatible sizes exact MST's IDs
+// by the vertices the topology realises, as mst.Run does. lbnet6(p=17) has
+// 121 vertices and so 7-bit IDs, and its widest candidate message needs
+// 2 + 1 + 2·7 + 64 = 81 bits: the B = 81 cell expands and runs, and B = 80
+// is skipped.
+func TestExactMSTSizedByRealisedVertices(t *testing.T) {
+	m := Matrix{Name: "lbnet-mst", Topologies: []TopologySpec{{Family: FamilyLBNet, Size: 6, Param: 17}},
+		Bandwidths: []int{80, 81}, Backends: []string{BackendLocal}, Algorithms: []string{AlgMST}}
+	scenarios := m.Expand()
+	if len(scenarios) != 1 || scenarios[0].Bandwidth != 81 {
+		t.Fatalf("expanded %+v; want the B=81 cell alone", scenarios)
+	}
+	if rec := RunScenario(scenarios[0]); rec.Error != "" || !rec.OK {
+		t.Fatalf("exact MST at B=81 on lbnet6(p=17): %+v", rec)
+	}
+}
+
+// TestLBNetSize pins the lower-bound network's size() against the
+// constructor's: the vertex count every ID width is sized from and the
+// edge count checkSize bounds, for every spec, path lengths New rounds up
+// included. At L = 17 an lbnet has Γ² + 30Γ + 31 edges, so checkSize
+// accepts Γ = 32,753 and refuses 32,754, counted without building either.
+func TestLBNetSize(t *testing.T) {
 	cases := []struct {
 		gamma, pathLen int
 	}{
 		{2, 3}, {6, 17}, {10, 33}, {6, 0}, // 0 selects the family default of 17
-		{40, 17},  // large Γ: the regime the hardcoded 16 under-required in
-		{40, 18},  // large Γ plus rounding (18 -> 33)
+		{40, 17},
+		{40, 18},  // rounding 18 -> 33
 		{64, 100}, // rounding 100 -> 129 at scale
 		{33, 5},
 	}
 	for _, c := range cases {
 		spec := TopologySpec{Family: FamilyLBNet, Size: c.gamma, Param: float64(c.pathLen)}
-		bound := lbSizeUpperBound(spec)
 		pathLen := c.pathLen
 		if pathLen <= 0 {
 			pathLen = 17
@@ -125,21 +141,17 @@ func TestLBSizeUpperBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Γ=%d L=%d: %v", c.gamma, pathLen, err)
 		}
-		if bound < nw.N() {
-			t.Errorf("Γ=%d L=%d: bound %d is below the realised vertex count %d",
-				c.gamma, pathLen, bound, nw.N())
-		}
-		if got, _ := spec.size(); got != nw.N() {
-			t.Errorf("Γ=%d L=%d: size() counts %d vertices, the network has %d", c.gamma, pathLen, got, nw.N())
-		}
-		if want := c.gamma * (2*nw.L + nw.K); bound != want {
-			t.Errorf("Γ=%d L=%d: bound %d, want the documented Γ·(2L+log L) = %d",
-				c.gamma, pathLen, bound, want)
+		if n, m := spec.size(); n != nw.N() || m != nw.Graph.M() {
+			t.Errorf("Γ=%d L=%d: size() counts %d vertices and %d edges, the network has %d and %d",
+				c.gamma, pathLen, n, m, nw.N(), nw.Graph.M())
 		}
 	}
-	// Plain families keep the nominal size.
-	if got := lbSizeUpperBound(TopologySpec{Family: FamilyPath, Size: 9}); got != 9 {
-		t.Errorf("non-lbnet bound = %d, want the nominal size", got)
+	if err := (TopologySpec{Family: FamilyLBNet, Size: 32753}).checkSize(); err != nil {
+		t.Errorf("lbnet Γ=32,753 at L=17 refused: %v", err)
+	}
+	const want = "lbnet of size 32754 has 1073807167 edges, more than 1073741823"
+	if err := (TopologySpec{Family: FamilyLBNet, Size: 32754}).checkSize(); err == nil || err.Error() != want {
+		t.Errorf("lbnet Γ=32,754 at L=17: %v, want %q", err, want)
 	}
 }
 

@@ -113,6 +113,11 @@ func TestLoadMatrixErrors(t *testing.T) {
 		{"complete graph above 2^30 edges", func(s string) string {
 			return strings.Replace(s, `{"family": "path", "size": 9}`, `{"family": "complete", "size": 100000}`, 1)
 		}, "complete of size 100000 has 4999950000 edges, more than 1073741823"},
+		// An lbnet's endpoint cliques grow as (Γ+K)²: 1,114,131 vertices
+		// but 4,296,933,407 edges.
+		{"lbnet above 2^30 edges", func(s string) string {
+			return strings.Replace(s, `{"family": "path", "size": 9}`, `{"family": "lbnet", "size": 65536}`, 1)
+		}, "lbnet of size 65536 has 4296933407 edges, more than 1073741823"},
 		// Γ·L would wrap an int here; Γ alone is refused first.
 		{"lbnet above 2^31 paths", func(s string) string {
 			return strings.Replace(s, `{"family": "path", "size": 9}`, `{"family": "lbnet", "size": 4611686018427387904, "param": 1073741824}`, 1)

@@ -6,7 +6,6 @@ import (
 
 	"qdc/internal/congest"
 	"qdc/internal/dist/engine"
-	"qdc/internal/lbnetwork"
 )
 
 // Matrix is a declarative sweep spec: the cross product of its axes, minus
@@ -55,39 +54,27 @@ func Compatible(t TopologySpec, algorithm, backend string, bandwidth int) (bool,
 	if backend == BackendQuantum && algorithm != AlgDisjointness {
 		return false, "the quantum backend re-accounts only the disjointness protocol"
 	}
+	// IDs are sized by the vertex count the topology realises, as the node
+	// programs and mst.Run size them.
+	n, _ := t.size()
 	if algorithm == AlgFlood {
 		if backend == BackendSimulation {
 			return false, "flood does not run under the simulation backend"
 		}
 		// One distance announcement: tag + a distance that can reach n-1.
-		need := engine.TagBits + congest.BitsForID(lbSizeUpperBound(t))
+		need := engine.TagBits + congest.BitsForID(n)
 		if bandwidth < need {
 			return false, fmt.Sprintf("flood needs %d bits per round, bandwidth is %d", need, bandwidth)
 		}
 	}
 	if algorithm == AlgMST {
 		// Widest exact-MST message: tag + has-flag + two IDs + weight word.
-		need := engine.TagBits + congest.BitsForBool + 2*congest.BitsForID(lbSizeUpperBound(t)) + congest.BitsForWeight
+		need := engine.TagBits + congest.BitsForBool + 2*congest.BitsForID(n) + congest.BitsForWeight
 		if bandwidth < need {
 			return false, fmt.Sprintf("exact MST needs %d bits per round, bandwidth is %d", need, bandwidth)
 		}
 	}
 	return true, ""
-}
-
-// lbSizeUpperBound returns a vertex-count upper bound for ID sizing: the
-// nominal size for plain families, and Γ·(2L+log L) for the lower-bound
-// network, computed from the spec's Γ (= Size) and the rounded path length
-// the constructor actually uses. The realised network has Γ·L path vertices
-// plus at most L+log L highway vertices, so Γ·(2L+log L) dominates it for
-// every Γ >= 2 that lbnetwork.New accepts; TestLBSizeUpperBound pins the
-// bound against the constructor's real vertex counts.
-func lbSizeUpperBound(t TopologySpec) int {
-	if t.Family != FamilyLBNet {
-		return t.Size
-	}
-	l, k := lbnetwork.RoundedDims(t.lbPathLen())
-	return t.Size * (2*l + k)
 }
 
 // Expand returns the concrete scenarios of the matrix in a deterministic

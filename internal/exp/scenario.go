@@ -259,9 +259,11 @@ func (t TopologySpec) BuildCSR(rng *rand.Rand) (*graph.CSR, error) {
 // for its memory: more than math.MaxInt32 vertices, or more than
 // math.MaxInt32/2 edges, each two directed slots of the simulator's int32
 // tables. Every family but the grid realises at least Size vertices, so a
-// larger Size is refused before lbnet's Γ·L can wrap. Matrix.Validate and
-// emitEdges both call it, so a spec is refused at load with the text its
-// build would fail with.
+// larger Size is refused before lbnet's counts could wrap: with Γ and L
+// bounded so, lbnetwork.EdgeCount stays below 8.1·10^18. An lbnet's two
+// endpoint cliques make its edge count grow as Γ², so at L = 17 the first
+// Γ refused is 32,754. Matrix.Validate and emitEdges both call it, so a
+// spec is refused at load with the text its build would fail with.
 func (t TopologySpec) checkSize() error {
 	switch {
 	case t.Size < 2:
@@ -322,20 +324,20 @@ func (t TopologySpec) emitEdges(rng *rand.Rand, newGraph func(n, m int) graph.Ed
 	return nil
 }
 
-// size returns the vertex count n the topology realises and the edge count
-// m its family streams. n is the largest square not above Size for a grid,
+// size returns the vertex count n the topology realises and its edge count
+// m. n is the largest square not above Size for a grid,
 // lbnetwork.VertexCount for the lower-bound network (whose Size is the
 // path count Γ), and Size otherwise. m is exact for the path (n−1), cycle
-// (n), star (n−1), complete graph (n(n−1)/2), s×s grid (2s(s−1)) and tree
-// (n−1); for random it is the spanning tree's n−1, below the random edges
-// added on top, and lbnet's, which lbnetwork.New builds, is left at 0.
+// (n), star (n−1), complete graph (n(n−1)/2), s×s grid (2s(s−1)), tree
+// (n−1) and lower-bound network (lbnetwork.EdgeCount); for random it is the
+// spanning tree's n−1, below the random edges added on top.
 func (t TopologySpec) size() (n, m int) {
 	switch t.Family {
 	case FamilyGrid:
 		side := gridSide(t.Size)
 		return side * side, 2 * side * (side - 1)
 	case FamilyLBNet:
-		return lbnetwork.VertexCount(t.Size, t.lbPathLen()), 0
+		return lbnetwork.VertexCount(t.Size, t.lbPathLen()), lbnetwork.EdgeCount(t.Size, t.lbPathLen())
 	case FamilyCycle:
 		return t.Size, t.Size
 	case FamilyComplete:

@@ -3,6 +3,7 @@ package lbnetwork
 import (
 	"errors"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -49,6 +50,40 @@ func TestVertexCount(t *testing.T) {
 				t.Errorf("VertexCount(%d, %d) = %d, New builds %d", gamma, l, got, nw.N())
 			}
 		}
+	}
+}
+
+// TestEdgeCount pins the closed form against the constructor, including
+// path lengths that New rounds up, and shows that it cannot overflow: at
+// the largest Γ and path length a caller can pass, math/big gives the same
+// sum.
+func TestEdgeCount(t *testing.T) {
+	for _, tc := range []struct{ gamma, l int }{{2, 3}, {4, 17}, {16, 33}, {64, 129}, {7, 5}, {3, 9}, {3, 10}} {
+		nw, err := New(tc.gamma, tc.l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := EdgeCount(tc.gamma, tc.l); got != nw.Graph.M() {
+			t.Errorf("EdgeCount(%d, %d) = %d, New builds %d", tc.gamma, tc.l, got, nw.Graph.M())
+		}
+	}
+
+	gamma, l := big.NewInt(math.MaxInt32), big.NewInt(MaxPathLen+1)
+	k := big.NewInt(30)
+	one, two := big.NewInt(1), big.NewInt(2)
+	lm1 := new(big.Int).Sub(l, one)
+	half := new(big.Int).Div(lm1, two)
+	ends := new(big.Int).Add(gamma, k)
+	clique := new(big.Int).Mul(ends, new(big.Int).Sub(ends, one))
+	clique.Div(clique, two).Sub(clique, ends).Add(clique, one).Mul(clique, two)
+	want := new(big.Int).Mul(gamma, lm1)
+	want.Add(want, new(big.Int).Sub(l, two))
+	want.Add(want, new(big.Int).Mul(gamma, new(big.Int).Add(half, one)))
+	want.Add(want, half).Add(want, k).Sub(want, two).Add(want, clique)
+	if got := EdgeCount(math.MaxInt32, MaxPathLen); !want.IsInt64() || big.NewInt(int64(got)).Cmp(want) != 0 {
+		t.Errorf("EdgeCount(MaxInt32, MaxPathLen) = %d, want %s", got, want)
+	} else if want.Cmp(big.NewInt(8.1e18)) >= 0 {
+		t.Errorf("EdgeCount(MaxInt32, MaxPathLen) = %s, above the 8.1·10^18 its doc states", want)
 	}
 }
 

@@ -72,6 +72,20 @@ func VertexCount(gamma, pathLen int) int {
 	return gamma*l + l + k - 2
 }
 
+// EdgeCount returns the edge count of New(gamma, pathLen) without building
+// it, the closed-form twin of VertexCount: Γ(L−1) path edges, L−2 highway
+// edges, Γ((L−1)/2+1) + (L−1)/2 + K − 2 vertical edges (highway 1 to every
+// path at each of its positions, highway h to highway h−1 at each of its),
+// and on each endpoint column a clique on its Γ+K vertices less the Γ+K−1
+// pairs the vertical edges already join. The cliques make the count grow
+// as (Γ+K)². For gamma <= math.MaxInt32 and pathLen <= MaxPathLen every
+// term and the sum stay below 8.1·10^18, so a 64-bit int cannot overflow.
+func EdgeCount(gamma, pathLen int) int {
+	l, k := RoundedDims(pathLen)
+	half, ends := (l-1)/2, gamma+k
+	return gamma*(l-1) + l - 2 + gamma*(half+1) + half + k - 2 + 2*(ends*(ends-1)/2-ends+1)
+}
+
 // New builds the network with gamma paths of pathLen vertices each (pathLen
 // is rounded up so that pathLen−1 is a power of two, as in Appendix D.1).
 // A path longer than MaxPathLen is refused before it is rounded.

@@ -21,7 +21,9 @@
 // restarted daemon converges back to a correct view of its jobs purely
 // from what is on disk. Jobs whose job.json records a terminal state are
 // re-adopted as-is (done jobs re-serve their snapshot byte for byte,
-// failed jobs re-serve their error); jobs that never reached a terminal
+// failed jobs re-serve their error), except a done job whose snapshot is
+// missing, unreadable or does not cover its frozen spec
+// (exp.CheckComplete), which is re-run; jobs that never reached a terminal
 // state — the daemon died mid-sweep — are re-run from their frozen spec.
 // Re-running is safe because the supervisor removes any stale stream file
 // before each attempt spawns and every record is deterministic given the
@@ -179,13 +181,21 @@ func (s *Server) adoptStateDir() error {
 		switch jf.State {
 		case StateDone:
 			recs, err := exp.ReadRecords(j.snapshotPath())
+			var m exp.Matrix
+			if err == nil {
+				m, err = exp.LoadMatrix(j.specPath())
+			}
+			if err == nil {
+				err = exp.CheckComplete(m, recs)
+			}
 			if err != nil {
 				// runJob writes the snapshot before job.json, so a daemon
 				// that dies between the two writes leaves a non-terminal job
-				// file, not this state. A done job without a readable
-				// snapshot lost it afterwards: it was deleted, or it never
-				// reached the disk, since nothing syncs it. The frozen spec
-				// reproduces it, so re-run the job.
+				// file, not this state. A done job whose snapshot is
+				// unreadable, or no longer covers its frozen spec, lost it
+				// afterwards: it was deleted, cut short or edited, or it
+				// never reached the disk, since nothing syncs it. The frozen
+				// spec reproduces it, so re-run the job.
 				s.startJob(j)
 				break
 			}

@@ -309,39 +309,63 @@ func TestRestartAdoptsDoneJob(t *testing.T) {
 }
 
 // TestRestartRerunsDoneJobWithoutSnapshot: a job whose job.json says done
-// but whose snapshot.json is gone is re-run from its frozen spec, and the
-// re-run serves the snapshot a clean unsharded run produces.
+// but whose snapshot.json is gone, cut off mid-record, or short of a record
+// its frozen spec expands to is re-run from that spec, and the re-run
+// serves the snapshot a clean unsharded run produces.
 func TestRestartRerunsDoneJobWithoutSnapshot(t *testing.T) {
 	m := testMatrix()
 	want := referenceSnapshot(t, m)
-	state := t.TempDir()
-	s1, err := New(Options{StateDir: state, Pool: 4, Spawn: healthySpawn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := s1.Submit(SubmitRequest{Spec: &m, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fin := waitTerminal(t, j); fin.State != StateDone {
-		t.Fatalf("job finished %s: %s", fin.State, fin.Error)
-	}
-	s1.Close()
-	if err := os.Remove(j.snapshotPath()); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name  string
+		spoil func(path string) error
+	}{
+		{"missing", os.Remove},
+		{"torn", func(path string) error {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(path, data[:bytes.LastIndex(data, []byte(`"name"`))+3], 0o644)
+		}},
+		{"incomplete", func(path string) error {
+			recs, err := exp.ReadRecords(path)
+			if err != nil {
+				return err
+			}
+			return exp.WriteSnapshot(path, recs[1:])
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			state := t.TempDir()
+			s1, err := New(Options{StateDir: state, Pool: 4, Spawn: healthySpawn})
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, err := s1.Submit(SubmitRequest{Spec: &m, Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fin := waitTerminal(t, j); fin.State != StateDone {
+				t.Fatalf("job finished %s: %s", fin.State, fin.Error)
+			}
+			s1.Close()
+			if err := tc.spoil(j.snapshotPath()); err != nil {
+				t.Fatal(err)
+			}
 
-	s2 := newTestServer(t, state, healthySpawn)
-	rerun := s2.Job("job-1")
-	if rerun == nil {
-		t.Fatal("restarted daemon does not know job-1")
-	}
-	if fin := waitTerminal(t, rerun); fin.State != StateDone {
-		t.Fatalf("re-run finished %s: %s", fin.State, fin.Error)
-	}
-	got := get(t, s2.Handler(), "/jobs/job-1/snapshot")
-	if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want) {
-		t.Error("re-run snapshot is not byte-identical to a clean unsharded run")
+			s2 := newTestServer(t, state, healthySpawn)
+			rerun := s2.Job("job-1")
+			if rerun == nil {
+				t.Fatal("restarted daemon does not know job-1")
+			}
+			if fin := waitTerminal(t, rerun); fin.State != StateDone {
+				t.Fatalf("re-run finished %s: %s", fin.State, fin.Error)
+			}
+			got := get(t, s2.Handler(), "/jobs/job-1/snapshot")
+			if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want) {
+				t.Errorf("snapshot served with status %d is not byte-identical to a clean unsharded run", got.Code)
+			}
+		})
 	}
 }
 
@@ -599,6 +623,13 @@ func TestSubmitValidationAndErrors(t *testing.T) {
 		if rec := post(body); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: POST /jobs = %d, want 400", name, rec.Code)
 		}
+	}
+	// An lbnet the simulator could never index, refused before anything
+	// builds it.
+	lbnet := `{"spec": {"topologies": [{"family": "lbnet", "size": 65536}], "bandwidths": [64],
+		"backends": ["local"], "algorithms": ["verify"]}, "shards": 1}`
+	if rec := post(lbnet); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "4296933407 edges") {
+		t.Errorf("POST /jobs of an lbnet with 4,296,933,407 edges = %d %s, want 400", rec.Code, rec.Body)
 	}
 	if rec := get(t, h, "/jobs/job-99"); rec.Code != http.StatusNotFound {
 		t.Errorf("unknown job = %d, want 404", rec.Code)

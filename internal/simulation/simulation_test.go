@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 
+	"qdc/internal/congest"
+	"qdc/internal/dist/engine"
 	"qdc/internal/dist/verify"
 	"qdc/internal/graph"
 	"qdc/internal/lbnetwork"
@@ -191,5 +193,55 @@ func TestPerRoundBoundScaling(t *testing.T) {
 	}
 	if rWide.PerRoundBound() != 2*rSmall.PerRoundBound() {
 		t.Fatal("per-round bound should scale linearly with B")
+	}
+}
+
+// TestRunStageRefusesInputs checks that every backend refuses a non-empty
+// inputs map with engine.ErrStageInputs before the stage runs, since a node
+// program gets its input from the factory that builds it. The factory is
+// never called, and the Stats and each backend's own accounting stay as
+// they were after an earlier stage.
+func TestRunStageRefusesInputs(t *testing.T) {
+	nw := buildNetwork(t, 6, 17)
+	local, err := engine.NewLocal(nw.Graph, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quantum, err := engine.NewQuantum(nw.Graph, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := NewRunner(nw, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []struct {
+		name   string
+		r      engine.Runner
+		report func() any
+	}{
+		{"local", local, func() any { return local.Stats() }},
+		{"quantum", quantum, func() any { return quantum.Report() }},
+		{"simulation", sim, func() any { return sim.Report() }},
+	} {
+		if _, err := verify.DegreeTwoCheck(b.r, nw.Graph, graph.NewEdgeSet()); err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		stats, report := b.r.Stats(), b.report()
+		built := 0
+		factory := func(*congest.Context) congest.Node { built++; return nil }
+		res, err := b.r.RunStage(factory, map[int]any{3: "input"}, 0)
+		if !errors.Is(err, engine.ErrStageInputs) || res != nil {
+			t.Errorf("%s: RunStage with inputs returned %+v, %v; want no result and ErrStageInputs", b.name, res, err)
+		}
+		if built != 0 {
+			t.Errorf("%s: the factory built %d nodes for a refused stage", b.name, built)
+		}
+		if got := b.r.Stats(); got != stats {
+			t.Errorf("%s: a refused stage moved Stats from %+v to %+v", b.name, stats, got)
+		}
+		if got := b.report(); got != report {
+			t.Errorf("%s: a refused stage moved the report from %+v to %+v", b.name, report, got)
+		}
 	}
 }

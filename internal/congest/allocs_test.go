@@ -1,7 +1,6 @@
 package congest
 
 import (
-	"fmt"
 	"testing"
 
 	"qdc/internal/graph"
@@ -71,14 +70,17 @@ func TestAppendConstructorsAllocFree(t *testing.T) {
 // nothing. Two runs of the same workload that differ only in round count
 // isolate the steady state — the per-run setup cost cancels in the
 // difference, so (allocs(long) - allocs(short)) / extra rounds must be ~0
-// at one worker and on the worker pool.
+// at one worker and at four, both with every round inline, as the
+// crossover runs this 576-node grid, and with every round on the worker
+// pool.
 func TestRoundLoopSteadyStateAllocFree(t *testing.T) {
 	topo := graph.Grid(24, 24)
 	const short, long = 8, 104
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			base := measureRunAllocs(t, topo, workers, short)
-			grown := measureRunAllocs(t, topo, workers, long)
+	for _, tc := range steadyStateCases {
+		t.Run(tc.name, func(t *testing.T) {
+			setInlineBelow(t, tc.inlineBelow)
+			base := measureRunAllocs(t, topo, tc.workers, short)
+			grown := measureRunAllocs(t, topo, tc.workers, long)
 			perRound := (grown - base) / float64(long-short)
 			if perRound > 0.5 {
 				t.Errorf("steady state allocates %.2f objects/round (short run %.0f, long run %.0f); want 0",
@@ -86,4 +88,16 @@ func TestRoundLoopSteadyStateAllocFree(t *testing.T) {
 			}
 		})
 	}
+}
+
+// steadyStateCases are the worker counts the steady-state gates run at:
+// one range, and four ranges with every round inline (the crossover's
+// choice on their 576-node grid) and with every round on the pool.
+var steadyStateCases = []struct {
+	name                 string
+	workers, inlineBelow int
+}{
+	{"workers=1", 1, sparseNodes},
+	{"workers=4", 4, sparseNodes},
+	{"workers=4-pool", 4, 0},
 }

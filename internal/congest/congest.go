@@ -342,14 +342,20 @@ type Options struct {
 	// fails validation replays the messages accepted before the failing
 	// one.
 	Trace func(round int, msg Message)
-	// Workers selects how many goroutines step nodes and deliver traffic
-	// within each round; values <= 1 run every round on the goroutine that
-	// called Run. Any value produces bit-for-bit identical Results, errors
-	// and trace streams: each worker owns a fixed range of node IDs, nodes
-	// only interact through messages delivered at round boundaries, each
-	// node owns a private random stream, every per-round quantity is a sum
-	// or max folded in worker order, and every inbox fills in ascending
-	// sender ID whatever the scheduling.
+	// Workers selects how many node-ID ranges a round is split into, and
+	// how many goroutines may step nodes and deliver traffic within it;
+	// values <= 1 run every round on the goroutine that called Run. With
+	// more, a pool of Workers goroutines runs for the whole run, but a round
+	// whose previous round stepped fewer than about 2,000 nodes runs every
+	// range in worker order on the calling goroutine instead: a pool
+	// dispatch costs more than such a round saves (the crossover is
+	// measured in parallel.go). Any value produces bit-for-bit identical
+	// Results, errors and trace streams, wherever each round runs: each
+	// worker owns a fixed range of node IDs, nodes only interact through
+	// messages delivered at round boundaries, each node owns a private
+	// random stream, every per-round quantity is a sum or max folded in
+	// worker order, and every inbox fills in ascending sender ID whatever
+	// the scheduling.
 	Workers int
 	// Cancel, if non-nil, is polled once per round before the round's nodes
 	// step; when it returns true, Run stops and returns the partial result
@@ -465,13 +471,18 @@ type runState struct {
 	// and holds their round state, awake words included. With
 	// Options.Workers <= 1 one range holds all n nodes and runs on the
 	// calling goroutine; with more, a pool of goroutines lives for the whole
-	// run. The partition is kept between runs with the same worker count.
-	// The phase closures are built once so rounds allocate nothing.
+	// run, and a round runs on it only when the previous round stepped
+	// enough nodes (each, in parallel.go). The partition is kept between
+	// runs with the same worker count. The phase closures are built once so
+	// rounds allocate nothing.
 	starts     []int
 	workers    []rangeWorker
 	pool       *workerPool
 	stepJob    func(w int)
 	deliverJob func(w int)
+	// stepped is the number of nodes the previous round stepped, n before
+	// round 1.
+	stepped int
 }
 
 // newRunState builds the topology-derived working state of nw: the flat
@@ -561,6 +572,7 @@ func (st *runState) start(factory NodeFactory, opts Options) error {
 	for w := range st.workers {
 		st.workers[w].wakeAll(st.starts[w+1] - st.starts[w])
 	}
+	st.stepped = n
 	if workers > 1 {
 		st.pool = newWorkerPool(workers)
 	}
@@ -638,10 +650,10 @@ func (st *runState) neighborRank(v, u int) int {
 }
 
 // stepAwake steps worker w's awake nodes in ID order, one run of
-// consecutive awake nodes at a time, and keeps each node that reports not
-// done awake for the next round. It stops at the first node that panics
-// and returns that node's ID and panic value; v is -1 when no node
-// panicked.
+// consecutive awake nodes at a time, counts them in the worker's stepped,
+// and keeps each node that reports not done awake for the next round. It
+// stops at the first node that panics and returns that node's ID and panic
+// value; v is -1 when no node panicked.
 func (st *runState) stepAwake(w int) (v int, p any) {
 	wk := &st.workers[w]
 	lo := st.starts[w]
@@ -654,6 +666,7 @@ func (st *runState) stepAwake(w int) (v int, p any) {
 			if notDone, v, p = st.stepRange(wk, base+first, base+end); v >= 0 {
 				return v, p
 			}
+			wk.stepped += end - first
 			if notDone != 0 {
 				wk.wake[i] |= notDone << first
 				wk.notAllDone = true

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -18,14 +19,20 @@ import (
 // votes and wake-ups, and optionally a node panic,
 // and it hands its messages back in every outbox shape (see
 // fuzzNode.Round); the seed corpus under testdata/fuzz covers each of
-// these. Every input runs twice on the same
-// network, so the second run starts from whatever state the first one's
-// exit left behind and must still match.
+// these. The input also picks where the rounds of Workers 2..4 run (see
+// fuzzInlineBelow): all on the pool, all inline, or switching between the
+// two mid-run. The seeds path-csr-pool, path-csr-inline and
+// path-csr-switch run one program each way; at 2, 3 and 4 workers the
+// last one's 15 rounds switch between the pool and inline seven times.
+// Every input runs twice on the same network, so the second run starts
+// from whatever state the first one's exit left behind and must still
+// match.
 func FuzzRunMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape, size uint8, seed int64, mix uint32) {
 		topo := fuzzTopology(shape, size, mix)
 		p := newFuzzProgram(topo.N(), seed, mix)
 		opts := Options{MaxRounds: p.maxRounds, PerRound: mix&1 != 0}
+		setInlineBelow(t, fuzzInlineBelow(shape, mix, topo.N()))
 
 		want := referenceRun(topo, p.bandwidth, seed, p.nodes, opts)
 		for _, workers := range []int{0, 1, 2, 3, 4} {
@@ -82,6 +89,22 @@ func (o *runOutcome) setErr(err error) {
 	if err != nil {
 		o.err = err.Error()
 	}
+}
+
+// fuzzInlineBelow picks, from bits 30 and 31 of mix, the step count below
+// which a round of a run with a pool runs inline: 0 runs every round
+// inline, 1 puts every round on the pool, and 2 or 3 picks a count in
+// 2..n from shape/5, so round 1, which steps all n nodes, runs on the pool
+// and every later round runs inline or on the pool as the previous round's
+// stepped count falls below the count or reaches it again.
+func fuzzInlineBelow(shape uint8, mix uint32, n int) int {
+	switch mix >> 30 {
+	case 0:
+		return math.MaxInt
+	case 1:
+		return 0
+	}
+	return 2 + int(shape/5)%(n-1)
 }
 
 // fuzzTopology picks a connected topology on 2..64 nodes: a path, ring,

@@ -95,6 +95,7 @@ func runMixed(t *testing.T, workers int) (*Result, []mixedPayloadNode, []traceEv
 // every node ends with and the complete trace stream are identical whether
 // the round runs on one range or on a worker pool.
 func TestMixedPayloadsIdenticalAcrossWorkers(t *testing.T) {
+	forcePool(t)
 	seqRes, seqNodes, seqEvents := runMixed(t, 0)
 
 	// The workload must genuinely mix all three classes.

@@ -8,10 +8,14 @@ import (
 // The round. Every run splits the node IDs into one contiguous range per
 // worker, balanced by degree+1 and kept by the network for later runs at
 // the same worker count, and runs each round as two phases over the
-// ranges: inline on the calling goroutine when there is one range
-// (Options.Workers <= 1), otherwise on a pool of goroutines that lives
-// from round 1 to termination. The phase closures are built once, so the
-// steady state allocates nothing:
+// ranges. With Options.Workers > 1 a pool of goroutines is started with
+// the run, and each round chooses where its phases run: on the pool, one
+// goroutine a range, or inline, every range in worker order on the calling
+// goroutine without waking the pool. A round runs inline when the previous
+// round stepped fewer than sparseNodes nodes (round 1 counts all n, since
+// every node steps in it); a single range (Workers <= 1) has no pool and
+// always runs inline. The phase closures are built once, so the steady
+// state allocates nothing:
 //
 //  1. step: every worker steps its range's awake nodes, which write their
 //     messages into the worker's send log, then validates and accounts the
@@ -37,7 +41,27 @@ import (
 // ascending sender ID, outbox order within a sender. A validation error
 // folds the ranges before the failing one and the failing range's messages
 // before its error, which is the same partial result for every worker
-// count.
+// count. Where a round runs cannot change it either: an inline round runs
+// the same worker bodies over the same ranges in worker order, which is
+// one of the schedules the pool may take, and the fold, the trace, the
+// cancel poll and the panic re-raise run on the calling goroutine in both.
+
+// sparseNodes is the crossover of the per-round choice: a round at
+// Workers > 1 whose previous round stepped fewer nodes runs inline. A pool
+// dispatch and its barrier cost about 11 µs a phase on a 2-vCPU host (Go
+// 1.24.0, GOMAXPROCS 2), which a round that steps a few hundred nodes does
+// not earn back. There, 64 rounds of BenchmarkRoundLoopFloodWords's dense
+// flood at Workers 4, every node stepping every round, took 7.3 ms inline
+// against 9.4 ms on the pool at 1,024 nodes, broke even within the spread
+// at 1,600 and 1,936 nodes, and took 16.1 ms on the pool against 20.3 ms
+// inline at 2,304 nodes and 64 ms against 101 ms at 10,000 (medians of
+// eight runs).
+const sparseNodes = 2048
+
+// inlineBelow is the step count below which a round runs inline:
+// sparseNodes, except where a test moves it. Zero puts every round of a
+// run with a pool on the pool, and math.MaxInt runs every round inline.
+var inlineBelow = sparseNodes
 
 // rangeWorker is everything one worker writes during a round. Padded so
 // adjacent workers' state does not share a cache line.
@@ -72,9 +96,11 @@ type rangeWorker struct {
 	// err is the range's first validation error, as the run returns it.
 	err error
 
-	// traffic and maxEdgeBits account the range's accepted messages.
+	// traffic and maxEdgeBits account the range's accepted messages, and
+	// stepped counts the nodes the range stepped.
 	traffic     RoundTraffic
 	maxEdgeBits int
+	stepped     int
 	notAllDone  bool
 	_           [64]byte
 }
@@ -145,7 +171,8 @@ func (wk *rangeWorker) wakeAll(size int) {
 
 // workerPool is a fixed set of goroutines that execute one job function at a
 // time. run dispatches the job to every worker and blocks until all report
-// back; the pool is reused across rounds and phases without spawning.
+// back; the pool is reused across rounds and phases without spawning. Each
+// goroutine reports back once more when close stops it.
 type workerPool struct {
 	workers int
 	jobs    []chan func(w int)
@@ -166,6 +193,7 @@ func newWorkerPool(workers int) *workerPool {
 				job(w)
 				p.done <- struct{}{}
 			}
+			p.done <- struct{}{}
 		}(w, ch)
 	}
 	return p
@@ -176,15 +204,23 @@ func (p *workerPool) run(job func(w int)) {
 	for _, ch := range p.jobs {
 		ch <- job
 	}
-	for i := 0; i < p.workers; i++ {
-		<-p.done
-	}
+	p.wait()
 }
 
-// close terminates the pool's goroutines. The pool must be idle.
+// close terminates the pool's goroutines and returns once all have stopped,
+// so none outlives its run, even in a run whose rounds all ran inline and
+// never woke them. The pool must be idle.
 func (p *workerPool) close() {
 	for _, ch := range p.jobs {
 		close(ch)
+	}
+	p.wait()
+}
+
+// wait blocks until every worker has reported back.
+func (p *workerPool) wait() {
+	for i := 0; i < p.workers; i++ {
+		<-p.done
 	}
 }
 
@@ -232,13 +268,16 @@ func (st *runState) owner(v int) int {
 }
 
 // each runs job(w) for every range w and returns when all have finished:
-// on the calling goroutine for a single range, else on the pool.
+// on the pool when the run has one and the previous round stepped at least
+// inlineBelow nodes, else on the calling goroutine in worker order.
 func (st *runState) each(job func(w int)) {
-	if st.pool == nil {
-		job(0)
+	if st.pool != nil && st.stepped >= inlineBelow {
+		st.pool.run(job)
 		return
 	}
-	st.pool.run(job)
+	for w := range st.workers {
+		job(w)
+	}
 }
 
 // runRound runs round st.round and reports whether the run is quiet: every
@@ -260,10 +299,11 @@ func (st *runState) runRound() (quiet bool, err error) {
 
 	res := st.res
 	var traffic RoundTraffic
-	allDone := true
+	allDone, stepped := true, 0
 	for w := range st.workers {
 		wk := &st.workers[w]
 		allDone = allDone && !wk.notAllDone
+		stepped += wk.stepped
 		res.TotalMessages += wk.traffic.Messages
 		res.TotalBits += wk.traffic.ClassicalBits + wk.traffic.QuantumBits
 		res.QuantumBits += wk.traffic.QuantumBits
@@ -291,6 +331,7 @@ func (st *runState) runRound() (quiet bool, err error) {
 		res.PerRound = append(res.PerRound, traffic)
 	}
 	st.each(st.deliverJob)
+	st.stepped = stepped
 	return allDone && traffic.Messages == 0, nil
 }
 

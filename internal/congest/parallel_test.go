@@ -54,7 +54,24 @@ func newMixer(rounds int) func(*Context) mixerNode {
 	return func(ctx *Context) mixerNode { return mixerNode{rounds: rounds, sum: ctx.ID()} }
 }
 
+// forcePool runs every round of the test's runs at Workers > 1 on the
+// worker pool, however few nodes the round steps, and restores the
+// crossover when the test ends. The tests that compare worker counts call
+// it: their topologies have at most a few hundred nodes, so at the
+// crossover every round would run inline and no round would be concurrent
+// for the race detector to check.
+func forcePool(t testing.TB) { setInlineBelow(t, 0) }
+
+// setInlineBelow sets the step count below which a round runs inline until
+// the test ends.
+func setInlineBelow(t testing.TB, below int) {
+	old := inlineBelow
+	inlineBelow = below
+	t.Cleanup(func() { inlineBelow = old })
+}
+
 func TestWorkersProduceIdenticalResults(t *testing.T) {
+	forcePool(t)
 	run := func(workers int) (*Result, []mixerNode) {
 		nw, err := NewNetwork(ring(37), 16)
 		if err != nil {
@@ -111,6 +128,7 @@ func TestWorkersIdenticalFullResult(t *testing.T) {
 	// totals, the quantum split, the per-round traffic breakdown and the
 	// per-edge maximum — and of every node's result between one range on
 	// the calling goroutine and ranges on the worker pool.
+	forcePool(t)
 	run := func(workers int) (*Result, []hybridNode) {
 		nw, err := NewNetwork(ring(53), 64)
 		if err != nil {
@@ -219,6 +237,7 @@ func runRogue(t *testing.T, overrun, traced bool, workers int) (*Result, []rogue
 // error text, the traffic accounted before the violation and the steps
 // every node took up to it.
 func TestErrorPathsIdenticalAcrossWorkers(t *testing.T) {
+	forcePool(t)
 	for _, want := range rogueRuns {
 		for _, workers := range []int{0, 1, 2, 4} {
 			res, nodes, _, err := runRogue(t, want.overrun, false, workers)
@@ -246,6 +265,7 @@ func TestErrorPathsIdenticalAcrossWorkers(t *testing.T) {
 // so the table is all zero, as it is between rounds, and every touched
 // list is empty.
 func TestErrorReturnZeroesEdgeBits(t *testing.T) {
+	forcePool(t)
 	for _, want := range rogueRuns {
 		for _, workers := range []int{1, 4} {
 			nw, err := NewNetwork(ring(32), 16)
@@ -293,6 +313,7 @@ func TestNodePanicsPropagateDeterministically(t *testing.T) {
 	// Nodes 4 and 11 both panic in round 2; every worker count must report
 	// the lowest-ID panicking node with identical text, so failing runs
 	// reproduce bit for bit across backends.
+	forcePool(t)
 	for _, workers := range []int{0, 1, 8} {
 		got := func() (p any) {
 			defer func() { p = recover() }()
@@ -318,6 +339,7 @@ func TestNodePanicsPropagateDeterministically(t *testing.T) {
 func TestWorkersDeterministicAcrossRepeats(t *testing.T) {
 	// The per-node random streams must not depend on scheduling: hammer the
 	// parallel path repeatedly and require identical node results.
+	forcePool(t)
 	var first []mixerNode
 	for i := 0; i < 10; i++ {
 		nw, err := NewNetwork(ring(24), 16)
@@ -372,6 +394,7 @@ func requireSequentialRun(t *testing.T, topo Topology, workerCounts []int, prog 
 // workload's digests depend on inbox order, so the hub's output pins the
 // order of its 49 deliveries per round.
 func TestPartitionStarUnevenWorkers(t *testing.T) {
+	forcePool(t)
 	const n = 50
 	topo := graph.Star(n)
 	prog := slabOf(func(*Context) mixedPayloadNode { return mixedPayloadNode{rounds: 12} })
@@ -436,6 +459,7 @@ func (r *replyNode) Round(ctx *Context, round int, inbox []Message) ([]Message, 
 // list and the receiver's owner — both to termination and into the error
 // of a node answering an in-neighbour it does not list.
 func TestPartitionAsymmetricTopology(t *testing.T) {
+	forcePool(t)
 	topo := skewRing(29)
 	workerCounts := []int{1, 2, 3, 4, 7}
 	t.Run("clean", func(t *testing.T) {

@@ -74,6 +74,7 @@ func newReuseNetwork(t *testing.T, tunes []func(*Network)) *Network {
 // Two goroutines calling Run on one network at once must each match a
 // fresh network too; run it under -race.
 func TestReusedNetworkMatchesFresh(t *testing.T) {
+	forcePool(t)
 	exits := []struct {
 		name      string
 		prog      program
@@ -240,6 +241,7 @@ func runSetupAllocs(t *testing.T, n int, asCSR bool, workers int) (fresh, reused
 // log's room for the next run. The messages left in a send log reach
 // nothing: TestMessageIs48BytesWithoutPointers holds Message pointer-free.
 func TestParkedStateDropsNodeState(t *testing.T) {
+	forcePool(t)
 	for _, workers := range []int{1, 4} {
 		nw := newReuseNetwork(t, nil)
 		factory, _ := reuseProgram(reuseInputs)(nw.Size())
@@ -276,6 +278,7 @@ func (*holderNode) Round(*Context, int, []Message) ([]Message, bool) { return ni
 // built it with, and parking drops every node program, so once the caller
 // drops its slab nothing keeps the input.
 func TestParkedStateDropsInputs(t *testing.T) {
+	forcePool(t)
 	for _, workers := range []int{1, 4} {
 		nw := newReuseNetwork(t, nil)
 		// The slab, its factory and the input live in this call alone, so

@@ -1,7 +1,6 @@
 package congest
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -53,6 +52,7 @@ func tracedRun(t *testing.T, topo Topology, workers int, prog program) (*Result,
 // pool, and enabling tracing does not perturb the Result or the node
 // results.
 func TestTraceIdenticalAcrossWorkers(t *testing.T) {
+	forcePool(t)
 	seqEvents, seqRes, seqNodes := collectTrace(t, 0)
 	if len(seqEvents) == 0 {
 		t.Fatal("workload produced no trace events")
@@ -83,6 +83,7 @@ func TestTraceIdenticalAcrossWorkers(t *testing.T) {
 // send log of the worker whose range holds its sender, and traces each
 // one.
 func TestTraceFillsPerWorkerBuffers(t *testing.T) {
+	forcePool(t)
 	nw, err := NewNetwork(ring(16), 16)
 	if err != nil {
 		t.Fatal(err)
@@ -125,6 +126,7 @@ func TestTraceFillsPerWorkerBuffers(t *testing.T) {
 // round, and tracing leaves the partial Result and the node results
 // unchanged.
 func TestTraceErrorPathsIdenticalAcrossWorkers(t *testing.T) {
+	forcePool(t)
 	for _, want := range rogueRuns {
 		plain, plainNodes, _, _ := runRogue(t, want.overrun, false, 0)
 		for _, workers := range []int{0, 1, 2, 4} {
@@ -150,7 +152,8 @@ func TestTraceErrorPathsIdenticalAcrossWorkers(t *testing.T) {
 
 // TestTraceSteadyStateAllocFree extends the steady-state guarantee to traced
 // runs: once the per-worker trace buffers have grown to the workload's
-// per-round traffic, extra rounds allocate nothing at one worker or four.
+// per-round traffic, extra rounds allocate nothing at one worker or four,
+// inline or on the pool.
 func TestTraceSteadyStateAllocFree(t *testing.T) {
 	topo := graph.Grid(24, 24)
 	const short, long = 8, 104
@@ -171,10 +174,11 @@ func TestTraceSteadyStateAllocFree(t *testing.T) {
 			}
 		})
 	}
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			base := measure(workers, short)
-			grown := measure(workers, long)
+	for _, tc := range steadyStateCases {
+		t.Run(tc.name, func(t *testing.T) {
+			setInlineBelow(t, tc.inlineBelow)
+			base := measure(tc.workers, short)
+			grown := measure(tc.workers, long)
 			perRound := (grown - base) / float64(long-short)
 			if perRound > 0.5 {
 				t.Errorf("traced steady state allocates %.2f objects/round (short %.0f, long %.0f); want 0",

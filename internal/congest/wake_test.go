@@ -79,6 +79,7 @@ func burstProgram(faulty int, fault string) program {
 // it. A run that called done nodes every round would call every node in all
 // of the run's rounds.
 func TestVoteToHalt(t *testing.T) {
+	forcePool(t)
 	const n = 29
 	topo := graph.Path(n)
 	workerCounts := []int{1, 2, 3, 4, 7}

@@ -136,11 +136,14 @@ type Runner interface {
 // per-message accounting to RunTraced, so the network, the worker count,
 // the cancel poll, the observer and the classical Stats are the Local's
 // under every backend. With more than one worker each round splits the
-// node IDs into one contiguous range per goroutine, and every worker
-// steps, validates and delivers for its own range
-// (congest.Options.Workers). Because CONGEST nodes interact only through
-// messages delivered at round boundaries and every node owns a private
-// random stream, the run is bit-for-bit identical to the sequential one —
+// node IDs into one contiguous range per worker, and every worker steps,
+// validates and delivers for its own range (congest.Options.Workers): on a
+// pool of goroutines when the previous round stepped at least about 2,000
+// nodes, and otherwise one range after another on the calling goroutine,
+// since waking the pool costs a sparse round more than it saves. Because
+// CONGEST nodes interact only through messages delivered at round
+// boundaries and every node owns a private random stream, the run is
+// bit-for-bit identical to the sequential one wherever each round runs —
 // same Stats, node results and verdicts (TestNewParallelMatchesLocal pins
 // this, and the whole suite runs under -race in CI).
 type Local struct {
@@ -165,8 +168,10 @@ func NewLocal(topo congest.Topology, bandwidth int, seed int64) (*Local, error) 
 	return &Local{net: net}, nil
 }
 
-// NewParallel returns a Local runner that steps every round concurrently
-// across GOMAXPROCS worker goroutines.
+// NewParallel returns a Local runner that splits every round into
+// GOMAXPROCS worker ranges, which step concurrently on a pool of goroutines
+// in every round whose previous round stepped at least about 2,000 nodes
+// and one after another on the calling goroutine in the sparser rounds.
 func NewParallel(topo congest.Topology, bandwidth int, seed int64) (*Local, error) {
 	l, err := NewLocal(topo, bandwidth, seed)
 	if err == nil {

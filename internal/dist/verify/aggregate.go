@@ -3,6 +3,7 @@ package verify
 import (
 	"qdc/internal/congest"
 	"qdc/internal/dist/engine"
+	"qdc/internal/graph"
 )
 
 // agg is the value combined up the BFS tree by the aggregation stage: one
@@ -73,15 +74,22 @@ const (
 // bits, so the whole stage fits the CONGEST budget and — crucially for the
 // degree-two check of Theorem 3.5 — finishes in O(D) rounds. A node votes
 // done only once it has answered, and it sets answer before that, so
-// runAggregate reads the root's answer from the node slab.
+// runAggregate reads the root's answer from the node slab. A node's state
+// is fixed-size but for its child flags, which runAggregate carves from one
+// slab for the stage, so the stage allocates nothing per node.
 type aggNode struct {
 	decide func(agg) bool
 
-	acc        agg
-	dist       int
-	parent     int
-	pending    map[int]struct{}
-	children   []int
+	acc    agg
+	dist   int
+	parent int
+	// pending counts the node's tokens still unanswered: every token gets
+	// exactly one kindChild reply, from the node that received it.
+	pending int
+	// isChild flags, by neighbour rank, the neighbours that answered the
+	// node's token as its children; children counts them.
+	isChild    []bool
+	children   int
 	childUps   int
 	sentUp     bool
 	answer     bool
@@ -94,26 +102,36 @@ func (a *aggNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 
 	// The root starts the BFS wave in round 1.
 	if round == 1 && ctx.ID() == 0 {
-		a.pending = make(map[int]struct{})
+		a.pending = ctx.Degree()
 		for i := range ctx.Degree() {
-			v := ctx.NeighborAt(i)
-			a.pending[v] = struct{}{}
-			out = congest.AppendWordMessage(out, v, kindToken, 1, 0, tokenBits(1))
+			out = congest.AppendWordMessage(out, ctx.NeighborAt(i), kindToken, 1, 0, tokenBits(1))
 		}
 	}
 
-	var tokenSenders []int
-	tokenDist := -1
+	// The inbox ascends by sender, as the neighbours do by rank, so one
+	// cursor over the ranks finds every child's flag.
+	adopted, rank := false, 0
 	for i := range inbox {
 		m := &inbox[i]
 		switch m.Kind {
 		case kindToken:
-			tokenSenders = append(tokenSenders, m.From)
-			tokenDist = m.Int0()
+			// First contact adopts the wave from the first token, whose
+			// sender is the smallest and becomes the parent. Every token is
+			// answered; only the parent's answer says child, and tokens
+			// that come later, from same-depth neighbours, are declined.
+			if a.dist == -1 {
+				a.dist, a.parent, adopted = m.Int0(), m.From, true
+			}
+			child := adopted && m.From == a.parent
+			out = congest.AppendWordMessage(out, m.From, kindChild, congest.WordFromBool(child), 0, childBits)
 		case kindChild:
-			delete(a.pending, m.From)
+			a.pending--
 			if m.Bool0() {
-				a.children = append(a.children, m.From)
+				for ctx.NeighborAt(rank) != m.From {
+					rank++
+				}
+				a.isChild[rank] = true
+				a.children++
 			}
 		case kindUp:
 			a.acc = combine(a.acc, decodeAgg(m.W0, m.W1))
@@ -124,43 +142,26 @@ func (a *aggNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 		}
 	}
 
-	if len(tokenSenders) > 0 {
-		if a.dist == -1 {
-			// First contact: adopt the wave, pick the smallest sender as
-			// parent, reply to every sender, and extend the wave to all
-			// remaining neighbours.
-			a.dist = tokenDist
-			a.parent = tokenSenders[0]
-			for _, s := range tokenSenders {
-				if s < a.parent {
-					a.parent = s
-				}
+	if adopted {
+		// Extend the wave to every neighbour that sent no token, walking the
+		// ascending token senders against the ascending neighbours.
+		k := 0
+		for i := range ctx.Degree() {
+			v := ctx.NeighborAt(i)
+			for k < len(inbox) && (inbox[k].Kind != kindToken || inbox[k].From < v) {
+				k++
 			}
-			sender := make(map[int]struct{}, len(tokenSenders))
-			for _, s := range tokenSenders {
-				sender[s] = struct{}{}
-				out = congest.AppendWordMessage(out, s, kindChild, congest.WordFromBool(s == a.parent), 0, childBits)
+			if k < len(inbox) && inbox[k].From == v {
+				continue
 			}
-			a.pending = make(map[int]struct{})
-			for i := range ctx.Degree() {
-				v := ctx.NeighborAt(i)
-				if _, dup := sender[v]; dup {
-					continue
-				}
-				a.pending[v] = struct{}{}
-				out = congest.AppendWordMessage(out, v, kindToken, uint64(a.dist+1), 0, tokenBits(a.dist+1))
-			}
-		} else {
-			// Late tokens from same-depth neighbours: decline.
-			for _, s := range tokenSenders {
-				out = congest.AppendWordMessage(out, s, kindChild, 0, 0, childBits)
-			}
+			a.pending++
+			out = congest.AppendWordMessage(out, v, kindToken, uint64(a.dist+1), 0, tokenBits(a.dist+1))
 		}
 	}
 
 	// Convergecast: once the child set is final and every child has
 	// reported, push the combined aggregate towards the root.
-	if !a.sentUp && a.dist != -1 && len(a.pending) == 0 && a.childUps == len(a.children) {
+	if !a.sentUp && a.dist != -1 && a.pending == 0 && a.childUps == a.children {
 		a.sentUp = true
 		if ctx.ID() == 0 {
 			a.answer = a.decide(a.acc)
@@ -174,8 +175,10 @@ func (a *aggNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 	// Broadcast: forward the verdict down the tree and terminate.
 	if a.haveAnswer && !a.answered {
 		a.answered = true
-		for _, c := range a.children {
-			out = congest.AppendWordMessage(out, c, kindDown, congest.WordFromBool(a.answer), 0, downBits)
+		for i, child := range a.isChild {
+			if child {
+				out = congest.AppendWordMessage(out, ctx.NeighborAt(i), kindDown, congest.WordFromBool(a.answer), 0, downBits)
+			}
 		}
 	}
 
@@ -188,12 +191,21 @@ func (a *aggNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 // the root's slot of the node slab. local(v) is node v's input: its
 // contribution, computed from its own problem input and the results of its
 // earlier stages. Node 0 is the BFS root. It costs O(D) rounds and
-// O(log n) bits per message.
-func runAggregate(r engine.Runner, local func(v int) agg, decide func(agg) bool) (bool, error) {
+// O(log n) bits per message, and allocates two slabs: the node programs and
+// their child flags, one per directed edge of g, the graph the runner runs
+// on.
+func runAggregate(r engine.Runner, g *graph.Graph, local func(v int) agg, decide func(agg) bool) (bool, error) {
 	nodes := make([]aggNode, r.Size())
+	flags := make([]bool, 2*g.M())
 	factory := func(ctx *congest.Context) congest.Node {
-		v := ctx.ID()
-		nodes[v] = aggNode{decide: decide, acc: local(v), dist: -1, parent: -1}
+		v, d := ctx.ID(), ctx.Degree()
+		if len(flags) < d {
+			// The runner's topology has more edges than g; the BFS runs on
+			// the runner's, so its nodes get flags of their own.
+			flags = make([]bool, d)
+		}
+		nodes[v] = aggNode{decide: decide, acc: local(v), dist: -1, parent: -1, isChild: flags[:d:d]}
+		flags = flags[d:]
 		if v == 0 {
 			nodes[v].dist = 0
 		}

@@ -7,22 +7,31 @@ import (
 	"qdc/internal/graph"
 )
 
-// TestStageAllocsIndependentOfN gates what the label and colour stages
-// allocate on a reused runner: each builds its node programs in one slab
-// with their inputs, so a stage allocates the same count of objects on a
-// 64-node cycle as on a 1,024-node one. The aggregation stage is left out:
-// aggNode builds per-node maps inside Round.
+// TestStageAllocsIndependentOfN gates what the label, colour and
+// aggregation stages allocate on a reused runner: each builds its node
+// programs in one slab with their inputs, and no node program allocates in
+// Round, so a stage allocates the same count of objects on a 64-node cycle
+// as on a 1,024-node one.
 func TestStageAllocsIndependentOfN(t *testing.T) {
 	stages := []struct {
 		name string
-		run  func(r engine.Runner, mAdj [][]int, labels []int) error
+		run  func(r engine.Runner, g *graph.Graph, mAdj [][]int, labels []int) error
 	}{
-		{"label", func(r engine.Runner, mAdj [][]int, _ []int) error {
+		{"label", func(r engine.Runner, _ *graph.Graph, mAdj [][]int, _ []int) error {
 			_, err := runLabels(r, mAdj)
 			return err
 		}},
-		{"colour", func(r engine.Runner, mAdj [][]int, labels []int) error {
+		{"colour", func(r engine.Runner, _ *graph.Graph, mAdj [][]int, labels []int) error {
 			_, err := runColors(r, mAdj, labels)
+			return err
+		}},
+		{"aggregation", func(r engine.Runner, g *graph.Graph, mAdj [][]int, labels []int) error {
+			ok, err := runAggregate(r, g,
+				localCounts(mAdj, labels, func(v int) bool { return len(mAdj[v]) == 2 }),
+				func(a agg) bool { return a.OK && a.Leaders == 1 })
+			if err == nil && !ok {
+				t.Error("the aggregation stage finds no Hamiltonian cycle in a cycle")
+			}
 			return err
 		}},
 	}
@@ -45,7 +54,7 @@ func TestStageAllocsIndependentOfN(t *testing.T) {
 				t.Fatal(err)
 			}
 			allocs = append(allocs, testing.AllocsPerRun(5, func() {
-				if err := s.run(r, mAdj, labels); err != nil {
+				if err := s.run(r, g, mAdj, labels); err != nil {
 					t.Fatal(err)
 				}
 			}))

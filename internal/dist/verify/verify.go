@@ -63,7 +63,7 @@ func run(r engine.Runner, g *graph.Graph, m *graph.EdgeSet,
 // round under the three-party accounting.
 func DegreeTwoCheck(r engine.Runner, g *graph.Graph, m *graph.EdgeSet) (*Outcome, error) {
 	return run(r, g, m, func(mAdj [][]int) (bool, error) {
-		return runAggregate(r,
+		return runAggregate(r, g,
 			func(v int) agg { return agg{OK: len(mAdj[v]) == 2} },
 			func(a agg) bool { return a.OK })
 	})
@@ -94,7 +94,7 @@ func HamiltonianCycle(r engine.Runner, g *graph.Graph, m *graph.EdgeSet) (*Outco
 		if err != nil {
 			return false, err
 		}
-		return runAggregate(r,
+		return runAggregate(r, g,
 			localCounts(mAdj, labels, func(v int) bool { return len(mAdj[v]) == 2 }),
 			func(a agg) bool { return a.OK && a.Leaders == 1 })
 	})
@@ -108,7 +108,7 @@ func SpanningConnectedSubgraph(r engine.Runner, g *graph.Graph, m *graph.EdgeSet
 		if err != nil {
 			return false, err
 		}
-		return runAggregate(r,
+		return runAggregate(r, g,
 			localCounts(mAdj, labels, func(v int) bool { return len(mAdj[v]) >= 1 }),
 			func(a agg) bool { return a.OK && a.Leaders == 1 })
 	})
@@ -122,7 +122,7 @@ func Connectivity(r engine.Runner, g *graph.Graph, m *graph.EdgeSet) (*Outcome, 
 		if err != nil {
 			return false, err
 		}
-		return runAggregate(r,
+		return runAggregate(r, g,
 			localCounts(mAdj, labels, func(v int) bool { return true }),
 			func(a agg) bool { return a.Leaders <= 1 })
 	})
@@ -137,7 +137,7 @@ func SpanningTree(r engine.Runner, g *graph.Graph, m *graph.EdgeSet) (*Outcome, 
 		if err != nil {
 			return false, err
 		}
-		return runAggregate(r,
+		return runAggregate(r, g,
 			localCounts(mAdj, labels, func(v int) bool { return len(mAdj[v]) >= 1 }),
 			func(a agg) bool { return a.OK && a.Leaders == 1 && a.Degree == 2*(n-1) })
 	})
@@ -155,7 +155,7 @@ func Bipartiteness(r engine.Runner, g *graph.Graph, m *graph.EdgeSet) (*Outcome,
 		if err != nil {
 			return false, err
 		}
-		return runAggregate(r,
+		return runAggregate(r, g,
 			func(v int) agg { return agg{OK: !conflicts[v]} },
 			func(a agg) bool { return a.OK })
 	})
@@ -169,7 +169,7 @@ func CycleContainment(r engine.Runner, g *graph.Graph, m *graph.EdgeSet) (*Outco
 		if err != nil {
 			return false, err
 		}
-		return runAggregate(r,
+		return runAggregate(r, g,
 			localCounts(mAdj, labels, func(v int) bool { return true }),
 			func(a agg) bool { return a.Degree/2 > a.Supported-a.Leaders })
 	})

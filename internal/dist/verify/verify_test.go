@@ -104,6 +104,24 @@ func TestVerifiersOnEmptySubnetwork(t *testing.T) {
 	check(t, "DegreeTwoCheck", verify.DegreeTwoCheck, g, m, false)
 }
 
+// TestDegreeCheckOnDenserRunner hands the degree-two check a runner whose
+// topology has more edges than the graph it is given. The aggregation
+// stage's BFS runs on the runner's topology, and the verdict, a function of
+// M's degrees alone, is the one the graph's own runner gives.
+func TestDegreeCheckOnDenserRunner(t *testing.T) {
+	g, err := graph.Cycle(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := verify.DegreeTwoCheck(localRunner(t, graph.Complete(6)), g, edgeSetOf(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Answer {
+		t.Fatal("DegreeTwoCheck = false on a runner over K6 for M = the 6-cycle, want true")
+	}
+}
+
 func TestNilInputsRejected(t *testing.T) {
 	g := graph.Path(3)
 	if _, err := verify.DegreeTwoCheck(nil, g, graph.NewEdgeSet()); err == nil {

@@ -140,7 +140,7 @@ func TestAggregateStageMatchesBoxed(t *testing.T) {
 	}
 	decide := func(a agg) bool { return a.OK && a.Leaders == 1 }
 	checkDigest(t, "aggregate", g,
-		func(r engine.Runner) error { _, err := runAggregate(r, local, decide); return err },
+		func(r engine.Runner) error { _, err := runAggregate(r, g, local, decide); return err },
 		func(_ int, nd congest.Node) any { return nd.(*aggNode).answer },
 		"33d39daeeb75b5887c9bb5b6bc45f41848abafb93ebc38a6040810bce68b8182")
 }

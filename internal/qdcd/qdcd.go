@@ -28,9 +28,10 @@
 // Re-running is safe because the supervisor removes any stale stream file
 // before each attempt spawns and every record is deterministic given the
 // frozen spec, so a re-run converges to the exact snapshot the interrupted
-// run would have produced. A job dir whose job.json cannot be read is
-// skipped, but its id stays taken: the id sequence resumes past every
-// job-<n> dir on disk, so a new submission never overwrites one.
+// run would have produced. A job dir whose job.json cannot be read, or
+// names an id other than the dir's own, is skipped, but its id stays
+// taken: the id sequence resumes past every job-<n> dir on disk, so a new
+// submission never overwrites one.
 //
 // # The frozen-spec rule
 //
@@ -171,10 +172,14 @@ func (s *Server) adoptStateDir() error {
 		}
 		dir := filepath.Join(jobsDir, e.Name())
 		jf, err := readJobFile(dir)
-		if err != nil {
+		if err != nil || jf.ID != e.Name() {
 			// A half-created job dir (the daemon died inside submit, an
 			// operator's stray file) carries no adoptable state; skipping it
-			// converges to the correct view of every job that does.
+			// converges to the correct view of every job that does. So does
+			// a dir restored or copied under another name: adopted under the
+			// id its file names, it would take an id the sequence has not
+			// reached, and a later submission would replace it in the table,
+			// or a second dir naming the same id would.
 			continue
 		}
 		j := newJob(jf, dir)

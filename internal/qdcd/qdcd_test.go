@@ -506,9 +506,11 @@ func TestRestartRerunsJobPastGapAndStrayStream(t *testing.T) {
 // shards than scenarios (written before Submit bounded the count), so its
 // shard count never reaches the supervisor; a torn job.json, cut off
 // mid-object, beside the complete job.json.tmp of a write that never
-// renamed it; and an empty job.json. The job is not adopted and the daemon
-// keeps serving new jobs. Its id stays taken: the next submission is job-2
-// and leaves every file of the skipped dir as it was.
+// renamed it; an empty job.json; and a job file that names job-9, as a dir
+// restored or copied under another name holds. The job is not adopted,
+// under either name, and the daemon keeps serving new jobs. Its id stays
+// taken: the next submission is job-2, the only job the daemon lists, and
+// leaves every file of the skipped dir as it was.
 func TestRestartSkipsOversizedJobFile(t *testing.T) {
 	m := testMatrix()
 	valid := jobFile{ID: "job-1", Matrix: m.Name, Shards: 2, Total: len(m.Expand())}
@@ -538,6 +540,13 @@ func TestRestartSkipsOversizedJobFile(t *testing.T) {
 		{"empty", func(t *testing.T, dir string) {
 			writeFile(t, filepath.Join(dir, "job.json"), nil)
 		}},
+		{"another id", func(t *testing.T, dir string) {
+			renamed := valid
+			renamed.ID = "job-9"
+			if err := writeJobFile(dir, renamed); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			state := t.TempDir()
@@ -563,6 +572,9 @@ func TestRestartSkipsOversizedJobFile(t *testing.T) {
 			}
 			if fin := waitTerminal(t, j); fin.State != StateDone {
 				t.Fatalf("job after the skipped one finished %s: %s", fin.State, fin.Error)
+			}
+			if jobs := s.Jobs(); len(jobs) != 1 {
+				t.Errorf("the daemon lists %d jobs, want only job-2", len(jobs))
 			}
 			if got := dirContents(t, dir); !reflect.DeepEqual(got, skipped) {
 				t.Errorf("the skipped dir changed:\nbefore %q\nafter  %q", skipped, got)

@@ -176,13 +176,15 @@ func runRoundLoopBench(b *testing.B, topo Topology, workers, rounds int, factory
 // BenchmarkRoundLoopFloodWords is the dense shape: every node broadcasts
 // to every neighbour in every round, on grids of 1024 to 100,000 nodes. The
 // CI bench-smoke job runs it with -bench RoundLoop, so its throughput and
-// allocs/round are tracked on every push.
+// allocs/round are tracked on every push. At 10,000 nodes and more every
+// round of Workers 2 and 4 runs on the pool; Workers 2 against Workers 1
+// there is the pool against one range (see sparseNodes).
 func BenchmarkRoundLoopFloodWords(b *testing.B) {
 	const rounds = 64
 	for _, n := range []int{1024, 10_000, 100_000} {
 		side := intSqrt(n)
 		topo := graph.Grid(side, side)
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("grid%d/workers=%d", side*side, workers), func(b *testing.B) {
 				runRoundLoopBench(b, topo, workers, rounds, newBenchFlood(rounds))
 			})

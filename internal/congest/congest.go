@@ -321,6 +321,10 @@ type Result struct {
 	// MaxEdgeBitsPerRound is the maximum number of bits observed on any
 	// single directed edge in any single round (always <= bandwidth).
 	MaxEdgeBitsPerRound int
+	// Steps is the number of Round calls the run made: n in round 1, then
+	// the awake nodes of every later round. A round that fails validation
+	// counts every node it stepped.
+	Steps int
 }
 
 // Options configures a run.

@@ -304,7 +304,8 @@ func fuzzRun(nw *Network, prog program, opts Options, workers int) (o runOutcome
 // referenceRun is the round loop stated as plainly as possible: a []bool
 // awake set, per-edge bit counts in a map, and delivery by walking the
 // stepped nodes in ascending ID, outbox order within a node, so each inbox
-// fills in ascending sender ID. It has no ranges, slots or queues, and it
+// fills in ascending sender ID. It counts every Round call in Steps, the
+// failing round's included. It has no ranges, slots or queues, and it
 // takes a copy of every outbox as its node returns it, so each context's
 // Outbox is room in one scratch slice that is never committed. Its
 // contexts read a minimal run state: the neighbour table, the topology and
@@ -351,6 +352,7 @@ func referenceRun(topo Topology, bandwidth int, seed int64, prog program, opts O
 			if !awake[v] {
 				continue
 			}
+			res.Steps++
 			if p, ok := stepNode(nodes[v], ctxs[v], round, inboxes[v], &outboxes[v], &done[v]); !ok {
 				o.panic = fmt.Sprintf("congest: node %d panicked in round %d: %v", v, round, p)
 				return o

@@ -56,6 +56,16 @@ import (
 // at 1,600 and 1,936 nodes, and took 16.1 ms on the pool against 20.3 ms
 // inline at 2,304 nodes and 64 ms against 101 ms at 10,000 (medians of
 // eight runs).
+//
+// 2,048 is that crossover at Workers 4, and every worker count uses it. At
+// Workers 2 the crossover is not settled. On the same kind of host, eight
+// runs of a benchmark beside BenchmarkRoundLoopFloodWords read the dense
+// pool round slower than one range even at 10,000 nodes (79.8 ms against
+// 70.6 ms; 104 ms with both ranges inline) and inline faster than the pool
+// at 2,304 nodes (15.5 against 18.2 ms), while ten interleaved runs of
+// BenchmarkRoundLoopFloodWords itself on another day read the 10,000-node
+// pool faster than one range (90.5 ms against 109.0 ms, 9 of 10). Its
+// workers=2 and workers=1 cases at 10,000 nodes make that comparison.
 const sparseNodes = 2048
 
 // inlineBelow is the step count below which a round runs inline:
@@ -290,20 +300,25 @@ func (st *runState) runRound() (quiet bool, err error) {
 	st.each(st.stepJob)
 	round := st.round
 	// Ranges ascend with the worker index, so the first worker that saw a
-	// panic holds the lowest panicking ID, whatever the scheduling.
+	// panic holds the lowest panicking ID, whatever the scheduling. Every
+	// range has stepped before any validation error returns, so the
+	// round's steps count in full.
+	stepped := 0
 	for w := range st.workers {
-		if wk := &st.workers[w]; wk.panicAt >= 0 {
+		wk := &st.workers[w]
+		if wk.panicAt >= 0 {
 			panic(panicText(wk.panicAt, round, wk.panicVal))
 		}
+		stepped += wk.stepped
 	}
 
 	res := st.res
+	res.Steps += stepped
 	var traffic RoundTraffic
-	allDone, stepped := true, 0
+	allDone := true
 	for w := range st.workers {
 		wk := &st.workers[w]
 		allDone = allDone && !wk.notAllDone
-		stepped += wk.stepped
 		res.TotalMessages += wk.traffic.Messages
 		res.TotalBits += wk.traffic.ClassicalBits + wk.traffic.QuantumBits
 		res.QuantumBits += wk.traffic.QuantumBits

@@ -235,7 +235,7 @@ func runRogue(t *testing.T, overrun, traced bool, workers int) (*Result, []rogue
 // TestErrorPathsIdenticalAcrossWorkers pins the partial result of a run
 // that fails validation to absolute numbers at every worker count: the
 // error text, the traffic accounted before the violation and the steps
-// every node took up to it.
+// every node took up to it, which Result.Steps sums.
 func TestErrorPathsIdenticalAcrossWorkers(t *testing.T) {
 	forcePool(t)
 	for _, want := range rogueRuns {
@@ -255,6 +255,12 @@ func TestErrorPathsIdenticalAcrossWorkers(t *testing.T) {
 					t.Errorf("overrun=%v Workers=%d: node %d stepped %d times before the error, want %d",
 						want.overrun, workers, v, nodes[v].steps, want.rounds)
 				}
+			}
+			// Node 7 is in the first range, so at Workers 2 and 4 the ranges
+			// after it count their round-3 steps too.
+			if steps := len(nodes) * want.rounds; res.Steps != steps {
+				t.Errorf("overrun=%v Workers=%d: Steps %d, want %d, every node's step of every round the run made",
+					want.overrun, workers, res.Steps, steps)
 			}
 		}
 	}

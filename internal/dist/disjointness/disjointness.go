@@ -137,8 +137,14 @@ func appendUnpacked(dst []int, w0, w1 uint64, length int) []int {
 // B-bit chunks, interior nodes forward the stream rightwards, the right
 // endpoint reassembles X, intersects it with Y and floods the one-bit
 // answer back; every node terminates once the answer passes through it.
-// A node sets disjoint in the round it answers, and votes done only from
-// then on, so RunOn reads node 0's verdict from the node slab.
+// A node sets disjoint in the round it answers.
+//
+// A node acts only on the messages it receives, in the step it receives
+// them, except node 0 while it streams x: node 0 votes not done until it
+// has sent its last chunk, and every other node votes done after every
+// step and sleeps between messages. A chunk or the answer is in flight
+// from round 1 until node 0 answers, so the stage ends in that round, every
+// node answered, and RunOn reads node 0's verdict from the node slab.
 type pathNode struct {
 	x, y     []int
 	sent     int
@@ -193,7 +199,8 @@ func (p *pathNode) Round(ctx *congest.Context, round int, inbox []congest.Messag
 		out = congest.AppendWordMessage(out, id-1, kindAnswer, congest.WordFromBool(disjoint), 0, congest.BitsForBool)
 	}
 
-	return out, p.answered
+	// Only node 0 holds x; for every other node both sides are zero.
+	return out, p.sent == len(p.x)
 }
 
 // RunClassical executes the pipelined protocol on a fresh path of the given

@@ -210,8 +210,14 @@ type fragMsg struct{ Label, Dist int }
 // tree distance to that leader, as kindFrag word messages. Chosen edges
 // always form a forest, so the distance converges to the unique tree
 // distance within n rounds. runFragments reads label and dist from the
-// node slab: a node votes done only in round n+1, once nothing can change
-// them.
+// node slab.
+//
+// The pair changes only when a better one arrives, and the node broadcasts
+// it in that same step, so a step with an empty inbox would send nothing.
+// Every node but node 0 therefore votes done after each step and sleeps
+// until a message wakes it. Node 0 keeps the stage's clock: it votes not
+// done through round n, so the stage lasts n+1 rounds however early the
+// pairs settle, as the label stage of package verify does.
 type fragNode struct {
 	treeNbrs []int
 	label    int
@@ -233,12 +239,13 @@ func (f *fragNode) Round(ctx *congest.Context, round int, inbox []congest.Messag
 	if round > n {
 		return nil, true
 	}
+	done := ctx.ID() != 0
 	if cur := (fragMsg{Label: f.label, Dist: f.dist}); cur != f.sent {
 		f.sent = cur
 		bits := tagBits + congest.BitsForID(n) + congest.BitsForInt(f.dist)
-		return congest.BroadcastWordsInto(ctx.Outbox(), f.treeNbrs, kindFrag, uint64(cur.Label), uint64(cur.Dist), bits), false
+		return congest.BroadcastWordsInto(ctx.Outbox(), f.treeNbrs, kindFrag, uint64(cur.Label), uint64(cur.Dist), bits), done
 	}
-	return nil, false
+	return nil, done
 }
 
 // runFragments executes the fragment-labelling stage and returns every
@@ -313,9 +320,14 @@ func better(a, b candMsg) bool {
 // the fragment-tree orientation (the parent is the unique tree neighbour
 // closer to the leader) together with the best local outgoing edge, and an
 // event-driven convergecast then delivers the fragment-wide minimum to the
-// leader, whose best is its announcement. A node votes done only once it
-// has finished, after its last candidate arrived, so runMOE reads each
-// leader's best from the node slab.
+// leader, whose best is its announcement.
+//
+// A node votes not done in round 1, so every node steps in round 2 to
+// orient itself. From then on it acts only on the candidates that arrive,
+// in the step they arrive, so it votes done after every step and sleeps
+// between messages. A candidate stays in flight until every node has
+// finished, so the stage ends in the round the last leader takes its last
+// candidate, and runMOE reads each leader's best from the node slab.
 type moeNode struct {
 	st   fragState
 	keys keyFunc
@@ -387,7 +399,7 @@ func (m *moeNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 			out = congest.AppendWordMessage(out, m.parent, kind, w0, w1, m.candBits(n, m.best))
 		}
 	}
-	return out, m.finished
+	return out, m.oriented
 }
 
 func isTreeNbr(nbrs []int, v int) bool {

@@ -72,11 +72,20 @@ const (
 // bottom-up along the tree, the root evaluates the decision predicate, and
 // the one-bit verdict is broadcast back down. Every message is O(log n)
 // bits, so the whole stage fits the CONGEST budget and — crucially for the
-// degree-two check of Theorem 3.5 — finishes in O(D) rounds. A node votes
-// done only once it has answered, and it sets answer before that, so
-// runAggregate reads the root's answer from the node slab. A node's state
-// is fixed-size but for its child flags, which runAggregate carves from one
-// slab for the stage, so the stage allocates nothing per node.
+// degree-two check of Theorem 3.5 — finishes in O(D) rounds. A node's
+// state is fixed-size but for its child flags, which runAggregate carves
+// from one slab for the stage, so the stage allocates nothing per node.
+//
+// Apart from the root's tokens in round 1, a node acts only on what its
+// inbox brings, and it acts in the step that brings it, so a step with an
+// empty inbox would send nothing. A node therefore votes done once the
+// wave has reached it and sleeps between messages. Some message stays in
+// flight until the verdict reaches the last leaf, so the stage ends in the
+// round the last leaf learns it, every node answered, and runAggregate
+// reads the root's answer from the node slab. A node the wave has not
+// reached stays awake, so a runner whose topology node 0 does not span
+// runs into the round limit instead of ending with a verdict over part of
+// the network.
 type aggNode struct {
 	decide func(agg) bool
 
@@ -182,7 +191,7 @@ func (a *aggNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 		}
 	}
 
-	return out, a.answered
+	return out, a.dist != -1
 }
 
 // runAggregate executes one aggregation stage on the runner: every node

@@ -35,8 +35,14 @@ const (
 // M-diameter is at most n−1, so n propagation rounds always suffice). The
 // component leaders — nodes whose label equals their own ID — then identify
 // the components for the aggregation stage. runLabels reads label from the
-// node slab: a node votes done only in round n+1, once nothing can change
-// it.
+// node slab.
+//
+// A label changes only when a smaller one arrives, and the node broadcasts
+// it in that same step, so a step with an empty inbox would send nothing.
+// Every node but node 0 therefore votes done after each step and sleeps
+// until a message wakes it. Node 0 keeps the stage's clock: it votes not
+// done through round n, so the stage lasts n+1 rounds however early the
+// labels settle (every node knows n and the round number, Section 2.1).
 type labelNode struct {
 	mNbrs    []int
 	label    int
@@ -55,12 +61,13 @@ func (l *labelNode) Round(ctx *congest.Context, round int, inbox []congest.Messa
 	if round > n {
 		return nil, true
 	}
+	done := ctx.ID() != 0
 	if l.label != l.lastSent {
 		l.lastSent = l.label
 		bits := tagBits + congest.BitsForID(n)
-		return congest.BroadcastWordsInto(ctx.Outbox(), l.mNbrs, kindLabel, uint64(l.label), 0, bits), false
+		return congest.BroadcastWordsInto(ctx.Outbox(), l.mNbrs, kindLabel, uint64(l.label), 0, bits), done
 	}
-	return nil, false
+	return nil, done
 }
 
 // runLabels executes the component-labelling stage and returns the label of
@@ -90,6 +97,11 @@ func runLabels(r engine.Runner, mAdj [][]int) ([]int, error) {
 // word-encoded (kindDist, kindColor). runColors reads conflict from the
 // node slab: a node votes done only in round n+2, after the colour
 // exchange of round n+1 has reached it.
+//
+// Unlike the label stage, every node stays awake through round n+1 and not
+// node 0 alone: in round n+1 every node sends its colour whether or not a
+// message reached it, and a node asleep then would miss its exchange, since
+// nothing would wake it.
 type colorNode struct {
 	mNbrs    []int
 	dist     int

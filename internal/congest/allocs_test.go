@@ -14,7 +14,7 @@ func measureRunAllocs(t *testing.T, topo Topology, workers, rounds int) float64 
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := newBenchFlood(rounds)
+	factory := newBenchFlood(topo, rounds)
 	opts := Options{MaxRounds: rounds + 2, Workers: workers}
 	return testing.AllocsPerRun(5, func() {
 		if _, err := nw.Run(factory, opts); err != nil {
@@ -100,4 +100,55 @@ var steadyStateCases = []struct {
 	{"workers=1", 1, sparseNodes},
 	{"workers=4", 4, sparseNodes},
 	{"workers=4-pool", 4, 0},
+}
+
+// TestRecvArenaFollowsTraffic holds each worker's receive arena to its
+// range's traffic rather than its node count: after a BFS wave over the
+// 320x320 grid, whose rounds deliver at most about 1,300 of the run's
+// 408,320 messages, every worker's arena holds at most twice the most
+// messages one round delivered into its range, at Workers 1 and 4. The
+// first run partitions the network; the second, with the same traffic,
+// counts each round's deliveries per range through the trace.
+func TestRecvArenaFollowsTraffic(t *testing.T) {
+	topo := graph.Grid(320, 320)
+	factory := newBenchWave(topo)
+	for _, workers := range []int{1, 4} {
+		nw, err := NewNetwork(topo, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Workers: workers}
+		if _, err := nw.Run(factory, opts); err != nil {
+			t.Fatal(err)
+		}
+		st := nw.parked.Load()
+		count, most := make([]int, workers), make([]int, workers)
+		fold := func() {
+			for w := range count {
+				most[w], count[w] = max(most[w], count[w]), 0
+			}
+		}
+		round := 0
+		opts.Trace = func(r int, msg Message) {
+			if r != round {
+				fold()
+				round = r
+			}
+			count[st.owner(msg.To)]++
+		}
+		if _, err := nw.Run(factory, opts); err != nil {
+			t.Fatal(err)
+		}
+		fold()
+		if nw.parked.Load() != st {
+			t.Fatal("the second run did not reuse the first run's state")
+		}
+		for w := range st.workers {
+			room := cap(st.workers[w].recv)
+			t.Logf("workers=%d, range %d: arena room %d messages, most delivered in a round %d", workers, w, room, most[w])
+			if room > 2*most[w] {
+				t.Errorf("workers=%d, range %d: arena holds room for %d messages, want at most 2 x %d", workers, w, room, most[w])
+			}
+		}
+	}
 }

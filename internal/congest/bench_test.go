@@ -2,6 +2,7 @@ package congest
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -18,9 +19,25 @@ import (
 // flood-grid workload (perfbench/README.md) measures the wall time,
 // throughput and heap of its n=102400 cell.
 
+// Every factory below carves its node programs, and their prebuilt
+// outboxes, from slabs allocated once when the factory is made, and
+// rebuilds node v there in place on every run, as the internal/dist
+// drivers do. A run's factory calls therefore allocate nothing, and a
+// benchmark's allocs/round and B/op count the simulator alone.
+
+// outboxSlab returns one message slab with room for a degree-sized outbox
+// per node of topo: node v's is msgs[off[v]:off[v+1]].
+func outboxSlab(topo Topology) (msgs []Message, off []int) {
+	off = make([]int, topo.N()+1)
+	for v := range topo.N() {
+		off[v+1] = off[v] + topo.Degree(v)
+	}
+	return make([]Message, off[topo.N()]), off
+}
+
 // benchFloodNode broadcasts a fixed message to every neighbour each round
 // for a set number of rounds, then goes quiet. Its factory builds the
-// outbox once and the node reuses it, so a steady-state round allocates
+// outbox and the node reuses it, so a steady-state round allocates
 // nothing in the node program — every measured allocation belongs to the
 // simulator.
 type benchFloodNode struct {
@@ -28,11 +45,15 @@ type benchFloodNode struct {
 	outbox []Message
 }
 
-// newBenchFlood is the factory of a benchFloodNode run of the given length.
-func newBenchFlood(rounds int) NodeFactory {
-	return func(ctx *Context) Node {
-		return &benchFloodNode{rounds: rounds, outbox: BroadcastAllWordsInto(make([]Message, 0, ctx.Degree()), ctx, 1, 1, 0, 8)}
-	}
+// newBenchFlood is the factory of a benchFloodNode run of the given length
+// on topo.
+func newBenchFlood(topo Topology, rounds int) NodeFactory {
+	msgs, off := outboxSlab(topo)
+	_, factory := slab(topo.N(), func(ctx *Context) benchFloodNode {
+		v := ctx.ID()
+		return benchFloodNode{rounds: rounds, outbox: BroadcastAllWordsInto(msgs[off[v]:off[v]:off[v+1]], ctx, 1, 1, 0, 8)}
+	})
+	return factory
 }
 
 func (f *benchFloodNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
@@ -66,15 +87,19 @@ func pingPongPartner(ctx *Context) int {
 }
 
 // newBenchPingPong is the factory of a benchPingPongNode run of the given
-// length, which builds each node's one-message outbox.
-func newBenchPingPong(rounds int) NodeFactory {
-	return func(ctx *Context) Node {
-		p := &benchPingPongNode{rounds: rounds}
+// length on n nodes, which builds each node's one-message outbox.
+func newBenchPingPong(n, rounds int) NodeFactory {
+	msgs := make([]Message, n)
+	_, factory := slab(n, func(ctx *Context) benchPingPongNode {
+		p := benchPingPongNode{rounds: rounds}
 		if partner := pingPongPartner(ctx); partner >= 0 {
-			p.outbox = []Message{NewWordMessage(partner, 1, 1, 0, 8)}
+			v := ctx.ID()
+			msgs[v] = NewWordMessage(partner, 1, 1, 0, 8)
+			p.outbox = msgs[v : v+1 : v+1]
 		}
 		return p
-	}
+	})
+	return factory
 }
 
 func (p *benchPingPongNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
@@ -109,10 +134,15 @@ type benchWaveNode struct {
 	outbox  []Message
 }
 
-// newBenchWave is the factory of a benchWaveNode run from node 0, which
-// builds each node's outbox.
-func newBenchWave(ctx *Context) Node {
-	return &benchWaveNode{reached: ctx.ID() == 0, outbox: BroadcastAllWordsInto(make([]Message, 0, ctx.Degree()), ctx, 1, 0, 0, 8)}
+// newBenchWave is the factory of a benchWaveNode run from node 0 on topo,
+// which builds each node's outbox.
+func newBenchWave(topo Topology) NodeFactory {
+	msgs, off := outboxSlab(topo)
+	_, factory := slab(topo.N(), func(ctx *Context) benchWaveNode {
+		v := ctx.ID()
+		return benchWaveNode{reached: v == 0, outbox: BroadcastAllWordsInto(msgs[off[v]:off[v]:off[v+1]], ctx, 1, 0, 0, 8)}
+	})
+	return factory
 }
 
 func (f *benchWaveNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
@@ -142,7 +172,7 @@ func (f *benchWaveOutboxNode) Round(ctx *Context, round int, inbox []Message) ([
 // runRoundLoopBench executes the workload b.N times and reports
 // node-rounds/sec and allocs/round (mallocs measured around the runs, so
 // node-program and simulator allocations both count — the node programs
-// above are allocation-free by construction).
+// above and their factories are allocation-free by construction).
 func runRoundLoopBench(b *testing.B, topo Topology, workers, rounds int, factory NodeFactory) {
 	b.Helper()
 	nw, err := NewNetwork(topo, 64)
@@ -186,7 +216,7 @@ func BenchmarkRoundLoopFloodWords(b *testing.B) {
 		topo := graph.Grid(side, side)
 		for _, workers := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("grid%d/workers=%d", side*side, workers), func(b *testing.B) {
-				runRoundLoopBench(b, topo, workers, rounds, newBenchFlood(rounds))
+				runRoundLoopBench(b, topo, workers, rounds, newBenchFlood(topo, rounds))
 			})
 		}
 	}
@@ -202,12 +232,13 @@ func BenchmarkRoundLoopWave(b *testing.B) {
 	topo := graph.Grid(side, side)
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("grid%d/workers=%d", side*side, workers), func(b *testing.B) {
-			runRoundLoopBench(b, topo, workers, 2*side, newBenchWave)
+			runRoundLoopBench(b, topo, workers, 2*side, newBenchWave(topo))
 		})
 		b.Run(fmt.Sprintf("grid%d/outbox/workers=%d", side*side, workers), func(b *testing.B) {
-			runRoundLoopBench(b, topo, workers, 2*side, func(ctx *Context) Node {
-				return &benchWaveOutboxNode{reached: ctx.ID() == 0}
+			_, factory := slab(topo.N(), func(ctx *Context) benchWaveOutboxNode {
+				return benchWaveOutboxNode{reached: ctx.ID() == 0}
 			})
+			runRoundLoopBench(b, topo, workers, 2*side, factory)
 		})
 	}
 }
@@ -220,13 +251,40 @@ func BenchmarkRoundLoopPingPong(b *testing.B) {
 	topo := graph.Path(1024)
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("path1024/workers=%d", workers), func(b *testing.B) {
-			runRoundLoopBench(b, topo, workers, rounds, newBenchPingPong(rounds))
+			runRoundLoopBench(b, topo, workers, rounds, newBenchPingPong(topo.N(), rounds))
 		})
 		b.Run(fmt.Sprintf("path1024/outbox/workers=%d", workers), func(b *testing.B) {
-			runRoundLoopBench(b, topo, workers, rounds, func(ctx *Context) Node {
-				return &benchPingPongOutboxNode{rounds: rounds, partner: pingPongPartner(ctx)}
+			_, factory := slab(topo.N(), func(ctx *Context) benchPingPongOutboxNode {
+				return benchPingPongOutboxNode{rounds: rounds, partner: pingPongPartner(ctx)}
 			})
+			runRoundLoopBench(b, topo, workers, rounds, factory)
 		})
+	}
+}
+
+// BenchmarkRoundLoopCrossover measures the crossover behind sparseNodes:
+// BenchmarkRoundLoopFloodWords's dense flood, every node stepping in every
+// round, for 64 rounds on square grids around 2,048 nodes and at 10,000,
+// at Workers 2 and 4, with every round inline on the calling goroutine and
+// with every round on the worker pool, forced through inlineBelow. Where
+// the pool's ns/op falls below the inline one is the step count from which
+// a round earns its dispatch.
+func BenchmarkRoundLoopCrossover(b *testing.B) {
+	const rounds = 64
+	for _, n := range []int{1024, 1600, 1936, 2304, 10_000} {
+		side := intSqrt(n)
+		topo := graph.Grid(side, side)
+		for _, workers := range []int{2, 4} {
+			for _, where := range []struct {
+				name  string
+				below int
+			}{{"inline", math.MaxInt}, {"pool", 0}} {
+				b.Run(fmt.Sprintf("grid%d/workers=%d/%s", side*side, workers, where.name), func(b *testing.B) {
+					setInlineBelow(b, where.below)
+					runRoundLoopBench(b, topo, workers, rounds, newBenchFlood(topo, rounds))
+				})
+			}
+		}
 	}
 }
 
@@ -247,7 +305,7 @@ func BenchmarkRoundLoopScaleMatrix(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			runRoundLoopBench(b, tc.topo, 1, rounds, newBenchFlood(rounds))
+			runRoundLoopBench(b, tc.topo, 1, rounds, newBenchFlood(tc.topo, rounds))
 		})
 	}
 }

@@ -17,17 +17,18 @@
 // same accounting (see DESIGN.md, substitution table).
 //
 // The simulator is engineered for scale: the round loop is steady-state
-// allocation-free (CSR edge index, one reused inbox per node grown in
-// per-worker chunks, one send log per worker into which nodes write their
-// messages through Context.Outbox, and one round body partitioned by
-// node-ID range, whose ranges exchange messages through per-pair queues of
-// log indexes, on Options.Workers goroutines or on the caller's alone),
+// allocation-free (CSR edge index, one send log per worker into which
+// nodes write their messages through Context.Outbox, one receive arena per
+// worker that holds only the round's deliveries, each node's inbox a
+// pointer-free window into it, and one round body partitioned by node-ID
+// range, whose ranges exchange messages through per-pair queues of log
+// indexes, on Options.Workers goroutines or on the caller's alone),
 // a network keeps its last run's working state for the next run instead of
 // rebuilding it, a round steps only the awake nodes (a node that
 // reports done votes to halt and sleeps until a message wakes it, so a
 // round's cost follows its traffic), a message is one 48-byte value with
 // no pointer in it, its content in a Kind tag and two inline words (see
-// payload.go), so the collector never scans an inbox or a send log, and
+// payload.go), so the collector never scans an arena or a send log, and
 // every topology is read by rank through Topology.Neighbor into one flat
 // int32 neighbour table, with no per-node copy, sort or weight lookup; an
 // edge weight is read back through the topology when a node asks for it. A
@@ -108,8 +109,10 @@ type Node interface {
 	// changing nothing it later acts on, runs as if called every round.
 	//
 	// The inbox slice is valid only during the call: the simulator delivers
-	// the round's messages into the same buffer once the node returns. A
-	// program must copy what it keeps and must not retain the inbox. The
+	// the round's messages into the same receive arena once every node of
+	// the worker's range has returned. A program must copy what it keeps
+	// and must not retain the inbox; appending to it reallocates, so it
+	// never writes into another node's messages. The
 	// outbox is taken when Round returns: the simulator copies its messages
 	// into its send log before it delivers anything, or keeps them in place
 	// when the node built them in ctx.Outbox(). So a program may return the
@@ -249,8 +252,8 @@ type Topology interface {
 // A Network may be reused for any number of runs, concurrent ones
 // included. It keeps the working state of its last finished run (the flat
 // neighbour table with its edge index, the 32-byte contexts that read it,
-// the inboxes and the vertex-range partition with its send
-// logs), and the next Run resets that state in O(n) instead of rebuilding
+// the inbox windows and the vertex-range partition with its send logs and
+// receive arenas), and the next Run resets that state in O(n) instead of rebuilding
 // it from the topology, so a multi-stage algorithm pays for the topology
 // once. The topology must therefore not change while the network is in
 // use. A network holds no per-node inputs: each run's factory hands every
@@ -383,12 +386,13 @@ type Options struct {
 //
 // The round loop is steady-state allocation-free: the working state below
 // (contexts, the flat neighbour table with its CSR edge index,
-// flat bandwidth tables, one inbox per node, one send log per worker) is
-// built once per network, kept between runs, and reset in O(n) at the
-// start of each run, and each round only resets lengths and counters. A
-// node's inbox slice is therefore valid only for the duration of the Round
-// call that receives it: the round's messages are delivered into the same
-// buffer once the node returns. The contexts handed to the factory are
+// flat bandwidth tables, one inbox window per node, one send log and one
+// receive arena per worker) is built once per network, kept between runs,
+// and reset in O(n) at the start of each run, and each round only resets
+// lengths and counters. A node's inbox slice is therefore valid only for
+// the duration of the Round call that receives it: the round's messages
+// are delivered into the same arena once its worker's range has stepped.
+// The contexts handed to the factory are
 // likewise valid only until Run returns. The state of a run that a panic
 // unwinds through is dropped, and the next run builds a fresh one. See
 // DESIGN.md, "The congest hot path".
@@ -414,7 +418,7 @@ func (nw *Network) Run(factory NodeFactory, opts Options) (*Result, error) {
 // programs (and with them every input their factory handed them), every
 // context's random source, its options and its Result, so an idle network
 // keeps no stage's node state, inputs or callbacks reachable. The send logs
-// and inboxes keep their messages: a Message holds no pointer.
+// and receive arenas keep their messages: a Message holds no pointer.
 func (nw *Network) park(st *runState) {
 	clear(st.nodes)
 	for v := range st.ctxs {
@@ -444,11 +448,12 @@ type runState struct {
 	// and is already awake for the next.
 	done []bool
 
-	// inboxes[v] holds the messages delivered to v for its next step. A
-	// step consumes and length-resets the inbox before anything is
-	// delivered into it this round, so one buffer per node serves every
-	// round. An inbox grows into a region of its owner worker's chunk.
-	inboxes [][]Message
+	// wins[v] is v's inbox: the messages delivered to v for its next step,
+	// a window of its owner worker's receive arena. A step reads the window
+	// and zeroes it before the worker counts anything into it this round.
+	// The table holds no pointer, so the collector never scans it and a
+	// delivery writes no pointer.
+	wins []window
 
 	// The CSR edge index. Directed edge (v -> u) has slot
 	// offsets[v] + rank of u in v's sorted neighbour list; node v owns
@@ -532,7 +537,7 @@ func newRunState(nw *Network) (*runState, error) {
 	st.edgeBits = make([]int32, len(nbrs))
 
 	st.nodes = make([]Node, n)
-	st.inboxes = make([][]Message, n)
+	st.wins = make([]window, n)
 	st.done = make([]bool, n)
 	st.stepJob = st.stepWorker
 	st.deliverJob = st.deliverWorker
@@ -541,7 +546,8 @@ func newRunState(nw *Network) (*runState, error) {
 
 // start resets what the previous run on this state left behind and builds
 // the run's nodes, one factory call per node in ID order: the seed, every
-// inbox (a round-limit, cancel or error exit leaves messages in them), the
+// inbox window (a round-limit or cancel exit leaves deliveries in them,
+// and an error round counted windows it never placed), the
 // awake words, and a fresh Result, since callers keep results across runs;
 // a Result holds no per-node field, so it costs the same whatever n. The
 // contexts need nothing: park dropped their random sources, and they read
@@ -564,9 +570,7 @@ func (st *runState) start(factory NodeFactory, opts Options) error {
 	st.opts = opts
 	st.seed = st.nw.seed
 	st.res = &Result{}
-	for v := range st.inboxes {
-		st.inboxes[v] = st.inboxes[v][:0]
-	}
+	clear(st.wins)
 	for v := range st.nodes {
 		st.nodes[v] = factory(&st.ctxs[v])
 		if st.nodes[v] == nil {
@@ -686,21 +690,26 @@ func (st *runState) stepAwake(w int) (v int, p any) {
 // reports not done. It stops at the first node that panics and returns
 // that node's ID and panic value; v is -1 when no node panicked.
 //
-// Each consumed inbox is length-reset as soon as its node returns, and
-// the round's delivery appends into it after that, so every delivery finds
-// its inbox empty without a pass of its own over the nodes: a node that
-// does not step had nothing delivered, or it would be awake. The outbox is
-// committed before that reset, so an outbox that is the inbox is copied
-// before anything is delivered into it.
+// A node's inbox is its window of wk's receive arena, with its capacity cut
+// to its length, so a program that appends to it reallocates instead of
+// writing into the next window. The window is zeroed as soon as its node
+// returns, and the round's counting starts from it after that, so every
+// window is empty when counting starts without a pass of its own over the
+// nodes: a node that does not step had nothing delivered, or it would be
+// awake. The arena is rewritten only in the delivery phase, after the
+// whole range has stepped, so an outbox that is the inbox is committed
+// from the arena intact.
 func (st *runState) stepRange(wk *rangeWorker, lo, hi int) (notDone uint64, v int, p any) {
 	defer func() { p = recover() }()
 	for v = lo; v < hi; v++ {
-		out, done := st.nodes[v].Round(&st.ctxs[v], st.round, st.inboxes[v])
+		win := st.wins[v]
+		end := win.lo + win.n
+		out, done := st.nodes[v].Round(&st.ctxs[v], st.round, wk.recv[win.lo:end:end])
+		st.wins[v] = window{}
 		if len(out) > 0 {
 			wk.commit(v, out)
 		}
 		st.done[v] = done
-		st.inboxes[v] = st.inboxes[v][:0]
 		if !done {
 			notDone |= 1 << (v - lo)
 		}
@@ -716,6 +725,10 @@ func nextRun(word uint64) (first, end int) {
 	first = bits.TrailingZeros64(word)
 	return first, first + bits.TrailingZeros64(^(word >> first))
 }
+
+// window is a node's inbox, the n messages at recv[lo:lo+n] of its owner
+// worker's receive arena: two int32s and no pointer.
+type window struct{ lo, n int32 }
 
 // clearSlots zeroes the listed edge slots and returns the emptied list, so
 // a reset costs the round's traffic rather than the graph's size.

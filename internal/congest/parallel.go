@@ -17,16 +17,19 @@ import (
 // always runs inline. The phase closures are built once, so the steady
 // state allocates nothing:
 //
-//  1. step: every worker steps its range's awake nodes, which write their
+//  1. step: every worker steps its range's awake nodes, each reading its
+//     inbox from its window of the worker's receive arena and writing its
 //     messages into the worker's send log, then validates and accounts the
 //     log against its senders' private slots of the CSR edge index. The
-//     first range delivers each message to its own range at once; every
-//     other accepted message is queued, as its index in the log, for the
-//     worker that owns the receiver. A stepped node that is not done stays
-//     awake for the next round.
-//  2. deliver: every worker drains the queues addressed to it in worker
-//     order into its receivers' inboxes, wakes the receivers that are done,
-//     and zeroes the edge slots it charged in phase 1.
+//     first range counts each message to its own range against the
+//     receiver's window at once; every other accepted message is queued,
+//     as its index in the log, for the worker that owns the receiver. A
+//     stepped node that is not done stays awake for the next round.
+//  2. deliver: every worker counts the queues addressed to it, lays its
+//     round's receivers out in its receive arena, copies the first range's
+//     own messages and then the queues, in worker order, into place, wakes
+//     the receivers that are done, and zeroes the edge slots it charged in
+//     phase 1.
 //
 // Each worker keeps the awake set of its own range in private words, so no
 // word is written by two workers. A round therefore costs
@@ -34,38 +37,33 @@ import (
 // is the same for every worker count, argued in DESIGN.md ("The congest hot
 // path"): a node's Round touches only its own state, its context, its
 // inbox and the free tail of its own worker's send log, accounting folds
-// per-worker sums
-// and maxes in worker order, and ranges ascend with
-// the worker index, so the first range's direct deliveries followed by the
-// queues drained in worker order append each receiver's messages in
-// ascending sender ID, outbox order within a sender. A validation error
-// folds the ranges before the failing one and the failing range's messages
-// before its error, which is the same partial result for every worker
-// count. Where a round runs cannot change it either: an inline round runs
-// the same worker bodies over the same ranges in worker order, which is
-// one of the schedules the pool may take, and the fold, the trace, the
-// cancel poll and the panic re-raise run on the calling goroutine in both.
+// per-worker sums and maxes in worker order, and ranges ascend with the
+// worker index, so placing the first range's direct messages and then the
+// queues in worker order fills each receiver's window in ascending sender
+// ID, outbox order within a sender. A validation error folds the ranges
+// before the failing one and the failing range's messages before its
+// error, which is the same partial result for every worker count. Where a
+// round runs cannot change it either: an inline round runs the same worker
+// bodies over the same ranges in worker order, which is one of the
+// schedules the pool may take, and the fold, the trace, the cancel poll and
+// the panic re-raise run on the calling goroutine in both.
 
 // sparseNodes is the crossover of the per-round choice: a round at
 // Workers > 1 whose previous round stepped fewer nodes runs inline. A pool
 // dispatch and its barrier cost about 11 µs a phase on a 2-vCPU host (Go
 // 1.24.0, GOMAXPROCS 2), which a round that steps a few hundred nodes does
-// not earn back. There, 64 rounds of BenchmarkRoundLoopFloodWords's dense
-// flood at Workers 4, every node stepping every round, took 7.3 ms inline
-// against 9.4 ms on the pool at 1,024 nodes, broke even within the spread
-// at 1,600 and 1,936 nodes, and took 16.1 ms on the pool against 20.3 ms
-// inline at 2,304 nodes and 64 ms against 101 ms at 10,000 (medians of
-// eight runs).
+// not earn back. BenchmarkRoundLoopCrossover measures it: 64 rounds of
+// BenchmarkRoundLoopFloodWords's dense flood, every node stepping every
+// round, with every round inline and with every round on the pool. On that
+// host at Workers 4 inline won at 1,024, 1,600 and 1,936 nodes (6.6
+// against 7.2, 9.3 against 9.6 and 11.1 against 11.5 ms) and the pool at
+// 2,304 nodes (14.4 against 15.1 ms) and at 10,000 (43 against 84 ms),
+// medians of eight runs.
 //
 // 2,048 is that crossover at Workers 4, and every worker count uses it. At
-// Workers 2 the crossover is not settled. On the same kind of host, eight
-// runs of a benchmark beside BenchmarkRoundLoopFloodWords read the dense
-// pool round slower than one range even at 10,000 nodes (79.8 ms against
-// 70.6 ms; 104 ms with both ranges inline) and inline faster than the pool
-// at 2,304 nodes (15.5 against 18.2 ms), while ten interleaved runs of
-// BenchmarkRoundLoopFloodWords itself on another day read the 10,000-node
-// pool faster than one range (90.5 ms against 109.0 ms, 9 of 10). Its
-// workers=2 and workers=1 cases at 10,000 nodes make that comparison.
+// Workers 2 the same runs' medians change sides within the spread between
+// 1,024 and 2,304 nodes, and the pool wins at 10,000 (55 against 72 ms,
+// all eight runs).
 const sparseNodes = 2048
 
 // inlineBelow is the step count below which a round runs inline:
@@ -90,10 +88,15 @@ type rangeWorker struct {
 	queues [][]int32
 	// touched lists the edge slots charged this round.
 	touched []int32
-	// chunk is the unused rest of the range's current inbox chunk, and
-	// chunkLen the length of a new one: the range's node count.
-	chunk    []Message
-	chunkLen int
+	// recv is the range's receive arena: the deliveries of the round just
+	// validated, each receiver's messages one run at its window, in sender
+	// order. Only this worker writes it, and only in the delivery phase,
+	// once its whole range has stepped and read its windows; it grows by
+	// doubling to the most messages one round delivered into the range.
+	recv []Message
+	// rcvd lists the round's receivers in the range, each the first time a
+	// message to it is counted, so the arena is laid out over them alone.
+	rcvd []int32
 	// awake and wake are the range's vote-to-halt words, indexed from the
 	// range's first node lo: bit i%64 of awake[i/64] is set when node lo+i
 	// steps this round, and wake collects the nodes that step next round.
@@ -115,10 +118,12 @@ type rangeWorker struct {
 	_           [64]byte
 }
 
-// reset starts the worker's round: the send log and the queues empty, the
-// nodes woken last round become the awake set, and the old awake words
-// are cleared to collect the next one. touched is already empty, since
-// deliver or the error return zeroes the slots it lists.
+// reset starts the worker's round: the send log, the queues and the
+// receiver list empty, the nodes woken last round become the awake set,
+// and the old awake words are cleared to collect the next one. touched is
+// already empty, since delivery or the error return zeroes the slots it
+// lists. The arena keeps the last round's deliveries, which the range's
+// steps read.
 func (wk *rangeWorker) reset() {
 	for o := range wk.queues {
 		wk.queues[o] = wk.queues[o][:0]
@@ -126,7 +131,7 @@ func (wk *rangeWorker) reset() {
 	awake, wake := wk.wake, wk.awake
 	clear(wake)
 	*wk = rangeWorker{sent: wk.sent[:0], queues: wk.queues, touched: wk.touched,
-		chunk: wk.chunk, chunkLen: wk.chunkLen, awake: awake, wake: wake, panicAt: -1}
+		recv: wk.recv, rcvd: wk.rcvd[:0], awake: awake, wake: wake, panicAt: -1}
 }
 
 // commit appends node v's outbox to the send log. An outbox built in the
@@ -147,24 +152,42 @@ func (wk *rangeWorker) commit(v int, out []Message) {
 	}
 }
 
-// deliver appends msg to its receiver's inbox. A full inbox moves to a
-// region of twice its room carved from the worker's chunk, with a full
-// slice expression so that no later append spills into the next region;
-// only the receiver's owner delivers to it, so no two workers write one
-// chunk. A new chunk holds chunkLen messages, or the region if larger.
-func (wk *rangeWorker) deliver(inboxes [][]Message, msg *Message) {
-	in := inboxes[msg.To]
-	if len(in) == cap(in) {
-		size := max(2*cap(in), 1)
-		if len(wk.chunk) < size {
-			wk.chunk = make([]Message, max(wk.chunkLen, size))
-		}
-		grown := wk.chunk[:len(in):size]
-		wk.chunk = wk.chunk[size:]
-		copy(grown, in)
-		in = grown
+// count adds a message to receiver to's window, and lists the receiver
+// the first time one is counted this round. Only to's owner counts to it.
+func (wk *rangeWorker) count(wins []window, to int) {
+	win := &wins[to]
+	if win.n == 0 {
+		wk.rcvd = append(wk.rcvd, int32(to))
 	}
-	inboxes[msg.To] = append(in, *msg)
+	win.n++
+}
+
+// layout gives each receiver listed this round its run of the arena, in
+// list order and sized by its count, and leaves the window's n at zero for
+// place to count up again. It wakes the receivers that are done; lo is the
+// range's first node. The arena grows only when the round delivers more
+// than it holds, to at least twice its old room, and is never copied:
+// every message in it has been read.
+func (wk *rangeWorker) layout(wins []window, done []bool, lo int) {
+	total := int32(0)
+	for _, v := range wk.rcvd {
+		win := &wins[v]
+		win.lo, total, win.n = total, total+win.n, 0
+		if done[v] {
+			wk.wakeAt(int(v) - lo)
+		}
+	}
+	if int(total) > cap(wk.recv) {
+		wk.recv = make([]Message, total, max(int(total), 2*cap(wk.recv)))
+	}
+	wk.recv = wk.recv[:total]
+}
+
+// place copies msg to the next free place of its receiver's window.
+func (wk *rangeWorker) place(wins []window, msg *Message) {
+	win := &wins[msg.To]
+	wk.recv[win.lo+win.n] = *msg
+	win.n++
 }
 
 // wakeAt marks the range's node lo+i to step next round.
@@ -263,7 +286,6 @@ func (st *runState) partition(workers int) {
 		words := (size + 63) / 64
 		wk.awake = make([]uint64, words, (words+7)&^7)
 		wk.wake = make([]uint64, words, (words+7)&^7)
-		wk.chunkLen = size
 		for v := st.starts[w]; v < st.starts[w+1]; v++ {
 			st.ctxs[v].sent = &wk.sent
 		}
@@ -366,14 +388,15 @@ func (st *runState) stepWorker(w int) {
 // validate charges worker w's send log to its senders' edge slots, in
 // log order, which is sender order, and routes each accepted message. No
 // range comes before the first, so a message from the first range to a
-// node in it is first in its receiver's inbox whatever arrives later: it
-// is delivered on the spot, and its receiver woken if done; the first
-// range validates only after stepping all of its nodes, so that inbox was
-// already consumed. Every other message is queued for the worker that
-// owns its receiver and delivered after the step barrier. validate returns
-// the accepted traffic and stops at the first message that fails,
-// returning its error. The sums live in locals until the range is done,
-// off the shared worker state.
+// node in it goes first in its receiver's window whatever arrives later:
+// it is counted against that window on the spot, and the delivery phase
+// places it before anything queued; the first range validates only after
+// stepping all of its nodes, so every window in it was already read and
+// zeroed. Every other message is queued for the worker that owns its
+// receiver and counted after the step barrier. validate returns the
+// accepted traffic and stops at the first message that fails, returning
+// its error. The sums live in locals until the range is done, off the
+// shared worker state.
 func (st *runState) validate(w int) (traffic RoundTraffic, maxEdgeBits int, err error) {
 	wk := &st.workers[w]
 	bandwidth := st.nw.bandwidth
@@ -399,10 +422,7 @@ func (st *runState) validate(w int) (traffic RoundTraffic, maxEdgeBits int, err 
 		}
 		st.edgeBits[slot] = int32(total)
 		if direct && to < hi {
-			wk.deliver(st.inboxes, msg)
-			if st.done[to] {
-				wk.wakeAt(to)
-			}
+			wk.count(st.wins, to)
 		} else {
 			o := w
 			if to < lo || to >= hi {
@@ -421,23 +441,36 @@ func (st *runState) validate(w int) (traffic RoundTraffic, maxEdgeBits int, err 
 	return traffic, maxEdgeBits, nil
 }
 
-// deliverWorker is phase 2 of a round for worker o. Its receivers' inboxes
-// hold only what the first range delivered directly, if o is that range:
-// stepRange reset them when their previous contents were consumed, and a
-// node that did not step had nothing delivered. A receiver that is not done
-// stepped this round and is already in the next round's set, so only done
-// receivers are marked.
+// deliverWorker is phase 2 of a round for worker o. It counts the queues
+// addressed to it, lays its receivers out in its arena and copies every
+// message of the round into place in sender order: the first range's own
+// messages, if o is that range, then the queues in worker order. Every
+// window of its range was zeroed when its node stepped, or holds only what
+// the first range counted during validation, since a node that did not
+// step had nothing delivered. A receiver that is not done stepped this
+// round and is already in the next round's set, so only done receivers
+// are marked.
 func (st *runState) deliverWorker(o int) {
 	wk := &st.workers[o]
-	lo := st.starts[o]
 	for w := range st.workers {
 		sent := st.workers[w].sent
 		for _, i := range st.workers[w].queues[o] {
-			msg := &sent[i]
-			wk.deliver(st.inboxes, msg)
-			if st.done[msg.To] {
-				wk.wakeAt(msg.To - lo)
+			wk.count(st.wins, sent[i].To)
+		}
+	}
+	wk.layout(st.wins, st.done, st.starts[o])
+	if o == 0 {
+		hi := st.starts[1]
+		for i := range wk.sent[:wk.traffic.Messages] {
+			if msg := &wk.sent[i]; msg.To < hi {
+				wk.place(st.wins, msg)
 			}
+		}
+	}
+	for w := range st.workers {
+		sent := st.workers[w].sent
+		for _, i := range st.workers[w].queues[o] {
+			wk.place(st.wins, &sent[i])
 		}
 	}
 	wk.touched = clearSlots(st.edgeBits, wk.touched)

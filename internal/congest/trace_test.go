@@ -162,7 +162,7 @@ func TestTraceSteadyStateAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		factory := newBenchFlood(rounds)
+		factory := newBenchFlood(topo, rounds)
 		opts := Options{
 			MaxRounds: rounds + 2,
 			Workers:   workers,

@@ -1,6 +1,7 @@
 package flood
 
 import (
+	"runtime"
 	"testing"
 
 	"qdc/internal/congest"
@@ -10,15 +11,22 @@ import (
 
 // TestFloodRunAllocsBounded gates the flood pass's allocations at 128
 // objects, whatever the network's size. The node programs come from one
-// slab, every message is built in the simulator's send log, the inboxes
-// grow in chunks, and Run reads each distance from the slab, so nothing is
-// allocated per node: what is left is per run (the slab, the Result, the
-// inputs map) and, on a fresh network, the run state's tables and a
-// handful of inbox chunks. The reused cases run on one network, as a
+// slab, every message is built in the simulator's send log and delivered
+// into its receive arena, and Run reads each distance from the slab, so
+// nothing is allocated per node: what is left is per run (the slab, the
+// Result, the inputs map) and, on a fresh network, the run state's tables
+// and the arena's few growths. The reused cases run on one network, as a
 // multi-stage algorithm does; the fresh case builds its network from a CSR
 // grid every pass, as a flood scenario does, and reaches distances up to
 // 638. A regression that boxes a distance or a message, or allocates an
 // outbox or an inbox per node, breaks the bound by thousands.
+//
+// The fresh case also bounds the bytes a pass allocates, read from
+// MemStats.TotalAlloc, at 16 MiB: the run state's per-node and per-edge
+// tables and the slab, about 12 MiB on the 320x320 grid, with inbox
+// memory that follows the wave's at most about 1,300 messages a round.
+// Inboxes that grow with n, such as per-worker chunks of n messages, take
+// the pass past 27 MiB.
 func TestFloodRunAllocsBounded(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -50,6 +58,23 @@ func TestFloodRunAllocsBounded(t *testing.T) {
 			t.Logf("%.0f objects per pass on %d nodes", allocs, tc.topo.N())
 			if allocs > 128 {
 				t.Errorf("flood run allocates %.0f objects per pass on %d nodes, want at most 128", allocs, tc.topo.N())
+			}
+			if !tc.fresh {
+				return
+			}
+			const passes = 3
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range passes {
+				if _, err := Run(newRunner(), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			mib := float64(after.TotalAlloc-before.TotalAlloc) / passes / (1 << 20)
+			t.Logf("%.2f MiB per pass on %d nodes", mib, tc.topo.N())
+			if mib > 16 {
+				t.Errorf("a fresh flood pass allocates %.2f MiB on %d nodes, want at most 16", mib, tc.topo.N())
 			}
 		})
 	}

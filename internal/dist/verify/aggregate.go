@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"fmt"
+
 	"qdc/internal/congest"
 	"qdc/internal/dist/engine"
 	"qdc/internal/graph"
@@ -78,14 +80,15 @@ const (
 //
 // Apart from the root's tokens in round 1, a node acts only on what its
 // inbox brings, and it acts in the step that brings it, so a step with an
-// empty inbox would send nothing. A node therefore votes done once the
-// wave has reached it and sleeps between messages. Some message stays in
-// flight until the verdict reaches the last leaf, so the stage ends in the
-// round the last leaf learns it, every node answered, and runAggregate
-// reads the root's answer from the node slab. A node the wave has not
-// reached stays awake, so a runner whose topology node 0 does not span
-// runs into the round limit instead of ending with a verdict over part of
-// the network.
+// empty inbox would send nothing. Every node therefore votes done after
+// every step and sleeps between messages, ahead of the wave too. Some
+// message stays in flight until the verdict reaches the last leaf, so the
+// stage ends in the round the last leaf learns it, every node answered,
+// and runAggregate reads the root's answer from the node slab. On a runner
+// whose topology node 0 does not span, the stage ends once node 0's
+// component has its verdict, and runAggregate names the lowest node the
+// wave never reached instead of returning a verdict over part of the
+// network.
 type aggNode struct {
 	decide func(agg) bool
 
@@ -191,7 +194,7 @@ func (a *aggNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 		}
 	}
 
-	return out, a.dist != -1
+	return out, true
 }
 
 // runAggregate executes one aggregation stage on the runner: every node
@@ -202,7 +205,8 @@ func (a *aggNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 // earlier stages. Node 0 is the BFS root. It costs O(D) rounds and
 // O(log n) bits per message, and allocates two slabs: the node programs and
 // their child flags, one per directed edge of g, the graph the runner runs
-// on.
+// on. A node the wave never reached, on a runner whose topology node 0
+// does not span, is an error that names the lowest such node.
 func runAggregate(r engine.Runner, g *graph.Graph, local func(v int) agg, decide func(agg) bool) (bool, error) {
 	nodes := make([]aggNode, r.Size())
 	flags := make([]bool, 2*g.M())
@@ -222,6 +226,11 @@ func runAggregate(r engine.Runner, g *graph.Graph, local func(v int) agg, decide
 	}
 	if _, err := r.RunStage(factory, nil, 0); err != nil {
 		return false, err
+	}
+	for v := range nodes {
+		if nodes[v].dist < 0 {
+			return false, fmt.Errorf("verify: aggregation wave never reached node %d", v)
+		}
 	}
 	return nodes[0].answer, nil
 }

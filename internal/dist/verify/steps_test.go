@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -15,8 +14,9 @@ import (
 // All n nodes step in round 1. After it a node steps when a message
 // reaches it, at most TotalMessages steps, or while it stays awake with
 // an empty inbox: in the label stage only node 0, which keeps the stage's
-// clock, at most Rounds steps; in the aggregation stage a node the BFS
-// wave has not reached yet, at most dist(0, v) steps for node v. M is
+// clock, at most Rounds steps; in the aggregation stage no node, since
+// every node sleeps between messages, ahead of the BFS wave too. Both are
+// held to n + TotalMessages + Rounds, the bound the other stages use. M is
 // every other edge, so its components are small, the label flood settles
 // within a few rounds and the clock runs on alone for the rest of its n+1
 // rounds.
@@ -57,11 +57,7 @@ func TestStageStepsFollowTraffic(t *testing.T) {
 		if err != nil || !covered {
 			t.Fatalf("%s: aggregation summed every M-degree %v (%v); want true", f.name, covered, err)
 		}
-		dist := 0
-		for _, d := range f.g.BFS(0).Dist {
-			dist += d
-		}
-		checkSteps(t, f.name+" aggregation", r.res, n+r.res.TotalMessages+dist)
+		checkSteps(t, f.name+" aggregation", r.res, n+r.res.TotalMessages+r.res.Rounds)
 	}
 }
 
@@ -99,12 +95,13 @@ func TestLabelStageKeepsItsClock(t *testing.T) {
 	}
 }
 
-// TestAggregateOnDisconnectedRunnerHitsRoundLimit pins what the
+// TestAggregateOnDisconnectedRunnerNamesUnreachedNode pins what the
 // aggregation stage does on a runner whose topology node 0 does not span:
-// the nodes the BFS wave never reaches stay awake, so the stage runs into
-// the default limit of 64n+64 rounds, with the traffic of node 0's path
-// alone, rather than ending with a verdict over half the network.
-func TestAggregateOnDisconnectedRunnerHitsRoundLimit(t *testing.T) {
+// the nodes the BFS wave never reaches sleep through the run, which ends
+// once node 0's component has its verdict, with the traffic of node 0's
+// path alone, and runAggregate names the lowest node the wave never
+// reached rather than returning a verdict over half the network.
+func TestAggregateOnDisconnectedRunnerNamesUnreachedNode(t *testing.T) {
 	g := graph.New(6)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}} {
 		g.MustAddEdge(e[0], e[1], 1)
@@ -114,10 +111,10 @@ func TestAggregateOnDisconnectedRunnerHitsRoundLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = runAggregate(r, g, func(int) agg { return agg{OK: true} }, func(a agg) bool { return a.OK })
-	if !errors.Is(err, congest.ErrRoundLimit) {
-		t.Fatalf("aggregation on two disjoint paths: error %v, want %v", err, congest.ErrRoundLimit)
+	if want := "verify: aggregation wave never reached node 3"; err == nil || err.Error() != want {
+		t.Fatalf("aggregation on two disjoint paths: error %v, want %s", err, want)
 	}
-	if got, want := r.Stats(), (engine.Stats{Stages: 1, Rounds: 448, Messages: 8, Bits: 31}); got != want {
+	if got, want := r.Stats(), (engine.Stats{Stages: 1, Rounds: 7, Messages: 8, Bits: 31}); got != want {
 		t.Errorf("aggregation on two disjoint paths: %+v, want %+v", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"runtime"
 	"testing"
 
 	"qdc/internal/graph"
@@ -63,6 +64,62 @@ func TestAppendConstructorsAllocFree(t *testing.T) {
 			t.Errorf("%s: %.1f allocs per call into retained capacity, want 0", name, n)
 		}
 	}
+}
+
+// TestFreshRunAllocBytesPerNode bounds what a fresh network and its first
+// run allocate per node, beyond the 8 bytes per directed edge slot of the
+// neighbour and edge-bit tables: the node program slots, inbox windows,
+// done votes, offsets and awake words, about 30 bytes, and nothing per
+// node for its view, since each worker steps its range with one context.
+// A silent slab program on the 320x320 CSR grid and on Path(4096), at
+// Workers 1 and 4, must stay within 40 bytes per node; a 32-byte context
+// per node takes every case past 61. The bytes are read from
+// runtime.MemStats.TotalAlloc over a few fresh networks at GOMAXPROCS 1;
+// the slab and the topology are built before the count starts.
+func TestFreshRunAllocBytesPerNode(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		topo Topology
+	}{
+		{"csr-grid320x320", graph.FromGraph(graph.Grid(320, 320))},
+		{"path4096", graph.Path(4096)},
+	} {
+		n, slots := tc.topo.N(), 0
+		for v := range n {
+			slots += tc.topo.Degree(v)
+		}
+		nodes := make([]silentNode, n)
+		factory := func(ctx *Context) Node { return &nodes[ctx.ID()] }
+		for _, workers := range []int{1, 4} {
+			perNode := (freshRunBytes(t, tc.topo, factory, workers) - 8*float64(slots)) / float64(n)
+			t.Logf("%s, Workers=%d: %.1f bytes per node beyond 8 per edge slot (%d nodes, %d slots)",
+				tc.name, workers, perNode, n, slots)
+			if perNode > 40 {
+				t.Errorf("%s, Workers=%d: a fresh run allocates %.1f bytes per node beyond 8 per edge slot, want at most 40",
+					tc.name, workers, perNode)
+			}
+		}
+	}
+}
+
+// freshRunBytes returns the bytes NewNetwork over topo and the network's
+// first run of factory allocate, averaged over a few networks.
+func freshRunBytes(t *testing.T, topo Topology, factory NodeFactory, workers int) float64 {
+	const networks = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range networks {
+		nw, err := NewNetwork(topo, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nw.Run(factory, Options{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / networks
 }
 
 // TestRoundLoopSteadyStateAllocFree pins the tentpole guarantee: once a

@@ -172,7 +172,10 @@ func (f *benchWaveOutboxNode) Round(ctx *Context, round int, inbox []Message) ([
 // runRoundLoopBench executes the workload b.N times and reports
 // node-rounds/sec and allocs/round (mallocs measured around the runs, so
 // node-program and simulator allocations both count — the node programs
-// above and their factories are allocation-free by construction).
+// above and their factories are allocation-free by construction). The
+// workload runs once on the network before the timer and the malloc count
+// start, so every timed run reuses the run state, and even at -benchtime
+// 1x the figures are the round loop's, not the state's build.
 func runRoundLoopBench(b *testing.B, topo Topology, workers, rounds int, factory NodeFactory) {
 	b.Helper()
 	nw, err := NewNetwork(topo, 64)
@@ -181,6 +184,9 @@ func runRoundLoopBench(b *testing.B, topo Topology, workers, rounds int, factory
 	}
 	n := topo.N()
 	opts := Options{MaxRounds: rounds + 2, Workers: workers}
+	if _, err := nw.Run(factory, opts); err != nil {
+		b.Fatal(err)
+	}
 
 	b.ResetTimer()
 	var before, after runtime.MemStats

@@ -31,10 +31,12 @@
 // payload.go), so the collector never scans an arena or a send log, and
 // every topology is read by rank through Topology.Neighbor into one flat
 // int32 neighbour table, with no per-node copy, sort or weight lookup; an
-// edge weight is read back through the topology when a node asks for it. A
-// node's Context is 32 bytes, two per cache line: its ID, its lazy random
-// source and two pointers, through which it reads n, B and its neighbours
-// from the run's shared tables and its edge weights from the topology. A
+// edge weight is read back through the topology when a node asks for it.
+// There is no per-node context: each worker steps every node of its range
+// with one Context, which holds the node's ID and two pointers, through
+// which it reads n, B and its neighbours from the run's shared tables, its
+// edge weights from the topology and its random source from its worker,
+// which builds the range's sources on the first draw. A
 // run has one way in and one way out: the caller's NodeFactory builds each
 // node program with that node's input, and the program keeps its results
 // in its own state, where the caller reads them once Run returns.
@@ -117,7 +119,9 @@ type Node interface {
 	// into its send log before it delivers anything, or keeps them in place
 	// when the node built them in ctx.Outbox(). So a program may return the
 	// same slice every round, or its inbox or a slice of it. Building the
-	// outbox in ctx.Outbox() saves the copy.
+	// outbox in ctx.Outbox() saves the copy. The context, like the inbox,
+	// is valid only during the call: the simulator hands the same one to
+	// the next node of the range, so a program must not keep it.
 	Round(ctx *Context, round int, inbox []Message) (outbox []Message, done bool)
 }
 
@@ -127,7 +131,10 @@ type Node interface {
 // the factory once per node, in ascending ID order, on the goroutine that
 // called Run, before round 1, so a factory may write to its caller's
 // variables without synchronisation. The context is fully usable (ID, n, B,
-// neighbours, edge weights, random source) when the factory is invoked.
+// neighbours, edge weights, random source) during the factory call and
+// only then: the next call gets the same context at the next ID, so a
+// factory must not hand it to the node it builds. A draw from its random
+// source continues into the node's Round calls.
 type NodeFactory func(ctx *Context) Node
 
 // Context is the static, per-node view of the network handed to a Node's
@@ -136,21 +143,19 @@ type NodeFactory func(ctx *Context) Node
 // its neighbours, the weights of its incident edges, the network size n,
 // and its problem-specific input, and nothing else about the topology.
 //
-// A context holds only the node's ID, its random source and two pointers:
-// every other part of the view is read from the run's shared flat tables,
-// or for an edge weight from the topology, when asked for. A context is
-// valid only inside its run, from the factory call until Run returns; a
-// node program must not keep it, or call it, after that.
+// A context holds only the node's ID and two pointers: every part of the
+// view is read from the run's shared flat tables, or for an edge weight
+// from the topology, when asked for, and the random source from the
+// worker that steps the node. Each worker steps every node of its range
+// with one context, setting the ID before each factory and Round call, so
+// a context is valid only during the call it was handed to; a node
+// program must not keep it, or call it, after that call returns.
 type Context struct {
 	st *runState
+	// wk is the worker that steps the node: Outbox hands out the free tail
+	// of its send log, and Rand reads the node's source from its range's.
+	wk *rangeWorker
 	id int32
-	// rng is built lazily on the first Rand() call: a rand.Rand is several
-	// kilobytes of generator state, which at million-node scale would dwarf
-	// the topology itself, and most node programs never draw randomness.
-	rng *rand.Rand
-	// sent is the send log of the worker that steps this node; Outbox
-	// hands out its free tail.
-	sent *[]Message
 }
 
 // ID returns this node's identifier (0..n-1).
@@ -168,7 +173,7 @@ func (c *Context) N() int { return c.st.n }
 // program must not keep it, or return it in a later round. Appending past
 // its capacity is safe, and costs the copy.
 func (c *Context) Outbox() []Message {
-	log := *c.sent
+	log := c.wk.sent
 	return log[len(log):]
 }
 
@@ -203,14 +208,12 @@ func (c *Context) EdgeWeight(v int) (float64, bool) {
 // Rand returns this node's private deterministic random source. Nodes at
 // different IDs receive independent streams; re-running the same network
 // with the same seed reproduces the same stream (the paper's algorithms are
-// Monte Carlo, so reproducibility matters for tests). The source is
-// constructed on first use, so runs whose node programs never draw
+// Monte Carlo, so reproducibility matters for tests). A node's stream runs
+// on from its factory call through every Round call of the run. The source
+// is constructed on first use, so runs whose node programs never draw
 // randomness pay nothing for it.
 func (c *Context) Rand() *rand.Rand {
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(c.st.seed*1_000_003 + int64(c.id)))
-	}
-	return c.rng
+	return c.wk.source(c.st.seed, int(c.id))
 }
 
 // Errors reported by the simulator.
@@ -251,14 +254,16 @@ type Topology interface {
 //
 // A Network may be reused for any number of runs, concurrent ones
 // included. It keeps the working state of its last finished run (the flat
-// neighbour table with its edge index, the 32-byte contexts that read it,
-// the inbox windows and the vertex-range partition with its send logs and
-// receive arenas), and the next Run resets that state in O(n) instead of rebuilding
+// neighbour table with its edge index, the inbox windows and the
+// vertex-range partition with each range's context, send log and receive
+// arena), and the next Run resets that state in O(n) instead of rebuilding
 // it from the topology, so a multi-stage algorithm pays for the topology
 // once. The topology must therefore not change while the network is in
 // use. A network holds no per-node inputs: each run's factory hands every
 // node program its own, and an idle network keeps no node program, and so
-// no input, reachable.
+// no input, reachable. Nor does it hold a context per node: a run hands
+// each factory and Round call its range's one context, valid only during
+// the call it was handed to.
 type Network struct {
 	topo      Topology
 	bandwidth int
@@ -385,17 +390,17 @@ type Options struct {
 // returns, on every exit path, errors included.
 //
 // The round loop is steady-state allocation-free: the working state below
-// (contexts, the flat neighbour table with its CSR edge index,
-// flat bandwidth tables, one inbox window per node, one send log and one
+// (the flat neighbour table with its CSR edge index, flat bandwidth
+// tables, one inbox window per node, and one context, send log and
 // receive arena per worker) is built once per network, kept between runs,
 // and reset in O(n) at the start of each run, and each round only resets
 // lengths and counters. A node's inbox slice is therefore valid only for
 // the duration of the Round call that receives it: the round's messages
 // are delivered into the same arena once its worker's range has stepped.
-// The contexts handed to the factory are
-// likewise valid only until Run returns. The state of a run that a panic
-// unwinds through is dropped, and the next run builds a fresh one. See
-// DESIGN.md, "The congest hot path".
+// The context handed to a factory or Round call is likewise valid only
+// during that call: its worker hands it to the next node of its range.
+// The state of a run that a panic unwinds through is dropped, and the
+// next run builds a fresh one. See DESIGN.md, "The congest hot path".
 func (nw *Network) Run(factory NodeFactory, opts Options) (*Result, error) {
 	st := nw.parked.Swap(nil)
 	if st == nil {
@@ -416,13 +421,13 @@ func (nw *Network) Run(factory NodeFactory, opts Options) (*Result, error) {
 
 // park keeps st for the next run. It first drops the finished run's node
 // programs (and with them every input their factory handed them), every
-// context's random source, its options and its Result, so an idle network
+// range's random sources, its options and its Result, so an idle network
 // keeps no stage's node state, inputs or callbacks reachable. The send logs
 // and receive arenas keep their messages: a Message holds no pointer.
 func (nw *Network) park(st *runState) {
 	clear(st.nodes)
-	for v := range st.ctxs {
-		st.ctxs[v].rng = nil
+	for w := range st.workers {
+		st.workers[w].rngs = nil
 	}
 	st.opts, st.res = Options{}, nil
 	nw.parked.Store(st)
@@ -437,11 +442,9 @@ type runState struct {
 	n    int
 	res  *Result
 	// seed is the network's seed as the run's start read it; every
-	// context's random stream derives from it.
+	// node's random stream derives from it.
 	seed int64
 
-	// ctxs holds every node's context, one slab for the whole network.
-	ctxs  []Context
 	nodes []Node
 	// done is each node's vote at its last step. A node that did not step
 	// this round is done, so a receiver that is not done stepped this round
@@ -459,7 +462,7 @@ type runState struct {
 	// offsets[v] + rank of u in v's sorted neighbour list; node v owns
 	// slots offsets[v]..offsets[v+1]. nbrs is the neighbour at each slot,
 	// the topology as read by rank, four bytes a slot like graph.CSR's
-	// targets: every context reads its node's neighbours from it. There is
+	// targets: a context reads its node's neighbours from it. There is
 	// no weight table; Context.EdgeWeight asks the topology for the weight
 	// at the neighbour's rank.
 	offsets []int32
@@ -477,7 +480,8 @@ type runState struct {
 	round int
 
 	// The vertex-range partition: worker w owns nodes starts[w]..starts[w+1]-1
-	// and holds their round state, awake words included. With
+	// and holds their round state, awake words, context and random sources
+	// included. With
 	// Options.Workers <= 1 one range holds all n nodes and runs on the
 	// calling goroutine; with more, a pool of goroutines lives for the whole
 	// run, and a round runs on it only when the previous round stepped
@@ -495,8 +499,8 @@ type runState struct {
 }
 
 // newRunState builds the topology-derived working state of nw: the flat
-// int32 neighbour table with its edge index, the contexts and the per-node
-// arrays. A neighbour ID outside 0..n-1, or a neighbour list that is not
+// int32 neighbour table with its edge index and the per-node arrays. A
+// neighbour ID outside 0..n-1, or a neighbour list that is not
 // strictly ascending, is an error. So are more than math.MaxInt32 vertices
 // or directed edges, which the int32 IDs and offsets cannot hold; that is
 // checked from N and Degree alone, before anything is allocated.
@@ -517,7 +521,6 @@ func newRunState(nw *Network) (*runState, error) {
 
 	st := &runState{nw: nw, n: n, offsets: make([]int32, n+1)}
 	nbrs := make([]int32, 0, total)
-	st.ctxs = make([]Context, n)
 	for v := 0; v < n; v++ {
 		lo := len(nbrs)
 		for i := range nw.topo.Degree(v) {
@@ -531,7 +534,6 @@ func newRunState(nw *Network) (*runState, error) {
 			nbrs = append(nbrs, int32(u))
 		}
 		st.offsets[v+1] = int32(len(nbrs))
-		st.ctxs[v] = Context{st: st, id: int32(v)}
 	}
 	st.nbrs = nbrs
 	st.edgeBits = make([]int32, len(nbrs))
@@ -545,16 +547,17 @@ func newRunState(nw *Network) (*runState, error) {
 }
 
 // start resets what the previous run on this state left behind and builds
-// the run's nodes, one factory call per node in ID order: the seed, every
-// inbox window (a round-limit or cancel exit leaves deliveries in them,
-// and an error round counted windows it never placed), the
-// awake words, and a fresh Result, since callers keep results across runs;
-// a Result holds no per-node field, so it costs the same whatever n. The
-// contexts need nothing: park dropped their random sources, and they read
-// everything else from the tables. It partitions anew only when the worker
-// count changed, before the factory runs, so that a context's Outbox works
-// from the first call, and it starts the worker pool after the factory
-// calls. done and the send logs need no reset: round 1
+// the run's nodes, one factory call per node in ID order, each handed its
+// range's context: the seed, every inbox window (a round-limit or cancel
+// exit leaves deliveries in them, and an error round counted windows it
+// never placed), the awake words, and a fresh Result, since callers keep
+// results across runs; a Result holds no per-node field, so it costs the
+// same whatever n. The random sources need nothing: park dropped them. It
+// partitions anew only when the worker count changed, before the factory
+// runs, so that the contexts exist and a context's Outbox works from the
+// first call, and it starts the worker pool after the factory calls, so a
+// draw a factory makes happens before the pool steps its node. done and
+// the send logs need no reset: round 1
 // steps every node before anything reads done, and every round resets the
 // logs. After a clean exit or a validation error every edge slot is zero
 // and every touched list empty; a panic exit's state is never reused.
@@ -571,14 +574,15 @@ func (st *runState) start(factory NodeFactory, opts Options) error {
 	st.seed = st.nw.seed
 	st.res = &Result{}
 	clear(st.wins)
-	for v := range st.nodes {
-		st.nodes[v] = factory(&st.ctxs[v])
-		if st.nodes[v] == nil {
-			return fmt.Errorf("congest: factory returned nil node for id %d", v)
-		}
-	}
 	for w := range st.workers {
-		st.workers[w].wakeAll(st.starts[w+1] - st.starts[w])
+		wk := &st.workers[w]
+		for v := wk.lo; v < wk.hi; v++ {
+			wk.ctx.id = int32(v)
+			if st.nodes[v] = factory(&wk.ctx); st.nodes[v] == nil {
+				return fmt.Errorf("congest: factory returned nil node for id %d", v)
+			}
+		}
+		wk.wakeAll()
 	}
 	st.stepped = n
 	if workers > 1 {
@@ -664,9 +668,8 @@ func (st *runState) neighborRank(v, u int) int {
 // value; v is -1 when no node panicked.
 func (st *runState) stepAwake(w int) (v int, p any) {
 	wk := &st.workers[w]
-	lo := st.starts[w]
 	for i, word := range wk.awake {
-		base := lo + i<<6
+		base := wk.lo + i<<6
 		for word != 0 {
 			first, end := nextRun(word)
 			word &^= uint64(1)<<end - 1
@@ -685,10 +688,11 @@ func (st *runState) stepAwake(w int) (v int, p any) {
 }
 
 // stepRange runs the Round of nodes lo..hi-1 (at most 64) of worker wk's
-// range in ID order, filling done and committing each outbox to wk's send
-// log, under one deferred recover. Bit v-lo of notDone is set when node v
-// reports not done. It stops at the first node that panics and returns
-// that node's ID and panic value; v is -1 when no node panicked.
+// range in ID order with wk's context, filling done and committing each
+// outbox to wk's send log, under one deferred recover. Bit v-lo of notDone
+// is set when node v reports not done. It stops at the first node that
+// panics and returns that node's ID and panic value; v is -1 when no node
+// panicked.
 //
 // A node's inbox is its window of wk's receive arena, with its capacity cut
 // to its length, so a program that appends to it reallocates instead of
@@ -701,10 +705,12 @@ func (st *runState) stepAwake(w int) (v int, p any) {
 // from the arena intact.
 func (st *runState) stepRange(wk *rangeWorker, lo, hi int) (notDone uint64, v int, p any) {
 	defer func() { p = recover() }()
+	ctx := &wk.ctx
 	for v = lo; v < hi; v++ {
 		win := st.wins[v]
 		end := win.lo + win.n
-		out, done := st.nodes[v].Round(&st.ctxs[v], st.round, wk.recv[win.lo:end:end])
+		ctx.id = int32(v)
+		out, done := st.nodes[v].Round(ctx, st.round, wk.recv[win.lo:end:end])
 		st.wins[v] = window{}
 		if len(out) > 0 {
 			wk.commit(v, out)

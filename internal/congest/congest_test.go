@@ -2,6 +2,7 @@ package congest
 
 import (
 	"errors"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -257,6 +258,73 @@ func TestDeterministicRand(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical draws")
+	}
+}
+
+// drawNode draws from its random stream in each of rounds 1..3, one value
+// more than its ID mod 3, after whatever its factory drew, and keeps every
+// draw. It stays awake through round 3, so between two steps of a node
+// every other node of its range steps and draws.
+type drawNode struct{ draws []int64 }
+
+func (d *drawNode) Round(ctx *Context, round int, _ []Message) ([]Message, bool) {
+	if round > 3 {
+		return nil, true
+	}
+	for range 1 + ctx.ID()%3 {
+		d.draws = append(d.draws, ctx.Rand().Int63())
+	}
+	return nil, false
+}
+
+// TestRandStreamsContinueAcrossSteps checks that each node's random stream
+// is the one the seed and its ID define and runs on unbroken: from a draw
+// its factory makes (every third node's does) into its Round calls, and
+// from round to round while the other nodes of its range step and draw in
+// between. Every draw must equal the matching value of
+// rand.New(rand.NewSource(seed*1_000_003 + v)), on a 40-node cycle at
+// Workers 1 and 4 with every round on the pool, in two runs of one network,
+// each of which starts every stream from its first value.
+func TestRandStreamsContinueAcrossSteps(t *testing.T) {
+	forcePool(t)
+	const seed = 17
+	g, err := graph.Cycle(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		nw, err := NewNetwork(g, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw.SetSeed(seed)
+		for run := 1; run <= 2; run++ {
+			nodes, factory := slab(g.N(), func(ctx *Context) drawNode {
+				if ctx.ID()%3 == 0 {
+					return drawNode{draws: []int64{ctx.Rand().Int63()}}
+				}
+				return drawNode{}
+			})
+			if _, err := nw.Run(factory, Options{Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+			for v := range nodes {
+				draws := nodes[v].draws
+				want := 3 * (1 + v%3)
+				if v%3 == 0 {
+					want++
+				}
+				if len(draws) != want {
+					t.Fatalf("Workers=%d, run %d: node %d drew %d values, want %d", workers, run, v, len(draws), want)
+				}
+				stream := rand.New(rand.NewSource(seed*1_000_003 + int64(v)))
+				for i, got := range draws {
+					if want := stream.Int63(); got != want {
+						t.Fatalf("Workers=%d, run %d: node %d's draw %d is %d, want %d", workers, run, v, i, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

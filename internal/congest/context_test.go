@@ -5,23 +5,10 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"qdc/internal/congest"
 	"qdc/internal/graph"
 )
-
-// TestContextIs32Bytes pins the per-node footprint of the simulator's
-// context slab: a run state pointer, the ID, the lazy random source and
-// the send log pointer, two contexts per cache line. Everything else a node
-// knows is read from the run's shared tables.
-func TestContextIs32Bytes(t *testing.T) {
-	size := unsafe.Sizeof(congest.Context{})
-	t.Logf("congest.Context: %d bytes per node", size)
-	if size != 32 {
-		t.Errorf("congest.Context is %d bytes, want 32", size)
-	}
-}
 
 // TestMessageIs48BytesWithoutPointers pins the message layout: IDs, bits,
 // the quantum mark, the kind and two content words, 48 bytes with no field

@@ -307,17 +307,19 @@ func fuzzRun(nw *Network, prog program, opts Options, workers int) (o runOutcome
 // fills in ascending sender ID. It counts every Round call in Steps, the
 // failing round's included. It has no ranges, slots or queues, and it
 // takes a copy of every outbox as its node returns it, so each context's
-// Outbox is room in one scratch slice that is never committed. Its
-// contexts read a minimal run state: the neighbour table, the topology and
-// the seed. It traces every accepted message; opts.Trace and opts.Cancel
-// are ignored, and opts.MaxRounds must be positive.
+// Outbox is room in one scratch send log that is never committed. It keeps
+// one context per node, each over a minimal run state (the neighbour
+// table, the topology and the seed) and one scratch worker whose range is
+// every node and which holds the random sources. It traces every accepted
+// message; opts.Trace and opts.Cancel are ignored, and opts.MaxRounds must
+// be positive.
 func referenceRun(topo Topology, bandwidth int, seed int64, prog program, opts Options) (o runOutcome) {
 	n := topo.N()
 	res := &Result{}
 	st := &runState{nw: &Network{topo: topo, bandwidth: bandwidth}, n: n, seed: seed, offsets: make([]int32, n+1)}
+	wk := &rangeWorker{sent: make([]Message, 0, 4), hi: n}
 	ctxs := make([]*Context, n)
 	isNeighbor := make([]map[int]bool, n)
-	scratch := make([]Message, 0, 4)
 	for v := 0; v < n; v++ {
 		isNeighbor[v] = map[int]bool{}
 		for i := range topo.Degree(v) {
@@ -326,7 +328,7 @@ func referenceRun(topo Topology, bandwidth int, seed int64, prog program, opts O
 			isNeighbor[v][u] = true
 		}
 		st.offsets[v+1] = int32(len(st.nbrs))
-		ctxs[v] = &Context{st: st, id: int32(v), sent: &scratch}
+		ctxs[v] = &Context{st: st, wk: wk, id: int32(v)}
 	}
 	factory, read := prog(n)
 	nodes := make([]Node, n)

@@ -2,13 +2,15 @@ package congest
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 )
 
 // The round. Every run splits the node IDs into one contiguous range per
 // worker, balanced by degree+1 and kept by the network for later runs at
 // the same worker count, and runs each round as two phases over the
-// ranges. With Options.Workers > 1 a pool of goroutines is started with
+// ranges, each stepping every node of its range with one context. With
+// Options.Workers > 1 a pool of goroutines is started with
 // the run, and each round chooses where its phases run: on the pool, one
 // goroutine a range, or inline, every range in worker order on the calling
 // goroutine without waking the pool. A round runs inline when the previous
@@ -35,8 +37,9 @@ import (
 // word is written by two workers. A round therefore costs
 // O(n/64W + awake/W + traffic/W) per worker behind two barriers. The result
 // is the same for every worker count, argued in DESIGN.md ("The congest hot
-// path"): a node's Round touches only its own state, its context, its
-// inbox and the free tail of its own worker's send log, accounting folds
+// path"): a node's Round touches only its own state, its worker's context
+// and random sources, its inbox and the free tail of its worker's send
+// log, accounting folds
 // per-worker sums and maxes in worker order, and ranges ascend with the
 // worker index, so placing the first range's direct messages and then the
 // queues in worker order fills each receiver's window in ascending sender
@@ -102,6 +105,20 @@ type rangeWorker struct {
 	// steps this round, and wake collects the nodes that step next round.
 	awake, wake []uint64
 
+	// lo and hi bound the range: the worker owns nodes lo..hi-1.
+	lo, hi int
+	// ctx is the context every factory and Round call of the range is
+	// handed, its ID set to the node's before each call, and it points at
+	// this worker. Like rngs, only the goroutine stepping the range writes
+	// it: the caller's in the factory calls and inline rounds, the
+	// worker's own on the pool.
+	ctx Context
+	// rngs holds the range's random sources, node lo+i's at i. The table is
+	// built on the range's first draw of a run and each source on its
+	// node's first draw, and park drops the table, so a run whose nodes
+	// never draw allocates nothing for it.
+	rngs []*rand.Rand
+
 	// panicAt is the first node of the range that panicked this round, or
 	// -1; panicVal is its panic value.
 	panicAt  int
@@ -123,7 +140,8 @@ type rangeWorker struct {
 // and the old awake words are cleared to collect the next one. touched is
 // already empty, since delivery or the error return zeroes the slots it
 // lists. The arena keeps the last round's deliveries, which the range's
-// steps read.
+// steps read, and the range's bounds, context and random sources carry
+// over.
 func (wk *rangeWorker) reset() {
 	for o := range wk.queues {
 		wk.queues[o] = wk.queues[o][:0]
@@ -131,7 +149,21 @@ func (wk *rangeWorker) reset() {
 	awake, wake := wk.wake, wk.awake
 	clear(wake)
 	*wk = rangeWorker{sent: wk.sent[:0], queues: wk.queues, touched: wk.touched,
-		recv: wk.recv, rcvd: wk.rcvd[:0], awake: awake, wake: wake, panicAt: -1}
+		recv: wk.recv, rcvd: wk.rcvd[:0], awake: awake, wake: wake, panicAt: -1,
+		lo: wk.lo, hi: wk.hi, ctx: wk.ctx, rngs: wk.rngs}
+}
+
+// source returns node v's random source, seeded from seed and v, building
+// it, and the range's table on the range's first draw, when v first draws.
+func (wk *rangeWorker) source(seed int64, v int) *rand.Rand {
+	if wk.rngs == nil {
+		wk.rngs = make([]*rand.Rand, wk.hi-wk.lo)
+	}
+	r := &wk.rngs[v-wk.lo]
+	if *r == nil {
+		*r = rand.New(rand.NewSource(seed*1_000_003 + int64(v)))
+	}
+	return *r
 }
 
 // commit appends node v's outbox to the send log. An outbox built in the
@@ -164,17 +196,16 @@ func (wk *rangeWorker) count(wins []window, to int) {
 
 // layout gives each receiver listed this round its run of the arena, in
 // list order and sized by its count, and leaves the window's n at zero for
-// place to count up again. It wakes the receivers that are done; lo is the
-// range's first node. The arena grows only when the round delivers more
-// than it holds, to at least twice its old room, and is never copied:
-// every message in it has been read.
-func (wk *rangeWorker) layout(wins []window, done []bool, lo int) {
+// place to count up again. It wakes the receivers that are done. The arena
+// grows only when the round delivers more than it holds, to at least twice
+// its old room, and is never copied: every message in it has been read.
+func (wk *rangeWorker) layout(wins []window, done []bool) {
 	total := int32(0)
 	for _, v := range wk.rcvd {
 		win := &wins[v]
 		win.lo, total, win.n = total, total+win.n, 0
 		if done[v] {
-			wk.wakeAt(int(v) - lo)
+			wk.wakeAt(int(v) - wk.lo)
 		}
 	}
 	if int(total) > cap(wk.recv) {
@@ -193,10 +224,10 @@ func (wk *rangeWorker) place(wins []window, msg *Message) {
 // wakeAt marks the range's node lo+i to step next round.
 func (wk *rangeWorker) wakeAt(i int) { wk.wake[i>>6] |= 1 << (i & 63) }
 
-// wakeAll marks every node of the range, size nodes long, to step next
-// round: a run's first reset swaps this set in, so every node steps in
-// round 1.
-func (wk *rangeWorker) wakeAll(size int) {
+// wakeAll marks every node of the range to step next round: a run's first
+// reset swaps this set in, so every node steps in round 1.
+func (wk *rangeWorker) wakeAll() {
+	size := wk.hi - wk.lo
 	for i := 0; i < size; i += 64 {
 		wk.wake[i>>6] = ^uint64(0) >> max(0, 64-(size-i))
 	}
@@ -265,7 +296,8 @@ func panicText(v, round int, p any) string {
 // worker w owning starts[w]..starts[w+1]-1. The ranges balance Σ(degree+1):
 // a node costs one Round call plus one pass per incident edge to validate
 // and deliver. A node heavier than a worker's share leaves the ranges after
-// it empty. With one worker the single range holds every node.
+// it empty. With one worker the single range holds every node. Each
+// worker's context points at the worker.
 func (st *runState) partition(workers int) {
 	total := int64(st.offsets[st.n]) + int64(st.n)
 	st.starts = make([]int, workers+1)
@@ -279,16 +311,14 @@ func (st *runState) partition(workers int) {
 	st.workers = make([]rangeWorker, workers)
 	for w := range st.workers {
 		wk := &st.workers[w]
+		wk.lo, wk.hi = st.starts[w], st.starts[w+1]
+		wk.ctx = Context{st: st, wk: wk}
 		wk.queues = make([][]int32, workers)
 		// The words are padded to whole cache lines, so two workers'
 		// words never share one.
-		size := st.starts[w+1] - st.starts[w]
-		words := (size + 63) / 64
+		words := (wk.hi - wk.lo + 63) / 64
 		wk.awake = make([]uint64, words, (words+7)&^7)
 		wk.wake = make([]uint64, words, (words+7)&^7)
-		for v := st.starts[w]; v < st.starts[w+1]; v++ {
-			st.ctxs[v].sent = &wk.sent
-		}
 	}
 }
 
@@ -401,7 +431,7 @@ func (st *runState) validate(w int) (traffic RoundTraffic, maxEdgeBits int, err 
 	wk := &st.workers[w]
 	bandwidth := st.nw.bandwidth
 	direct := w == 0
-	lo, hi := st.starts[w], st.starts[w+1]
+	lo, hi := wk.lo, wk.hi
 	for i := range wk.sent {
 		msg := &wk.sent[i]
 		v, to := msg.From, msg.To
@@ -458,11 +488,10 @@ func (st *runState) deliverWorker(o int) {
 			wk.count(st.wins, sent[i].To)
 		}
 	}
-	wk.layout(st.wins, st.done, st.starts[o])
+	wk.layout(st.wins, st.done)
 	if o == 0 {
-		hi := st.starts[1]
 		for i := range wk.sent[:wk.traffic.Messages] {
-			if msg := &wk.sent[i]; msg.To < hi {
+			if msg := &wk.sent[i]; msg.To < wk.hi {
 				wk.place(st.wins, msg)
 			}
 		}

@@ -69,7 +69,7 @@ func newReuseNetwork(t *testing.T, tunes []func(*Network)) *Network {
 // leaves the edge slots of the ranges that validated charged, a round-limit
 // exit and a cancel leave messages in the inboxes, a validation error
 // leaves the first range's direct deliveries there, and a SetSeed between
-// runs changes every context's random stream while the next clean run's
+// runs changes every node's random stream while the next clean run's
 // factory builds its nodes with a changed input.
 // Two goroutines calling Run on one network at once must each match a
 // fresh network too; run it under -race.
@@ -236,10 +236,10 @@ func runSetupAllocs(t *testing.T, n int, asCSR bool, workers int) (fresh, reused
 }
 
 // TestParkedStateDropsNodeState checks that an idle network keeps no node
-// program of its last run reachable and no random source of a context
-// (every reuseNode draws from one), and that every worker keeps its send
-// log's room for the next run. The messages left in a send log reach
-// nothing: TestMessageIs48BytesWithoutPointers holds Message pointer-free.
+// program of its last run reachable and no worker's random sources (every
+// reuseNode draws from one), and that every worker keeps its send log's
+// room for the next run. The messages left in a send log reach nothing:
+// TestMessageIs48BytesWithoutPointers holds Message pointer-free.
 func TestParkedStateDropsNodeState(t *testing.T) {
 	forcePool(t)
 	for _, workers := range []int{1, 4} {
@@ -256,11 +256,11 @@ func TestParkedStateDropsNodeState(t *testing.T) {
 			if st.nodes[v] != nil {
 				t.Fatalf("Workers=%d: parked state keeps node %d's program %v", workers, v, st.nodes[v])
 			}
-			if st.ctxs[v].rng != nil {
-				t.Fatalf("Workers=%d: parked state keeps node %d's random source", workers, v)
-			}
 		}
 		for w := range st.workers {
+			if st.workers[w].rngs != nil {
+				t.Fatalf("Workers=%d: parked state keeps worker %d's random sources", workers, w)
+			}
 			if cap(st.workers[w].sent) == 0 {
 				t.Fatalf("Workers=%d: worker %d's send log has no room after a run that sent", workers, w)
 			}

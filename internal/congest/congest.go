@@ -29,9 +29,12 @@
 // round's cost follows its traffic), a message is one 48-byte value with
 // no pointer in it, its content in a Kind tag and two inline words (see
 // payload.go), so the collector never scans an arena or a send log, and
-// every topology is read by rank through Topology.Neighbor into one flat
-// int32 neighbour table, with no per-node copy, sort or weight lookup; an
-// edge weight is read back through the topology when a node asks for it.
+// every topology is read by rank into one flat int32 neighbour table, with
+// no per-node copy, sort or weight lookup: a topology that already holds
+// that table, as a graph.CSR does, lends it through Adjacency and the run
+// reads it in place, and any other is copied into one through
+// Topology.Neighbor; an edge weight is read back through the topology when
+// a node asks for it.
 // There is no per-node context: each worker steps every node of its range
 // with one Context, which holds the node's ID and two pointers, through
 // which it reads n, B and its neighbours from the run's shared tables, its
@@ -236,10 +239,17 @@ var (
 // Topology is the read-only view of the underlying graph that the simulator
 // needs: each vertex's neighbours by rank, in strictly ascending ID order,
 // with the weights of the connecting edges. *graph.Graph and *graph.CSR
-// satisfy it. The simulator checks the order, and the range of every ID,
-// before round 1 and reports a topology that breaks either as an error, as
-// it does one with more than math.MaxInt32 vertices or directed edges, which
-// its int32 tables cannot index.
+// satisfy it. A topology that holds its neighbours in one flat int32 table
+// may also offer it through a method Adjacency() (offsets, targets []int32),
+// with n+1 offsets and Neighbor(v, i) equal to targets[offsets[v]+i], as
+// *graph.CSR does: a run then reads that table in place, shared by every
+// run over the topology and never written, where it would otherwise copy
+// the neighbours into a table of its own. Either way the simulator checks
+// the table before round 1: offsets that do not run from 0 to the table's
+// length without decreasing, a window whose width is not Degree(v), an ID
+// outside 0..n-1 and a list out of strictly ascending order are each
+// reported as an error, as is a topology with more than math.MaxInt32
+// vertices or directed edges, which its int32 tables cannot index.
 type Topology interface {
 	// N returns the number of vertices.
 	N() int
@@ -250,6 +260,14 @@ type Topology interface {
 	Neighbor(v, i int) (int, float64)
 }
 
+// flatTopology is a Topology that holds its neighbours as the run's flat
+// table: Adjacency returns n+1 offsets and the targets, in which
+// Neighbor(v, i) is targets[offsets[v]+i]. A run reads the pair in place,
+// after the same check as a copied table, and never writes it.
+type flatTopology interface {
+	Adjacency() (offsets, targets []int32)
+}
+
 // Network is a configured CONGEST(B) network ready to run algorithms.
 //
 // A Network may be reused for any number of runs, concurrent ones
@@ -258,12 +276,14 @@ type Topology interface {
 // vertex-range partition with each range's context, send log and receive
 // arena), and the next Run resets that state in O(n) instead of rebuilding
 // it from the topology, so a multi-stage algorithm pays for the topology
-// once. The topology must therefore not change while the network is in
-// use. A network holds no per-node inputs: each run's factory hands every
-// node program its own, and an idle network keeps no node program, and so
-// no input, reachable. Nor does it hold a context per node: a run hands
-// each factory and Round call its range's one context, valid only during
-// the call it was handed to.
+// once. The neighbour table is the topology's own when it offers one
+// through Adjacency, which every run and every network over the topology
+// then reads and none writes. The topology must therefore not change while
+// the network is in use. A network holds no per-node inputs: each run's
+// factory hands every node program its own, and an idle network keeps no
+// node program, and so no input, reachable. Nor does it hold a context per
+// node: a run hands each factory and Round call its range's one context,
+// valid only during the call it was handed to.
 type Network struct {
 	topo      Topology
 	bandwidth int
@@ -390,13 +410,14 @@ type Options struct {
 // returns, on every exit path, errors included.
 //
 // The round loop is steady-state allocation-free: the working state below
-// (the flat neighbour table with its CSR edge index, flat bandwidth
-// tables, one inbox window per node, and one context, send log and
-// receive arena per worker) is built once per network, kept between runs,
-// and reset in O(n) at the start of each run, and each round only resets
-// lengths and counters. A node's inbox slice is therefore valid only for
-// the duration of the Round call that receives it: the round's messages
-// are delivered into the same arena once its worker's range has stepped.
+// (the flat neighbour table, unless the topology lends its own, with its
+// CSR edge index, flat bandwidth tables, one inbox window per node, and one
+// context, send log and receive arena per worker) is built once per
+// network, kept between runs, and reset in O(n) at the start of each run,
+// and each round only resets lengths and counters. A node's inbox slice is
+// therefore valid only for the duration of the Round call that receives
+// it: the round's messages are delivered into the same arena once its
+// worker's range has stepped.
 // The context handed to a factory or Round call is likewise valid only
 // during that call: its worker hands it to the next node of its range.
 // The state of a run that a panic unwinds through is dropped, and the
@@ -461,10 +482,11 @@ type runState struct {
 	// The CSR edge index. Directed edge (v -> u) has slot
 	// offsets[v] + rank of u in v's sorted neighbour list; node v owns
 	// slots offsets[v]..offsets[v+1]. nbrs is the neighbour at each slot,
-	// the topology as read by rank, four bytes a slot like graph.CSR's
-	// targets: a context reads its node's neighbours from it. There is
-	// no weight table; Context.EdgeWeight asks the topology for the weight
-	// at the neighbour's rank.
+	// the topology as read by rank: a context reads its node's neighbours
+	// from it. Both are the topology's own tables when it lends them
+	// (flatTopology), and are then shared with every other run over it, so
+	// nothing writes them. There is no weight table; Context.EdgeWeight
+	// asks the topology for the weight at the neighbour's rank.
 	offsets []int32
 	nbrs    []int32
 
@@ -500,10 +522,14 @@ type runState struct {
 
 // newRunState builds the topology-derived working state of nw: the flat
 // int32 neighbour table with its edge index and the per-node arrays. A
-// neighbour ID outside 0..n-1, or a neighbour list that is not
-// strictly ascending, is an error. So are more than math.MaxInt32 vertices
-// or directed edges, which the int32 IDs and offsets cannot hold; that is
-// checked from N and Degree alone, before anything is allocated.
+// topology that holds the table itself (flatTopology, as *graph.CSR does)
+// lends it: the run reads it in place and never writes it, so every run
+// over the topology shares one. Any other is read by rank into a table of
+// the run's own. Either way checkAdjacency then holds the table to the
+// topology before anything else is built. More than math.MaxInt32 vertices
+// or directed edges, which the int32 IDs and offsets cannot hold, is an
+// error too; that is checked from N and Degree alone, before anything is
+// allocated.
 func newRunState(nw *Network) (*runState, error) {
 	n := nw.topo.N()
 	if n < 0 || n > math.MaxInt32 {
@@ -519,24 +545,16 @@ func newRunState(nw *Network) (*runState, error) {
 		total += d
 	}
 
-	st := &runState{nw: nw, n: n, offsets: make([]int32, n+1)}
-	nbrs := make([]int32, 0, total)
-	for v := 0; v < n; v++ {
-		lo := len(nbrs)
-		for i := range nw.topo.Degree(v) {
-			u, _ := nw.topo.Neighbor(v, i)
-			if uint(u) >= uint(n) {
-				return nil, fmt.Errorf("congest: node %d lists neighbour %d outside 0..%d", v, u, n-1)
-			}
-			if len(nbrs) > lo && int32(u) <= nbrs[len(nbrs)-1] {
-				return nil, fmt.Errorf("congest: node %d lists neighbour %d after %d; neighbours must be strictly ascending", v, u, nbrs[len(nbrs)-1])
-			}
-			nbrs = append(nbrs, int32(u))
-		}
-		st.offsets[v+1] = int32(len(nbrs))
+	st := &runState{nw: nw, n: n}
+	if flat, ok := nw.topo.(flatTopology); ok {
+		st.offsets, st.nbrs = flat.Adjacency()
+	} else {
+		st.offsets, st.nbrs = copyAdjacency(nw.topo, total)
 	}
-	st.nbrs = nbrs
-	st.edgeBits = make([]int32, len(nbrs))
+	if err := checkAdjacency(nw.topo, st.offsets, st.nbrs); err != nil {
+		return nil, err
+	}
+	st.edgeBits = make([]int32, len(st.nbrs))
 
 	st.nodes = make([]Node, n)
 	st.wins = make([]window, n)
@@ -544,6 +562,63 @@ func newRunState(nw *Network) (*runState, error) {
 	st.stepJob = st.stepWorker
 	st.deliverJob = st.deliverWorker
 	return st, nil
+}
+
+// copyAdjacency reads topo by rank into a flat table of its total directed
+// edges. A neighbour ID that no int32 holds is stored as -1, so that
+// checkAdjacency reports it out of range rather than as the ID it wraps to.
+func copyAdjacency(topo Topology, total int) (offsets, nbrs []int32) {
+	n := topo.N()
+	offsets, nbrs = make([]int32, n+1), make([]int32, 0, total)
+	for v := 0; v < n; v++ {
+		for i := range topo.Degree(v) {
+			u, _ := topo.Neighbor(v, i)
+			if u != int(int32(u)) {
+				u = -1
+			}
+			nbrs = append(nbrs, int32(u))
+		}
+		offsets[v+1] = int32(len(nbrs))
+	}
+	return offsets, nbrs
+}
+
+// checkAdjacency reports a neighbour table that does not list topo's
+// neighbours as the run reads them: offsets must hold n+1 non-decreasing
+// entries from 0 to len(nbrs), node v's window must be Degree(v) wide, and
+// every window must list IDs in 0..n-1 in strictly ascending order. It
+// reads the table and writes nothing, so a lent one stays as its owner
+// made it.
+func checkAdjacency(topo Topology, offsets, nbrs []int32) error {
+	n := topo.N()
+	switch {
+	case len(offsets) != n+1:
+		return fmt.Errorf("congest: %d offsets for %d nodes; the neighbour table needs %d", len(offsets), n, n+1)
+	case offsets[0] != 0:
+		return fmt.Errorf("congest: node 0's neighbours start at slot %d, not 0", offsets[0])
+	case int(offsets[n]) != len(nbrs):
+		return fmt.Errorf("congest: the offsets end at slot %d, but the neighbour table has %d slots", offsets[n], len(nbrs))
+	}
+	for v := 0; v < n; v++ {
+		if offsets[v+1] < offsets[v] {
+			return fmt.Errorf("congest: node %d's neighbours end at slot %d, before they start at %d", v, offsets[v+1], offsets[v])
+		}
+	}
+	for v := 0; v < n; v++ {
+		ns := nbrs[offsets[v]:offsets[v+1]]
+		if d := topo.Degree(v); len(ns) != d {
+			return fmt.Errorf("congest: node %d has degree %d, but its window of the neighbour table holds %d", v, d, len(ns))
+		}
+		for i, u := range ns {
+			if uint32(u) >= uint32(n) {
+				return fmt.Errorf("congest: node %d lists neighbour %d outside 0..%d", v, u, n-1)
+			}
+			if i > 0 && u <= ns[i-1] {
+				return fmt.Errorf("congest: node %d lists neighbour %d after %d; neighbours must be strictly ascending", v, u, ns[i-1])
+			}
+		}
+	}
+	return nil
 }
 
 // start resets what the previous run on this state left behind and builds

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -358,11 +359,35 @@ func (r faultyRing) Neighbor(v, i int) (int, float64) {
 	return ring(12).Neighbor(v, i)
 }
 
+// flatRing is a faultyRing that also lends a flat neighbour table through
+// Adjacency, as a graph.CSR does, so a run reads the table in place.
+type flatRing struct {
+	faultyRing
+	offsets, targets []int32
+}
+
+func (f flatRing) Adjacency() (offsets, targets []int32) { return f.offsets, f.targets }
+
+// flatten returns r's flat twin, whose table lists r's neighbours by rank.
+func (r faultyRing) flatten() flatRing {
+	f := flatRing{faultyRing: r, offsets: make([]int32, r.N()+1)}
+	for v := range r.N() {
+		for i := range r.Degree(v) {
+			u, _ := r.Neighbor(v, i)
+			f.targets = append(f.targets, int32(u))
+		}
+		f.offsets[v+1] = int32(len(f.targets))
+	}
+	return f
+}
+
 func TestOutOfRangeNeighborRejected(t *testing.T) {
 	// A neighbour ID outside 0..n-1, or a neighbour list that is not
 	// strictly ascending, is a faulty Topology: Run must report it as an
 	// error before round 1, never index out of range or misfile an edge
-	// later, where a pool worker's panic could not be recovered.
+	// later, where a pool worker's panic could not be recovered. A table
+	// the topology lends is held to the same check as one the run copies,
+	// so each fault reads the same either way.
 	for _, tc := range []struct {
 		topo faultyRing
 		want string
@@ -371,16 +396,43 @@ func TestOutOfRangeNeighborRejected(t *testing.T) {
 		{faultyRing{2, 4, 4}, "node 3 lists neighbour 4 after 4"},
 		{faultyRing{4, 2}, "node 3 lists neighbour 2 after 4"},
 	} {
-		for _, workers := range []int{0, 4} {
-			nw, err := NewNetwork(tc.topo, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := nw.Run(func(*Context) Node { return &hybridNode{rounds: 3} }, Options{Workers: workers})
-			if err == nil || !strings.Contains(err.Error(), tc.want) || res != nil {
-				t.Errorf("%v Workers=%d: result %+v, error %v; want no result and an error naming %q",
-					tc.topo, workers, res, err, tc.want)
-			}
+		expectRefused(t, fmt.Sprint(tc.topo), tc.topo, tc.want)
+		expectRefused(t, fmt.Sprint("flat ", tc.topo), tc.topo.flatten(), tc.want)
+	}
+	// A lent table must also be a table of the topology's N and Degree:
+	// the run indexes it by offsets it never wrote.
+	ok := faultyRing{2, 4}.flatten()
+	decreasing := slices.Clone(ok.offsets)
+	decreasing[6] = decreasing[5] - 1
+	for _, tc := range []struct {
+		name string
+		topo flatRing
+		want string
+	}{
+		{"short offsets", flatRing{ok.faultyRing, ok.offsets[:12], ok.targets}, "12 offsets for 12 nodes; the neighbour table needs 13"},
+		{"decreasing offset", flatRing{ok.faultyRing, decreasing, ok.targets}, "node 5's neighbours end at slot 9, before they start at 10"},
+		{"stray target", flatRing{ok.faultyRing, ok.offsets, append(slices.Clone(ok.targets), 0)}, "the offsets end at slot 24, but the neighbour table has 25 slots"},
+		{"missing target", flatRing{ok.faultyRing, ok.offsets, ok.targets[:23]}, "the offsets end at slot 24, but the neighbour table has 23 slots"},
+		{"degree", flatRing{faultyRing{2, 4, 5}, ok.offsets, ok.targets}, "node 3 has degree 3, but its window of the neighbour table holds 2"},
+	} {
+		expectRefused(t, tc.name, tc.topo, tc.want)
+	}
+}
+
+// expectRefused requires a run over topo, at Workers 0 and 4, to return no
+// result and an error naming want, without building a node.
+func expectRefused(t *testing.T, name string, topo Topology, want string) {
+	t.Helper()
+	for _, workers := range []int{0, 4} {
+		nw, err := NewNetwork(topo, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := 0
+		res, err := nw.Run(func(*Context) Node { built++; return &hybridNode{rounds: 3} }, Options{Workers: workers})
+		if err == nil || !strings.Contains(err.Error(), want) || res != nil || built != 0 {
+			t.Errorf("%s, Workers=%d: result %+v, error %v, %d nodes built; want no result, an error naming %q and no node",
+				name, workers, res, err, built, want)
 		}
 	}
 }

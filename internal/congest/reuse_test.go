@@ -2,7 +2,9 @@ package congest
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"weak"
@@ -159,8 +161,8 @@ func (s *silentNode) Round(*Context, int, []Message) ([]Message, bool) {
 // TestReusedRunAllocsIndependentOfN pins what a run costs to set up, on a
 // fresh network and on one that has run before, over a 64-node cycle and a
 // 4096-node one handed over as a *graph.Graph and as its CSR. A fresh
-// network reads every topology by rank into flat arrays, so NewNetwork and
-// its first run allocate the same count whatever n. A network that has run
+// network copies a Graph by rank into flat arrays and reads a CSR's own,
+// so NewNetwork and its first run allocate the same count whatever n. A network that has run
 // before only resets its kept state, so with node programs carved from a
 // slab a run allocates a fixed handful of objects (the Result and, with
 // workers, the pool), and no more than 1 KiB more on the larger cycle: a
@@ -304,5 +306,91 @@ func TestParkedStateDropsInputs(t *testing.T) {
 			t.Fatalf("Workers=%d: an idle network keeps its last run's node programs, and their inputs, reachable", workers)
 		}
 		runtime.KeepAlive(nw)
+	}
+}
+
+// hopNode floods a BFS wave from node 0 and keeps its hop count: it joins
+// when its first message arrives, in the round after its hop count,
+// broadcasts it once and is done.
+type hopNode struct {
+	hops int
+	sent bool
+}
+
+func newHop(ctx *Context) hopNode { return hopNode{hops: -min(ctx.ID(), 1)} }
+
+func (h *hopNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
+	if h.hops < 0 && len(inbox) > 0 {
+		h.hops = round - 1
+	}
+	if h.hops < 0 || h.sent {
+		return nil, true
+	}
+	h.sent = true
+	return BroadcastAllWordsInto(ctx.Outbox(), ctx, 0, uint64(h.hops), 0, 16), false
+}
+
+// TestLentTableStaysUnwritten: a run reads a graph.CSR's neighbour table
+// in place, so every run over the CSR shares it and none may write it. Two
+// networks over one 64x64 grid CSR flood it concurrently, at Workers 1 and
+// 4 with every round on the pool, then flood again on their parked state.
+// The CSR's offsets and targets must equal the copies taken before the
+// runs, the parked state must hold the CSR's own targets, and every run's
+// Result and hop counts must equal those of a run over the graph.Graph the
+// CSR was converted from, which the run copies. The race detector sees
+// both networks' workers read the one table.
+func TestLentTableStaysUnwritten(t *testing.T) {
+	forcePool(t)
+	g := graph.Grid(64, 64)
+	csr := graph.FromGraph(g)
+	offsets, targets := csr.Adjacency()
+	offsetsBefore, targetsBefore := slices.Clone(offsets), slices.Clone(targets)
+
+	run := func(nw *Network, workers int) (*Result, []hopNode) {
+		nodes, factory := slab(g.N(), newHop)
+		res, err := nw.Run(factory, Options{Workers: workers})
+		if err != nil {
+			t.Error(err)
+		}
+		return res, nodes
+	}
+	ref, err := NewNetwork(g, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRes, wantHops := run(ref, 1)
+	if wantHops[len(wantHops)-1].hops != 126 {
+		t.Fatalf("the far corner is %d hops from node 0, want 126", wantHops[len(wantHops)-1].hops)
+	}
+
+	workers := []int{1, 4}
+	nws := make([]*Network, len(workers))
+	for i := range nws {
+		if nws[i], err = NewNetwork(csr, 32); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pass := range 2 {
+		var wg sync.WaitGroup
+		for i, nw := range nws {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, hops := run(nw, workers[i])
+				if !reflect.DeepEqual(res, wantRes) || !slices.Equal(hops, wantHops) {
+					t.Errorf("pass %d, Workers=%d: the CSR run's Result %+v or hop counts differ from the Graph run's %+v",
+						pass, workers[i], res, wantRes)
+				}
+			}()
+		}
+		wg.Wait()
+		for i, nw := range nws {
+			if st := nw.parked.Load(); st == nil || &st.nbrs[0] != &targets[0] || &st.offsets[0] != &offsets[0] {
+				t.Errorf("pass %d, Workers=%d: the parked state does not hold the CSR's own tables", pass, workers[i])
+			}
+		}
+	}
+	if !slices.Equal(offsets, offsetsBefore) || !slices.Equal(targets, targetsBefore) {
+		t.Error("a run wrote the neighbour table the CSR lent it")
 	}
 }

@@ -36,10 +36,13 @@
 // Every constructor takes a congest.Topology, the view that lists each
 // node's neighbours by rank. *graph.Graph satisfies it, and so does
 // *graph.CSR, the flat-table topology the streaming graph.Builder produces
-// for million-node scenarios (see internal/exp's buildTopology). The
-// backends are agnostic to which one they were handed: identical seeds
-// over identical edge sets produce bit-identical runs, and the quantum
-// backend's diameter, either way.
+// for million-node scenarios (see internal/exp's buildTopology). A CSR
+// also lends its int32 neighbour table through Adjacency, and a stage
+// reads that table in place where a Graph's neighbours are copied into
+// one; a unit-weight CSR keeps no weights at all. The backends are
+// agnostic to which one they were handed: identical seeds over identical
+// edge sets produce bit-identical runs, and the quantum backend's
+// diameter, either way.
 package engine
 
 import (

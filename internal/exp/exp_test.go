@@ -3,12 +3,15 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"qdc/internal/graph"
 	"qdc/internal/lbnetwork"
 )
 
@@ -152,6 +155,39 @@ func TestLBNetSize(t *testing.T) {
 	const want = "lbnet of size 32754 has 1073807167 edges, more than 1073741823"
 	if err := (TopologySpec{Family: FamilyLBNet, Size: 32754}).checkSize(); err == nil || err.Error() != want {
 		t.Errorf("lbnet Γ=32,754 at L=17: %v, want %q", err, want)
+	}
+}
+
+// TestRandomSizeCountsExpectedEdges pins the edge count checkSize bounds a
+// random topology by: randomEdges is the mean edge count of the graphs
+// the family draws, within 2% over 40 seeds at n = 60, and at the default
+// p = 0.1 it accepts size 146,534 and refuses 146,535, counted without
+// building either. A p above 1 adds every pair, as the emitter does.
+func TestRandomSizeCountsExpectedEdges(t *testing.T) {
+	spec := TopologySpec{Family: FamilyRandom, Size: 60, Param: 0.2}
+	const seeds = 40
+	drawn := 0
+	for seed := range int64(seeds) {
+		err := spec.emitEdges(rand.New(rand.NewSource(seed)), func(int, int) graph.EdgeEmitter {
+			return func(int, int, float64) { drawn++ }
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	mean, want := float64(drawn)/seeds, float64(randomEdges(60, 0.2))
+	if math.Abs(mean-want) > 0.02*want {
+		t.Errorf("random60(p=0.2) draws %.1f edges on average, randomEdges counts %.0f", mean, want)
+	}
+	if got := randomEdges(60, 3); got != 60*59/2 {
+		t.Errorf("randomEdges(60, 3) = %d, want every one of the %d pairs", got, 60*59/2)
+	}
+	if err := (TopologySpec{Family: FamilyRandom, Size: 146534}).checkSize(); err != nil {
+		t.Errorf("random of size 146,534 at p=0.1 refused: %v", err)
+	}
+	const refused = "random of size 146535 has 1073749865 edges, more than 1073741823"
+	if err := (TopologySpec{Family: FamilyRandom, Size: 146535}).checkSize(); err == nil || err.Error() != refused {
+		t.Errorf("random of size 146,535 at p=0.1: %v, want %q", err, refused)
 	}
 }
 

@@ -113,6 +113,11 @@ func TestLoadMatrixErrors(t *testing.T) {
 		{"complete graph above 2^30 edges", func(s string) string {
 			return strings.Replace(s, `{"family": "path", "size": 9}`, `{"family": "complete", "size": 100000}`, 1)
 		}, "complete of size 100000 has 4999950000 edges, more than 1073741823"},
+		// A random topology is counted by its expected edges, not its
+		// tree's n−1: about 10^10 here.
+		{"random above 2^30 expected edges", func(s string) string {
+			return strings.Replace(s, `{"family": "path", "size": 9}`, `{"family": "random", "size": 200000, "param": 0.5}`, 1)
+		}, "random of size 200000 has 10000049999 edges, more than 1073741823"},
 		// An lbnet's endpoint cliques grow as (Γ+K)²: 1,114,131 vertices
 		// but 4,296,933,407 edges.
 		{"lbnet above 2^30 edges", func(s string) string {

@@ -11,8 +11,8 @@ import (
 // path: the streaming loader must build the n=1,000,000 grid CSR without
 // ever materialising adjacency maps, and a full BFS flood at 4 workers must
 // run to termination over it, agreeing with a sequential BFS at every
-// vertex. The CSR offers only the ranked Degree/Neighbor view, so the run
-// reads its flat tables in place.
+// vertex. The run reads the CSR's int32 neighbour table in place, through
+// Adjacency, and the unit-weight grid's CSR holds no weight table.
 func TestMillionNodeStreamingSmoke(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation multiplies the million-node footprint")

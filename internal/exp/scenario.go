@@ -262,8 +262,11 @@ func (t TopologySpec) BuildCSR(rng *rand.Rand) (*graph.CSR, error) {
 // larger Size is refused before lbnet's counts could wrap: with Γ and L
 // bounded so, lbnetwork.EdgeCount stays below 8.1·10^18. An lbnet's two
 // endpoint cliques make its edge count grow as Γ², so at L = 17 the first
-// Γ refused is 32,754. Matrix.Validate and emitEdges both call it, so a
-// spec is refused at load with the text its build would fail with.
+// Γ refused is 32,754. A random topology's edges are counted as their
+// expectation (randomEdges), not as the tree's n−1 that size reserves, so
+// at the default p = 0.1 the first size refused is 146,535. Matrix.Validate
+// and emitEdges both call it, so a spec is refused at load with the text
+// its build would fail with.
 func (t TopologySpec) checkSize() error {
 	switch {
 	case t.Size < 2:
@@ -276,7 +279,11 @@ func (t TopologySpec) checkSize() error {
 	if t.Family != FamilyGrid && t.Size > math.MaxInt32 {
 		return fmt.Errorf("%s of size %d has more than %d vertices", t.Family, t.Size, math.MaxInt32)
 	}
-	switch n, m := t.size(); {
+	n, m := t.size()
+	if t.Family == FamilyRandom {
+		m = randomEdges(n, t.randomP())
+	}
+	switch {
 	case t.Family == FamilyGrid && n < 4:
 		return fmt.Errorf("grid needs size >= 4, got %d", t.Size)
 	case n > math.MaxInt32:
@@ -311,11 +318,7 @@ func (t TopologySpec) emitEdges(rng *rand.Rand, newGraph func(n, m int) graph.Ed
 		side := gridSide(t.Size)
 		graph.EmitGrid(side, side, newGraph(n, m))
 	case FamilyRandom:
-		p := t.Param
-		if p <= 0 {
-			p = 0.1
-		}
-		graph.EmitRandomConnected(n, p, rng, newGraph(n, m))
+		graph.EmitRandomConnected(n, t.randomP(), rng, newGraph(n, m))
 	case FamilyTree:
 		graph.EmitSpanningTree(n, rng, newGraph(n, m))
 	default:
@@ -344,6 +347,23 @@ func (t TopologySpec) size() (n, m int) {
 		return t.Size, t.Size * (t.Size - 1) / 2
 	}
 	return t.Size, t.Size - 1
+}
+
+// randomP is a random topology's edge probability: Param, or 0.1 when
+// Param is not positive.
+func (t TopologySpec) randomP() float64 {
+	if t.Param > 0 {
+		return t.Param
+	}
+	return 0.1
+}
+
+// randomEdges is the expected edge count of graph.EmitRandomConnected on n
+// vertices: the spanning tree's n−1 edges and each of the other
+// n(n−1)/2 − (n−1) pairs with probability p, at most 1.
+func randomEdges(n int, p float64) int {
+	tree, pairs := float64(n-1), float64(n)*float64(n-1)/2
+	return int(tree + min(p, 1)*(pairs-tree))
 }
 
 // gridSide is the side of the largest square grid with at most size

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"qdc/internal/graph"
@@ -101,10 +102,15 @@ func TestEmitEdgesReservesFamilyEdgeCount(t *testing.T) {
 }
 
 // TestBuildCSRAllocsBounded gates a streamed CSR build at 16 objects, on a
-// 64x64 grid as on a 320x320 one: the builder's three edge arrays are
-// allocated once at the family's edge count, then Finish's CSR, tables and
-// cursor. Arrays grown by append while the edges stream in take several
-// objects each, more on the larger grid.
+// 64x64 grid as on a 320x320 one: the builder's two endpoint arrays are
+// allocated once at the family's edge count, then Finish's CSR and its
+// offsets and targets. Arrays grown by append while the edges stream in
+// take several objects each, more on the larger grid. It also gates the
+// bytes, read from MemStats.TotalAlloc, at 24 per edge on the 320x320
+// grid: 8 for the two endpoints and 8 for the two int32 targets, and the
+// offsets' 4 bytes per vertex, about 18 in all. A unit-weight stream keeps
+// no weight, so a float64 weight per edge and per slot, with int64
+// offsets and a scatter cursor, take it past 48.
 func TestBuildCSRAllocsBounded(t *testing.T) {
 	for _, size := range []int{4096, 102400} {
 		spec := TopologySpec{Family: FamilyGrid, Size: size}
@@ -117,6 +123,22 @@ func TestBuildCSRAllocsBounded(t *testing.T) {
 		if allocs > 16 {
 			t.Errorf("BuildCSR(%s) allocates %.0f objects, want at most 16", spec, allocs)
 		}
+	}
+	spec := TopologySpec{Family: FamilyGrid, Size: 102400}
+	_, edges := spec.size()
+	const builds = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range builds {
+		if _, err := spec.BuildCSR(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / builds / float64(edges)
+	t.Logf("%s: %.1f bytes per edge (%d edges)", spec, perEdge, edges)
+	if perEdge > 24 {
+		t.Errorf("BuildCSR(%s) allocates %.1f bytes per edge, want at most 24", spec, perEdge)
 	}
 }
 

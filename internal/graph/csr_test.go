@@ -2,8 +2,10 @@ package graph
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -37,7 +39,22 @@ func csrFamilies() []csrFamily {
 			func(b *Builder, rng *rand.Rand) { EmitRandomConnected(14, 0.2, rng, b.MustAddEdge) }, 14},
 		{"tree", func(rng *rand.Rand) *Graph { return RandomSpanningTree(13, rng) },
 			func(b *Builder, rng *rand.Rand) { EmitSpanningTree(13, rng, b.MustAddEdge) }, 13},
+		{"late-weights", func(*rand.Rand) *Graph { g := New(6); emitLateWeights(g.MustAddEdge); return g },
+			func(b *Builder, _ *rand.Rand) { emitLateWeights(b.MustAddEdge) }, 6},
 	}
+}
+
+// emitLateWeights streams a 6-vertex graph whose first weight other than 1
+// arrives after unit edges, in the stream's order and in Graph.Edges'
+// order alike, so both routes into the builder back-fill the 1s before it.
+func emitLateWeights(emit EdgeEmitter) {
+	emit(0, 1, 1)
+	emit(1, 2, 1)
+	emit(2, 3, 2.5)
+	emit(3, 4, 1)
+	emit(4, 5, 7)
+	emit(0, 5, 1)
+	emit(1, 4, 1)
 }
 
 // TestBuilderMatchesMapPath is the streaming-equivalence guarantee: for
@@ -46,7 +63,10 @@ func csrFamilies() []csrFamily {
 // map-built Graph, and the random families leave both rngs in the same
 // state, proving identical stream consumption. The streamed builder starts
 // with no room and grows, while FromGraph reserves the graph's edge count,
-// so the two growth paths are compared too.
+// so the two growth paths are compared too. A unit-weight family's CSR has
+// no weight table; the late-weights input's has one, whose 1s before the
+// first other weight the builder back-filled, and Neighbor reads the
+// weights the Graph holds.
 func TestBuilderMatchesMapPath(t *testing.T) {
 	for _, f := range csrFamilies() {
 		t.Run(f.name, func(t *testing.T) {
@@ -71,6 +91,15 @@ func TestBuilderMatchesMapPath(t *testing.T) {
 			}
 			if a, b := rngA.Int63(), rngB.Int63(); a != b {
 				t.Errorf("rng streams diverged after generation: %d vs %d", a, b)
+			}
+			if weighted := f.name == "late-weights"; (streamed.weights != nil) != weighted {
+				t.Errorf("weight table %v, want one only for a weighted stream", streamed.weights)
+			}
+			for _, e := range g.Edges() {
+				v, i := e.U, slices.Index(g.Neighbors(e.U), e.V)
+				if u, w := streamed.Neighbor(v, i); u != e.V || w != e.Weight {
+					t.Errorf("Neighbor(%d, %d) = (%d, %g), want (%d, %g)", v, i, u, w, e.V, e.Weight)
+				}
 			}
 		})
 	}
@@ -147,10 +176,10 @@ func TestBuilderEmpty(t *testing.T) {
 	}
 }
 
-// TestBuilderFinishAllocsIndependentOfN gates Finish's allocations: the CSR,
-// its three tables and the scatter cursor, the same count on a 64×64 grid
-// as on a 320×320 one. Every grid bucket arrives sorted, so a per-vertex
-// allocation on the sortedness check shows as a count that grows with n.
+// TestBuilderFinishAllocsIndependentOfN gates Finish's allocations: the CSR
+// and its offsets and targets, the same count on a 64×64 grid as on a
+// 320×320 one. Every grid bucket arrives sorted, so a per-vertex allocation
+// on the sortedness check shows as a count that grows with n.
 func TestBuilderFinishAllocsIndependentOfN(t *testing.T) {
 	var allocs []float64
 	for _, side := range []int{64, 320} {
@@ -165,5 +194,21 @@ func TestBuilderFinishAllocsIndependentOfN(t *testing.T) {
 	if allocs[0] != allocs[1] {
 		t.Errorf("Finish allocates %.0f objects on a 64×64 grid and %.0f on a 320×320 one; want the same count",
 			allocs[0], allocs[1])
+	}
+}
+
+// TestFinishRefusesSlotsPastInt32: a CSR's int32 offsets index at most
+// math.MaxInt32 directed slots, so Finish refuses a stream of more than
+// math.MaxInt32/2 edges before it allocates anything. A stream that long
+// would need about 8 GB, so the limit is checked through directedSlots,
+// the helper Finish calls first.
+func TestFinishRefusesSlotsPastInt32(t *testing.T) {
+	const most = math.MaxInt32 / 2
+	if slots, err := directedSlots(most); err != nil || slots != math.MaxInt32-1 {
+		t.Errorf("directedSlots(%d) = %d, %v; want %d slots", most, slots, err, math.MaxInt32-1)
+	}
+	want := "graph: 1073741824 edges make 2147483648 directed slots; a CSR holds at most 2147483647"
+	if _, err := directedSlots(most + 1); err == nil || err.Error() != want {
+		t.Errorf("directedSlots(%d): error %v, want %q", most+1, err, want)
 	}
 }
